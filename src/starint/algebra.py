@@ -264,18 +264,6 @@ class Element:
 
 # -- order structure ---------------------------------------------------------
 
-def multiply(x: Element, y: Element) -> Element:
-    return x * y
-
-
-def adjoint(x: Element) -> Element:
-    return x.star()
-
-
-def op_norm(x: Element) -> float:
-    return x.norm()
-
-
 def is_positive(x: Element, tol: float = DEFAULT_TOL) -> bool:
     """Hermitian within tol and spectrum above ``-tol * norm`` in every block."""
     if not x.is_hermitian(tol):
@@ -341,11 +329,7 @@ class Subspace:
     def from_spanning(cls, algebra: Algebra, rows: np.ndarray,
                       tol: float = DEFAULT_TOL) -> "Subspace":
         rows = np.asarray(rows, dtype=complex).reshape(-1, algebra.dim)
-        if rows.shape[0] == 0:
-            return cls(algebra, np.zeros((0, algebra.dim), dtype=complex))
-        u, s, vh = np.linalg.svd(rows, full_matrices=False)
-        keep = int(np.sum(s > tol * max(s[0], 1e-300)))
-        return cls(algebra, vh[:keep])
+        return cls(algebra, orthonormal_rows(rows, tol))
 
     def elements(self) -> list[Element]:
         return [self.algebra.from_coords(row) for row in self.basis]
@@ -360,10 +344,6 @@ class Subspace:
         vec = x.coords()
         resid = rel(np.linalg.norm(vec - self.project_coords(vec)), x.hs_norm())
         return resid <= tol, float(resid)
-
-
-def membership(x: Element, s: Subspace, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    return s.contains(x, tol)
 
 
 def generated_subalgebra(gens: Sequence[Element],

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +28,38 @@ from .linmaps import LinMap
 
 # eigenvalues on either side of the quotient cut must differ by this factor
 GAP_FACTOR = 1e3
+
+
+class Quotient(NamedTuple):
+    kept: np.ndarray     # eigenvalues above the cut
+    q: np.ndarray        # (k, n): coordinates -> class coordinates
+    lift: np.ndarray     # (n, k): class coordinates -> canonical representative
+    null: np.ndarray     # (n, n - k): discarded eigenvectors, as columns
+    top: float           # largest eigenvalue
+
+
+def eigen_quotient(gram: np.ndarray, tol: float,
+                   messages: tuple[str, str, str]) -> Quotient:
+    """Quotient of a hermitian positive form by its kernel, cut at
+    ``tol`` times the top eigenvalue.  ``messages`` explain the three ways
+    the cut can fail: the form vanishes, is not positive, or has no
+    spectral gap of ``GAP_FACTOR`` at the cut."""
+    vanishes, indefinite, no_gap = messages
+    lams, vecs = np.linalg.eigh(gram)
+    top = float(lams.max(initial=0.0))
+    if top <= tol:
+        raise NumericalDegeneracy(vanishes)
+    if float(lams.min()) < -tol * top:
+        raise NumericalDegeneracy(indefinite)
+    keep = lams > tol * top
+    dropped = lams[~keep]
+    if dropped.size and float(dropped.max()) > 1e-300:
+        if float(lams[keep].min()) / float(dropped.max()) < GAP_FACTOR:
+            raise NumericalDegeneracy(no_gap)
+    roots = np.sqrt(lams[keep])
+    u_keep = vecs[:, keep]
+    return Quotient(kept=lams[keep], q=roots[:, None] * u_keep.conj().T,
+                    lift=u_keep / roots[None, :], null=vecs[:, ~keep], top=top)
 
 
 @dataclass(frozen=True)
@@ -70,7 +103,7 @@ class BasicConstruction:
         return cols
 
     @cached_property
-    def _spanning_pinv(self) -> np.ndarray:
+    def spanning_pinv(self) -> np.ndarray:
         return np.linalg.pinv(self.spanning_matrix)
 
     def express_in_spanning(self, mat: np.ndarray) -> tuple[np.ndarray, float]:
@@ -80,7 +113,7 @@ class BasicConstruction:
         since the module actions built on it are presentation-independent.
         """
         vec = mat.reshape(-1)
-        c = self._spanning_pinv @ vec
+        c = self.spanning_pinv @ vec
         resid = float(np.linalg.norm(self.spanning_matrix @ c - vec))
         dim = self.algebra.dim
         return c.reshape(dim, dim), rel(resid, float(np.linalg.norm(vec)))
@@ -150,33 +183,22 @@ def build_basic(expectation: LinMap, range_sub: Subspace,
         raise NumericalDegeneracy("expectation form is not hermitian")
     gram = (gram + gram.conj().T) / 2
 
-    lams, vecs = np.linalg.eigh(gram)
-    top = float(lams.max(initial=0.0))
-    if top <= tol:
-        raise NumericalDegeneracy("expectation form vanishes identically")
-    if float(lams.min()) < -tol * top:
-        raise NumericalDegeneracy("expectation form is not positive")
-    keep = lams > tol * top
-    dropped = lams[~keep]
-    if dropped.size and float(dropped.max()) > 1e-300:
-        if float(lams[keep].min()) / float(dropped.max()) < GAP_FACTOR:
-            raise NumericalDegeneracy("quotient ill-conditioned: no spectral gap "
-                                      "between kept and discarded directions")
-    m = int(keep.sum())
-    roots = np.sqrt(lams[keep])
-    u_keep = vecs[:, keep]
-    q = (roots[:, None] * u_keep.conj().T)
-    lift = u_keep / roots[None, :]
+    quot = eigen_quotient(gram, tol, (
+        "expectation form vanishes identically",
+        "expectation form is not positive",
+        "quotient ill-conditioned: no spectral gap between kept and "
+        "discarded directions"))
+    q, lift, null = quot.q, quot.lift, quot.null
+    m = quot.kept.size
 
     lam = np.empty((dim, m, m), dtype=complex)
     for i in range(dim):
         lam[i] = q @ alg.left_mult_tensor[i] @ lift
     # left multiplication must kill the discarded directions
-    null = vecs[:, ~keep]
     if null.size:
         leak = max(float(np.linalg.norm(q @ alg.left_mult_tensor[i] @ null))
                    for i in range(dim))
-        if leak > tol * max(1.0, top):
+        if leak > tol * max(1.0, quot.top):
             raise NumericalDegeneracy("null directions are not an ideal "
                                       f"(leak {leak:.3e})")
 

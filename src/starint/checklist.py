@@ -8,6 +8,7 @@ can key on stable strings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,8 +142,10 @@ class Report:
 def _record(check_id: str, residuals: dict[str, float], tol: float,
             witness: dict | None = None) -> CheckRecord:
     details = {f"{check_id}-{k}": float(v) for k, v in residuals.items()}
-    worst = max((float(v) for v in residuals.values()), default=0.0)
-    status = "pass" if worst <= tol else "fail"
+    # a non-finite residual fails the record and is reported as its residual
+    bad = [v for v in details.values() if not math.isfinite(v)]
+    worst = bad[0] if bad else max(details.values(), default=0.0)
+    status = "pass" if not bad and worst <= tol else "fail"
     return CheckRecord(check_id=check_id, status=status, residual=worst,
                        witness=witness if status == "fail" else None,
                        details=details)

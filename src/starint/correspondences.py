@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import DEFAULT_TOL, Algebra, Element, rel, orthonormal_rows
-from .bimodule import BimoduleX
+from .bimodule import BimoduleX, slot_adjoint_defects, worst_norm
 from .interactions import Interaction
 from .linmaps import LinMap, map_residual
 
@@ -101,14 +101,6 @@ class GenCorrespondence:
     def bracket(self, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         return np.einsum("i,j,k,ijkc->c", u, np.conj(v), w, self.tt)
 
-    def theta_l(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        """Matrix of z -> bracket(xi, eta, z)."""
-        return np.einsum("i,j,ijkc->ck", xi, np.conj(eta), self.tt)
-
-    def theta_r(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        """Matrix of z -> bracket(z, xi, eta)."""
-        return np.einsum("j,l,kjlc->ck", np.conj(xi), eta, self.tt)
-
     def norm_of(self, coords: np.ndarray) -> float:
         coords = np.asarray(coords, dtype=complex)
         if self.mode == "concrete":
@@ -120,38 +112,23 @@ def check_71(corr: GenCorrespondence) -> dict[str, float]:
     """Defining laws: slot-adjointness of both actions, and that the actions
     are a homomorphism (left) and an anti-homomorphism (right)."""
     alg = corr.coeff
-    mid = out = 0.0
-    tt = corr.tt
-    for a in alg.basis:
-        la, ra = corr.lam_of(a), corr.rho_of(a)
-        las, ras = corr.lam_of(a.star()), corr.rho_of(a.star())
-        # bracket(xi, a·eta, zeta) == bracket(xi, eta, a*·zeta): conjugate-
-        # linearity of the middle slot puts conj(la) on the left-hand side
-        lhs = np.einsum("tj,itkc->ijkc", np.conj(la), tt)
-        rhs = np.einsum("tk,ijtc->ijkc", las, tt)
-        mid = max(mid, float(np.abs(lhs - rhs).max(initial=0.0)))
-        # bracket(xi, eta·a, zeta) == bracket(xi·a*, eta, zeta)
-        lhs2 = np.einsum("tj,itkc->ijkc", np.conj(ra), tt)
-        rhs2 = np.einsum("ti,tjkc->ijkc", ras, tt)
-        out = max(out, float(np.abs(lhs2 - rhs2).max(initial=0.0)))
-    hom = anti = star_l = star_r = 0.0
-    for a in alg.basis:
-        star_l = max(star_l, float(np.linalg.norm(
-            corr.lam_of(a.star()) - corr.lam_of(a).conj().T)))
-        star_r = max(star_r, float(np.linalg.norm(
-            corr.rho_of(a.star()) - corr.rho_of(a).conj().T)))
-        for b in alg.basis:
-            hom = max(hom, float(np.linalg.norm(
-                corr.lam_of(a * b) - corr.lam_of(a) @ corr.lam_of(b))))
-            anti = max(anti, float(np.linalg.norm(
-                corr.rho_of(a * b) - corr.rho_of(b) @ corr.rho_of(a))))
+    lam, rho = corr.lam_t, corr.rho_t
+    star = np.argmax(np.abs(alg.star_signature), axis=0)
+    mid, out = slot_adjoint_defects(corr.tt, lam, rho, star)
+    # coords(a_i a_k) = left_mult_tensor[i, :, k]
+    lam_ik = np.einsum("ick,cxy->ikxy", alg.left_mult_tensor, lam)
+    rho_ik = np.einsum("ick,cxy->ikxy", alg.left_mult_tensor, rho)
     return {
-        "middle_slot_intertwines": mid,
-        "outer_slot_intertwines": out,
-        "left_action_multiplicative": hom,
-        "right_action_antimultiplicative": anti,
-        "left_action_star": star_l,
-        "right_action_star": star_r,
+        "middle_slot_intertwines": float(np.abs(mid).max(initial=0.0)),
+        "outer_slot_intertwines": float(np.abs(out).max(initial=0.0)),
+        "left_action_multiplicative": worst_norm(
+            lam_ik - np.einsum("ixy,kyz->ikxz", lam, lam), axis=(-2, -1)),
+        "right_action_antimultiplicative": worst_norm(
+            rho_ik - np.einsum("kxy,iyz->ikxz", rho, rho), axis=(-2, -1)),
+        "left_action_star": worst_norm(
+            lam[star] - lam.conj().swapaxes(-1, -2), axis=(-2, -1)),
+        "right_action_star": worst_norm(
+            rho[star] - rho.conj().swapaxes(-1, -2), axis=(-2, -1)),
     }
 
 
@@ -187,14 +164,8 @@ def correspondence_from_tro(tro: ConcreteTRO, coeff: Algebra,
     if worst_leak > tol:
         raise CorrespondenceError(
             f"coefficient action leaves the subspace (leak {worst_leak:.3e})")
-    corr = GenCorrespondence(coeff=coeff, tt=tt, lam_t=lam_t, rho_t=rho_t,
-                             mode="concrete", tol=tol, tro=tro)
-    laws = check_71(corr)
-    if max(laws.values()) > max(tol, 1e-8):
-        bad = max(laws, key=laws.get)
-        raise CorrespondenceError(
-            f"correspondence laws fail at {bad} ({laws[bad]:.3e})", laws)
-    return corr
+    return _lawful(GenCorrespondence(coeff=coeff, tt=tt, lam_t=lam_t, rho_t=rho_t,
+                                     mode="concrete", tol=tol, tro=tro))
 
 
 def correspondence_from_bimodule(x: BimoduleX,
@@ -202,25 +173,15 @@ def correspondence_from_bimodule(x: BimoduleX,
     """Abstract mode: the quotient module with its bracket and the two
     coefficient actions inherited from the tensor legs."""
     tol = x.tol if tol is None else tol
-    alg = x.inter.algebra
-    dim, r = alg.dim, x.r
-    eye_d = np.eye(dim)
-    reps = x.representatives()
-    tt = np.zeros((r, r, r, r), dtype=complex)
-    for j in range(r):
-        for k in range(r):
-            pair = x.inner_r(reps[j], reps[k])
-            for i in range(r):
-                tt[i, j, k] = x.qx @ x.right_act(reps[i], pair).coeffs
-    lam_t = np.zeros((alg.dim, r, r), dtype=complex)
-    rho_t = np.zeros((alg.dim, r, r), dtype=complex)
-    for i, a in enumerate(alg.basis):
-        lam_t[i] = x.qx @ np.kron(alg.left_mult_matrix(a), eye_d) @ x.liftx
-        rho_t[i] = x.qx @ np.kron(eye_d, alg.right_mult_matrix(a)) @ x.liftx
-    corr = GenCorrespondence(coeff=alg, tt=tt, lam_t=lam_t, rho_t=rho_t,
-                             mode="abstract", tol=tol, x=x)
+    return _lawful(GenCorrespondence(coeff=x.algebra, tt=x.bracket_t,
+                                     lam_t=x.lam_t, rho_t=x.rho_t,
+                                     mode="abstract", tol=tol, x=x))
+
+
+def _lawful(corr: GenCorrespondence) -> GenCorrespondence:
+    """The correspondence itself when the 7.1 laws hold; raises otherwise."""
     laws = check_71(corr)
-    if max(laws.values()) > max(tol, 1e-8):
+    if max(laws.values()) > max(corr.tol, 1e-8):
         bad = max(laws, key=laws.get)
         raise CorrespondenceError(
             f"correspondence laws fail at {bad} ({laws[bad]:.3e})", laws)
@@ -282,14 +243,10 @@ def check_cube_identity(corr: GenCorrespondence) -> dict[str, float]:
 def check_theta_adjoints(corr: GenCorrespondence) -> dict[str, float]:
     """Swapping the two defining vectors adjoints the rank-one operators."""
     left, right = _theta_grids(corr)
-    worst_l = worst_r = 0.0
-    for i in range(corr.n):
-        for j in range(corr.n):
-            worst_l = max(worst_l, float(np.linalg.norm(
-                left[i, j].conj().T - left[j, i])))
-            worst_r = max(worst_r, float(np.linalg.norm(
-                right[i, j].conj().T - right[j, i])))
-    return {"theta_left_adjoint": worst_l, "theta_right_adjoint": worst_r}
+    return {name: worst_norm(grid.conj().swapaxes(-1, -2) - grid.swapaxes(0, 1),
+                             axis=(-2, -1))
+            for name, grid in (("theta_left_adjoint", left),
+                               ("theta_right_adjoint", right))}
 
 
 def classical_gate(corr: GenCorrespondence) -> float:
@@ -309,23 +266,13 @@ def check_78(corr: GenCorrespondence) -> dict[str, float]:
     if not np.isfinite(gate) or gate > corr.tol:
         return out
     x = corr.x
-    bc = x.bch
-    lam_stack = bc.lam.reshape(corr.coeff.dim, -1)
-    solver = np.linalg.pinv(lam_stack.T)
-    reps = x.representatives()
-    worst = recov = 0.0
-    for j in range(corr.n):
-        for l in range(corr.n):
-            inner = x.inner_r(reps[j], reps[l])
-            a_coords = solver @ inner.reshape(-1)
-            recov = max(recov, float(np.linalg.norm(
-                lam_stack.T @ a_coords - inner.reshape(-1))))
-            a = corr.coeff.from_coords(a_coords)
-            worst = max(worst, float(np.linalg.norm(
-                corr.theta_r(np.eye(corr.n)[j], np.eye(corr.n)[l])
-                - corr.rho_of(a))))
-    out["inner_product_recovered"] = recov
-    out["theta_r_is_inner_action"] = worst
+    lam_stack = x.bch.lam.reshape(corr.coeff.dim, -1)
+    inner = x.inner_r_t.reshape(corr.n, corr.n, -1)
+    a_coords = inner @ np.linalg.pinv(lam_stack.T).T            # [j, l, a]
+    rho_a = np.einsum("jla,ack->jlck", a_coords, corr.rho_t)
+    out["inner_product_recovered"] = worst_norm(a_coords @ lam_stack - inner)
+    out["theta_r_is_inner_action"] = worst_norm(_theta_grids(corr)[1] - rho_a,
+                                            axis=(-2, -1))
     return out
 
 
