@@ -32,14 +32,28 @@ def rel(value: float, scale: float) -> float:
     return float(value) / max(1.0, float(scale))
 
 
-def orthonormal_rows(rows: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (as rows) for the row span, by singular value cut."""
+#: Floor of the reference scale for a cut relative to the largest singular value.
+TINY = 1e-300
+
+
+def svd_rank(s: np.ndarray, tol: float, floor: float) -> int:
+    """The one singular-value rank cut: how many of the descending singular
+    values ``s`` exceed ``tol`` times the reference scale max(s[0], floor).
+    With ``floor=TINY`` the cut is relative to the largest value; rows that
+    are orthonormal, or projections of orthonormal rows, are cut with
+    ``floor=1`` at their unit scale, so that rounding noise is not kept."""
+    top = float(s[0]) if s.size else 0.0
+    return int(np.sum(s > tol * max(top, floor)))
+
+
+def orthonormal_rows(rows: np.ndarray, tol: float = DEFAULT_TOL,
+                     floor: float = TINY) -> np.ndarray:
+    """Orthonormal basis (as rows) for the row span, by the ``svd_rank`` cut."""
     rows = np.atleast_2d(np.asarray(rows, dtype=complex))
     if rows.shape[0] == 0 or not np.linalg.norm(rows):
         return np.zeros((0, rows.shape[1]), dtype=complex)
     u, s, vh = np.linalg.svd(rows, full_matrices=False)
-    keep = int(np.sum(s > tol * max(s[0], 1e-300)))
-    return vh[:keep]
+    return vh[:svd_rank(s, tol, floor)]
 
 
 @dataclass(frozen=True)

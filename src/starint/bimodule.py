@@ -15,12 +15,11 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (
-    DEFAULT_TOL,
-    Algebra,
+    TINY,
     Element,
     orthonormal_rows,
-    rel,
     sqrt_psd,
+    svd_rank,
 )
 from .basic_construction import (
     BasicConstruction,
@@ -65,7 +64,7 @@ class TensorElt:
 
 
 class BimoduleX:
-    """Quotient module with both inner products realized as tensors."""
+    """Quotient module with both inner products realized by their factors."""
 
     def __init__(self, inter: Interaction, bch: BasicConstruction,
                  bcv: BasicConstruction, tol: float):
@@ -94,28 +93,28 @@ class BimoduleX:
         self.P1 = self.F1[:, :, sigma, :]
         self.P2 = self.G1[sigma, :, :, :]
 
-        lam_h, e_h, m_h = bch.lam, bch.e, bch.m
-        lam_v, e_v, m_v = bcv.lam, bcv.e, bcv.m
-        mid = np.einsum("iks,sab->ikab", hl[sigma].transpose(0, 2, 1), lam_h,
-                        optimize=True)
-        rf = np.einsum("jab,ikbc,lcd->ijklad",
-                       lam_h.conj().transpose(0, 2, 1), mid,
-                       np.einsum("ab,lbc->lac", e_h, lam_h), optimize=True)
-        self.Rf = rf.reshape(self.amb, self.amb, m_h, m_h)
+        # Both inner products of elementary tensors are products of three
+        # small operators, and only these factors are stored:
+        #   <a⊗b, c⊗d>_r = λ_h(b)* · λ_h(H(a* c)) · e_h λ_h(d)
+        #   <a⊗b, c⊗d>_l = λ_v(a) · λ_v(V(b d*)) e_v · λ_v(c)*
+        # Each middle factor is kept as mid[i, b, k, c] (basis indices i, k
+        # outside the operator indices b, c), so it reshapes to a matrix.
+        lam_h, e_h = bch.lam, bch.e
+        lam_v, e_v = bcv.lam, bcv.e
+        self.lam_h_star = lam_h.conj().transpose(0, 2, 1)
+        self.mid_h = np.einsum("iks,sbc->ibkc", hl[sigma].transpose(0, 2, 1),
+                               lam_h, optimize=True)
+        self.e_lam_h = np.einsum("ab,lbc->lac", e_h, lam_h)
+        self.lam_v = lam_v
+        self.mid_v = np.einsum("jls,sab,bc->jalc", vl[:, :, sigma].transpose(0, 2, 1),
+                               lam_v, e_v, optimize=True)
+        self.lam_v_star = lam_v.conj().transpose(0, 2, 1)
 
-        nc = vl[:, :, sigma].transpose(0, 2, 1)
-        ne = np.einsum("jls,sab,bc->jlac", nc, lam_v, e_v, optimize=True)
-        lf = np.einsum("iab,jlbc,kcd->ijklad", lam_v, ne,
-                       lam_v.conj().transpose(0, 2, 1), optimize=True)
-        self.Lf = lf.reshape(self.amb, self.amb, m_v, m_v)
+        self.gram_r = self._basis_gram(self._factors_r).reshape(self.amb, self.amb)
+        self.gram_l = self._basis_gram(self._factors_l).transpose(
+            1, 0, 3, 2).reshape(self.amb, self.amb)
 
-        gram = np.einsum("uvaa->uv", self.Rf) / m_h
-        gram = (gram + gram.conj().T) / 2
-        self.gram_r = gram
-        self.gram_l = (lambda g: (g + g.conj().T) / 2)(
-            np.einsum("uvaa->uv", self.Lf) / m_v)
-
-        quot = eigen_quotient(gram, tol, (
+        quot = eigen_quotient(self.gram_r, tol, (
             "module collapses: both inner products vanish",
             "right inner product form is not positive (broken input pair)",
             "module quotient ill-conditioned"))
@@ -151,31 +150,78 @@ class BimoduleX:
 
     # -- inner products and norms ----------------------------------------------
     # Each per-element method below is the n = 1 case of a contraction over
-    # stacks of coefficients; the quotient tables further down run the same
-    # contraction over every representative at once.
+    # stacks of coefficients: the sampled checks run it over all samples at
+    # once, and the quotient tables further down over every pair of
+    # representatives.
+
+    @property
+    def _factors_r(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.lam_h_star, self.mid_h, self.e_lam_h
+
+    @property
+    def _factors_l(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.lam_v, self.mid_v, self.lam_v_star
 
     @staticmethod
-    def _pair(us: np.ndarray, vs: np.ndarray, form: np.ndarray) -> np.ndarray:
-        """[j, k] = sum over u, v of us[u, j] · vs[v, k] · form[u, v]."""
-        return np.einsum("uj,vk,uvab->jkab", us, vs, form, optimize=True)
+    def _pairing(us: np.ndarray, vs: np.ndarray,
+                 factors: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+        """Sum over i, j, k, l of us[..., i, j] · P[j] · M[i, k] · vs[..., k, l] · Q[l]
+        for the factors (P, M, Q), one (m, m) operator for each index of the
+        broadcast leading axes of the (..., dim, dim) stacks us and vs."""
+        first, mid, last = factors
+        dim, m = first.shape[:2]
+        lead_u, lead_v = us.shape[:-2], vs.shape[:-2]
+        left = (us @ first.reshape(dim, m * m)).reshape(*lead_u, dim, m, m)
+        left = left.swapaxes(-3, -2).reshape(*lead_u, m, dim * m)
+        right = (vs @ last.reshape(dim, m * m)).reshape(*lead_v, dim * m, m)
+        return left @ mid.reshape(dim * m, dim * m) @ right
+
+    @staticmethod
+    def _basis_gram(factors: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+        """[i, j, k, l] = tr(P[j] · M[i, k] · Q[l]) / m, hermitian as a matrix
+        over the pairs (i, j) and (k, l): the pairing of basis tensors under
+        the trace state."""
+        first, mid, last = factors
+        dim, m = first.shape[:2]
+        wrap = last[:, None] @ first[None]          # [l, j] = Q[l] · P[j]
+        gram = np.einsum("ibkc,ljcb->ijkl", mid, wrap, optimize=True) / m
+        gram = gram.reshape(dim * dim, dim * dim)
+        return ((gram + gram.conj().T) / 2).reshape(dim, dim, dim, dim)
+
+    def _coeff_mats(self, coeffs: np.ndarray) -> np.ndarray:
+        return coeffs.reshape(*coeffs.shape[:-1], self.dim, self.dim)
+
+    def _inner_r_coeffs(self, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """inner_r over coefficient stacks (..., dim²) that broadcast
+        together: (..., m_h, m_h)."""
+        return self._pairing(self._coeff_mats(ss.conj()), self._coeff_mats(ts),
+                             self._factors_r)
+
+    def _inner_l_coeffs(self, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """inner_l over coefficient stacks, as ``_inner_r_coeffs``; the left
+        factors pair the first tensor leg where the right ones pair the second."""
+        return self._pairing(self._coeff_mats(ss).swapaxes(-1, -2),
+                             self._coeff_mats(ts.conj()).swapaxes(-1, -2),
+                             self._factors_l)
 
     def inner_r(self, s: TensorElt, t: TensorElt) -> np.ndarray:
-        return self._pair(s.coeffs.conj()[:, None], t.coeffs[:, None], self.Rf)[0, 0]
+        return self._inner_r_coeffs(s.coeffs, t.coeffs)
 
     def inner_l(self, s: TensorElt, t: TensorElt) -> np.ndarray:
-        return self._pair(s.coeffs[:, None], t.coeffs.conj()[:, None], self.Lf)[0, 0]
+        return self._inner_l_coeffs(s.coeffs, t.coeffs)
 
-    @staticmethod
-    def _psd_norm(mat: np.ndarray) -> float:
-        if mat.size == 0:
-            return 0.0
-        return float(max(np.linalg.eigvalsh((mat + mat.conj().T) / 2).max(), 0.0))
+    def _norms_r(self, ts: np.ndarray) -> np.ndarray:
+        """module_norm over a coefficient stack (..., dim²)."""
+        return np.sqrt(_psd_top(self._inner_r_coeffs(ts, ts)))
+
+    def _norms_l(self, ts: np.ndarray) -> np.ndarray:
+        return np.sqrt(_psd_top(self._inner_l_coeffs(ts, ts)))
 
     def module_norm(self, t: TensorElt) -> float:
-        return float(np.sqrt(self._psd_norm(self.inner_r(t, t))))
+        return float(self._norms_r(t.coeffs))
 
     def module_norm_left(self, t: TensorElt) -> float:
-        return float(np.sqrt(self._psd_norm(self.inner_l(t, t))))
+        return float(self._norms_l(t.coeffs))
 
     def class_norm(self, t: TensorElt) -> float:
         """Hilbert-space norm of the class under the trace-state form."""
@@ -205,16 +251,17 @@ class BimoduleX:
         return n1, n2
 
     # -- module actions ----------------------------------------------------------
-    # Stacked forms take tensors as (n, dim, dim) coefficient matrices and
-    # return (n, w, dim²) coefficients, w running over the acting elements.
+    # The stacked forms take tensors and presentations as (..., dim, dim)
+    # coefficient matrices whose leading axes broadcast together, and return
+    # (..., dim²) coefficients.
 
     def _right_act_coeffs(self, xs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        out = np.einsum("nij,wpq,ijpk->nwkq", xs, coeffs, self.F1, optimize=True)
-        return out.reshape(len(xs), len(coeffs), self.amb)
+        out = np.einsum("...ij,...pq,ijpk->...kq", xs, coeffs, self.F1, optimize=True)
+        return out.reshape(*out.shape[:-2], self.amb)
 
     def _left_act_coeffs(self, coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        out = np.einsum("wpq,nij,qijl->nwpl", coeffs, xs, self.G1, optimize=True)
-        return out.reshape(len(xs), len(coeffs), self.amb)
+        out = np.einsum("...pq,...ij,qijl->...pl", coeffs, xs, self.G1, optimize=True)
+        return out.reshape(*out.shape[:-2], self.amb)
 
     def _act_a_coeffs(self, a_coords: np.ndarray, xs: np.ndarray,
                       side: str) -> np.ndarray:
@@ -236,20 +283,23 @@ class BimoduleX:
         may be supplied directly; otherwise it is solved by least squares.
         """
         if coeff is None:
-            coeff, resid = self.bch.express_in_spanning(k)
-            if resid > max(self.tol, 1e-8) * 10:
-                raise ValueError(f"operator outside the right span (residual {resid:.3e})")
-        xm = t.coeffs.reshape(1, self.dim, self.dim)
-        return TensorElt(self, self._right_act_coeffs(xm, coeff[None])[0, 0])
+            coeff = self._presentation(k, "right")
+        return TensorElt(self, self._right_act_coeffs(self._coeff_mats(t.coeffs), coeff))
 
     def left_act(self, k: np.ndarray | None, t: TensorElt,
                  coeff: np.ndarray | None = None) -> TensorElt:
         if coeff is None:
-            coeff, resid = self.bcv.express_in_spanning(k)
-            if resid > max(self.tol, 1e-8) * 10:
-                raise ValueError(f"operator outside the left span (residual {resid:.3e})")
-        xm = t.coeffs.reshape(1, self.dim, self.dim)
-        return TensorElt(self, self._left_act_coeffs(coeff[None], xm)[0, 0])
+            coeff = self._presentation(k, "left")
+        return TensorElt(self, self._left_act_coeffs(coeff, self._coeff_mats(t.coeffs)))
+
+    def _presentation(self, k: np.ndarray, side: str) -> np.ndarray:
+        """Least-squares pair presentation of k in the right or left span;
+        an operator outside the span is refused."""
+        bc = self.bch if side == "right" else self.bcv
+        coeff, resid = bc.express_in_spanning(k)
+        if resid > max(self.tol, 1e-8) * 10:
+            raise ValueError(f"operator outside the {side} span (residual {resid:.3e})")
+        return coeff
 
     def act_a(self, a: Element, t: TensorElt, side: str) -> TensorElt:
         xm = t.coeffs.reshape(1, self.dim, self.dim)
@@ -287,25 +337,27 @@ class BimoduleX:
     @cached_property
     def inner_r_t(self) -> np.ndarray:
         """(r, r, m_h, m_h): inner_r over pairs of representatives."""
-        return self._pair(self.liftx.conj(), self.liftx, self.Rf)
+        reps = self.liftx.T
+        return self._inner_r_coeffs(reps[:, None], reps)
 
     @cached_property
     def inner_l_t(self) -> np.ndarray:
         """(r, r, m_v, m_v): inner_l over pairs of representatives."""
-        return self._pair(self.liftx, self.liftx.conj(), self.Lf)
+        reps = self.liftx.T
+        return self._inner_l_coeffs(reps[:, None], reps)
 
     @cached_property
     def right_act_t(self) -> np.ndarray:
         """(r, m_h², r): [i, w] is the class of rep_i acted on by the w-th
         matrix unit of vec(k), presented as ``right_act`` presents k."""
         units = self.bch.spanning_pinv.T.reshape(-1, self.dim, self.dim)
-        return self._right_act_coeffs(self.rep_mats, units) @ self.qx.T
+        return self._right_act_coeffs(self.rep_mats[:, None], units) @ self.qx.T
 
     @cached_property
     def left_act_t(self) -> np.ndarray:
         """(r, m_v², r): the mirror of ``right_act_t`` for ``left_act``."""
         units = self.bcv.spanning_pinv.T.reshape(-1, self.dim, self.dim)
-        return self._left_act_coeffs(units, self.rep_mats) @ self.qx.T
+        return self._left_act_coeffs(units, self.rep_mats[:, None]) @ self.qx.T
 
     @cached_property
     def bracket_t(self) -> np.ndarray:
@@ -335,43 +387,68 @@ def build_bimodule(inter: Interaction, tol: float | None = None) -> BimoduleX:
 
 # -- structural checks -------------------------------------------------------------
 # Each returns a dict of named residuals; all should vanish within tolerance.
+# The sampled checks draw every sample first, in a fixed order, and then
+# evaluate each quantity over the whole stack of samples at once.
 
 
-def _psd_defect(mat: np.ndarray) -> float:
-    if mat.size == 0:
-        return 0.0
-    herm = (mat + mat.conj().T) / 2
-    gap = float(np.linalg.norm(mat - herm))
+def _hermitian_part(mats: np.ndarray) -> np.ndarray:
+    return (mats + mats.conj().swapaxes(-1, -2)) / 2
+
+
+def _psd_top(mats: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of the hermitian part, floored at 0, of each
+    matrix in a (..., m, m) stack."""
+    if mats.shape[-1] == 0:
+        return np.zeros(mats.shape[:-2])
+    return np.maximum(np.linalg.eigvalsh(_hermitian_part(mats)).max(axis=-1), 0.0)
+
+
+def _psd_defect(mats: np.ndarray) -> np.ndarray:
+    """Distance from positivity of each matrix in a (..., m, m) stack: the
+    larger of its anti-hermitian part and its most negative eigenvalue,
+    relative to max(1, spectral radius)."""
+    if mats.shape[-1] == 0:
+        return np.zeros(mats.shape[:-2])
+    herm = _hermitian_part(mats)
+    gap = np.linalg.norm(mats - herm, axis=(-2, -1))
     eigs = np.linalg.eigvalsh(herm)
-    scale = max(1.0, float(abs(eigs).max(initial=0.0)))
-    return max(gap, -float(eigs.min())) / scale
+    scale = np.maximum(1.0, abs(eigs).max(axis=-1))
+    return np.maximum(gap, -eigs.min(axis=-1)) / scale
+
+
+def _worst(values: np.ndarray) -> float:
+    """Largest value, 0 for none; a NaN anywhere comes through."""
+    return float(np.max(values, initial=0.0))
+
+
+def _random_stack(x: BimoduleX, rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, dim²): the coefficients of n successive ``x.random`` draws."""
+    return np.array([x.random(rng).coeffs for _ in range(n)]).reshape(n, x.amb)
 
 
 def check_positivity(x: BimoduleX, samples: int = 20,
                      rng: np.random.Generator | None = None) -> dict[str, float]:
     """Both inner squares are positive operators, sampled plus basis tensors."""
     rng = rng or np.random.default_rng(520)
-    pool = [x.simple(a, b) for a in x.algebra.basis for b in x.algebra.basis[:1]]
-    pool += [x.random(rng) for _ in range(samples)]
-    worst_r = max(_psd_defect(x.inner_r(t, t)) for t in pool)
-    worst_l = max(_psd_defect(x.inner_l(t, t)) for t in pool)
-    return {"right_square_psd": worst_r, "left_square_psd": worst_l}
+    basis = np.array([x.simple(a, x.algebra.basis[0]).coeffs for a in x.algebra.basis])
+    ts = np.concatenate([basis, _random_stack(x, rng, samples)])
+    return {"right_square_psd": _worst(_psd_defect(x._inner_r_coeffs(ts, ts))),
+            "left_square_psd": _worst(_psd_defect(x._inner_l_coeffs(ts, ts)))}
 
 
 def check_cauchy_schwarz(x: BimoduleX, samples: int = 50,
                          rng: np.random.Generator | None = None) -> dict[str, float]:
     """Operator-valued Cauchy–Schwarz for both inner products."""
     rng = rng or np.random.default_rng(530)
-    worst_r = worst_l = 0.0
-    for _ in range(samples):
-        s, t = x.random(rng), x.random(rng)
-        diff = (x._psd_norm(x.inner_r(t, t)) * x.inner_r(s, s)
-                - x.inner_r(s, t) @ x.inner_r(t, s))
-        worst_r = max(worst_r, _psd_defect(diff))
-        diff = (x._psd_norm(x.inner_l(t, t)) * x.inner_l(s, s)
-                - x.inner_l(s, t) @ x.inner_l(t, s))
-        worst_l = max(worst_l, _psd_defect(diff))
-    return {"cauchy_schwarz_right": worst_r, "cauchy_schwarz_left": worst_l}
+    draws = _random_stack(x, rng, 2 * samples)
+    ss, ts = draws[0::2], draws[1::2]
+    out = {}
+    for name, inner in (("cauchy_schwarz_right", x._inner_r_coeffs),
+                        ("cauchy_schwarz_left", x._inner_l_coeffs)):
+        diff = (_psd_top(inner(ts, ts))[:, None, None] * inner(ss, ss)
+                - inner(ss, ts) @ inner(ts, ss))
+        out[name] = _worst(_psd_defect(diff))
+    return out
 
 
 def check_norm_agreement(x: BimoduleX, samples: int = 50,
@@ -379,29 +456,28 @@ def check_norm_agreement(x: BimoduleX, samples: int = 50,
     """The two grid-calculus norms and the quotient norm coincide; the two
     inner products have the same null space."""
     rng = rng or np.random.default_rng(540)
-    worst_forms = worst_sides = 0.0
+    ts, pair_lists = [], []
     for _ in range(samples):
-        t = x.random(rng)
-        worst_sides = max(worst_sides, rel(abs(x.module_norm(t) - x.module_norm_left(t)),
-                                           x.module_norm(t)))
+        ts.append(x.random(rng).coeffs)
         count = int(rng.integers(1, 4))
-        pairs = [(x.algebra.random_element(rng), x.algebra.random_element(rng))
-                 for _ in range(count)]
-        n1, n2 = x.norm_two_ways(pairs)
-        quot = x.module_norm(x.tensor_of_pairs(pairs))
-        scale = max(n1, n2, quot)
-        worst_forms = max(worst_forms,
-                          rel(abs(n1 - n2), scale), rel(abs(n1 - quot), scale))
+        pair_lists.append([(x.algebra.random_element(rng), x.algebra.random_element(rng))
+                           for _ in range(count)])
+    ts = np.array(ts).reshape(samples, x.amb)
+    right = x._norms_r(ts)
+    sides = abs(right - x._norms_l(ts)) / np.maximum(1.0, right)
+    n1, n2 = np.array([x.norm_two_ways(p) for p in pair_lists]).reshape(samples, 2).T
+    quot = x._norms_r(np.array([x.tensor_of_pairs(p).coeffs for p in pair_lists])
+                      .reshape(samples, x.amb))
+    scale = np.maximum(1.0, np.max([n1, n2, quot], axis=0))
+    forms = np.maximum(abs(n1 - n2), abs(n1 - quot)) / scale
     # inner_l is linear in its first slot, so the left seminorm of t is
     # t^H conj(gram_l) t and its kernel is the null space of conj(gram_l)
-    kern = 0.0
-    for row in x.kernel:
-        kern = max(kern, rel(float(np.linalg.norm(x.gram_l.conj() @ row)),
-                             float(np.linalg.norm(x.gram_l, 2))))
+    kern = np.linalg.norm(x.kernel @ x.gram_l.conj().T, axis=-1)
+    kern = kern / max(1.0, float(np.linalg.norm(x.gram_l, 2)))
     lam_l = np.linalg.eigvalsh(x.gram_l)
-    rank_l = int((lam_l > x.tol * max(lam_l.max(initial=0.0), 1e-300)).sum())
-    return {"norm_forms_agree": worst_forms, "seminorms_agree": worst_sides,
-            "kernels_coincide": kern, "rank_mismatch": float(abs(rank_l - x.r))}
+    rank_l = int((lam_l > x.tol * max(lam_l.max(initial=0.0), TINY)).sum())
+    return {"norm_forms_agree": _worst(forms), "seminorms_agree": _worst(sides),
+            "kernels_coincide": _worst(kern), "rank_mismatch": float(abs(rank_l - x.r))}
 
 
 def check_sliding(x: BimoduleX) -> dict[str, float]:
@@ -434,60 +510,68 @@ def check_bound_59(x: BimoduleX, samples: int = 50, terms: int = 3,
     """Pairing a vector against a finite right-operator sum is bounded by
     the product of the three norms."""
     rng = rng or np.random.default_rng(590)
-    worst = 0.0
-    m = x.bch.m
+    alg, bch = x.algebra, x.bch
+    xis, etas, pairs, phis = [], [], [], []
     for _ in range(samples):
-        xi, eta = x.random(rng), x.random(rng)
-        phi = np.zeros((m, m), dtype=complex)
-        moved = x.zero()
+        xis.append(x.random(rng).coeffs)
+        etas.append(x.random(rng).coeffs)
+        phi = np.zeros((bch.m, bch.m), dtype=complex)
         for _ in range(terms):
-            a = x.algebra.random_element(rng)
-            b = x.algebra.random_element(rng)
-            a_star = a.star()
-            phi += x.bch.lam_of(a_star) @ x.bch.e @ x.bch.lam_of(b)
-            pair = np.outer(a_star.coords(), b.coords())
-            moved = moved + x.right_act(eta, None, coeff=pair)
-        lhs = float(np.linalg.norm(x.inner_r(xi, moved), 2))
-        rhs = xi.norm() * eta.norm() * float(np.linalg.norm(phi, 2))
-        worst = max(worst, max(0.0, lhs - rhs) / max(1.0, rhs))
-    return {"pairing_bound": worst}
+            a_star = alg.random_element(rng).star()
+            b = alg.random_element(rng)
+            phi += bch.lam_of(a_star) @ bch.e @ bch.lam_of(b)
+            pairs.append(np.outer(a_star.coords(), b.coords()))
+        phis.append(phi)
+    xis, etas = (np.array(s).reshape(samples, x.amb) for s in (xis, etas))
+    pairs = np.array(pairs).reshape(samples, terms, x.dim, x.dim)
+    moved = x._right_act_coeffs(x._coeff_mats(etas)[:, None], pairs).sum(axis=1)
+    lhs = np.linalg.norm(x._inner_r_coeffs(xis, moved), 2, axis=(-2, -1))
+    rhs = (x._norms_r(xis) * x._norms_r(etas)
+           * np.linalg.norm(np.array(phis).reshape(samples, bch.m, bch.m), 2, axis=(-2, -1)))
+    return {"pairing_bound": _worst(np.maximum(0.0, lhs - rhs) / np.maximum(1.0, rhs))}
 
 
 def check_action_bound(x: BimoduleX, samples: int = 50,
                        rng: np.random.Generator | None = None) -> dict[str, float]:
     """∥t·k∥ ≤ ∥t∥·∥k∥, and the action is presentation-independent."""
     rng = rng or np.random.default_rng(5100)
-    worst_bound = 0.0
-    kb = x.bch.k_basis
+    m, kb = x.bch.m, x.bch.k_basis
+    ts, ks = [], []
     for _ in range(samples):
-        t = x.random(rng)
+        ts.append(x.random(rng).coeffs)
         w = rng.standard_normal(kb.shape[0]) + 1j * rng.standard_normal(kb.shape[0])
-        k = (kb.T @ w).reshape(x.bch.m, x.bch.m)
-        moved = x.right_act(t, k)
-        bound = t.norm() * float(np.linalg.norm(k, 2))
-        worst_bound = max(worst_bound, max(0.0, moved.norm() - bound) / max(1.0, bound))
+        ks.append((kb.T @ w).reshape(m, m))
+    ts, ks = np.array(ts).reshape(samples, x.amb), np.array(ks).reshape(samples, m, m)
+    coeffs = np.array([x._presentation(k, "right") for k in ks]).reshape(
+        samples, x.dim, x.dim)
+    moved = x._right_act_coeffs(x._coeff_mats(ts), coeffs)
+    bound = x._norms_r(ts) * np.linalg.norm(ks, 2, axis=(-2, -1))
+    excess = np.maximum(0.0, x._norms_r(moved) - bound) / np.maximum(1.0, bound)
     # perturb a presentation by a null combination: the class must not move
-    u, s, vh = np.linalg.svd(x.bch.spanning_matrix)
-    rank = int((s > x.tol * max(s[0], 1e-300)).sum())
-    null = vh[rank:]
-    worst_pres = 0.0
+    _, s, vh = np.linalg.svd(x.bch.spanning_matrix)
+    null = vh[svd_rank(s, x.tol, TINY):]
+    moves = np.zeros(0)
     if null.shape[0]:
+        ts, coeffs, perturbed = [], [], []
         for _ in range(min(samples, 10)):
-            t = x.random(rng)
-            k = (kb.T @ (rng.standard_normal(kb.shape[0]))).reshape(x.bch.m, x.bch.m)
+            ts.append(x.random(rng).coeffs)
+            k = (kb.T @ (rng.standard_normal(kb.shape[0]))).reshape(m, m)
             coeff, _ = x.bch.express_in_spanning(k)
             w = rng.standard_normal(null.shape[0]) + 1j * rng.standard_normal(null.shape[0])
-            perturbed = coeff + (null.T @ w).reshape(x.dim, x.dim)
-            d = x.right_act(t, k, coeff=coeff) - x.right_act(t, k, coeff=perturbed)
-            worst_pres = max(worst_pres, rel(float(np.linalg.norm(x.qx @ d.coeffs)),
-                                             x.class_norm(t)))
-    return {"action_bound": worst_bound, "presentation_independent": worst_pres}
+            coeffs.append(coeff)
+            perturbed.append(coeff + (null.T @ w).reshape(x.dim, x.dim))
+        tm = x._coeff_mats(np.array(ts))
+        d = (x._right_act_coeffs(tm, np.array(coeffs))
+             - x._right_act_coeffs(tm, np.array(perturbed)))
+        moves = (np.linalg.norm(d @ x.qx.T, axis=-1)
+                 / np.maximum(1.0, np.linalg.norm(np.array(ts) @ x.qx.T, axis=-1)))
+    return {"action_bound": _worst(excess), "presentation_independent": _worst(moves)}
 
 
 def worst_norm(diff: np.ndarray, axis: int | tuple[int, int] = -1) -> float:
     """Largest 2-norm (Frobenius over two axes) of the slices along ``axis``;
     a NaN anywhere comes through."""
-    return float(np.linalg.norm(diff, axis=axis).max(initial=0.0))
+    return _worst(np.linalg.norm(diff, axis=axis))
 
 
 def slot_adjoint_defects(tt: np.ndarray, lam_t: np.ndarray, rho_t: np.ndarray,
@@ -546,10 +630,11 @@ def check_ternary_consistency(x: BimoduleX) -> dict[str, float]:
 
 
 def check_fullness(x: BimoduleX) -> dict[str, float]:
-    """Inner products of basis tensors span the full operator spans.  Over
-    the basis tensors e_u, e_v those inner products are Rf[u, v], Lf[u, v]."""
-    span_r = orthonormal_rows(x.Rf.reshape(x.amb * x.amb, -1), x.tol)
-    span_l = orthonormal_rows(x.Lf.reshape(x.amb * x.amb, -1), x.tol)
+    """Inner products of basis tensors span the full operator spans.  Both
+    inner products vanish on the kernel, so those of the representatives,
+    the quotient tables, have the same span."""
+    span_r = orthonormal_rows(x.inner_r_t.reshape(x.r * x.r, -1), x.tol)
+    span_l = orthonormal_rows(x.inner_l_t.reshape(x.r * x.r, -1), x.tol)
     in_k_r = max((x.bch.express_in_k(row.reshape(x.bch.m, x.bch.m))[1]
                   for row in span_r), default=0.0)
     in_k_l = max((x.bcv.express_in_k(row.reshape(x.bcv.m, x.bcv.m))[1]

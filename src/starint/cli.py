@@ -4,6 +4,7 @@ amplification.  Exit status: 0 all good, 1 a check failed, 2 bad input."""
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -20,20 +21,20 @@ TOL_ENV = "STARINT_TOL"
 
 
 def _tolerance(spec: ProblemSpec, flag: float | None) -> float:
-    if flag is not None:
-        return flag
     env = os.environ.get(TOL_ENV)
-    if env:
+    if flag is not None:
+        val, source = flag, "--tol"
+    elif env:
         try:
             val = float(env)
         except ValueError as err:
             raise SpecError(f"{TOL_ENV} must be a number, got {env!r}") from err
-        if val <= 0:
-            raise SpecError(f"{TOL_ENV} must be positive")
-        return val
-    if spec.tolerance is not None:
-        return spec.tolerance
-    return DEFAULT_TOL
+        source = TOL_ENV
+    else:
+        return spec.tolerance if spec.tolerance is not None else DEFAULT_TOL
+    if not (math.isfinite(val) and val > 0):
+        raise SpecError(f"{source} must be a positive finite number, got {val!r}")
+    return val
 
 
 def _resolve(spec: ProblemSpec, tol: float, amplification: int

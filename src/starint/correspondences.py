@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, Algebra, Element, rel, orthonormal_rows
+from .algebra import DEFAULT_TOL, Algebra, Element, orthonormal_rows, rel, svd_rank
 from .bimodule import BimoduleX, slot_adjoint_defects, worst_norm
 from .interactions import Interaction
 from .linmaps import LinMap, map_residual
@@ -316,9 +316,7 @@ def find_redundancies(corr: GenCorrespondence, side: str = "right",
     proj = vecs @ span.conj().T @ span if span.size else np.zeros_like(vecs)
     defect = (vecs - proj).T                      # (n², dimA)
     _, s, vh = np.linalg.svd(defect, full_matrices=True)
-    ref = max(float(s[0]), 1.0) if s.size else 1.0
-    rank = int(np.sum(s > tol * ref))
-    kernel = vh[rank:]                            # rows: redundancy directions
+    kernel = vh[svd_rank(s, tol, 1.0):]          # rows: redundancy directions
 
     dead = action_kernel_blocks(corr, side)
     mask = np.zeros(alg.dim)
@@ -329,13 +327,14 @@ def find_redundancies(corr: GenCorrespondence, side: str = "right",
     shadow = kernel * mask[None, :]
     if kernel.shape[0]:
         _, s2, vh2 = np.linalg.svd(shadow.T, full_matrices=True)
-        rank2 = int(np.sum(s2 > tol * max(float(s2[0]) if s2.size else 0.0, 1.0)))
-        inside = vh2[rank2:] @ kernel             # restricted directions
+        inside = vh2[svd_rank(s2, tol, 1.0):] @ kernel    # restricted directions
     else:
         inside = np.zeros((0, alg.dim), dtype=complex)
-    inside = orthonormal_rows(inside, tol)
+    # the kernel rows are orthonormal, so both parts are cut at unit scale:
+    # a cut relative to the leftover's own top value keeps rounding noise
+    inside = orthonormal_rows(inside, tol, floor=1.0)
     rest = kernel - (kernel @ inside.conj().T) @ inside if inside.size else kernel
-    rest = orthonormal_rows(rest, tol)
+    rest = orthonormal_rows(rest, tol, floor=1.0)
 
     out: list[Redundancy] = []
     for rows, flagged in ((inside, True), (rest, False)):

@@ -14,6 +14,7 @@ import numpy as np
 
 from .algebra import (
     DEFAULT_TOL,
+    TINY,
     Algebra,
     DescriptorMismatch,
     Element,
@@ -21,6 +22,7 @@ from .algebra import (
     is_positive,
     positivity_defect,
     rel,
+    svd_rank,
 )
 
 
@@ -205,10 +207,7 @@ def positivity_certificate(t: LinMap, trials: int, tol: float = DEFAULT_TOL,
 def range_subspace(t: LinMap, tol: float = DEFAULT_TOL) -> Subspace:
     """Column space of the map, with singular values below tol * max dropped."""
     u, s, _ = np.linalg.svd(t.matrix)
-    if s.size == 0 or s[0] == 0.0:
-        return Subspace(t.algebra, np.zeros((0, t.algebra.dim), dtype=complex))
-    keep = int(np.sum(s > tol * s[0]))
-    return Subspace(t.algebra, u[:, :keep].T)
+    return Subspace(t.algebra, u[:, :svd_rank(s, tol, TINY)].T)
 
 
 def complete_contractivity_residual(t: LinMap, samples: int, rng: np.random.Generator,

@@ -21,13 +21,29 @@ class SpecError(ValueError):
     """Malformed problem file: parse or schema failure."""
 
 
+def _is_int(obj) -> bool:
+    """A JSON integer; true and false are not numbers here."""
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
+def _is_finite(obj) -> bool:
+    """A finite JSON number.  Python's json reads NaN and Infinity, and an
+    integer too large for a float has no finite value either."""
+    if not (_is_int(obj) or isinstance(obj, float)):
+        return False
+    try:
+        return math.isfinite(obj)
+    except OverflowError:
+        return False
+
+
 def _complex_in(obj) -> complex:
-    if isinstance(obj, (int, float)):
+    if _is_finite(obj):
         return complex(obj)
     if (isinstance(obj, (list, tuple)) and len(obj) == 2
-            and all(isinstance(p, (int, float)) for p in obj)):
+            and all(_is_finite(p) for p in obj)):
         return complex(obj[0], obj[1])
-    raise SpecError(f"expected a number or [re, im] pair, got {obj!r}")
+    raise SpecError(f"expected a finite number or [re, im] pair, got {obj!r}")
 
 
 def matrix_in(obj, shape: tuple[int, int] | None = None) -> np.ndarray:
@@ -46,8 +62,15 @@ def _complex_out(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
+class _Canonical(list):
+    """A list already in canonical form, which ``_sanitize`` passes through."""
+
+
 def matrix_out(m: np.ndarray) -> list:
-    return [[_complex_out(v) for v in row] for row in np.atleast_2d(m)]
+    parts = np.atleast_2d(np.asarray(m, dtype=complex))
+    parts = np.stack([parts.real, parts.imag], axis=-1)
+    # non-finite entries are left for _sanitize to write as strings
+    return _Canonical(parts.tolist()) if np.isfinite(parts).all() else parts.tolist()
 
 
 def element_in(algebra: Algebra, obj) -> Element:
@@ -65,6 +88,8 @@ def element_out(a: Element) -> list:
 def _sanitize(obj):
     """Make a structure JSON-safe and canonical: numpy scalars to python,
     complex to [re, im], non-finite floats to strings."""
+    if isinstance(obj, _Canonical):
+        return obj
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -120,7 +145,7 @@ class ProblemSpec:
 
 def _blocks_in(obj, key: str) -> tuple[int, ...]:
     if (not isinstance(obj, list) or not obj
-            or not all(isinstance(b, int) and b > 0 for b in obj)):
+            or not all(_is_int(b) and b > 0 for b in obj)):
         raise SpecError(f"'{key}' must be a nonempty list of positive integers")
     return tuple(obj)
 
@@ -176,13 +201,13 @@ def load_spec(path: str) -> ProblemSpec:
 
     if "tolerance" in raw:
         tol = raw["tolerance"]
-        if not isinstance(tol, (int, float)) or not tol > 0:
-            raise SpecError("'tolerance' must be a positive number")
+        if not _is_finite(tol) or not tol > 0:
+            raise SpecError("'tolerance' must be a positive finite number")
         spec.tolerance = float(tol)
     for key in ("samples", "seed"):
         if key in raw:
             val = raw[key]
-            if not isinstance(val, int) or val < 0:
+            if not _is_int(val) or val < 0:
                 raise SpecError(f"'{key}' must be a nonnegative integer")
             setattr(spec, key, val)
     return spec

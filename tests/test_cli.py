@@ -139,3 +139,24 @@ def test_golden_flip_report(capsys):
     assert code == EXIT_PASS
     golden = open(f"{DATA}/flip_report_golden.json").read()
     assert out == golden
+
+
+@pytest.mark.parametrize("entry", ["NaN", "-Infinity", "1e400", "1" + "0" * 400,
+                                   "true", "[0, NaN]", "[false, 0]"])
+def test_non_finite_or_bool_matrix_entry_is_usage_error(capsys, tmp_path, entry):
+    p = tmp_path / "bad.json"
+    p.write_text('{"blocks": [1, 1], "V": [[%s, 0], [0, 1]], "H": [[1, 0], [0, 1]]}' % entry)
+    for command in ("verify", "build"):
+        code, _, err = run(capsys, command, str(p))
+        assert code == EXIT_USAGE, (command, err)
+        assert "finite number" in err
+
+
+@pytest.mark.parametrize("flag, env", [("nan", None), ("inf", None), ("-1", None),
+                                       (None, "inf"), (None, "nan"), (None, "0")])
+def test_non_finite_or_non_positive_tolerance_is_usage_error(capsys, monkeypatch, flag, env):
+    if env is not None:
+        monkeypatch.setenv("STARINT_TOL", env)
+    argv = ["verify", FLIP] + (["--tol", flag] if flag is not None else [])
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE, err

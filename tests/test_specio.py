@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from starint import SpecError, canonical_json, dump_spec, load_spec
+from starint.specio import matrix_out
 
 DATA = "tests/data"
 
@@ -106,3 +107,30 @@ def test_tolerance_and_sampling_fields(tmp_path):
     assert spec.tolerance == 1e-7
     assert spec.samples == 11
     assert spec.seed == 3
+
+
+@pytest.mark.parametrize("field", [
+    '"tolerance": Infinity', '"tolerance": NaN', '"tolerance": true',
+    '"seed": true', '"samples": false', '"blocks": [true, 1]'])
+def test_non_finite_and_bool_fields_rejected(tmp_path, field):
+    p = tmp_path / "field.json"
+    p.write_text('{"blocks": [1, 1], "V": [[0, 1], [0, 1]], "H": [[1, 0], [1, 0]], '
+                 + field + "}")
+    with pytest.raises(SpecError):
+        load_spec(str(p))
+
+
+def _entrywise_matrix_out(m):
+    """The writer matrix_out replaced: one [re, im] list per entry."""
+    return [[[float(np.real(v)), float(np.imag(v))] for v in row] for row in np.atleast_2d(m)]
+
+
+@pytest.mark.parametrize("m", [
+    np.array([[complex(-0.0, 1e-300), complex(5e-324, -0.0)], [1 / 3 + 2j, -1e300]]),
+    np.array([[complex(np.nan, 1.0), complex(np.inf, -np.inf)], [0.0, complex(-0.0, np.nan)]]),
+    np.array([[1, -2], [0, 3]]),
+    np.array([0.5, -0.0, 1e-300]),
+    np.random.default_rng(0).standard_normal((5, 7)) * 1j,
+])
+def test_matrix_out_writes_the_same_bytes_as_the_entrywise_writer(m):
+    assert canonical_json({"m": matrix_out(m)}) == canonical_json({"m": _entrywise_matrix_out(m)})
