@@ -123,12 +123,18 @@ class Algebra:
     def basis(self) -> tuple["Element", ...]:
         return tuple(self.basis_element(k) for k in range(self.dim))
 
+    def random_coords(self, rng: np.random.Generator, n: int,
+                      scale: float = 1.0) -> np.ndarray:
+        """(n, dim): the coordinates of n successive ``random_element`` draws,
+        from one draw of the same normal stream (per element and block, the
+        real parts, then the imaginary parts)."""
+        raw = rng.standard_normal((n, 2 * self.dim))
+        m = np.concatenate([raw[:, 2 * off:2 * (off + d * d)].reshape(n, 2, d * d)
+                            for off, d in zip(self.offsets, self.blocks)], axis=2)
+        return scale * (m[:, 0] + 1j * m[:, 1]) / np.sqrt(2.0)
+
     def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> "Element":
-        mats = []
-        for d in self.blocks:
-            m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            mats.append(scale * m / np.sqrt(2.0))
-        return Element(self, mats)
+        return self.from_coords(self.random_coords(rng, 1, scale)[0])
 
     def random_hermitian(self, rng: np.random.Generator) -> "Element":
         x = self.random_element(rng)
@@ -154,32 +160,41 @@ class Algebra:
         return out
 
     @cached_property
+    def size_groups(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """For each distinct block size d, the (blocks of size d, d²) array of
+        their coordinate positions, blocks in order."""
+        out = []
+        for d in sorted(set(self.blocks)):
+            offs = [off for off, dd in zip(self.offsets, self.blocks) if dd == d]
+            out.append((d, np.array(offs)[:, None] + np.arange(d * d)))
+        return tuple(out)
+
+    @cached_property
+    def star_perm(self) -> np.ndarray:
+        """Index map with coords(x*) == conj(coords(x))[star_perm]."""
+        out = np.arange(self.dim)
+        for off, d in zip(self.offsets, self.blocks):
+            out[off:off + d * d] = off + np.arange(d * d).reshape(d, d).T.reshape(-1)
+        return out
+
+    @cached_property
     def star_signature(self) -> np.ndarray:
         """Permutation ``P`` with coords(x*) == P @ conj(coords(x))."""
         perm = np.zeros((self.dim, self.dim))
-        for off, d in zip(self.offsets, self.blocks):
-            for p in range(d):
-                for q in range(d):
-                    perm[off + q * d + p, off + p * d + q] = 1.0
+        perm[np.arange(self.dim), self.star_perm] = 1.0
         return perm
 
     @cached_property
     def left_mult_tensor(self) -> np.ndarray:
         """``L[i]`` is the coordinate matrix of x -> basis_i * x."""
-        out = np.zeros((self.dim, self.dim, self.dim), dtype=complex)
-        for i, bi in enumerate(self.basis):
-            for k, bk in enumerate(self.basis):
-                out[i, :, k] = (bi * bk).coords()
-        return out
+        eye = np.eye(self.dim, dtype=complex)
+        return np.ascontiguousarray(block_product(self, eye[:, None], eye).swapaxes(1, 2))
 
     @cached_property
     def right_mult_tensor(self) -> np.ndarray:
         """``R[i]`` is the coordinate matrix of x -> x * basis_i."""
-        out = np.zeros((self.dim, self.dim, self.dim), dtype=complex)
-        for i, bi in enumerate(self.basis):
-            for k, bk in enumerate(self.basis):
-                out[i, :, k] = (bk * bi).coords()
-        return out
+        eye = np.eye(self.dim, dtype=complex)
+        return np.ascontiguousarray(block_product(self, eye, eye[:, None]).swapaxes(1, 2))
 
     def left_mult_matrix(self, x: "Element") -> np.ndarray:
         return np.tensordot(x.coords(), self.left_mult_tensor, axes=1)
@@ -276,6 +291,107 @@ class Element:
         return f"Element({self.algebra}, {[a.round(6).tolist() for a in self.mats]})"
 
 
+# -- coordinate stacks --------------------------------------------------------
+# Elements given as (..., dim) coordinate arrays: each block size is one
+# batched operation over every block of that size and every leading index.
+
+def _blocks_of(xs: np.ndarray, d: int, idx: np.ndarray) -> np.ndarray:
+    return xs[..., idx].reshape(*xs.shape[:-1], len(idx), d, d)
+
+
+def block_product(algebra: Algebra, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Coordinates of x·y for (..., dim) stacks whose leading axes broadcast."""
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    lead = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
+    out = np.empty((*lead, algebra.dim), dtype=complex)
+    for d, idx in algebra.size_groups:
+        prod = _blocks_of(xs, d, idx) @ _blocks_of(ys, d, idx)
+        out[..., idx.reshape(-1)] = prod.reshape(*lead, -1)
+    return out
+
+
+def block_adjoint(algebra: Algebra, xs: np.ndarray) -> np.ndarray:
+    """Coordinates of x* for a (..., dim) stack."""
+    return np.conj(xs)[..., algebra.star_perm]
+
+
+def block_norms(algebra: Algebra, xs: np.ndarray) -> np.ndarray:
+    """C*-norm of each element of a (..., dim) stack; NaN where an entry is
+    not finite."""
+    out = np.zeros(np.shape(xs)[:-1])
+    for d, idx in algebra.size_groups:
+        top = singular_values(_blocks_of(xs, d, idx)).max(axis=(-2, -1))
+        out = np.maximum(out, top)
+    return out
+
+
+def positivity_defects(algebra: Algebra, xs: np.ndarray) -> np.ndarray:
+    """``positivity_defect`` of each element of a (..., dim) stack: the
+    largest Hermitian gap or negative eigenvalue over the blocks, relative
+    to max(1, C*-norm); NaN where an entry is not finite."""
+    gap = low = np.zeros(np.shape(xs)[:-1])
+    for d, idx in algebra.size_groups:
+        b = _blocks_of(xs, d, idx)
+        gap = np.maximum(gap, np.linalg.norm(b - b.conj().swapaxes(-1, -2),
+                                             axis=(-2, -1)).max(axis=-1))
+        low = np.maximum(low, -eigvals_hermitian(b).min(axis=(-2, -1)))
+    return np.maximum(gap, low) / np.maximum(1.0, block_norms(algebra, xs))
+
+
+# -- matrix stacks -------------------------------------------------------------
+# Spectral helpers over (..., m, m) stacks.  LAPACK is never called on a
+# matrix with a non-finite entry (it may raise, or read one triangle only and
+# miss the entry); such a matrix gets NaN values, which every check fails.
+
+def hermitian_part(mats: np.ndarray) -> np.ndarray:
+    return (mats + mats.conj().swapaxes(-1, -2)) / 2
+
+
+def _finite_only(fn, mats: np.ndarray) -> np.ndarray:
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    if finite.all():
+        return fn(mats)
+    out = np.full(mats.shape[:-1], np.nan)
+    if finite.any():
+        out[finite] = fn(mats[finite])
+    return out
+
+
+def eigvals_hermitian(mats: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the hermitian part of each matrix."""
+    return _finite_only(np.linalg.eigvalsh, hermitian_part(mats))
+
+
+def singular_values(mats: np.ndarray) -> np.ndarray:
+    """Singular values of each square matrix."""
+    return _finite_only(lambda m: np.linalg.svd(m, compute_uv=False), mats)
+
+
+def psd_top(mats: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of the hermitian part, floored at 0, of each
+    matrix in a (..., m, m) stack."""
+    if mats.shape[-1] == 0:
+        return np.zeros(mats.shape[:-2])
+    return np.maximum(eigvals_hermitian(mats).max(axis=-1), 0.0)
+
+
+def psd_defect(mats: np.ndarray) -> np.ndarray:
+    """Distance from positivity of each matrix in a (..., m, m) stack: the
+    larger of its anti-hermitian part and its most negative eigenvalue,
+    relative to max(1, spectral radius)."""
+    if mats.shape[-1] == 0:
+        return np.zeros(mats.shape[:-2])
+    gap = np.linalg.norm(mats - hermitian_part(mats), axis=(-2, -1))
+    eigs = eigvals_hermitian(mats)
+    scale = np.maximum(1.0, abs(eigs).max(axis=-1))
+    return np.maximum(gap, -eigs.min(axis=-1)) / scale
+
+
+def worst(*values: np.ndarray) -> float:
+    """Largest value over the arrays, 0 for none; a NaN anywhere comes through."""
+    return float(np.max([np.max(v, initial=0.0) for v in values], initial=0.0))
+
+
 # -- order structure ---------------------------------------------------------
 
 def is_positive(x: Element, tol: float = DEFAULT_TOL) -> bool:
@@ -292,13 +408,7 @@ def is_positive(x: Element, tol: float = DEFAULT_TOL) -> bool:
 
 def positivity_defect(x: Element) -> float:
     """Largest Hermitian gap or negative-eigenvalue magnitude, relative."""
-    herm = max(float(np.linalg.norm(a - a.conj().T)) for a in x.mats)
-    worst = 0.0
-    for a in x.mats:
-        if a.size:
-            low = float(np.linalg.eigvalsh(0.5 * (a + a.conj().T)).min())
-            worst = max(worst, -low)
-    return rel(max(herm, worst), x.norm())
+    return float(positivity_defects(x.algebra, x.coords()))
 
 
 def sqrt_psd(x: Element, tol: float = DEFAULT_TOL) -> Element:

@@ -17,9 +17,13 @@ import numpy as np
 from .algebra import (
     TINY,
     Element,
+    block_product,
     orthonormal_rows,
+    psd_defect,
+    psd_top,
     sqrt_psd,
     svd_rank,
+    worst,
 )
 from .basic_construction import (
     BasicConstruction,
@@ -79,9 +83,8 @@ class BimoduleX:
         self.amb = dim * dim
         self._amp_cache: dict[int, tuple[LinMap, LinMap]] = {}
 
-        lt = np.stack([alg.left_mult_tensor[i] for i in range(dim)])
-        rt = np.stack([alg.right_mult_tensor[i] for i in range(dim)])
-        sigma = np.argmax(np.abs(alg.star_signature), axis=0)
+        lt, rt = alg.left_mult_tensor, alg.right_mult_tensor
+        sigma = alg.star_perm
         self.sigma = sigma
         vm, hm = inter.v.matrix, inter.h.matrix
 
@@ -212,10 +215,10 @@ class BimoduleX:
 
     def _norms_r(self, ts: np.ndarray) -> np.ndarray:
         """module_norm over a coefficient stack (..., dim²)."""
-        return np.sqrt(_psd_top(self._inner_r_coeffs(ts, ts)))
+        return np.sqrt(psd_top(self._inner_r_coeffs(ts, ts)))
 
     def _norms_l(self, ts: np.ndarray) -> np.ndarray:
-        return np.sqrt(_psd_top(self._inner_l_coeffs(ts, ts)))
+        return np.sqrt(psd_top(self._inner_l_coeffs(ts, ts)))
 
     def module_norm(self, t: TensorElt) -> float:
         return float(self._norms_r(t.coeffs))
@@ -391,36 +394,6 @@ def build_bimodule(inter: Interaction, tol: float | None = None) -> BimoduleX:
 # evaluate each quantity over the whole stack of samples at once.
 
 
-def _hermitian_part(mats: np.ndarray) -> np.ndarray:
-    return (mats + mats.conj().swapaxes(-1, -2)) / 2
-
-
-def _psd_top(mats: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of the hermitian part, floored at 0, of each
-    matrix in a (..., m, m) stack."""
-    if mats.shape[-1] == 0:
-        return np.zeros(mats.shape[:-2])
-    return np.maximum(np.linalg.eigvalsh(_hermitian_part(mats)).max(axis=-1), 0.0)
-
-
-def _psd_defect(mats: np.ndarray) -> np.ndarray:
-    """Distance from positivity of each matrix in a (..., m, m) stack: the
-    larger of its anti-hermitian part and its most negative eigenvalue,
-    relative to max(1, spectral radius)."""
-    if mats.shape[-1] == 0:
-        return np.zeros(mats.shape[:-2])
-    herm = _hermitian_part(mats)
-    gap = np.linalg.norm(mats - herm, axis=(-2, -1))
-    eigs = np.linalg.eigvalsh(herm)
-    scale = np.maximum(1.0, abs(eigs).max(axis=-1))
-    return np.maximum(gap, -eigs.min(axis=-1)) / scale
-
-
-def _worst(values: np.ndarray) -> float:
-    """Largest value, 0 for none; a NaN anywhere comes through."""
-    return float(np.max(values, initial=0.0))
-
-
 def _random_stack(x: BimoduleX, rng: np.random.Generator, n: int) -> np.ndarray:
     """(n, dim²): the coefficients of n successive ``x.random`` draws."""
     return np.array([x.random(rng).coeffs for _ in range(n)]).reshape(n, x.amb)
@@ -432,8 +405,8 @@ def check_positivity(x: BimoduleX, samples: int = 20,
     rng = rng or np.random.default_rng(520)
     basis = np.array([x.simple(a, x.algebra.basis[0]).coeffs for a in x.algebra.basis])
     ts = np.concatenate([basis, _random_stack(x, rng, samples)])
-    return {"right_square_psd": _worst(_psd_defect(x._inner_r_coeffs(ts, ts))),
-            "left_square_psd": _worst(_psd_defect(x._inner_l_coeffs(ts, ts)))}
+    return {"right_square_psd": worst(psd_defect(x._inner_r_coeffs(ts, ts))),
+            "left_square_psd": worst(psd_defect(x._inner_l_coeffs(ts, ts)))}
 
 
 def check_cauchy_schwarz(x: BimoduleX, samples: int = 50,
@@ -445,9 +418,9 @@ def check_cauchy_schwarz(x: BimoduleX, samples: int = 50,
     out = {}
     for name, inner in (("cauchy_schwarz_right", x._inner_r_coeffs),
                         ("cauchy_schwarz_left", x._inner_l_coeffs)):
-        diff = (_psd_top(inner(ts, ts))[:, None, None] * inner(ss, ss)
+        diff = (psd_top(inner(ts, ts))[:, None, None] * inner(ss, ss)
                 - inner(ss, ts) @ inner(ts, ss))
-        out[name] = _worst(_psd_defect(diff))
+        out[name] = worst(psd_defect(diff))
     return out
 
 
@@ -476,33 +449,29 @@ def check_norm_agreement(x: BimoduleX, samples: int = 50,
     kern = kern / max(1.0, float(np.linalg.norm(x.gram_l, 2)))
     lam_l = np.linalg.eigvalsh(x.gram_l)
     rank_l = int((lam_l > x.tol * max(lam_l.max(initial=0.0), TINY)).sum())
-    return {"norm_forms_agree": _worst(forms), "seminorms_agree": _worst(sides),
-            "kernels_coincide": _worst(kern), "rank_mismatch": float(abs(rank_l - x.r))}
+    return {"norm_forms_agree": worst(forms), "seminorms_agree": worst(sides),
+            "kernels_coincide": worst(kern), "rank_mismatch": float(abs(rank_l - x.r))}
 
 
 def check_sliding(x: BimoduleX) -> dict[str, float]:
-    """The two relations moving range elements across the tensor sign."""
-    alg = x.algebra
-    h, v = x.inter.h, x.inter.v
-    worst_v = 0.0
-    for c in x.inter.range_v.elements():
-        for a in alg.basis:
-            ac = a * c
-            for b in alg.basis:
-                lhs = x.simple(ac, b)
-                rhs = x.simple(a, h(c) * b)
-                worst_v = max(worst_v, float(np.linalg.norm(
-                    x.qx @ (lhs.coeffs - rhs.coeffs))))
-    worst_h = 0.0
-    for c in x.inter.range_h.elements():
-        for a in alg.basis:
-            av = a * v(c)
-            for b in alg.basis:
-                lhs = x.simple(a, c * b)
-                rhs = x.simple(av, b)
-                worst_h = max(worst_h, float(np.linalg.norm(
-                    x.qx @ (lhs.coeffs - rhs.coeffs))))
-    return {"slide_range_v": worst_v, "slide_range_h": worst_h}
+    """The two relations moving range elements across the tensor sign,
+    ac⊗b = a⊗H(c)b for c in the range of V and a⊗cb = aV(c)⊗b for c in the
+    range of H, for all canonical a, b at once: in class coordinates, qx
+    contracted against (R_c ⊗ I) minus qx against (I ⊗ L_{H(c)}), and the
+    mirror for the range of H."""
+    alg, q = x.algebra, x.qx.reshape(x.r, x.dim, x.dim)
+    eye = np.eye(x.dim, dtype=complex)
+
+    def defects(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        # [a, b]: the class of first[a]⊗e_b minus that of e_a⊗second[b]
+        return np.linalg.norm(first @ q - q @ second.T, axis=0)
+
+    rows_v, rows_h = x.inter.range_v.basis, x.inter.range_h.basis
+    slide_v = [defects(block_product(alg, eye, c), block_product(alg, hc, eye))
+               for c, hc in zip(rows_v, rows_v @ x.inter.h.matrix.T)]
+    slide_h = [defects(block_product(alg, eye, vc), block_product(alg, c, eye))
+               for c, vc in zip(rows_h, rows_h @ x.inter.v.matrix.T)]
+    return {"slide_range_v": worst(*slide_v), "slide_range_h": worst(*slide_h)}
 
 
 def check_bound_59(x: BimoduleX, samples: int = 50, terms: int = 3,
@@ -528,7 +497,7 @@ def check_bound_59(x: BimoduleX, samples: int = 50, terms: int = 3,
     lhs = np.linalg.norm(x._inner_r_coeffs(xis, moved), 2, axis=(-2, -1))
     rhs = (x._norms_r(xis) * x._norms_r(etas)
            * np.linalg.norm(np.array(phis).reshape(samples, bch.m, bch.m), 2, axis=(-2, -1)))
-    return {"pairing_bound": _worst(np.maximum(0.0, lhs - rhs) / np.maximum(1.0, rhs))}
+    return {"pairing_bound": worst(np.maximum(0.0, lhs - rhs) / np.maximum(1.0, rhs))}
 
 
 def check_action_bound(x: BimoduleX, samples: int = 50,
@@ -565,13 +534,13 @@ def check_action_bound(x: BimoduleX, samples: int = 50,
              - x._right_act_coeffs(tm, np.array(perturbed)))
         moves = (np.linalg.norm(d @ x.qx.T, axis=-1)
                  / np.maximum(1.0, np.linalg.norm(np.array(ts) @ x.qx.T, axis=-1)))
-    return {"action_bound": _worst(excess), "presentation_independent": _worst(moves)}
+    return {"action_bound": worst(excess), "presentation_independent": worst(moves)}
 
 
 def worst_norm(diff: np.ndarray, axis: int | tuple[int, int] = -1) -> float:
     """Largest 2-norm (Frobenius over two axes) of the slices along ``axis``;
     a NaN anywhere comes through."""
-    return _worst(np.linalg.norm(diff, axis=axis))
+    return worst(np.linalg.norm(diff, axis=axis))
 
 
 def slot_adjoint_defects(tt: np.ndarray, lam_t: np.ndarray, rho_t: np.ndarray,

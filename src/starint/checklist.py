@@ -178,7 +178,7 @@ def _cp_records(v: LinMap, h: LinMap, tol: float, samples: int,
     details: dict[str, float] = {}
     for name, t in (("v", v), ("h", h)):
         _, low = is_completely_positive(t, tol)
-        details[f"choi-defect-{name}"] = max(0.0, -low)
+        details[f"choi-defect-{name}"] = 0.0 if low >= 0 else -low  # NaN comes through
         details[f"contractivity-{name}"] = complete_contractivity_residual(
             t, samples, _rng(seed, 33))
     return _record("3.3", details, tol)
@@ -205,7 +205,8 @@ def verify_stage_records(v: LinMap, h: LinMap, tol: float, samples: int,
         for name, exp in (("v", inter.e_v), ("h", inter.e_h)):
             for k, val in exp.residuals.items():
                 details[f"{name}-{k}"] = val
-            details[f"{name}-choi-defect"] = max(0.0, -exp.cp_min_eig)
+            low = exp.cp_min_eig
+            details[f"{name}-choi-defect"] = 0.0 if low >= 0 else -low
         records["2.6"] = _record("2.6", details, tol)
     except InteractionError as err:
         records["2.6"] = _fail("2.6", str(err))

@@ -113,7 +113,7 @@ def check_71(corr: GenCorrespondence) -> dict[str, float]:
     are a homomorphism (left) and an anti-homomorphism (right)."""
     alg = corr.coeff
     lam, rho = corr.lam_t, corr.rho_t
-    star = np.argmax(np.abs(alg.star_signature), axis=0)
+    star = alg.star_perm
     mid, out = slot_adjoint_defects(corr.tt, lam, rho, star)
     # coords(a_i a_k) = left_mult_tensor[i, :, k]
     lam_ik = np.einsum("ick,cxy->ikxy", alg.left_mult_tensor, lam)

@@ -19,10 +19,14 @@ from .algebra import (
     DescriptorMismatch,
     Element,
     Subspace,
-    is_positive,
-    positivity_defect,
+    block_adjoint,
+    block_norms,
+    block_product,
+    eigvals_hermitian,
+    positivity_defects,
     rel,
     svd_rank,
+    worst,
 )
 
 
@@ -83,17 +87,14 @@ def transpose_map(algebra: Algebra) -> LinMap:
 
 def map_residual(s: LinMap, t: LinMap) -> float:
     """Worst Hilbert-Schmidt residual of (s - t) over the canonical basis."""
-    d = s.matrix - t.matrix
-    return max(float(np.linalg.norm(d[:, k])) for k in range(s.algebra.dim))
+    return worst(np.linalg.norm(s.matrix - t.matrix, axis=0))
 
 
 def star_preservation_residual(t: LinMap) -> float:
-    """How far t is from commuting with the adjoint, over the canonical basis."""
-    alg = t.algebra
-    worst = 0.0
-    for b in alg.basis:
-        worst = max(worst, (t(b.star()) - t(b).star()).hs_norm())
-    return worst
+    """How far t is from commuting with the adjoint, over the canonical basis:
+    the columns of T·P - P·conj(T) for the adjoint's permutation P."""
+    perm = t.algebra.star_perm
+    return worst(np.linalg.norm(t.matrix[:, perm] - t.matrix.conj()[perm], axis=0))
 
 
 # -- amplification -------------------------------------------------------------
@@ -158,21 +159,38 @@ def choi_matrix(t: LinMap) -> np.ndarray:
     return choi
 
 
+def _choi_pieces(t: LinMap):
+    """The Choi matrix of the block-diagonal extension is, up to a permutation
+    of its rows and columns, the direct sum over pairs (b, c) of blocks of
+    the (d_b·d_c)-square pieces [(r, p), (s, q)] = t(e_rs in b)[p, q in c].
+    Yields one stack of pieces per pair of block sizes."""
+    for d_in, cols in t.algebra.size_groups:
+        for d_out, rows in t.algebra.size_groups:
+            s = t.matrix[rows[:, None, :, None], cols[None, :, None, :]]
+            s = s.reshape(len(rows) * len(cols), d_out, d_out, d_in, d_in)
+            yield s.transpose(0, 3, 1, 4, 2).reshape(-1, d_in * d_out, d_in * d_out)
+
+
 def is_completely_positive(t: LinMap, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Decide complete positivity; returns (verdict, smallest Choi eigenvalue)."""
-    choi = choi_matrix(t)
-    herm_gap = float(np.linalg.norm(choi - choi.conj().T))
-    vals = np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))
-    low = float(vals.min()) if vals.size else 0.0
-    scale = max(1.0, float(np.abs(vals).max()) if vals.size else 0.0)
+    """Decide complete positivity; returns (verdict, smallest Choi eigenvalue).
+    The Choi matrix is taken piece by piece (see ``_choi_pieces``)."""
+    gaps, vals = [], []
+    for piece in _choi_pieces(t):
+        gaps.append(np.linalg.norm(piece - piece.conj().swapaxes(-1, -2), axis=(-2, -1)))
+        vals.append(eigvals_hermitian(piece).reshape(-1))
+    herm_gap = float(np.sqrt(np.sum(np.concatenate(gaps) ** 2)))
+    vals = np.concatenate(vals)
+    low = float(vals.min())
+    scale = max(1.0, float(np.abs(vals).max()))
     ok = rel(herm_gap, scale) <= tol and low >= -tol * scale
     return ok, low
 
 
-def _rank_one_positives(algebra: Algebra) -> list[Element]:
-    """Spanning family of rank-one positive elements, block by block."""
-    out = []
-    for b_idx, d in enumerate(algebra.blocks):
+def _rank_one_positives(algebra: Algebra) -> np.ndarray:
+    """Coordinates of a spanning family of rank-one positive elements, block
+    by block."""
+    rows = []
+    for off, d in zip(algebra.offsets, algebra.blocks):
         eye = np.eye(d, dtype=complex)
         vecs = [eye[:, p] for p in range(d)]
         for p in range(d):
@@ -180,10 +198,10 @@ def _rank_one_positives(algebra: Algebra) -> list[Element]:
                 vecs.append(eye[:, p] + eye[:, q])
                 vecs.append(eye[:, p] + 1j * eye[:, q])
         for v in vecs:
-            mats = [np.zeros((dd, dd), dtype=complex) for dd in algebra.blocks]
-            mats[b_idx] = np.outer(v, v.conj())
-            out.append(Element(algebra, mats))
-    return out
+            row = np.zeros(algebra.dim, dtype=complex)
+            row[off:off + d * d] = np.outer(v, v.conj()).reshape(-1)
+            rows.append(row)
+    return np.array(rows)
 
 
 def positivity_certificate(t: LinMap, trials: int, tol: float = DEFAULT_TOL,
@@ -195,13 +213,12 @@ def positivity_certificate(t: LinMap, trials: int, tol: float = DEFAULT_TOL,
     is the sound gate for complete positivity.
     """
     rng = rng or np.random.default_rng(0)
-    worst = 0.0
-    for x in _rank_one_positives(t.algebra):
-        worst = max(worst, positivity_defect(t(x)))
-    for _ in range(trials):
-        y = t.algebra.random_element(rng)
-        worst = max(worst, positivity_defect(t(y.star() * y)))
-    return worst <= tol, worst
+    alg = t.algebra
+    ys = alg.random_coords(rng, trials)
+    xs = np.concatenate([_rank_one_positives(alg),
+                         block_product(alg, block_adjoint(alg, ys), ys)])
+    defect = worst(positivity_defects(alg, xs @ t.matrix.T))
+    return defect <= tol, defect
 
 
 def range_subspace(t: LinMap, tol: float = DEFAULT_TOL) -> Subspace:
@@ -213,11 +230,10 @@ def range_subspace(t: LinMap, tol: float = DEFAULT_TOL) -> Subspace:
 def complete_contractivity_residual(t: LinMap, samples: int, rng: np.random.Generator,
                                     amplification: int = 2) -> float:
     """Worst relative excess of ||t(x)|| over ||x|| at the base and amplified level."""
-    worst = 0.0
-    for tt, alg in ((t, t.algebra), (amplify(t, amplification), t.algebra.amplified(amplification))):
-        for _ in range(samples):
-            x = alg.random_element(rng)
-            nx = x.norm()
-            if nx > 0:
-                worst = max(worst, (tt(x).norm() - nx) / nx)
-    return max(0.0, worst)
+    excess = []
+    for tt in (t, amplify(t, amplification)):
+        xs = tt.algebra.random_coords(rng, samples)
+        nx = block_norms(tt.algebra, xs)
+        ntx = block_norms(tt.algebra, xs @ tt.matrix.T)
+        excess.append(((ntx - nx) / nx)[nx > 0])
+    return worst(*excess)

@@ -25,6 +25,7 @@ from starint.bimodule import (
     check_norm_agreement,
     check_positivity,
 )
+from starint.checklist import _record
 
 TOL = 1e-9
 
@@ -250,3 +251,12 @@ def test_redundancy_counts_equal_the_algebra_dimension(inter):
     corr = correspondence_from_bimodule(build_bimodule(inter), TOL)
     for side in ("right", "left"):
         assert len(find_redundancies(corr, side)) == inter.algebra.dim, side
+
+
+def test_a_nan_in_the_module_fails_5_2_and_5_3():
+    x = build_bimodule(identity_interaction(Algebra((2,))))
+    x.mid_h = x.mid_h.copy()
+    x.mid_h[0, 0, 0, 0] = np.nan
+    for cid, check in (("5.2", check_positivity), ("5.3", check_cauchy_schwarz)):
+        record = _record(cid, check(x, 4, np.random.default_rng(0)), TOL)
+        assert record.status == "fail" and np.isnan(record.residual), cid
