@@ -196,12 +196,6 @@ class Algebra:
         eye = np.eye(self.dim, dtype=complex)
         return np.ascontiguousarray(block_product(self, eye, eye[:, None]).swapaxes(1, 2))
 
-    def left_mult_matrix(self, x: "Element") -> np.ndarray:
-        return np.tensordot(x.coords(), self.left_mult_tensor, axes=1)
-
-    def right_mult_matrix(self, x: "Element") -> np.ndarray:
-        return np.tensordot(x.coords(), self.right_mult_tensor, axes=1)
-
     def __repr__(self) -> str:
         return f"Algebra{self.blocks}"
 
@@ -295,6 +289,12 @@ class Element:
 # Elements given as (..., dim) coordinate arrays: each block size is one
 # batched operation over every block of that size and every leading index.
 
+#: Entry count of one chunk of a temporary that pairs every row of one stack
+#: with a whole other stack: the rows are taken a few at a time so that peak
+#: memory does not grow with their number.
+CHUNK_ENTRIES = 1 << 15
+
+
 def _blocks_of(xs: np.ndarray, d: int, idx: np.ndarray) -> np.ndarray:
     return xs[..., idx].reshape(*xs.shape[:-1], len(idx), d, d)
 
@@ -306,7 +306,7 @@ def block_product(algebra: Algebra, xs: np.ndarray, ys: np.ndarray) -> np.ndarra
     out = np.empty((*lead, algebra.dim), dtype=complex)
     for d, idx in algebra.size_groups:
         prod = _blocks_of(xs, d, idx) @ _blocks_of(ys, d, idx)
-        out[..., idx.reshape(-1)] = prod.reshape(*lead, -1)
+        out[..., idx.reshape(-1)] = prod.reshape(*lead, idx.size)
     return out
 
 
@@ -323,6 +323,22 @@ def block_norms(algebra: Algebra, xs: np.ndarray) -> np.ndarray:
         top = singular_values(_blocks_of(xs, d, idx)).max(axis=(-2, -1))
         out = np.maximum(out, top)
     return out
+
+
+def representation_defects(algebra: Algebra, reps: np.ndarray) -> tuple[float, float]:
+    """How far a (dim, n, n) stack, one matrix per basis element, is from a
+    *-homomorphism: the largest ||rep(a_i a_k) - rep(a_i)·rep(a_k)|| and the
+    largest ||rep(a_i*) - rep(a_i)*||, in Frobenius norm; NaN comes through.
+    The products are formed a few rows i at a time."""
+    dim, n = reps.shape[:2]
+    pairs = algebra.left_mult_tensor.swapaxes(1, 2)   # [i, k] = coords(a_i a_k)
+    step = max(1, CHUNK_ENTRIES // max(1, dim * n * n))
+    mult = [worst_norm(np.tensordot(pairs[i:i + step], reps, axes=1)
+                       - reps[i:i + step, None] @ reps, axis=(-2, -1))
+            for i in range(0, dim, step)]
+    star = worst_norm(reps[algebra.star_perm] - reps.conj().swapaxes(-1, -2),
+                      axis=(-2, -1))
+    return worst(mult), star
 
 
 def positivity_defects(algebra: Algebra, xs: np.ndarray) -> np.ndarray:
@@ -390,6 +406,19 @@ def psd_defect(mats: np.ndarray) -> np.ndarray:
 def worst(*values: np.ndarray) -> float:
     """Largest value over the arrays, 0 for none; a NaN anywhere comes through."""
     return float(np.max([np.max(v, initial=0.0) for v in values], initial=0.0))
+
+
+def worst_norm(diff: np.ndarray, axis: int | tuple[int, int] = -1) -> float:
+    """Largest 2-norm (Frobenius over two axes) of the slices along ``axis``;
+    a NaN anywhere comes through."""
+    return worst(np.linalg.norm(diff, axis=axis))
+
+
+def worst_key(values: dict[str, float]) -> str:
+    """Key of the largest value, a NaN counting as the largest: a gate that
+    refuses when ``values[worst_key(values)]`` is not <= its limit refuses
+    any NaN."""
+    return max(values, key=lambda k: np.inf if np.isnan(values[k]) else values[k])
 
 
 # -- order structure ---------------------------------------------------------

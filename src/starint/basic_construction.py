@@ -21,8 +21,11 @@ from .algebra import (
     Element,
     NumericalDegeneracy,
     Subspace,
+    block_norms,
     orthonormal_rows,
-    rel,
+    representation_defects,
+    worst,
+    worst_norm,
 )
 from .linmaps import LinMap
 
@@ -73,7 +76,6 @@ class BasicConstruction:
     lift: np.ndarray     # (dim, m): class coordinates -> canonical representative
     lam: np.ndarray      # (dim, m, m): left multiplication by each basis element
     e: np.ndarray        # (m, m): the projection implementing the expectation
-    k_basis: np.ndarray  # (k, m*m): orthonormal span of lam(a) e lam(b)
 
     def class_coords(self, x: Element) -> np.ndarray:
         return self.q @ x.coords()
@@ -84,100 +86,80 @@ class BasicConstruction:
     def representative(self, coords: np.ndarray) -> Element:
         return self.algebra.from_coords(self.lift @ coords)
 
-    def express_in_k(self, mat: np.ndarray) -> tuple[np.ndarray, float]:
-        """Coefficients of a matrix in the orthonormal span, plus residual."""
-        vec = mat.reshape(-1)
-        coeffs = self.k_basis.conj() @ vec
-        resid = float(np.linalg.norm(vec - self.k_basis.T @ coeffs))
-        return coeffs, rel(resid, float(np.linalg.norm(vec)))
-
     @cached_property
     def spanning_matrix(self) -> np.ndarray:
         """Columns vec(lam(a_i) e lam(a_j)), indexed by the pair (i, j)."""
-        dim = self.algebra.dim
-        cols = np.empty((self.m * self.m, dim * dim), dtype=complex)
-        for i in range(dim):
-            left = self.lam[i] @ self.e
-            for j in range(dim):
-                cols[:, i * dim + j] = (left @ self.lam[j]).reshape(-1)
-        return cols
+        dim, m = self.algebra.dim, self.m
+        return ((self.lam @ self.e)[:, None] @ self.lam).reshape(dim * dim, m * m).T
+
+    @cached_property
+    def k_basis(self) -> np.ndarray:
+        """(k, m*m): orthonormal span of lam(a) e lam(b)."""
+        return orthonormal_rows(self.spanning_matrix.T, self.tol)
 
     @cached_property
     def spanning_pinv(self) -> np.ndarray:
         return np.linalg.pinv(self.spanning_matrix)
 
-    def express_in_spanning(self, mat: np.ndarray) -> tuple[np.ndarray, float]:
-        """Pair coefficients c with mat = sum c[i,j] lam(a_i) e lam(a_j).
+    def express_in_k(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients in the orthonormal span of each matrix of a (..., m, m)
+        stack, plus each one's relative residual."""
+        vecs = mats.reshape(*mats.shape[:-2], -1)
+        coeffs = vecs @ self.k_basis.conj().T
+        resid = np.linalg.norm(vecs - coeffs @ self.k_basis, axis=-1)
+        return coeffs, resid / np.maximum(1.0, np.linalg.norm(vecs, axis=-1))
+
+    def express_in_spanning(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Pair coefficients c with mat = sum c[i,j] lam(a_i) e lam(a_j) for
+        each matrix of a (..., m, m) stack, plus each one's relative residual.
 
         Least-squares presentation; any exact presentation is acceptable
         since the module actions built on it are presentation-independent.
         """
-        vec = mat.reshape(-1)
-        c = self.spanning_pinv @ vec
-        resid = float(np.linalg.norm(self.spanning_matrix @ c - vec))
+        vecs = mats.reshape(*mats.shape[:-2], -1)
+        c = vecs @ self.spanning_pinv.T
+        resid = np.linalg.norm(c @ self.spanning_matrix.T - vecs, axis=-1)
         dim = self.algebra.dim
-        return c.reshape(dim, dim), rel(resid, float(np.linalg.norm(vec)))
+        return (c.reshape(*c.shape[:-1], dim, dim),
+                resid / np.maximum(1.0, np.linalg.norm(vecs, axis=-1)))
 
     @cached_property
     def invariants(self) -> dict[str, float]:
         """Residuals of the structural identities, all of which should vanish."""
-        alg = self.algebra
-        out: dict[str, float] = {}
-        out["e_hermitian"] = float(np.linalg.norm(self.e - self.e.conj().T))
-        out["e_idempotent"] = float(np.linalg.norm(self.e @ self.e - self.e))
-        star = mult = 0.0
-        for i, a in enumerate(alg.basis):
-            star = max(star, float(np.linalg.norm(
-                self.lam_of(a.star()) - self.lam[i].conj().T)))
-            for j in range(alg.dim):
-                prod = self.lam_of(alg.basis[i] * alg.basis[j])
-                mult = max(mult, float(np.linalg.norm(
-                    prod - self.lam[i] @ self.lam[j])))
-        out["left_regular_star"] = star
-        out["left_regular_multiplicative"] = mult
-        jones = implemented = 0.0
-        for i, a in enumerate(alg.basis):
-            ea = self.lam_of(self.expectation(a))
-            jones = max(jones, float(np.linalg.norm(
-                self.e @ self.lam[i] @ self.e - ea @ self.e)))
-            implemented = max(implemented, float(np.linalg.norm(
-                self.e @ (self.q @ a.coords()) - self.q @ self.expectation(a).coords())))
-        out["jones_relation"] = jones
-        out["expectation_implemented"] = implemented
-        commute = 0.0
-        for b in self.range_sub.elements():
-            lb = self.lam_of(b)
-            commute = max(commute, float(np.linalg.norm(
-                self.e @ lb - lb @ self.e)))
-        out["e_commutes_with_range"] = commute
-        closed = 0.0
-        for row in self.k_basis:
-            adj = row.reshape(self.m, self.m).conj().T
-            _, resid = self.express_in_k(adj)
-            closed = max(closed, resid)
-        out["k_star_closed"] = closed
-        norm_gap = 0.0
-        for b in self.range_sub.elements():
-            compressed = self.lam_of(b) @ self.e
-            got = float(np.linalg.norm(compressed, 2)) if self.m else 0.0
-            norm_gap = max(norm_gap, rel(abs(got - b.norm()), b.norm()))
-        out["corner_isometric_on_range"] = norm_gap
-        return out
+        alg, lam, e = self.algebra, self.lam, self.e
+        mult, star = representation_defects(alg, lam)
+        # lam of each E(a_i) and of each range row
+        lam_ea = np.tensordot(self.expectation.matrix.T, lam, axes=1)
+        lam_b = np.tensordot(self.range_sub.basis, lam, axes=1)
+        kb = self.k_basis.reshape(-1, self.m, self.m)
+        got = np.linalg.norm(lam_b @ e, 2, axis=(-2, -1))
+        want = block_norms(alg, self.range_sub.basis)
+        return {
+            "e_hermitian": float(np.linalg.norm(e - e.conj().T)),
+            "e_idempotent": float(np.linalg.norm(e @ e - e)),
+            "left_regular_star": star,
+            "left_regular_multiplicative": mult,
+            "jones_relation": worst_norm(e @ lam @ e - lam_ea @ e, axis=(-2, -1)),
+            "expectation_implemented": worst_norm(
+                e @ self.q - self.q @ self.expectation.matrix, axis=0),
+            "e_commutes_with_range": worst_norm(e @ lam_b - lam_b @ e, axis=(-2, -1)),
+            "k_star_closed": worst(self.express_in_k(kb.conj().swapaxes(-1, -2))[1]),
+            "corner_isometric_on_range": worst(abs(got - want) / np.maximum(1.0, want)),
+        }
 
 
 def build_basic(expectation: LinMap, range_sub: Subspace,
                 tol: float = DEFAULT_TOL) -> BasicConstruction:
     alg = expectation.algebra
-    unit_image = expectation(alg.unit())
-    normalizer = unit_image.trace().real
+    trace = alg.unit().coords()          # tr(x) = trace · coords(x)
+    tr_e = trace @ expectation.matrix    # tr(E(x)) = tr_e · coords(x)
+    normalizer = float((tr_e @ trace).real)
     if normalizer <= tol:
         raise NumericalDegeneracy("expectation unit image has no trace mass")
 
-    dim = alg.dim
-    gram = np.empty((dim, dim), dtype=complex)
-    for j, aj in enumerate(alg.basis):
-        for k, ak in enumerate(alg.basis):
-            gram[j, k] = expectation(aj.star() * ak).trace() / normalizer
+    # gram[j, k] = tr(E(a_j* a_k)) / normalizer, with a_j* = a_star_perm[j]
+    # and coords(a_i a_k) = left_mult_tensor[i, :, k]
+    gram = (tr_e @ alg.left_mult_tensor)[alg.star_perm] / normalizer
     herm_gap = float(np.linalg.norm(gram - gram.conj().T))
     if herm_gap > tol * max(1.0, float(np.linalg.norm(gram))):
         raise NumericalDegeneracy("expectation form is not hermitian")
@@ -189,30 +171,18 @@ def build_basic(expectation: LinMap, range_sub: Subspace,
         "quotient ill-conditioned: no spectral gap between kept and "
         "discarded directions"))
     q, lift, null = quot.q, quot.lift, quot.null
-    m = quot.kept.size
 
-    lam = np.empty((dim, m, m), dtype=complex)
-    for i in range(dim):
-        lam[i] = q @ alg.left_mult_tensor[i] @ lift
+    ql = q @ alg.left_mult_tensor
     # left multiplication must kill the discarded directions
     if null.size:
-        leak = max(float(np.linalg.norm(q @ alg.left_mult_tensor[i] @ null))
-                   for i in range(dim))
-        if leak > tol * max(1.0, quot.top):
+        leak = worst_norm(ql @ null, axis=(-2, -1))
+        if not leak <= tol * max(1.0, quot.top):
             raise NumericalDegeneracy("null directions are not an ideal "
                                       f"(leak {leak:.3e})")
-
-    e = q @ expectation.matrix @ lift
-
-    products = []
-    for i in range(dim):
-        left = lam[i] @ e
-        for j in range(dim):
-            products.append((left @ lam[j]).reshape(-1))
-    k_basis = orthonormal_rows(np.array(products), tol)
     return BasicConstruction(algebra=alg, expectation=expectation,
-                             range_sub=range_sub, tol=tol, m=m, q=q,
-                             lift=lift, lam=lam, e=e, k_basis=k_basis)
+                             range_sub=range_sub, tol=tol, m=quot.kept.size, q=q,
+                             lift=lift, lam=ql @ lift,
+                             e=q @ expectation.matrix @ lift)
 
 
 def basic_for_h(inter, tol: float | None = None) -> BasicConstruction:

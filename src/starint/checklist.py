@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, NumericalDegeneracy
+from .algebra import DEFAULT_TOL, NumericalDegeneracy, worst
 from .bimodule import (
     BimoduleX,
     build_bimodule,
@@ -229,8 +229,8 @@ def _covrep_records(inter: Interaction, x: BimoduleX, tol: float
         "2.8": _record("2.8", check_corner_isomorphisms(rep), tol),
         "2.9": _record("2.9", check_corner_norms(rep), tol),
         "6.1": _record("6.1", check_unit_relations(rep), tol),
-        "6.2": _record("6.2", {"covariance": max(rep.residuals["covariance_v"],
-                                                 rep.residuals["covariance_h"]),
+        "6.2": _record("6.2", {"covariance": worst([rep.residuals["covariance_v"],
+                                                    rep.residuals["covariance_h"]]),
                                **{k: v for k, v in rep.residuals.items()
                                   if not k.startswith("covariance")}}, tol),
     }
@@ -288,7 +288,7 @@ def _correspondence_records(x: BimoduleX, tol: float) -> dict[str, CheckRecord]:
         records["7.8"] = _skip(
             "7.8", "not in classical form (second composite is not the identity)")
     reds = find_redundancies(corr, "right") + find_redundancies(corr, "left")
-    red_details = {"worst-pair": max((r.residual for r in reds), default=0.0),
+    red_details = {"worst-pair": worst([r.residual for r in reds]),
                    "right-count": float(sum(r.side == "right" for r in reds)),
                    "right-restricted": float(sum(
                        r.side == "right" and r.restricted for r in reds)),

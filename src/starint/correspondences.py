@@ -10,12 +10,15 @@ the structure tensor of the bracket plus the two coefficient actions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, Algebra, Element, orthonormal_rows, rel, svd_rank
-from .bimodule import BimoduleX, slot_adjoint_defects, worst_norm
-from .interactions import Interaction
+from .algebra import (CHUNK_ENTRIES, DEFAULT_TOL, Algebra, Element, block_adjoint, block_norms,
+                      block_product, orthonormal_rows, representation_defects, svd_rank,
+                      worst, worst_key, worst_norm)
+from .bimodule import BimoduleX, slot_adjoint_defects
+from .interactions import Interaction, _product_defects
 from .linmaps import LinMap, map_residual
 
 
@@ -37,37 +40,29 @@ class ConcreteTRO:
     def n(self) -> int:
         return self.basis.shape[0]
 
-    def element(self, coords: np.ndarray) -> Element:
-        return self.ambient.from_coords(self.basis.T @ np.asarray(coords, dtype=complex))
+    def coords_of(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates in the internal basis of each element of a
+        (..., ambient.dim) stack, plus each one's out-of-space leak."""
+        c = vs @ self.basis.conj().T
+        return c, np.linalg.norm(vs - c @ self.basis, axis=-1)
 
-    def coords_of(self, a: Element) -> tuple[np.ndarray, float]:
-        """Coordinates in the internal basis plus the out-of-space leak."""
-        v = a.coords()
-        c = self.basis.conj() @ v
-        return c, float(np.linalg.norm(v - self.basis.T @ c))
-
-    def triple(self, i: int, j: int, k: int) -> Element:
-        x = self.ambient.from_coords(self.basis[i])
-        y = self.ambient.from_coords(self.basis[j])
-        z = self.ambient.from_coords(self.basis[k])
-        return x * y.star() * z
+    @cached_property
+    def triples(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n, n, n, n): [i, j, k] holds the coordinates of x_i·x_j*·x_k for
+        the basis elements x, with the (n, n, n) leaks."""
+        amb, b = self.ambient, self.basis
+        xy = block_product(amb, b[:, None], block_adjoint(amb, b))
+        return self.coords_of(block_product(amb, xy[:, :, None], b))
 
 
 def concrete_tro(ambient: Algebra, spanning: list[Element],
                  tol: float = DEFAULT_TOL) -> ConcreteTRO:
-    rows = np.array([e.coords() for e in spanning]) if spanning else \
-        np.zeros((0, ambient.dim), dtype=complex)
-    basis = orthonormal_rows(rows, tol)
-    tro = ConcreteTRO(ambient=ambient, basis=basis, tol=tol)
-    worst = 0.0
-    for i in range(tro.n):
-        for j in range(tro.n):
-            for k in range(tro.n):
-                _, leak = tro.coords_of(tro.triple(i, j, k))
-                worst = max(worst, leak)
-    if worst > tol:
+    rows = np.array([e.coords() for e in spanning]).reshape(-1, ambient.dim)
+    tro = ConcreteTRO(ambient=ambient, basis=orthonormal_rows(rows, tol), tol=tol)
+    leak = worst(tro.triples[1])
+    if not leak <= tol:
         raise CorrespondenceError(
-            f"triple products leave the subspace (leak {worst:.3e})")
+            f"triple products leave the subspace (leak {leak:.3e})")
     return tro
 
 
@@ -101,34 +96,29 @@ class GenCorrespondence:
     def bracket(self, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         return np.einsum("i,j,k,ijkc->c", u, np.conj(v), w, self.tt)
 
-    def norm_of(self, coords: np.ndarray) -> float:
+    def norm_of(self, coords: np.ndarray) -> np.ndarray:
+        """Norm of each element of a (..., n) coordinate stack."""
         coords = np.asarray(coords, dtype=complex)
         if self.mode == "concrete":
-            return self.tro.element(coords).norm()
-        return self.x.module_norm(self.x.from_coeffs(self.x.liftx @ coords))
+            return block_norms(self.tro.ambient, coords @ self.tro.basis)
+        return self.x._norms_r(coords @ self.x.liftx.T)
 
 
 def check_71(corr: GenCorrespondence) -> dict[str, float]:
     """Defining laws: slot-adjointness of both actions, and that the actions
     are a homomorphism (left) and an anti-homomorphism (right)."""
-    alg = corr.coeff
-    lam, rho = corr.lam_t, corr.rho_t
-    star = alg.star_perm
-    mid, out = slot_adjoint_defects(corr.tt, lam, rho, star)
-    # coords(a_i a_k) = left_mult_tensor[i, :, k]
-    lam_ik = np.einsum("ick,cxy->ikxy", alg.left_mult_tensor, lam)
-    rho_ik = np.einsum("ick,cxy->ikxy", alg.left_mult_tensor, rho)
+    mid, out = slot_adjoint_defects(corr.tt, corr.lam_t, corr.rho_t, corr.coeff.star_perm)
+    left_mult, left_star = representation_defects(corr.coeff, corr.lam_t)
+    # transposing turns an anti-homomorphism into a homomorphism, norms unchanged
+    right_mult, right_star = representation_defects(corr.coeff,
+                                                    corr.rho_t.swapaxes(-1, -2))
     return {
         "middle_slot_intertwines": float(np.abs(mid).max(initial=0.0)),
         "outer_slot_intertwines": float(np.abs(out).max(initial=0.0)),
-        "left_action_multiplicative": worst_norm(
-            lam_ik - np.einsum("ixy,kyz->ikxz", lam, lam), axis=(-2, -1)),
-        "right_action_antimultiplicative": worst_norm(
-            rho_ik - np.einsum("kxy,iyz->ikxz", rho, rho), axis=(-2, -1)),
-        "left_action_star": worst_norm(
-            lam[star] - lam.conj().swapaxes(-1, -2), axis=(-2, -1)),
-        "right_action_star": worst_norm(
-            rho[star] - rho.conj().swapaxes(-1, -2), axis=(-2, -1)),
+        "left_action_multiplicative": left_mult,
+        "right_action_antimultiplicative": right_mult,
+        "left_action_star": left_star,
+        "right_action_star": right_star,
     }
 
 
@@ -140,28 +130,14 @@ def correspondence_from_tro(tro: ConcreteTRO, coeff: Algebra,
     tol = tro.tol if tol is None else tol
     if len(embed) != coeff.dim:
         raise CorrespondenceError("need one embedded element per basis element")
-    n = tro.n
-    tt = np.zeros((n, n, n, n), dtype=complex)
-    worst_leak = 0.0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c, leak = tro.coords_of(tro.triple(i, j, k))
-                tt[i, j, k] = c
-                worst_leak = max(worst_leak, leak)
-    lam_t = np.zeros((coeff.dim, n, n), dtype=complex)
-    rho_t = np.zeros((coeff.dim, n, n), dtype=complex)
-    for a_i, img in enumerate(embed):
-        for k in range(n):
-            b = tro.element(np.eye(n)[k]) if n else None
-            if b is None:
-                continue
-            cl, leak_l = tro.coords_of(img * b)
-            cr, leak_r = tro.coords_of(b * img)
-            worst_leak = max(worst_leak, leak_l, leak_r)
-            lam_t[a_i, :, k] = cl
-            rho_t[a_i, :, k] = cr
-    if worst_leak > tol:
+    tt, leak = tro.triples
+    imgs = np.array([e.coords() for e in embed])[:, None]
+    # [a, :, k]: the coordinates of img_a·x_k (left) and x_k·img_a (right)
+    cl, leak_l = tro.coords_of(block_product(tro.ambient, imgs, tro.basis))
+    cr, leak_r = tro.coords_of(block_product(tro.ambient, tro.basis, imgs))
+    lam_t, rho_t = cl.swapaxes(1, 2), cr.swapaxes(1, 2)
+    worst_leak = worst(leak, leak_l, leak_r)
+    if not worst_leak <= tol:
         raise CorrespondenceError(
             f"coefficient action leaves the subspace (leak {worst_leak:.3e})")
     return _lawful(GenCorrespondence(coeff=coeff, tt=tt, lam_t=lam_t, rho_t=rho_t,
@@ -181,8 +157,8 @@ def correspondence_from_bimodule(x: BimoduleX,
 def _lawful(corr: GenCorrespondence) -> GenCorrespondence:
     """The correspondence itself when the 7.1 laws hold; raises otherwise."""
     laws = check_71(corr)
-    if max(laws.values()) > max(corr.tol, 1e-8):
-        bad = max(laws, key=laws.get)
+    bad = worst_key(laws)
+    if not laws[bad] <= max(corr.tol, 1e-8):
         raise CorrespondenceError(
             f"correspondence laws fail at {bad} ({laws[bad]:.3e})", laws)
     return corr
@@ -204,11 +180,17 @@ def compact_spans(corr: GenCorrespondence) -> tuple[np.ndarray, np.ndarray]:
     operators on each side."""
     n = corr.n
     left, right = _theta_grids(corr)
-    kl = orthonormal_rows(left.reshape(n * n, n * n), corr.tol) if n else \
-        np.zeros((0, 0), dtype=complex)
-    kr = orthonormal_rows(right.reshape(n * n, n * n), corr.tol) if n else \
-        np.zeros((0, 0), dtype=complex)
-    return kl, kr
+    return (orthonormal_rows(left.reshape(n * n, n * n), corr.tol),
+            orthonormal_rows(right.reshape(n * n, n * n), corr.tol))
+
+
+def _worst_commutator(xs: np.ndarray, ys: np.ndarray) -> float:
+    """Largest entry of |x·y - y·x| over x in xs and y in ys, two (k, n, n)
+    stacks; xs is taken a few at a time so that the (chunk, len(ys), n, n)
+    temporaries stay within ``CHUNK_ENTRIES`` entries."""
+    step = max(1, CHUNK_ENTRIES // max(1, ys.size))
+    chunks = (xs[i:i + step, None] for i in range(0, len(xs), step))
+    return worst([np.abs(x @ ys - ys @ x).max(initial=0.0) for x in chunks])
 
 
 def check_commutation(corr: GenCorrespondence,
@@ -217,27 +199,18 @@ def check_commutation(corr: GenCorrespondence,
     two coefficient actions commute with each other."""
     left, right = _theta_grids(corr)
     n = corr.n
-    worst = 0.0
-    lmats = left.reshape(n * n, n, n)
-    for rmat in right.reshape(n * n, n, n):
-        diff = rmat @ lmats - lmats @ rmat
-        worst = max(worst, float(np.abs(diff).max(initial=0.0)))
-    lam_rho = 0.0
-    for la in corr.lam_t:
-        diff = la @ corr.rho_t - corr.rho_t @ la
-        lam_rho = max(lam_rho, float(np.abs(diff).max(initial=0.0)))
-    return {"rank_one_sides_commute": worst, "actions_commute": lam_rho}
+    return {"rank_one_sides_commute": _worst_commutator(right.reshape(n * n, n, n),
+                                                        left.reshape(n * n, n, n)),
+            "actions_commute": _worst_commutator(corr.lam_t, corr.rho_t)}
 
 
 def check_cube_identity(corr: GenCorrespondence) -> dict[str, float]:
-    """The norm of bracket(x,x,x) is the cube of the norm of x."""
-    worst = 0.0
-    eye = np.eye(corr.n, dtype=complex)
-    for i in range(corr.n):
-        nx = corr.norm_of(eye[i])
-        cubed = corr.norm_of(corr.bracket(eye[i], eye[i], eye[i]))
-        worst = max(worst, rel(abs(cubed - nx ** 3), nx ** 3))
-    return {"cube_identity": worst}
+    """The norm of bracket(x,x,x) is the cube of the norm of x, on the basis:
+    bracket(e_i, e_i, e_i) is tt[i, i, i]."""
+    n = corr.n
+    cubes = corr.norm_of(np.eye(n)) ** 3
+    got = corr.norm_of(corr.tt[np.arange(n), np.arange(n), np.arange(n)])
+    return {"cube_identity": worst(abs(got - cubes) / np.maximum(1.0, cubes))}
 
 
 def check_theta_adjoints(corr: GenCorrespondence) -> dict[str, float]:
@@ -292,13 +265,8 @@ def action_kernel_blocks(corr: GenCorrespondence, side: str) -> list[int]:
     """Central blocks of the coefficient algebra on which the action vanishes."""
     alg = corr.coeff
     tensor = corr.rho_t if side == "right" else corr.lam_t
-    dead = []
-    for b in range(len(alg.blocks)):
-        lo = alg.offsets[b]
-        hi = lo + alg.blocks[b] ** 2
-        if float(np.abs(tensor[lo:hi]).max(initial=0.0)) <= corr.tol:
-            dead.append(b)
-    return dead
+    top = np.abs(tensor).reshape(alg.dim, -1).max(axis=1, initial=0.0)
+    return np.flatnonzero(np.maximum.reduceat(top, alg.offsets) <= corr.tol).tolist()
 
 
 def find_redundancies(corr: GenCorrespondence, side: str = "right",
@@ -313,39 +281,27 @@ def find_redundancies(corr: GenCorrespondence, side: str = "right",
     tensor = corr.rho_t if side == "right" else corr.lam_t
     n = corr.n
     vecs = tensor.reshape(alg.dim, n * n)
-    proj = vecs @ span.conj().T @ span if span.size else np.zeros_like(vecs)
-    defect = (vecs - proj).T                      # (n², dimA)
+    defect = (vecs - vecs @ span.conj().T @ span).T     # (n², dimA)
     _, s, vh = np.linalg.svd(defect, full_matrices=True)
     kernel = vh[svd_rank(s, tol, 1.0):]          # rows: redundancy directions
 
-    dead = action_kernel_blocks(corr, side)
-    mask = np.zeros(alg.dim)
-    for b in dead:
-        lo = alg.offsets[b]
-        mask[lo:lo + alg.blocks[b] ** 2] = 1.0
     # directions inside the kernel span that vanish on the dead blocks
-    shadow = kernel * mask[None, :]
-    if kernel.shape[0]:
-        _, s2, vh2 = np.linalg.svd(shadow.T, full_matrices=True)
-        inside = vh2[svd_rank(s2, tol, 1.0):] @ kernel    # restricted directions
-    else:
-        inside = np.zeros((0, alg.dim), dtype=complex)
+    dead = np.isin(np.arange(len(alg.blocks)), action_kernel_blocks(corr, side))
+    mask = np.repeat(dead, np.square(alg.blocks))     # per coordinate
+    _, s2, vh2 = np.linalg.svd((kernel * mask).T, full_matrices=True)
+    inside = vh2[svd_rank(s2, tol, 1.0):] @ kernel    # restricted directions
     # the kernel rows are orthonormal, so both parts are cut at unit scale:
     # a cut relative to the leftover's own top value keeps rounding noise
     inside = orthonormal_rows(inside, tol, floor=1.0)
-    rest = kernel - (kernel @ inside.conj().T) @ inside if inside.size else kernel
-    rest = orthonormal_rows(rest, tol, floor=1.0)
+    rest = orthonormal_rows(kernel - (kernel @ inside.conj().T) @ inside, tol, floor=1.0)
 
-    out: list[Redundancy] = []
-    for rows, flagged in ((inside, True), (rest, False)):
-        for row in rows:
-            a = alg.from_coords(row)
-            op = np.tensordot(row, tensor, axes=(0, 0)).reshape(-1)
-            coeffs = span.conj() @ op if span.size else np.zeros(0, dtype=complex)
-            resid = float(np.linalg.norm(op - (span.T @ coeffs if span.size else 0)))
-            out.append(Redundancy(a=a, k=coeffs, side=side,
-                                  residual=resid, restricted=flagged))
-    return out
+    rows = np.concatenate([inside, rest])
+    ops = rows @ vecs                             # each direction's action
+    coeffs = ops @ span.conj().T
+    resid = np.linalg.norm(ops - coeffs @ span, axis=-1)
+    return [Redundancy(a=alg.from_coords(row), k=k, side=side, residual=float(r),
+                       restricted=i < len(inside))
+            for i, (row, k, r) in enumerate(zip(rows, coeffs, resid))]
 
 
 # -- the endomorphism/transfer module, two ways ------------------------------------
@@ -358,45 +314,44 @@ def check_713(alpha: LinMap, transfer: LinMap, inter: Interaction,
     tensors, with the expected norm, coefficient maps, and bracket."""
     tol = inter.tol if tol is None else tol
     alg = inter.algebra
-    gap = max(float(np.linalg.norm(alpha.matrix - inter.v.matrix)),
-              float(np.linalg.norm(transfer.matrix - inter.h.matrix)))
-    if gap > tol:
+    gap = worst([np.linalg.norm(alpha.matrix - inter.v.matrix),
+                 np.linalg.norm(transfer.matrix - inter.h.matrix)])
+    if not gap <= tol:
         raise ValueError("the pair was not generated by the supplied "
                          f"endomorphism/transfer maps (gap {gap:.3e})")
-    mult = max((alpha(a * b) - alpha(a) * alpha(b)).hs_norm()
-               for a in alg.basis for b in alg.basis)
-    if mult > tol:
+    eye = np.eye(alg.dim, dtype=complex)
+    alpha_rows = alpha.matrix.T                   # alpha(a_j) as rows
+    mult = worst(_product_defects(alpha, eye, eye, alpha_rows)[..., 0])
+    if not mult <= tol:
         raise ValueError(f"first map is not multiplicative ({mult:.3e})")
-    one = alg.unit()
-    density = isometry = right_lin = left_lin = ternary = 0.0
-    for a in alg.basis:
-        phi_a = x.simple(a, one)
-        isometry = max(isometry, abs(
-            x.module_norm(phi_a) - np.sqrt(transfer(a.star() * a).norm())))
-        for b in alg.basis:
-            t1 = x.simple(a, b)
-            t2 = x.simple(a * alpha(b), one)
-            density = max(density, float(np.linalg.norm(
-                t1.class_coords - t2.class_coords)))
-            lhs_r = x.simple(a * alpha(b), one)
-            rhs_r = x.act_a(b, phi_a, side="right")
-            right_lin = max(right_lin, float(np.linalg.norm(
-                lhs_r.class_coords - rhs_r.class_coords)))
-            lhs_l = x.simple(b * a, one)
-            rhs_l = x.act_a(b, phi_a, side="left")
-            left_lin = max(left_lin, float(np.linalg.norm(
-                lhs_l.class_coords - rhs_l.class_coords)))
-    rng = np.random.default_rng(713)
-    for _ in range(8):
-        u, v, w = (alg.random_element(rng) for _ in range(3))
-        lhs = x.simple(u * alpha(transfer(v.star() * w)), one)
-        rhs = x.ternary(x.simple(u, one), x.simple(v, one), x.simple(w, one))
-        ternary = max(ternary, float(np.linalg.norm(
-            lhs.class_coords - rhs.class_coords)))
+    one = alg.unit().coords()
+
+    def tensor_one(cs: np.ndarray) -> np.ndarray:
+        """Coefficients of c⊗1 for each c of a (..., dim) stack."""
+        return (cs[..., :, None] * one).reshape(*cs.shape[:-1], x.amb)
+
+    # [a, b]: the classes of a⊗b, of a·alpha(b)⊗1 and of b·a⊗1
+    simple = x.qx.T.reshape(alg.dim, alg.dim, x.r)
+    moved = tensor_one(block_product(alg, eye[:, None], alpha_rows)) @ x.qx.T
+    swapped = tensor_one(block_product(alg, eye[None], eye[:, None])) @ x.qx.T
+    phis = tensor_one(eye)                                               # a⊗1
+    right = x._act_a_coeffs(eye, x._coeff_mats(phis), "right") @ x.qx.T  # (a⊗1)·b
+    left = x._act_a_coeffs(eye, x._coeff_mats(phis), "left") @ x.qx.T    # b·(a⊗1)
+    squares = block_product(alg, block_adjoint(alg, eye), eye) @ transfer.matrix.T
+    isometry = abs(x._norms_r(phis) - np.sqrt(block_norms(alg, squares)))
+
+    # u·alpha(transfer(v*·w))⊗1 against the bracket of u⊗1, v⊗1, w⊗1
+    draws = alg.random_coords(np.random.default_rng(713), 24).reshape(8, 3, alg.dim)
+    u, v, w = draws.swapaxes(0, 1)                # triple t is draws 3t, 3t+1, 3t+2
+    lhs = tensor_one(block_product(alg, u, block_product(alg, block_adjoint(alg, v), w)
+                                   @ transfer.matrix.T @ alpha.matrix.T)) @ x.qx.T
+    inner = x._inner_r_coeffs(tensor_one(v), tensor_one(w))
+    rhs = x._right_act_coeffs(x._coeff_mats(tensor_one(u)),
+                              x._presentation(inner, "right")) @ x.qx.T
     return {
-        "density": density,
-        "isometry": isometry,
-        "module_map_right": right_lin,
-        "module_map_left": left_lin,
-        "ternary": ternary,
+        "density": worst_norm(simple - moved),
+        "isometry": worst(isometry),
+        "module_map_right": worst_norm(moved - right),
+        "module_map_left": worst_norm(swapped - left),
+        "ternary": worst_norm(lhs - rhs),
     }

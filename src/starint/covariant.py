@@ -8,17 +8,22 @@ representation are matrix identities here and are verified at build time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import (
-    DEFAULT_TOL,
     Algebra,
     Element,
     Subspace,
+    block_norms,
+    block_product,
     generated_subalgebra,
-    rel,
+    representation_defects,
+    worst,
+    worst_key,
+    worst_norm,
 )
 from .bimodule import BimoduleX, build_bimodule
 from .interactions import Interaction
@@ -30,8 +35,57 @@ class CovariantError(ValueError):
         self.residuals = residuals or {}
 
 
+class _Relations:
+    """The stacks a representation (pi, S) of a pair is checked on, each
+    computed once, and the residuals of its defining relations."""
+
+    interaction: Interaction
+    pi: np.ndarray            # (dim, n, n): representation of each basis element
+    smat: np.ndarray          # (n, n): the partial isometry
+
+    def pi_of(self, a: Element) -> np.ndarray:
+        return np.tensordot(a.coords(), self.pi, axes=(0, 0))
+
+    @cached_property
+    def ss(self) -> np.ndarray:
+        """SS*, the support projection of S."""
+        return self.smat @ self.smat.conj().T
+
+    @cached_property
+    def s_s(self) -> np.ndarray:
+        """S*S, the initial projection of S."""
+        return self.smat.conj().T @ self.smat
+
+    @cached_property
+    def pi_v(self) -> np.ndarray:
+        """(dim, n, n): pi(V(a_i)) for each basis element."""
+        return np.tensordot(self.interaction.v.matrix.T, self.pi, axes=1)
+
+    @cached_property
+    def pi_h(self) -> np.ndarray:
+        """(dim, n, n): pi(H(a_i)) for each basis element."""
+        return np.tensordot(self.interaction.h.matrix.T, self.pi, axes=1)
+
+    @cached_property
+    def residuals(self) -> dict[str, float]:
+        """Defining relations: pi is a *-homomorphism, S a partial isometry,
+        and S is covariant for both maps."""
+        pi, smat = self.pi, self.smat
+        mult, star = representation_defects(self.interaction.algebra, pi)
+        s_adj = smat.conj().T
+        return {
+            "pi_multiplicative": mult,
+            "pi_star": star,
+            "partial_isometry": float(np.linalg.norm(smat @ s_adj @ smat - smat)),
+            "covariance_v": worst_norm(smat @ pi @ s_adj - self.pi_v @ self.ss,
+                                       axis=(-2, -1)),
+            "covariance_h": worst_norm(s_adj @ pi @ smat - self.pi_h @ self.s_s,
+                                       axis=(-2, -1)),
+        }
+
+
 @dataclass(frozen=True)
-class CovariantRep:
+class CovariantRep(_Relations):
     interaction: Interaction
     x: BimoduleX
     r: int                    # dimension of the module summand
@@ -39,80 +93,39 @@ class CovariantRep:
     pi: np.ndarray            # (dim, r+s, r+s): representation of each basis element
     smat: np.ndarray          # (r+s, r+s): the partial isometry
     tol: float
-    residuals: dict[str, float] = field(default_factory=dict)
 
     @property
     def n(self) -> int:
         return self.r + self.s
-
-    def pi_of(self, a: Element) -> np.ndarray:
-        return np.tensordot(a.coords(), self.pi, axes=(0, 0))
-
-
-def _rep_residuals(inter: Interaction, pi: np.ndarray, smat: np.ndarray) -> dict[str, float]:
-    alg = inter.algebra
-    hom = star = 0.0
-    for i, a in enumerate(alg.basis):
-        star = max(star, float(np.linalg.norm(
-            np.tensordot(a.star().coords(), pi, axes=(0, 0)) - pi[i].conj().T)))
-        for j, b in enumerate(alg.basis):
-            prod = np.tensordot((a * b).coords(), pi, axes=(0, 0))
-            hom = max(hom, float(np.linalg.norm(prod - pi[i] @ pi[j])))
-    s_adj = smat.conj().T
-    out = {
-        "pi_multiplicative": hom,
-        "pi_star": star,
-        "partial_isometry": float(np.linalg.norm(smat @ s_adj @ smat - smat)),
-    }
-    cov_v = cov_h = 0.0
-    ss, s_s = smat @ s_adj, s_adj @ smat
-    for i, a in enumerate(alg.basis):
-        pv = np.tensordot(inter.v(a).coords(), pi, axes=(0, 0))
-        ph = np.tensordot(inter.h(a).coords(), pi, axes=(0, 0))
-        cov_v = max(cov_v, float(np.linalg.norm(smat @ pi[i] @ s_adj - pv @ ss)))
-        cov_h = max(cov_h, float(np.linalg.norm(s_adj @ pi[i] @ smat - ph @ s_s)))
-    out["covariance_v"] = cov_v
-    out["covariance_h"] = cov_h
-    return out
 
 
 def build_covrep(inter: Interaction, x: BimoduleX | None = None,
                  tol: float | None = None) -> CovariantRep:
     tol = inter.tol if tol is None else tol
     x = build_bimodule(inter, tol) if x is None else x
-    alg = inter.algebra
-    dim, r = alg.dim, x.r
+    dim, r, m = inter.algebra.dim, x.r, x.bch.m
     kb = x.bch.k_basis
     s = kb.shape[0]
-    m = x.bch.m
-    n = r + s
-    eye_d = np.eye(dim)
-    eye_m = np.eye(m)
+    ks = kb.reshape(s, m, m)
 
-    pi = np.zeros((dim, n, n), dtype=complex)
-    for i in range(dim):
-        a = alg.basis[i]
-        left = np.kron(alg.left_mult_matrix(a), eye_d)
-        pi[i, :r, :r] = x.qx @ left @ x.liftx
-        lam_a = x.bch.lam[i]
-        pi[i, r:, r:] = kb.conj() @ np.kron(lam_a, eye_m) @ kb.T
+    pi = np.zeros((dim, r + s, r + s), dtype=complex)
+    pi[:, :r, :r] = x.lam_t
+    # [i, b, c] = <k_c, lam(a_i)·k_b>: the span summand acts by left multiplication
+    pi[:, r:, r:] = ((x.bch.lam[:, None] @ ks).reshape(dim, s, m * m)
+                     @ kb.conj().T).swapaxes(1, 2)
 
-    smat = np.zeros((n, n), dtype=complex)
-    one = x.unit_tensor()
-    root_m = np.sqrt(m)
-    for b in range(s):
-        k = kb[b].reshape(m, m)
-        image = x.right_act(one, k)
-        smat[:r, r + b] = root_m * (x.qx @ image.coeffs)
+    # S sends the span basis k_b to the class of (1⊗1)·k_b, scaled by sqrt(m)
+    smat = np.zeros_like(pi[0])
+    one = x.unit_tensor().coeffs.reshape(dim, dim)
+    moved = x._right_act_coeffs(one, x._presentation(ks, "right"))
+    smat[:r, r:] = np.sqrt(m) * (x.qx @ moved.T)
 
-    residuals = _rep_residuals(inter, pi, smat)
-    worst = max(residuals.values())
-    if worst > max(tol, 1e-8):
-        bad = max(residuals, key=residuals.get)
+    rep = CovariantRep(interaction=inter, x=x, r=r, s=s, pi=pi, smat=smat, tol=tol)
+    bad = worst_key(rep.residuals)
+    if not rep.residuals[bad] <= max(tol, 1e-8):
         raise CovariantError(f"representation identities fail at {bad} "
-                             f"({residuals[bad]:.3e})", residuals)
-    return CovariantRep(interaction=inter, x=x, r=r, s=s, pi=pi, smat=smat,
-                        tol=tol, residuals=residuals)
+                             f"({rep.residuals[bad]:.3e})", rep.residuals)
+    return rep
 
 
 # -- checks -----------------------------------------------------------------------
@@ -120,78 +133,59 @@ def build_covrep(inter: Interaction, x: BimoduleX | None = None,
 
 def check_commutation_22(rep: CovariantRep) -> dict[str, float]:
     """Images of the two ranges commute with the matching support projection."""
-    inter = rep.interaction
-    ss = rep.smat @ rep.smat.conj().T
-    s_s = rep.smat.conj().T @ rep.smat
-    worst_v = worst_h = 0.0
-    for a in inter.algebra.basis:
-        pv = rep.pi_of(inter.v(a))
-        ph = rep.pi_of(inter.h(a))
-        worst_v = max(worst_v, float(np.linalg.norm(pv @ ss - ss @ pv)))
-        worst_h = max(worst_h, float(np.linalg.norm(ph @ s_s - s_s @ ph)))
-    return {"range_v_commutes_support": worst_v, "range_h_commutes_support": worst_h}
+    return {"range_v_commutes_support": worst_norm(
+                rep.pi_v @ rep.ss - rep.ss @ rep.pi_v, axis=(-2, -1)),
+            "range_h_commutes_support": worst_norm(
+                rep.pi_h @ rep.s_s - rep.s_s @ rep.pi_h, axis=(-2, -1))}
 
 
 def check_corner_isomorphisms(rep: CovariantRep) -> dict[str, float]:
     """The corner maps are isometric *-homomorphisms on the opposite range."""
     inter = rep.interaction
-    ss = rep.smat @ rep.smat.conj().T
-    s_s = rep.smat.conj().T @ rep.smat
-    mult = iso = 0.0
-    for space, t, proj in ((inter.range_h, inter.v, ss),
-                           (inter.range_v, inter.h, s_s)):
-        elems = space.elements()
-        images = [rep.pi_of(t(e)) @ proj for e in elems]
-        for i, xe in enumerate(elems):
-            iso = max(iso, abs(float(np.linalg.norm(images[i], 2)) - xe.norm()))
-            for j, ye in enumerate(elems):
-                lhs = rep.pi_of(t(xe * ye)) @ proj
-                mult = max(mult, float(np.linalg.norm(lhs - images[i] @ images[j])))
-    return {"corner_multiplicative": mult, "corner_isometric": iso}
+    alg = inter.algebra
+    mult, iso = [], []
+    for rows, pi_t, proj in ((inter.range_h.basis, rep.pi_v, rep.ss),
+                             (inter.range_v.basis, rep.pi_h, rep.s_s)):
+        images = np.tensordot(rows, pi_t, axes=1) @ proj
+        products = block_product(alg, rows[:, None], rows)
+        iso.append(abs(np.linalg.norm(images, 2, axis=(-2, -1)) - block_norms(alg, rows)))
+        mult.append(np.linalg.norm(np.tensordot(products, pi_t, axes=1) @ proj
+                                   - images[:, None] @ images, axis=(-2, -1)))
+    return {"corner_multiplicative": worst(*mult), "corner_isometric": worst(*iso)}
 
 
 def check_corner_norms(rep: CovariantRep) -> dict[str, float]:
     """∥pi(V(a)) SS*∥ recovers ∥V(a)∥ on every basis element."""
     inter = rep.interaction
-    ss = rep.smat @ rep.smat.conj().T
-    s_s = rep.smat.conj().T @ rep.smat
-    worst = 0.0
-    for a in inter.algebra.basis:
-        va, ha = inter.v(a), inter.h(a)
-        got_v = float(np.linalg.norm(rep.pi_of(va) @ ss, 2))
-        got_h = float(np.linalg.norm(rep.pi_of(ha) @ s_s, 2))
-        worst = max(worst, rel(abs(got_v - va.norm()), va.norm()),
-                    rel(abs(got_h - ha.norm()), ha.norm()))
-    return {"corner_norm_equality": worst}
+    gaps = []
+    for t, pi_t, proj in ((inter.v, rep.pi_v, rep.ss), (inter.h, rep.pi_h, rep.s_s)):
+        want = block_norms(inter.algebra, t.matrix.T)
+        got = np.linalg.norm(pi_t @ proj, 2, axis=(-2, -1))
+        gaps.append(abs(got - want) / np.maximum(1.0, want))
+    return {"corner_norm_equality": worst(*gaps)}
 
 
 def check_unit_relations(rep: CovariantRep) -> dict[str, float]:
     """Images of the units of the two ranges fix the support projections."""
     inter = rep.interaction
     one = inter.algebra.unit()
-    ss = rep.smat @ rep.smat.conj().T
-    s_s = rep.smat.conj().T @ rep.smat
     return {
         "v_unit_fixes_support": float(np.linalg.norm(
-            rep.pi_of(inter.v(one)) @ ss - ss)),
+            rep.pi_of(inter.v(one)) @ rep.ss - rep.ss)),
         "h_unit_fixes_support": float(np.linalg.norm(
-            rep.pi_of(inter.h(one)) @ s_s - s_s)),
+            rep.pi_of(inter.h(one)) @ rep.s_s - rep.s_s)),
     }
 
 
-def _gate(rep_matrixify, space: Subspace, smat: np.ndarray, side: str) -> float:
+def _gate(pi: np.ndarray, space: Subspace, smat: np.ndarray, side: str) -> float:
     """Smallest singular value of x -> pi(x)·S (or S·pi(x)) over a subspace,
     with the input rescaled to the normalized-trace inner product."""
     if space.dim == 0:
         return float("inf")
-    scale = np.sqrt(space.algebra.matrix_size)
-    cols = []
-    for x in space.elements():
-        px = rep_matrixify(x)
-        mat = px @ smat if side == "right" else smat @ px
-        cols.append(scale * mat.reshape(-1))
-    sv = np.linalg.svd(np.array(cols).T, compute_uv=False)
-    return float(sv.min())
+    px = np.tensordot(space.basis, pi, axes=1)
+    mats = px @ smat if side == "right" else smat @ px
+    cols = np.sqrt(space.algebra.matrix_size) * mats.reshape(space.dim, -1).T
+    return float(np.linalg.svd(cols, compute_uv=False).min())
 
 
 def check_nondegeneracy(rep: CovariantRep) -> dict[str, float]:
@@ -200,13 +194,13 @@ def check_nondegeneracy(rep: CovariantRep) -> dict[str, float]:
     inter = rep.interaction
     tol = rep.tol
     gates = {
-        "gate_range_v": _gate(rep.pi_of, inter.range_v, rep.smat, "right"),
+        "gate_range_v": _gate(rep.pi, inter.range_v, rep.smat, "right"),
         "gate_generated_v": _gate(
-            rep.pi_of, generated_subalgebra(inter.range_v.elements(), tol),
+            rep.pi, generated_subalgebra(inter.range_v.elements(), tol),
             rep.smat, "right"),
-        "gate_range_h": _gate(rep.pi_of, inter.range_h, rep.smat, "left"),
+        "gate_range_h": _gate(rep.pi, inter.range_h, rep.smat, "left"),
         "gate_generated_h": _gate(
-            rep.pi_of, generated_subalgebra(inter.range_h.elements(), tol),
+            rep.pi, generated_subalgebra(inter.range_h.elements(), tol),
             rep.smat, "left"),
     }
     gates["nondegenerate"] = float(min(gates.values()) > tol)
@@ -218,42 +212,32 @@ def check_nondegeneracy(rep: CovariantRep) -> dict[str, float]:
 
 
 @dataclass(frozen=True)
-class FaithfulRep:
-    base: CovariantRep
+class FaithfulRep(_Relations):
+    interaction: Interaction
     pi: np.ndarray        # (dim, n+dim, n+dim) with a trace summand appended
     smat: np.ndarray
     injectivity: float
-    residuals: dict[str, float]
-
-    def pi_of(self, a: Element) -> np.ndarray:
-        return np.tensordot(a.coords(), self.pi, axes=(0, 0))
 
 
 def faithful_extension(rep: CovariantRep) -> FaithfulRep:
     """Append the trace representation so the algebra embeds injectively;
     S extends by zero, so every relation survives unchanged."""
-    inter = rep.interaction
-    alg = inter.algebra
-    dim, n = alg.dim, rep.n
+    dim, n = rep.pi.shape[:2]
     big = n + dim
     pi = np.zeros((dim, big, big), dtype=complex)
     pi[:, :n, :n] = rep.pi
-    for i in range(dim):
-        pi[i, n:, n:] = alg.left_mult_tensor[i]
+    pi[:, n:, n:] = rep.interaction.algebra.left_mult_tensor
     smat = np.zeros((big, big), dtype=complex)
     smat[:n, :n] = rep.smat
-    residuals = _rep_residuals(inter, pi, smat)
-    cols = pi.reshape(dim, big * big).T
-    sv = np.linalg.svd(cols, compute_uv=False)
-    return FaithfulRep(base=rep, pi=pi, smat=smat,
-                       injectivity=float(sv.min()), residuals=residuals)
+    sv = np.linalg.svd(pi.reshape(dim, big * big).T, compute_uv=False)
+    return FaithfulRep(interaction=rep.interaction, pi=pi, smat=smat,
+                       injectivity=float(sv.min()))
 
 
 def rep_ambient_data(rep: CovariantRep) -> tuple[Algebra, list[Element], Element]:
     """Package (ambient matrix algebra, embedded basis, S) for reconstruction."""
     ambient = Algebra((rep.n,))
-    embedded = [ambient.from_coords(rep.pi[i].reshape(-1))
-                for i in range(rep.interaction.algebra.dim)]
+    embedded = [ambient.from_coords(p.reshape(-1)) for p in rep.pi]
     s_elt = ambient.from_coords(rep.smat.reshape(-1))
     return ambient, embedded, s_elt
 
@@ -274,6 +258,4 @@ def check_derive_roundtrip(rep: CovariantRep) -> dict[str, float]:
 
 def with_zero_s(rep: CovariantRep) -> CovariantRep:
     """The degenerate variant with the same pi and S = 0 (still covariant)."""
-    zero = np.zeros_like(rep.smat)
-    return replace(rep, smat=zero,
-                   residuals=_rep_residuals(rep.interaction, rep.pi, zero))
+    return replace(rep, smat=np.zeros_like(rep.smat))

@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (
+    CHUNK_ENTRIES,
     DEFAULT_TOL,
     Algebra,
     Element,
@@ -59,12 +60,6 @@ class InteractionReport:
 
     def failing(self) -> list[str]:
         return [k for k, r in sorted(self.residuals.items()) if r > self.tol]
-
-
-#: Entry count of one chunk of the (rows, len(ys), dim) temporaries of
-#: ``_product_defects``: the rows are taken a few at a time so that peak memory
-#: does not grow with their number.
-CHUNK_ENTRIES = 1 << 15
 
 
 def _product_defects(t: LinMap, xs: np.ndarray, ys: np.ndarray,
@@ -269,18 +264,20 @@ def from_endomorphism_transfer(alpha: LinMap, transfer: LinMap,
     alg = alpha.algebra
     if transfer.algebra != alg:
         raise ValueError("maps must live over the same algebra")
-    residuals: dict[str, float] = {}
-    worst_mult = max((alpha(a * b) - alpha(a) * alpha(b)).hs_norm()
-                     for a in alg.basis for b in alg.basis)
-    residuals["endomorphism_multiplicative"] = worst_mult
-    residuals["endomorphism_star"] = star_preservation_residual(alpha)
-    residuals["endomorphism_unital"] = (alpha(alg.unit()) - alg.unit()).hs_norm()
-    worst_tr = max((transfer(a * alpha(b)) - transfer(a) * b).hs_norm()
-                   for a in alg.basis for b in alg.basis)
-    residuals["transfer_identity"] = worst_tr
-    residuals["transfer_unital"] = (transfer(alg.unit()) - alg.unit()).hs_norm()
-    if max(residuals.values()) > tol:
-        bad = {k: v for k, v in residuals.items() if v > tol}
+    eye = np.eye(alg.dim, dtype=complex)
+    alpha_rows = alpha.matrix.T                   # alpha(a_j) as rows
+    residuals = {
+        # alpha(a_i a_j) - alpha(a_i) alpha(a_j)
+        "endomorphism_multiplicative": worst(
+            _product_defects(alpha, eye, eye, alpha_rows)[..., 0]),
+        "endomorphism_star": star_preservation_residual(alpha),
+        "endomorphism_unital": (alpha(alg.unit()) - alg.unit()).hs_norm(),
+        # transfer(a_i alpha(a_j)) - transfer(a_i) a_j
+        "transfer_identity": worst(_product_defects(transfer, eye, alpha_rows, eye)[..., 0]),
+        "transfer_unital": (transfer(alg.unit()) - alg.unit()).hs_norm(),
+    }
+    bad = {k: v for k, v in residuals.items() if not v <= tol}
+    if bad:
         raise InteractionError(f"not an endomorphism/transfer pair: {bad}")
     inter = Interaction.build(alpha, transfer, tol, samples, rng)
     return inter, residuals
@@ -297,8 +294,9 @@ class DeriveResult:
 
 
 def _injectivity_gate(ambient: Algebra, rows_in_ambient: np.ndarray,
-                      mult_matrix: np.ndarray) -> float:
-    """Smallest singular value of x -> x*S over a subspace of the ambient.
+                      s: np.ndarray, side: str) -> float:
+    """Smallest singular value of x -> x·S (side "right") or S·x (side
+    "left") over a subspace of the ambient.
 
     Rows are standard-orthonormal coordinates; the input is rescaled to
     the normalized-trace inner product so a unit subalgebra element has
@@ -306,9 +304,9 @@ def _injectivity_gate(ambient: Algebra, rows_in_ambient: np.ndarray,
     """
     if rows_in_ambient.shape[0] == 0:
         return float("inf")
-    cols = mult_matrix @ rows_in_ambient.T
-    scale = np.sqrt(ambient.matrix_size)
-    sv = np.linalg.svd(scale * cols, compute_uv=False)
+    moved = (block_product(ambient, rows_in_ambient, s) if side == "right"
+             else block_product(ambient, s, rows_in_ambient))
+    sv = np.linalg.svd(np.sqrt(ambient.matrix_size) * moved.T, compute_uv=False)
     return float(sv.min())
 
 
@@ -337,55 +335,46 @@ def derive_from_partial_isometry(a_algebra: Algebra,
     if residuals["partial_isometry"] > tol:
         raise InteractionError(f"not a partial isometry (residual {pi_gap:.3e})")
 
-    emb = np.array([x.coords() for x in a_embed]).T  # ambient coords per abstract basis
-    worst = 0.0
-    for j, aj in enumerate(a_algebra.basis):
-        for k, ak in enumerate(a_algebra.basis):
-            abstract = (aj * ak).coords()
-            worst = max(worst, float(np.linalg.norm(
-                (a_embed[j] * a_embed[k]).coords() - emb @ abstract)))
-        worst = max(worst, float(np.linalg.norm(
-            a_embed[j].star().coords() - emb @ aj.star().coords())))
-    residuals["embedding"] = worst
-    if worst > tol:
+    rows = np.array([x.coords() for x in a_embed])   # ambient coords per abstract basis
+    # embed(a_j a_k) = embed(a_j) embed(a_k), with coords(a_j a_k) = L[j, :, k];
+    # embed(a_j*) = embed(a_j)*, with coords(a_j*) one-hot at star_perm[j]
+    products = block_product(ambient, rows[:, None], rows)
+    residuals["embedding"] = worst(
+        np.linalg.norm(products - a_algebra.left_mult_tensor.swapaxes(1, 2) @ rows, axis=-1),
+        np.linalg.norm(block_adjoint(ambient, rows) - rows[a_algebra.star_perm], axis=-1))
+    if not residuals["embedding"] <= tol:
         raise InteractionError("embedded basis is not a *-homomorphic image")
 
-    p = s * s.star()
-    q = s.star() * s
+    sc, sc_star = s.coords(), s.star().coords()
 
-    def solve(side_proj: Element, compress) -> tuple[np.ndarray, float]:
-        cols = np.array([(x * side_proj).coords() for x in a_embed]).T
-        pinv = np.linalg.pinv(cols)
-        mat = np.zeros((a_algebra.dim, a_algebra.dim), dtype=complex)
-        worst_fit = 0.0
-        for j in range(a_algebra.dim):
-            rhs = compress(a_embed[j]).coords()
-            sol = pinv @ rhs
-            mat[:, j] = sol
-            worst_fit = max(worst_fit, rel(np.linalg.norm(cols @ sol - rhs),
-                                           np.linalg.norm(rhs)))
-        return mat, worst_fit
+    def solve(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, float]:
+        """The matrix of the map b with left·x·right = b(x)·(left·right) on the
+        embedded basis, by least squares, and its worst relative misfit."""
+        cols = block_product(ambient, rows, block_product(ambient, left, right)).T
+        rhs = block_product(ambient, block_product(ambient, left, rows), right).T
+        mat = np.linalg.pinv(cols) @ rhs
+        misfit = np.linalg.norm(cols @ mat - rhs, axis=0)
+        return mat, worst(misfit / np.maximum(1.0, np.linalg.norm(rhs, axis=0)))
 
-    v0, fit_v = solve(p, lambda x: s * x * s.star())
-    h0, fit_h = solve(q, lambda x: s.star() * x * s)
+    v0, fit_v = solve(sc, sc_star)
+    h0, fit_h = solve(sc_star, sc)
     residuals["compression_fit_v"] = fit_v
     residuals["compression_fit_h"] = fit_h
-    if max(fit_v, fit_h) > tol:
+    if not worst([fit_v, fit_h]) <= tol:
         raise InteractionError("compression leaves the embedded algebra")
 
     def unital_completion(mat: np.ndarray) -> np.ndarray:
-        missing = a_algebra.unit() - a_algebra.from_coords(mat @ a_algebra.unit().coords())
-        out = mat.copy()
-        for j, aj in enumerate(a_algebra.basis):
-            out[:, j] += (missing * aj * missing).coords()
-        return out
+        """Adds x -> u·x·u for u = 1 - b(1), the part of the unit b misses."""
+        one = a_algebra.unit().coords()
+        missing = one - mat @ one
+        sandwich = block_product(a_algebra, block_product(
+            a_algebra, missing, np.eye(a_algebra.dim, dtype=complex)), missing)
+        return mat + sandwich.T
 
     candidates = [("unital", unital_completion(v0), unital_completion(h0)),
                   ("minimal", v0, h0)]
     rng = rng or np.random.default_rng(20241)
     last_report = None
-    s_right = ambient.right_mult_matrix(s)   # x -> x*S on ambient coordinates
-    s_left = ambient.left_mult_matrix(s)     # x -> S*x
     for gauge, vm, hm in candidates:
         v = LinMap(a_algebra, vm)
         h = LinMap(a_algebra, hm)
@@ -394,11 +383,11 @@ def derive_from_partial_isometry(a_algebra: Algebra,
         if not report.passed:
             continue
         gates = {}
-        for name, mat, action in (("v", vm, s_right), ("h", hm, s_left)):
-            images = [a_algebra.from_coords(mat @ b.coords()) for b in a_algebra.basis]
+        for name, mat, side in (("v", vm, "right"), ("h", hm, "left")):
+            images = [a_algebra.from_coords(col) for col in mat.T]
             span = generated_subalgebra(images, tol)
-            rows = span.basis @ emb.T  # embed abstract rows into the ambient
-            gates[f"{name}_generated"] = _injectivity_gate(ambient, rows, action)
+            gates[f"{name}_generated"] = _injectivity_gate(ambient, span.basis @ rows,
+                                                           sc, side)
         if min(gates.values()) <= tol:
             continue
         inter = Interaction.build(v, h, tol, samples, rng)
