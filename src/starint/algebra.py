@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -85,11 +86,7 @@ class Algebra:
 
     @cached_property
     def offsets(self) -> tuple[int, ...]:
-        out, pos = [], 0
-        for d in self.blocks:
-            out.append(pos)
-            pos += d * d
-        return tuple(out)
+        return tuple(accumulate((d * d for d in self.blocks[:-1]), initial=0))
 
     def amplified(self, n: int) -> "Algebra":
         """The algebra of n-by-n grids over this one: every block grows n-fold."""
@@ -109,10 +106,8 @@ class Algebra:
         coords = np.asarray(coords, dtype=complex).reshape(-1)
         if coords.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} coordinates, got {coords.shape}")
-        mats = []
-        for off, d in zip(self.offsets, self.blocks):
-            mats.append(coords[off:off + d * d].reshape(d, d).copy())
-        return Element(self, mats)
+        return Element(self, [coords[off:off + d * d].reshape(d, d).copy()
+                              for off, d in zip(self.offsets, self.blocks)])
 
     def basis_element(self, k: int) -> "Element":
         vec = np.zeros(self.dim, dtype=complex)
@@ -149,15 +144,9 @@ class Algebra:
     @cached_property
     def unit_positions(self) -> np.ndarray:
         """Global (row, col) of each canonical matrix unit in the block-diagonal picture."""
-        out = np.empty((self.dim, 2), dtype=int)
-        pos, base = 0, 0
-        for d in self.blocks:
-            for p in range(d):
-                for q in range(d):
-                    out[pos] = (base + p, base + q)
-                    pos += 1
-            base += d
-        return out
+        bases = np.repeat(np.cumsum((0,) + self.blocks[:-1]), np.square(self.blocks))
+        local = np.concatenate([np.divmod(np.arange(d * d), d) for d in self.blocks], axis=1)
+        return (bases + local).T
 
     @cached_property
     def size_groups(self) -> tuple[tuple[int, np.ndarray], ...]:
@@ -295,6 +284,14 @@ class Element:
 CHUNK_ENTRIES = 1 << 15
 
 
+def row_chunks(rows: int, row_entries: int) -> Iterator[slice]:
+    """Slices covering range(rows) in order, each of as many rows as fit in
+    ``CHUNK_ENTRIES`` entries at ``row_entries`` entries a row, and at least
+    one: the one chunk rule for every temporary formed a few rows at a time."""
+    step = max(1, CHUNK_ENTRIES // max(1, row_entries))
+    return (slice(i, i + step) for i in range(0, rows, step))
+
+
 def _blocks_of(xs: np.ndarray, d: int, idx: np.ndarray) -> np.ndarray:
     return xs[..., idx].reshape(*xs.shape[:-1], len(idx), d, d)
 
@@ -332,10 +329,9 @@ def representation_defects(algebra: Algebra, reps: np.ndarray) -> tuple[float, f
     The products are formed a few rows i at a time."""
     dim, n = reps.shape[:2]
     pairs = algebra.left_mult_tensor.swapaxes(1, 2)   # [i, k] = coords(a_i a_k)
-    step = max(1, CHUNK_ENTRIES // max(1, dim * n * n))
-    mult = [worst_norm(np.tensordot(pairs[i:i + step], reps, axes=1)
-                       - reps[i:i + step, None] @ reps, axis=(-2, -1))
-            for i in range(0, dim, step)]
+    mult = [worst_norm(np.tensordot(pairs[rows], reps, axes=1) - reps[rows, None] @ reps,
+                       axis=(-2, -1))
+            for rows in row_chunks(dim, dim * n * n)]
     star = worst_norm(reps[algebra.star_perm] - reps.conj().swapaxes(-1, -2),
                       axis=(-2, -1))
     return worst(mult), star
@@ -509,21 +505,16 @@ def generated_subalgebra(gens: Sequence[Element],
     if not gens:
         raise ValueError("need at least one generator")
     algebra = gens[0].algebra
-    rows = []
-    for g in gens:
-        if g.algebra != algebra:
-            raise DescriptorMismatch("generators over different algebras")
-        rows.append(g.coords())
-        rows.append(g.star().coords())
-    space = Subspace.from_spanning(algebra, np.array(rows), tol)
+    if any(g.algebra != algebra for g in gens):
+        raise DescriptorMismatch("generators over different algebras")
+    rows = np.array([g.coords() for g in gens])
+    space = Subspace.from_spanning(algebra, np.concatenate([rows, block_adjoint(algebra, rows)]),
+                                   tol)
     for _ in range(algebra.dim + 2):
-        elems = space.elements()
-        rows = [e.coords() for e in elems]
-        for a in elems:
-            for b in elems:
-                rows.append((a * b).coords())
-                rows.append(a.star().coords())
-        bigger = Subspace.from_spanning(algebra, np.array(rows), tol)
+        b = space.basis
+        rows = [b, block_product(algebra, b[:, None], b).reshape(-1, algebra.dim),
+                block_adjoint(algebra, b)]
+        bigger = Subspace.from_spanning(algebra, np.concatenate(rows), tol)
         if bigger.dim == space.dim:
             return bigger
         space = bigger

@@ -99,7 +99,7 @@ class BasicConstruction:
 
     @cached_property
     def spanning_pinv(self) -> np.ndarray:
-        return np.linalg.pinv(self.spanning_matrix)
+        return np.linalg.pinv(self.spanning_matrix, rcond=self.tol)
 
     def express_in_k(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients in the orthonormal span of each matrix of a (..., m, m)

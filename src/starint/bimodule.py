@@ -10,7 +10,7 @@ is realized as explicit tensors over the quotient coordinates.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -18,9 +18,11 @@ from .algebra import (
     TINY,
     Element,
     block_product,
+    eigvals_hermitian,
     orthonormal_rows,
     psd_defect,
     psd_top,
+    row_chunks,
     sqrt_psd,
     svd_rank,
     worst,
@@ -85,8 +87,7 @@ class BimoduleX:
         self._amp_cache: dict[int, tuple[LinMap, LinMap]] = {}
 
         lt, rt = alg.left_mult_tensor, alg.right_mult_tensor
-        sigma = alg.star_perm
-        self.sigma = sigma
+        self.sigma = sigma = alg.star_perm
         vm, hm = inter.v.matrix, inter.h.matrix
 
         # F1[i,j,p] = coords(a_i · V(a_j a_p)); G1[q,i,j] = coords(H(a_q a_i) · a_j)
@@ -94,8 +95,6 @@ class BimoduleX:
         self.F1 = np.einsum("iab,jbp->ijpa", lt, vl, optimize=True)
         hl = np.einsum("ab,qbi->qai", hm, lt)
         self.G1 = np.einsum("jab,qbi->qija", rt, hl, optimize=True)
-        self.P1 = self.F1[:, :, sigma, :]
-        self.P2 = self.G1[sigma, :, :, :]
 
         # Both inner products of elementary tensors are products of three
         # small operators, and only these factors are stored:
@@ -257,27 +256,30 @@ class BimoduleX:
     # -- module actions ----------------------------------------------------------
     # The stacked forms take tensors and presentations as (..., dim, dim)
     # coefficient matrices whose leading axes broadcast together, and return
-    # (..., dim²) coefficients.
+    # (..., dim²) coefficients.  For the pair presentation c of k, the
+    # coefficient matrix of t·k is right_factor(t) @ c, that of k·t c @ left_factor(t).
+
+    def _right_factor(self, xs: np.ndarray) -> np.ndarray:
+        return np.tensordot(xs, self.F1, axes=2).swapaxes(-1, -2)
+
+    def _left_factor(self, xs: np.ndarray) -> np.ndarray:
+        return np.tensordot(xs, self.G1, axes=((-2, -1), (1, 2)))
 
     def _right_act_coeffs(self, xs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        out = np.einsum("...ij,...pq,ijpk->...kq", xs, coeffs, self.F1, optimize=True)
+        out = self._right_factor(xs) @ coeffs
         return out.reshape(*out.shape[:-2], self.amb)
 
-    def _left_act_coeffs(self, coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        out = np.einsum("...pq,...ij,qijl->...pl", coeffs, xs, self.G1, optimize=True)
-        return out.reshape(*out.shape[:-2], self.amb)
-
-    def _act_a_coeffs(self, a_coords: np.ndarray, xs: np.ndarray,
-                      side: str) -> np.ndarray:
-        if side == "left":
-            mats = np.tensordot(a_coords, self.algebra.left_mult_tensor, axes=1)
-            out = mats[None] @ xs[:, None]
-        elif side == "right":
-            mats = np.tensordot(a_coords, self.algebra.right_mult_tensor, axes=1)
-            out = xs[:, None] @ mats[None].swapaxes(-1, -2)
-        else:
-            raise ValueError("side must be 'left' or 'right'")
-        return out.reshape(len(xs), len(a_coords), self.amb)
+    def _pair_classes(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+        """(len(lefts), len(rights), r): the class coordinates of the tensors
+        with coefficient matrices L @ R, for L and R in two (n, dim, dim)
+        stacks, without forming those coefficients: the shorter stack is
+        contracted with qx first."""
+        q = self.qx.reshape(self.r, self.dim, self.dim)                # [c, k, q]
+        if len(lefts) <= len(rights):
+            part = np.tensordot(lefts, q, axes=(1, 1))                 # [a, l, c, q]
+            return np.tensordot(part, rights, axes=((1, 3), (1, 2))).swapaxes(1, 2)
+        part = np.tensordot(rights, q, axes=(2, 2))                    # [b, l, c, k]
+        return np.tensordot(lefts, part, axes=((1, 2), (3, 1)))
 
     def right_act(self, t: TensorElt, k: np.ndarray | None,
                   coeff: np.ndarray | None = None) -> TensorElt:
@@ -294,7 +296,7 @@ class BimoduleX:
                  coeff: np.ndarray | None = None) -> TensorElt:
         if coeff is None:
             coeff = self._presentation(k, "left")
-        return TensorElt(self, self._left_act_coeffs(coeff, self._coeff_mats(t.coeffs)))
+        return TensorElt(self, (coeff @ self._left_factor(self._coeff_mats(t.coeffs))).reshape(-1))
 
     def _presentation(self, ks: np.ndarray, side: str) -> np.ndarray:
         """Least-squares pair presentations of a (..., m, m) stack in the
@@ -307,28 +309,34 @@ class BimoduleX:
         return coeff
 
     def act_a(self, a: Element, t: TensorElt, side: str) -> TensorElt:
-        xm = t.coeffs.reshape(1, self.dim, self.dim)
-        return TensorElt(self, self._act_a_coeffs(a.coords()[None], xm, side)[0, 0])
+        xm = self._coeff_mats(t.coeffs)
+        if side == "left":
+            out = np.tensordot(a.coords(), self.algebra.left_mult_tensor, axes=1) @ xm
+        elif side == "right":
+            out = xm @ np.tensordot(a.coords(), self.algebra.right_mult_tensor, axes=1).T
+        else:
+            raise ValueError("side must be 'left' or 'right'")
+        return TensorElt(self, out.reshape(-1))
 
     # -- ternary product -----------------------------------------------------------
 
     def ternary(self, x: TensorElt, y: TensorElt, z: TensorElt) -> TensorElt:
         return self.right_act(x, self.inner_r(y, z))
 
-    def _elementary_coeffs(self, xs: np.ndarray, ys: np.ndarray,
-                           zs: np.ndarray) -> np.ndarray:
-        """(n_x, n_y, n_z, dim²): the elementary formula over three stacks."""
-        u1 = np.einsum("nuv,uvyr->nyr", xs, self.P1, optimize=True)
-        u2 = np.einsum("nzw,xzws->nxs", zs, self.P2, optimize=True)
-        out = np.einsum("jxy,iyr,kxs->ijkrs", ys.conj(), u1, u2, optimize=True)
-        return out.reshape(len(xs), len(ys), len(zs), self.amb)
+    def _elementary_factors(self, xs: np.ndarray, ys: np.ndarray,
+                            zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The elementary formula over three stacks as matrix products: the
+        coefficient matrix for xs[i], ys[j], zs[k] is lefts[i] @ rights[j, k]."""
+        u1 = np.einsum("nuv,uvyr->nry", xs, self.F1, optimize=True)[..., self.sigma]
+        u2 = np.einsum("nzw,xzws->nxs", zs, self.G1, optimize=True)[:, self.sigma]
+        return u1, ys.conj().swapaxes(1, 2)[:, None] @ u2
 
     def ternary_elementary(self, x: TensorElt, y: TensorElt,
                            z: TensorElt) -> TensorElt:
         """Trilinear extension of the elementary-tensor formula."""
-        d = self.dim
-        xm, ym, zm = (u.coeffs.reshape(1, d, d) for u in (x, y, z))
-        return TensorElt(self, self._elementary_coeffs(xm, ym, zm)[0, 0, 0])
+        lefts, rights = self._elementary_factors(*(self._coeff_mats(u.coeffs)[None]
+                                                   for u in (x, y, z)))
+        return TensorElt(self, (lefts[0] @ rights[0, 0]).reshape(-1))
 
     # -- quotient tables over the representatives, each built on first use ------
     # Class coordinates come last; the checks and the correspondence read
@@ -342,27 +350,25 @@ class BimoduleX:
     @cached_property
     def inner_r_t(self) -> np.ndarray:
         """(r, r, m_h, m_h): inner_r over pairs of representatives."""
-        reps = self.liftx.T
-        return self._inner_r_coeffs(reps[:, None], reps)
+        return self._inner_r_coeffs(self.liftx.T[:, None], self.liftx.T)
 
     @cached_property
     def inner_l_t(self) -> np.ndarray:
         """(r, r, m_v, m_v): inner_l over pairs of representatives."""
-        reps = self.liftx.T
-        return self._inner_l_coeffs(reps[:, None], reps)
+        return self._inner_l_coeffs(self.liftx.T[:, None], self.liftx.T)
 
     @cached_property
     def right_act_t(self) -> np.ndarray:
         """(r, m_h², r): [i, w] is the class of rep_i acted on by the w-th
         matrix unit of vec(k), presented as ``right_act`` presents k."""
         units = self.bch.spanning_pinv.T.reshape(-1, self.dim, self.dim)
-        return self._right_act_coeffs(self.rep_mats[:, None], units) @ self.qx.T
+        return self._pair_classes(self._right_factor(self.rep_mats), units)
 
     @cached_property
     def left_act_t(self) -> np.ndarray:
         """(r, m_v², r): the mirror of ``right_act_t`` for ``left_act``."""
         units = self.bcv.spanning_pinv.T.reshape(-1, self.dim, self.dim)
-        return self._left_act_coeffs(units, self.rep_mats[:, None]) @ self.qx.T
+        return self._pair_classes(units, self._left_factor(self.rep_mats)).swapaxes(0, 1)
 
     @cached_property
     def bracket_t(self) -> np.ndarray:
@@ -370,19 +376,21 @@ class BimoduleX:
         pairs = self.inner_r_t.reshape(self.r, self.r, -1)
         return np.einsum("iwc,jkw->ijkc", self.right_act_t, pairs, optimize=True)
 
-    def _coefficient_action_t(self, side: str) -> np.ndarray:
-        moved = self._act_a_coeffs(np.eye(self.dim), self.rep_mats, side) @ self.qx.T
-        return moved.transpose(1, 2, 0)
-
     @cached_property
     def lam_t(self) -> np.ndarray:
         """(dim, r, r): [i] is the matrix of t -> a_i·t on class coordinates."""
-        return self._coefficient_action_t("left")
+        return self._pair_classes(self.algebra.left_mult_tensor, self.rep_mats).swapaxes(1, 2)
 
     @cached_property
     def rho_t(self) -> np.ndarray:
         """(dim, r, r): [i] is the matrix of t -> t·a_i on class coordinates."""
-        return self._coefficient_action_t("right")
+        right = self.algebra.right_mult_tensor.swapaxes(1, 2)
+        return self._pair_classes(self.rep_mats, right).transpose(1, 2, 0)
+
+    @cached_property
+    def slot_defects(self) -> dict[str, float]:
+        """``slot_adjoint_defects`` of the tables, for 5.17 and the correspondence."""
+        return slot_adjoint_defects(self.bracket_t, self.lam_t, self.rho_t, self.sigma)
 
 
 def build_bimodule(inter: Interaction, tol: float | None = None) -> BimoduleX:
@@ -448,8 +456,8 @@ def check_norm_agreement(x: BimoduleX, samples: int = 50,
     # inner_l is linear in its first slot, so the left seminorm of t is
     # t^H conj(gram_l) t and its kernel is the null space of conj(gram_l)
     kern = np.linalg.norm(x.kernel @ x.gram_l.conj().T, axis=-1)
-    kern = kern / max(1.0, float(np.linalg.norm(x.gram_l, 2)))
-    lam_l = np.linalg.eigvalsh(x.gram_l)
+    lam_l = eigvals_hermitian(x.gram_l)        # gram_l is hermitian: its 2-norm is max |λ|
+    kern = kern / np.maximum(1.0, abs(lam_l).max(initial=0.0))
     rank_l = int((lam_l > x.tol * max(lam_l.max(initial=0.0), TINY)).sum())
     return {"norm_forms_agree": worst(forms), "seminorms_agree": worst(sides),
             "kernels_coincide": worst(kern), "rank_mismatch": float(abs(rank_l - x.r))}
@@ -537,43 +545,56 @@ def check_action_bound(x: BimoduleX, samples: int = 50,
     return {"action_bound": worst(excess), "presentation_independent": worst(moves)}
 
 
+def slot_adjoint_slices(tt: np.ndarray, lam_t: np.ndarray, rho_t: np.ndarray,
+                        star: np.ndarray, rows: slice) -> tuple[np.ndarray, ...]:
+    """Both slot-adjoint defects of a bracket tensor tt[i, j, k, c], for the
+    basis elements a in ``rows`` of the coefficient algebra (``star[a]``
+    indexes a*): [x, a·y, z] - [x, y, a*·z] and [x, y·a, z] - [x·a*, y, z],
+    indexed [a, i, j, k, c].  The middle slot is conjugate-linear, hence the conj."""
+    return tuple(np.einsum("atj,itkc->aijkc", acts[rows].conj(), tt, optimize=True)
+                 - np.einsum(spec, acts[star[rows]], tt, optimize=True)
+                 for acts, spec in ((lam_t, "atk,ijtc->aijkc"), (rho_t, "ati,tjkc->aijkc")))
+
+
 def slot_adjoint_defects(tt: np.ndarray, lam_t: np.ndarray, rho_t: np.ndarray,
-                         star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both slot-adjoint defects of a bracket tensor tt[i, j, k, c], for every
-    basis element a of the coefficient algebra (``star[a]`` indexes a*):
-    [x, a·y, z] - [x, y, a*·z] and [x, y·a, z] - [x·a*, y, z], indexed
-    [a, i, j, k, c].  The middle slot is conjugate-linear, hence the conj."""
-    mid = (np.einsum("atj,itkc->aijkc", lam_t.conj(), tt)
-           - np.einsum("atk,ijtc->aijkc", lam_t[star], tt))
-    outer = (np.einsum("atj,itkc->aijkc", rho_t.conj(), tt)
-             - np.einsum("ati,tjkc->aijkc", rho_t[star], tt))
-    return mid, outer
+                         star: np.ndarray) -> dict[str, float]:
+    """``slot_adjoint_slices`` over every basis element, a chunk of elements
+    at a time, each reduced two ways: the largest 2-norm over c ("middle_norm",
+    "outer_norm") and the largest entry ("middle_abs", "outer_abs")."""
+    found = [[f(d) for d in slot_adjoint_slices(tt, lam_t, rho_t, star, rows)
+              for f in (worst_norm, lambda d: worst(abs(d)))]
+             for rows in row_chunks(len(lam_t), tt.size)]
+    return dict(zip(("middle_norm", "middle_abs", "outer_norm", "outer_abs"),
+                    map(float, np.max(found, axis=0, initial=0.0))))
 
 
 def check_associativity(x: BimoduleX) -> dict[str, float]:
     """Right-span action is associative and inner_r is right-linear over it;
     mirrored for the left span.  Swept over the representatives and the
-    orthonormal span bases."""
+    orthonormal span bases, a chunk of representatives t at a time."""
+    ein = partial(np.einsum, optimize=True)
     kh = x.bch.k_basis.reshape(-1, x.bch.m, x.bch.m)
     kv = x.bcv.k_basis.reshape(-1, x.bcv.m, x.bcv.m)
-    by_r = np.einsum("twc,jw->tjc", x.right_act_t, x.bch.k_basis)   # t·j
-    by_l = np.einsum("twc,jw->tjc", x.left_act_t, x.bcv.k_basis)    # j·t
-    jk = np.einsum("jab,kbc->jkac", kh, kh).reshape(len(kh), len(kh), -1)
-    kj = np.einsum("kab,jbc->jkac", kv, kv).reshape(len(kv), len(kv), -1)
-    return {
-        "right_action_associative": worst_norm(
-            np.einsum("tjc,ckd->tjkd", by_r, by_r)
-            - np.einsum("twd,jkw->tjkd", x.right_act_t, jk)),
-        "inner_r_right_linear": worst_norm(
-            np.einsum("tkc,scab->stkab", by_r, x.inner_r_t)
-            - np.einsum("stab,kbe->stkae", x.inner_r_t, kh), axis=(-2, -1)),
-        "left_action_associative": worst_norm(
-            np.einsum("tjc,ckd->tjkd", by_l, by_l)
-            - np.einsum("twd,jkw->tjkd", x.left_act_t, kj)),
-        "inner_l_left_linear": worst_norm(
-            np.einsum("skc,ctab->stkab", by_l, x.inner_l_t)
-            - np.einsum("kae,steb->stkab", kv, x.inner_l_t), axis=(-2, -1)),
-    }
+    by_r = ein("twc,jw->tjc", x.right_act_t, x.bch.k_basis)   # t·j
+    by_l = ein("twc,jw->tjc", x.left_act_t, x.bcv.k_basis)    # j·t
+    jk = ein("jab,kbc->jkac", kh, kh).reshape(len(kh), len(kh), -1)
+    kj = ein("kab,jbc->jkac", kv, kv).reshape(len(kv), len(kv), -1)
+
+    def laws(t: slice) -> list[float]:
+        return [worst_norm(ein("tjc,ckd->tjkd", by_r[t], by_r)
+                           - ein("twd,jkw->tjkd", x.right_act_t[t], jk)),
+                worst_norm(ein("tkc,scab->stkab", by_r[t], x.inner_r_t)
+                           - ein("stab,kbe->stkae", x.inner_r_t[:, t], kh), axis=(-2, -1)),
+                worst_norm(ein("tjc,ckd->tjkd", by_l[t], by_l)
+                           - ein("twd,jkw->tjkd", x.left_act_t[t], kj)),
+                worst_norm(ein("skc,ctab->stkab", by_l, x.inner_l_t[:, t])
+                           - ein("kae,steb->stkab", kv, x.inner_l_t[:, t]), axis=(-2, -1))]
+
+    found = [laws(t) for t in row_chunks(x.r, x.r * max(kh.size, kv.size, len(kh) ** 2,
+                                                        len(kv) ** 2))]
+    return dict(zip(("right_action_associative", "inner_r_right_linear",
+                     "left_action_associative", "inner_l_left_linear"),
+                    map(float, np.max(found, axis=0))))
 
 
 def check_compatibility(x: BimoduleX) -> dict[str, float]:
@@ -588,24 +609,24 @@ def check_ternary_consistency(x: BimoduleX) -> dict[str, float]:
     """The elementary ternary formula agrees with evaluation through the
     right inner product, on a quotient basis sweep."""
     reps = x.rep_mats
-    elementary = x._elementary_coeffs(reps, reps, reps) @ x.qx.T
-    return {"ternary_two_routes": worst_norm(elementary - x.bracket_t)}
+    lefts, rights = x._elementary_factors(reps, reps, reps)
+    elementary = x._pair_classes(lefts, rights.reshape(-1, x.dim, x.dim))
+    return {"ternary_two_routes": worst_norm(elementary.reshape(x.bracket_t.shape) - x.bracket_t)}
 
 
 def check_fullness(x: BimoduleX) -> dict[str, float]:
     """Inner products of basis tensors span the full operator spans.  Both
     inner products vanish on the kernel, so those of the representatives,
     the quotient tables, have the same span."""
-    span_r = orthonormal_rows(x.inner_r_t.reshape(x.r * x.r, -1), x.tol)
-    span_l = orthonormal_rows(x.inner_l_t.reshape(x.r * x.r, -1), x.tol)
-    in_k_r = worst(x.bch.express_in_k(span_r.reshape(-1, x.bch.m, x.bch.m))[1])
-    in_k_l = worst(x.bcv.express_in_k(span_l.reshape(-1, x.bcv.m, x.bcv.m))[1])
-    return {"right_span_dim_gap": float(abs(span_r.shape[0] - x.bch.k_basis.shape[0])),
-            "left_span_dim_gap": float(abs(span_l.shape[0] - x.bcv.k_basis.shape[0])),
-            "right_span_inside": in_k_r, "left_span_inside": in_k_l}
+    out = {}
+    for side, table, bc in (("right", x.inner_r_t, x.bch), ("left", x.inner_l_t, x.bcv)):
+        span = orthonormal_rows(table.reshape(x.r * x.r, -1), x.tol)
+        out[f"{side}_span_dim_gap"] = float(abs(span.shape[0] - bc.k_basis.shape[0]))
+        out[f"{side}_span_inside"] = worst(bc.express_in_k(span.reshape(-1, bc.m, bc.m))[1])
+    return out
 
 
 def check_ternary_module_laws(x: BimoduleX) -> dict[str, float]:
     """Coefficient elements slide through the ternary slots with adjoints."""
-    mid, outer = slot_adjoint_defects(x.bracket_t, x.lam_t, x.rho_t, x.sigma)
-    return {"middle_slot_adjoint": worst_norm(mid), "outer_slot_adjoint": worst_norm(outer)}
+    return {"middle_slot_adjoint": x.slot_defects["middle_norm"],
+            "outer_slot_adjoint": x.slot_defects["outer_norm"]}

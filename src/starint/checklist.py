@@ -288,18 +288,15 @@ def _correspondence_records(x: BimoduleX, tol: float) -> dict[str, CheckRecord]:
         records["7.8"] = _skip(
             "7.8", "not in classical form (second composite is not the identity)")
     reds = find_redundancies(corr, "right") + find_redundancies(corr, "left")
-    red_details = {"worst-pair": worst([r.residual for r in reds]),
-                   "right-count": float(sum(r.side == "right" for r in reds)),
-                   "right-restricted": float(sum(
-                       r.side == "right" and r.restricted for r in reds)),
-                   "left-count": float(sum(r.side == "left" for r in reds)),
-                   "left-restricted": float(sum(
-                       r.side == "left" and r.restricted for r in reds))}
-    rec = CheckRecord(check_id="7.9",
-                      status="pass" if red_details["worst-pair"] <= tol else "fail",
-                      residual=red_details["worst-pair"],
-                      details={f"7.9-{k}": v for k, v in red_details.items()})
-    records["7.9"] = rec
+    red_details = {"worst-pair": worst([r.residual for r in reds])}
+    for side in ("right", "left"):
+        red_details[f"{side}-count"] = float(sum(r.side == side for r in reds))
+        red_details[f"{side}-restricted"] = float(sum(r.side == side and r.restricted
+                                                      for r in reds))
+    records["7.9"] = CheckRecord(
+        check_id="7.9", status="pass" if red_details["worst-pair"] <= tol else "fail",
+        residual=red_details["worst-pair"],
+        details={f"7.9-{k}": v for k, v in red_details.items()})
     return records
 
 

@@ -14,9 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (CHUNK_ENTRIES, DEFAULT_TOL, Algebra, Element, block_adjoint, block_norms,
-                      block_product, orthonormal_rows, representation_defects, svd_rank,
-                      worst, worst_key, worst_norm)
+from .algebra import (DEFAULT_TOL, Algebra, Element, block_adjoint, block_norms, block_product,
+                      orthonormal_rows, representation_defects, row_chunks, svd_rank, worst,
+                      worst_key, worst_norm)
 from .bimodule import BimoduleX, slot_adjoint_defects
 from .interactions import Interaction, _product_defects
 from .linmaps import LinMap, map_residual
@@ -82,6 +82,7 @@ class GenCorrespondence:
     tol: float
     tro: ConcreteTRO | None = None
     x: BimoduleX | None = None
+    slot_defects: dict[str, float] | None = None   # slot_adjoint_defects, if already known
 
     @property
     def n(self) -> int:
@@ -103,23 +104,32 @@ class GenCorrespondence:
             return block_norms(self.tro.ambient, coords @ self.tro.basis)
         return self.x._norms_r(coords @ self.x.liftx.T)
 
+    @cached_property
+    def laws(self) -> dict[str, float]:
+        """The defining laws, computed once: slot-adjointness of both
+        actions, and that the actions are a homomorphism (left) and an
+        anti-homomorphism (right)."""
+        slots = self.slot_defects or slot_adjoint_defects(self.tt, self.lam_t, self.rho_t,
+                                                          self.coeff.star_perm)
+        left_mult, left_star = representation_defects(self.coeff, self.lam_t)
+        # transposing turns an anti-homomorphism into a homomorphism, norms unchanged
+        right_mult, right_star = representation_defects(self.coeff,
+                                                        self.rho_t.swapaxes(-1, -2))
+        return {"middle_slot_intertwines": slots["middle_abs"],
+                "outer_slot_intertwines": slots["outer_abs"],
+                "left_action_multiplicative": left_mult,
+                "right_action_antimultiplicative": right_mult,
+                "left_action_star": left_star, "right_action_star": right_star}
+
+    @cached_property
+    def spans(self) -> tuple[np.ndarray, np.ndarray]:
+        """``compact_spans``, computed once."""
+        return compact_spans(self)
+
 
 def check_71(corr: GenCorrespondence) -> dict[str, float]:
-    """Defining laws: slot-adjointness of both actions, and that the actions
-    are a homomorphism (left) and an anti-homomorphism (right)."""
-    mid, out = slot_adjoint_defects(corr.tt, corr.lam_t, corr.rho_t, corr.coeff.star_perm)
-    left_mult, left_star = representation_defects(corr.coeff, corr.lam_t)
-    # transposing turns an anti-homomorphism into a homomorphism, norms unchanged
-    right_mult, right_star = representation_defects(corr.coeff,
-                                                    corr.rho_t.swapaxes(-1, -2))
-    return {
-        "middle_slot_intertwines": float(np.abs(mid).max(initial=0.0)),
-        "outer_slot_intertwines": float(np.abs(out).max(initial=0.0)),
-        "left_action_multiplicative": left_mult,
-        "right_action_antimultiplicative": right_mult,
-        "left_action_star": left_star,
-        "right_action_star": right_star,
-    }
+    """The defining laws of ``GenCorrespondence.laws``."""
+    return dict(corr.laws)
 
 
 def correspondence_from_tro(tro: ConcreteTRO, coeff: Algebra,
@@ -150,8 +160,8 @@ def correspondence_from_bimodule(x: BimoduleX,
     coefficient actions inherited from the tensor legs."""
     tol = x.tol if tol is None else tol
     return _lawful(GenCorrespondence(coeff=x.algebra, tt=x.bracket_t,
-                                     lam_t=x.lam_t, rho_t=x.rho_t,
-                                     mode="abstract", tol=tol, x=x))
+                                     lam_t=x.lam_t, rho_t=x.rho_t, mode="abstract",
+                                     tol=tol, x=x, slot_defects=x.slot_defects))
 
 
 def _lawful(corr: GenCorrespondence) -> GenCorrespondence:
@@ -177,24 +187,19 @@ def _theta_grids(corr: GenCorrespondence) -> tuple[np.ndarray, np.ndarray]:
 
 def compact_spans(corr: GenCorrespondence) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases (as vectorized rows) of the spans of the rank-one
-    operators on each side."""
-    n = corr.n
-    left, right = _theta_grids(corr)
-    return (orthonormal_rows(left.reshape(n * n, n * n), corr.tol),
-            orthonormal_rows(right.reshape(n * n, n * n), corr.tol))
+    operators on each side, left then right."""
+    return tuple(orthonormal_rows(grid.reshape(corr.n ** 2, -1), corr.tol)
+                 for grid in _theta_grids(corr))
 
 
 def _worst_commutator(xs: np.ndarray, ys: np.ndarray) -> float:
     """Largest entry of |x·y - y·x| over x in xs and y in ys, two (k, n, n)
-    stacks; xs is taken a few at a time so that the (chunk, len(ys), n, n)
-    temporaries stay within ``CHUNK_ENTRIES`` entries."""
-    step = max(1, CHUNK_ENTRIES // max(1, ys.size))
-    chunks = (xs[i:i + step, None] for i in range(0, len(xs), step))
-    return worst([np.abs(x @ ys - ys @ x).max(initial=0.0) for x in chunks])
+    stacks; xs is taken a chunk at a time."""
+    return worst([np.abs(xs[rows, None] @ ys - ys @ xs[rows, None]).max(initial=0.0)
+                  for rows in row_chunks(len(xs), ys.size)])
 
 
-def check_commutation(corr: GenCorrespondence,
-                      tol: float | None = None) -> dict[str, float]:
+def check_commutation(corr: GenCorrespondence) -> dict[str, float]:
     """Every right rank-one operator commutes with every left one, and the
     two coefficient actions commute with each other."""
     left, right = _theta_grids(corr)
@@ -276,7 +281,7 @@ def find_redundancies(corr: GenCorrespondence, side: str = "right",
     from the action kernel are flagged as the restricted generating set."""
     tol = corr.tol if tol is None else tol
     alg = corr.coeff
-    kl, kr = compact_spans(corr)
+    kl, kr = corr.spans
     span = kr if side == "right" else kl
     tensor = corr.rho_t if side == "right" else corr.lam_t
     n = corr.n
@@ -330,21 +335,23 @@ def check_713(alpha: LinMap, transfer: LinMap, inter: Interaction,
         """Coefficients of c⊗1 for each c of a (..., dim) stack."""
         return (cs[..., :, None] * one).reshape(*cs.shape[:-1], x.amb)
 
-    # [a, b]: the classes of a⊗b, of a·alpha(b)⊗1 and of b·a⊗1
+    # [a, b]: the classes of a⊗b, a·alpha(b)⊗1, b·a⊗1, (a⊗1)·b and b·(a⊗1);
+    # c⊗1 has class c @ one_class
     simple = x.qx.T.reshape(alg.dim, alg.dim, x.r)
-    moved = tensor_one(block_product(alg, eye[:, None], alpha_rows)) @ x.qx.T
-    swapped = tensor_one(block_product(alg, eye[None], eye[:, None])) @ x.qx.T
+    one_class = (x.qx.reshape(x.r, alg.dim, alg.dim) @ one).T
+    moved = block_product(alg, eye[:, None], alpha_rows) @ one_class
+    swapped = block_product(alg, eye[None], eye[:, None]) @ one_class
     phis = tensor_one(eye)                                               # a⊗1
-    right = x._act_a_coeffs(eye, x._coeff_mats(phis), "right") @ x.qx.T  # (a⊗1)·b
-    left = x._act_a_coeffs(eye, x._coeff_mats(phis), "left") @ x.qx.T    # b·(a⊗1)
+    right = x._pair_classes(x._coeff_mats(phis), alg.right_mult_tensor.swapaxes(1, 2))
+    left = x._pair_classes(alg.left_mult_tensor, x._coeff_mats(phis)).swapaxes(0, 1)
     squares = block_product(alg, block_adjoint(alg, eye), eye) @ transfer.matrix.T
     isometry = abs(x._norms_r(phis) - np.sqrt(block_norms(alg, squares)))
 
     # u·alpha(transfer(v*·w))⊗1 against the bracket of u⊗1, v⊗1, w⊗1
     draws = alg.random_coords(np.random.default_rng(713), 24).reshape(8, 3, alg.dim)
     u, v, w = draws.swapaxes(0, 1)                # triple t is draws 3t, 3t+1, 3t+2
-    lhs = tensor_one(block_product(alg, u, block_product(alg, block_adjoint(alg, v), w)
-                                   @ transfer.matrix.T @ alpha.matrix.T)) @ x.qx.T
+    lhs = block_product(alg, u, block_product(alg, block_adjoint(alg, v), w)
+                        @ transfer.matrix.T @ alpha.matrix.T) @ one_class
     inner = x._inner_r_coeffs(tensor_one(v), tensor_one(w))
     rhs = x._right_act_coeffs(x._coeff_mats(tensor_one(u)),
                               x._presentation(inner, "right")) @ x.qx.T

@@ -116,9 +116,8 @@ def build_covrep(inter: Interaction, x: BimoduleX | None = None,
 
     # S sends the span basis k_b to the class of (1⊗1)·k_b, scaled by sqrt(m)
     smat = np.zeros_like(pi[0])
-    one = x.unit_tensor().coeffs.reshape(dim, dim)
-    moved = x._right_act_coeffs(one, x._presentation(ks, "right"))
-    smat[:r, r:] = np.sqrt(m) * (x.qx @ moved.T)
+    one = x._right_factor(x.unit_tensor().coeffs.reshape(1, dim, dim))
+    smat[:r, r:] = np.sqrt(m) * x._pair_classes(one, x._presentation(ks, "right"))[0].T
 
     rep = CovariantRep(interaction=inter, x=x, r=r, s=s, pi=pi, smat=smat, tol=tol)
     bad = worst_key(rep.residuals)
@@ -193,16 +192,11 @@ def check_nondegeneracy(rep: CovariantRep) -> dict[str, float]:
     algebra), mirrored as S·pi(x) on the second."""
     inter = rep.interaction
     tol = rep.tol
-    gates = {
-        "gate_range_v": _gate(rep.pi, inter.range_v, rep.smat, "right"),
-        "gate_generated_v": _gate(
-            rep.pi, generated_subalgebra(inter.range_v.elements(), tol),
-            rep.smat, "right"),
-        "gate_range_h": _gate(rep.pi, inter.range_h, rep.smat, "left"),
-        "gate_generated_h": _gate(
-            rep.pi, generated_subalgebra(inter.range_h.elements(), tol),
-            rep.smat, "left"),
-    }
+    gates = {}
+    for name, space, side in (("v", inter.range_v, "right"), ("h", inter.range_h, "left")):
+        gates[f"gate_range_{name}"] = _gate(rep.pi, space, rep.smat, side)
+        gates[f"gate_generated_{name}"] = _gate(
+            rep.pi, generated_subalgebra(space.elements(), tol), rep.smat, side)
     gates["nondegenerate"] = float(min(gates.values()) > tol)
     # passing the plain-range gate must imply passing the generated one
     implication_ok = ((gates["gate_range_v"] <= tol or gates["gate_generated_v"] > tol)

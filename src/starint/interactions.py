@@ -15,7 +15,6 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (
-    CHUNK_ENTRIES,
     DEFAULT_TOL,
     Algebra,
     Element,
@@ -25,6 +24,7 @@ from .algebra import (
     block_product,
     generated_subalgebra,
     rel,
+    row_chunks,
     worst,
 )
 from .linmaps import (
@@ -71,9 +71,7 @@ def _product_defects(t: LinMap, xs: np.ndarray, ys: np.ndarray,
     alg, tt = t.algebra, t.matrix.T
     txs = xs @ tt
     out = np.empty((len(xs), len(ys), 2))
-    step = max(1, CHUNK_ENTRIES // max(1, len(ys) * alg.dim))
-    for start in range(0, len(xs), step):
-        rows = slice(start, start + step)
+    for rows in row_chunks(len(xs), len(ys) * alg.dim):
         x, tx = xs[rows, None], txs[rows, None]
         out[rows, :, 0] = np.linalg.norm(
             block_product(alg, x, ys) @ tt - block_product(alg, tx, tys), axis=-1)
@@ -194,14 +192,8 @@ def expectation(e: LinMap, expected_range: Subspace,
     # e(a·b) - e(a)·b and e(b·a) - b·e(a) over the canonical a and the range rows b
     eye = np.eye(e.algebra.dim, dtype=complex)
     residuals["bimodule"] = worst(_product_defects(e, eye, rows, rows))
-    own_range = range_subspace(e, tol)
-    gap = 0.0
-    if own_range.dim or expected_range.dim:
-        p_own = own_range.basis.conj().T @ own_range.basis if own_range.dim else 0.0
-        p_exp = (expected_range.basis.conj().T @ expected_range.basis
-                 if expected_range.dim else 0.0)
-        gap = float(np.linalg.norm(np.atleast_2d(p_own - p_exp)))
-    residuals["range_match"] = gap
+    own = range_subspace(e, tol).basis
+    residuals["range_match"] = float(np.linalg.norm(own.conj().T @ own - rows.conj().T @ rows))
     cp_ok, low = is_completely_positive(e, tol)
     if not all(r <= tol for r in residuals.values()) or not cp_ok:
         raise InteractionError(f"not a conditional expectation: {residuals}, choi min {low}")

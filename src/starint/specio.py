@@ -215,14 +215,10 @@ def load_spec(path: str) -> ProblemSpec:
 
 def dump_spec(spec: ProblemSpec) -> str:
     out: dict = {"blocks": list(spec.blocks), "mode": spec.mode}
-    if spec.v is not None:
-        out["V"] = matrix_out(spec.v)
-    if spec.h is not None:
-        out["H"] = matrix_out(spec.h)
-    if spec.alpha is not None:
-        out["alpha"] = matrix_out(spec.alpha)
-    if spec.transfer is not None:
-        out["transfer"] = matrix_out(spec.transfer)
+    for key, mat in (("V", spec.v), ("H", spec.h), ("alpha", spec.alpha),
+                     ("transfer", spec.transfer)):
+        if mat is not None:
+            out[key] = matrix_out(mat)
     if spec.ambient_blocks:
         out["ambient_blocks"] = list(spec.ambient_blocks)
     if spec.a_embed is not None:

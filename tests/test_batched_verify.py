@@ -3,10 +3,9 @@ replaced are kept here as oracles, with the Choi pieces against the full Choi
 matrix, the closed-form multiplication tensors against Element products, the
 memory of the verify stage, and non-finite maps."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from starint import (
     Algebra,
@@ -377,12 +376,7 @@ def test_sliding_fails_on_a_broken_quotient():
 
 def test_verify_stage_memory_on_classical_c24():
     v, h = classical_pair(24, 11)
-    tracemalloc.start()
-    try:
-        _, records = verify_stage_records(v, h, TOL, 25, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (_, records), peak = traced_peak(lambda: verify_stage_records(v, h, TOL, 25, 0))
     assert all(r.status == "pass" for r in records.values())
     assert peak < 6 * 2**20, peak / 2**20
 

@@ -2,10 +2,9 @@
 the memory they save, the batched sampled checks 5.2-5.10 against their
 per-element loops, and the noise-free redundancy counts of 7.9."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from starint import (
     Algebra,
@@ -100,12 +99,7 @@ def test_factored_forms_match_the_dense_oracle(module):
 
 def test_module_keeps_no_dense_form():
     inter = amplified_interaction(flip_interaction(), 3)     # dim 18, m = 9
-    tracemalloc.start()
-    try:
-        x = build_bimodule(inter)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    x, peak = traced_peak(lambda: build_bimodule(inter))
     # one dense form alone would take dim⁴·m²·16 bytes = 130 MiB here
     assert peak < 32 * 2**20, peak / 2**20
     largest = max(v.nbytes for v in vars(x).values() if hasattr(v, "nbytes"))
@@ -254,9 +248,15 @@ def test_redundancy_counts_equal_the_algebra_dimension(inter):
 
 
 def test_a_nan_in_the_module_fails_5_2_and_5_3():
-    x = build_bimodule(identity_interaction(Algebra((2,))))
-    x.mid_h = x.mid_h.copy()
-    x.mid_h[0, 0, 0, 0] = np.nan
-    for cid, check in (("5.2", check_positivity), ("5.3", check_cauchy_schwarz)):
-        record = _record(cid, check(x, 4, np.random.default_rng(0)), TOL)
-        assert record.status == "fail" and np.isnan(record.residual), cid
+    # a NaN in the right middle factor fails 5.2 and 5.3; one in the left
+    # middle factor, with the left Gram matrix rebuilt from it, fails 5.4
+    for factor, checks in (("mid_h", (("5.2", check_positivity),
+                                      ("5.3", check_cauchy_schwarz))),
+                           ("mid_v", (("5.4", check_norm_agreement),))):
+        x = build_bimodule(identity_interaction(Algebra((2,))))
+        setattr(x, factor, getattr(x, factor).copy())
+        getattr(x, factor)[0, 0, 0, 0] = np.nan
+        x.gram_l = x._basis_gram(x._factors_l).transpose(1, 0, 3, 2).reshape(x.amb, x.amb)
+        for cid, check in checks:
+            record = _record(cid, check(x, 4, np.random.default_rng(0)), TOL)
+            assert record.status == "fail" and np.isnan(record.residual), cid
