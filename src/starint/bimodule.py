@@ -524,19 +524,18 @@ def check_action_bound(x: BimoduleX, samples: int = 50,
     moved = x._right_act_coeffs(x._coeff_mats(ts), x._presentation(ks, "right"))
     bound = x._norms_r(ts) * np.linalg.norm(ks, 2, axis=(-2, -1))
     excess = np.maximum(0.0, x._norms_r(moved) - bound) / np.maximum(1.0, bound)
-    # perturb a presentation by a null combination: the class must not move
-    _, s, vh = np.linalg.svd(x.bch.spanning_matrix)
-    null = vh[svd_rank(s, x.tol, TINY):]
+    # add z - P·S·z, an isotropic null combination, to a presentation: the class must not move
+    span, pinv = x.bch.spanning_matrix, x.bch.spanning_pinv
     moves = np.zeros(0)
-    if null.shape[0]:
+    if svd_rank(np.linalg.svd(span, compute_uv=False), x.tol, TINY) < span.shape[1]:
         ts, coeffs, perturbed = [], [], []
         for _ in range(min(samples, 10)):
             ts.append(x.random(rng).coeffs)
             k = (kb.T @ (rng.standard_normal(kb.shape[0]))).reshape(m, m)
             coeff, _ = x.bch.express_in_spanning(k)
-            w = rng.standard_normal(null.shape[0]) + 1j * rng.standard_normal(null.shape[0])
+            z = rng.standard_normal(span.shape[1]) + 1j * rng.standard_normal(span.shape[1])
             coeffs.append(coeff)
-            perturbed.append(coeff + (null.T @ w).reshape(x.dim, x.dim))
+            perturbed.append(coeff + (z - pinv @ (span @ z)).reshape(x.dim, x.dim))
         tm = x._coeff_mats(np.array(ts))
         d = (x._right_act_coeffs(tm, np.array(coeffs))
              - x._right_act_coeffs(tm, np.array(perturbed)))

@@ -131,9 +131,8 @@ def cmd_build(spec: ProblemSpec, args: argparse.Namespace) -> int:
             x = build_bimodule(inter, tol)
             payload = {
                 "r": x.r,
-                "gram_spectrum": x.gram_spectrum.tolist(),
-                "kernel_basis": matrix_out(x.kernel) if x.kernel.size
-                else [],
+                "gram_spectrum": x.gram_spectrum,
+                "kernel_basis": matrix_out(x.kernel),
             }
         else:
             rep = build_covrep(inter, tol=tol)

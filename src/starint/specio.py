@@ -3,7 +3,9 @@
 Complex scalars travel as two-element arrays [re, im]; matrices are row-major
 nested lists; elements of a block algebra are lists of square matrices, one
 per block.  Writing always normalizes (sorted keys, two-space indent, newline
-at EOF) so equal inputs produce byte-equal artifacts.
+at EOF) so equal inputs produce byte-equal artifacts.  The bytes are those of
+``json.dumps(indent=2)``, whose encoder is pure Python, one call per float, so
+a finite float array goes out in bulk: a ``%`` template per row of its reprs.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -58,19 +61,12 @@ def matrix_in(obj, shape: tuple[int, int] | None = None) -> np.ndarray:
     return out
 
 
-def _complex_out(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-class _Canonical(list):
-    """A list already in canonical form, which ``_sanitize`` passes through."""
-
-
-def matrix_out(m: np.ndarray) -> list:
-    parts = np.atleast_2d(np.asarray(m, dtype=complex))
-    parts = np.stack([parts.real, parts.imag], axis=-1)
-    # non-finite entries are left for _sanitize to write as strings
-    return _Canonical(parts.tolist()) if np.isfinite(parts).all() else parts.tolist()
+def matrix_out(m: np.ndarray) -> np.ndarray | list:
+    """[re, im] pairs of a matrix or stack: the finite (..., 2) float array,
+    or nested lists if an entry is not finite, to be written as a string."""
+    z = np.array(np.atleast_2d(m), dtype=complex, order="C")  # a copy, never a view
+    parts = z.view(float).reshape(*z.shape, 2)
+    return parts if np.isfinite(parts).all() else parts.tolist()
 
 
 def element_in(algebra: Algebra, obj) -> Element:
@@ -85,34 +81,65 @@ def element_out(a: Element) -> list:
     return [matrix_out(b) for b in a.mats]
 
 
-def _sanitize(obj):
-    """Make a structure JSON-safe and canonical: numpy scalars to python,
-    complex to [re, im], non-finite floats to strings."""
-    if isinstance(obj, _Canonical):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.complexfloating, complex)):
-        return _complex_out(complex(obj))
+def _template(shape: tuple[int, ...], level: int) -> str:
+    """``json.dumps(indent=2)`` layout of ``shape`` at ``level``, ``%s`` per entry."""
+    if not shape:
+        return "%s"
+    if not shape[0]:
+        return "[]"
+    sep = ",\n" + "  " * (level + 1)
+    return ("[" + sep[1:] + sep.join([_template(shape[1:], level + 1)] * shape[0])
+            + "\n" + "  " * level + "]")
+
+
+def _scalar(obj) -> str:
+    if isinstance(obj, str):
+        return encode_basestring(obj)
     if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return v
+        v = float(obj)  # non-finite: the string "nan", "inf" or "-inf"
+        return repr(v) if math.isfinite(v) else f'"{v!r}"'
     if isinstance(obj, (np.integer, int)):
-        return int(obj)
+        return repr(int(obj))
+    if obj is None:
+        return "null"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _write(obj, level: int, out: list[str]) -> None:
+    """Append the text of ``obj`` at nesting ``level`` to ``out``; a finite
+    float array of more than two axes goes out a row at a time."""
     if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
-    return obj
+        if not (obj.ndim and obj.dtype.kind == "f" and np.isfinite(obj).all()):
+            obj = obj.tolist()
+        elif obj.ndim <= 2:
+            out.append(_template(obj.shape, level)
+                       % tuple(map(float.__repr__, obj.ravel().tolist())))
+            return
+    if isinstance(obj, (np.complexfloating, complex)):
+        obj = [float(obj.real), float(obj.imag)]
+    if isinstance(obj, dict):
+        keyed = {str(k): v for k, v in obj.items()}
+        items, brackets = [(encode_basestring(k) + ": ", keyed[k]) for k in sorted(keyed)], "{}"
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        items, brackets = [("", v) for v in obj], "[]"
+    else:
+        out.append(_scalar(obj))
+        return
+    sep = ",\n" + "  " * (level + 1)
+    out.append(brackets[0])
+    for i, (key, value) in enumerate(items):
+        out.append((sep if i else sep[1:]) + key)
+        _write(value, level + 1, out)
+    out.append("\n" + "  " * level + brackets[1] if items else brackets[1])
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(_sanitize(obj), sort_keys=True, indent=2,
-                      ensure_ascii=False, allow_nan=False) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)`` and a
+    newline; numpy numbers as Python ones, complex as [re, im], NaN/inf as strings."""
+    out: list[str] = []
+    _write(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 MODES = ("plain", "endo_transfer", "partial_isometry")

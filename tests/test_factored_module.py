@@ -192,8 +192,9 @@ def loop_action_bound(x, samples, rng):
             t = x.random(rng)
             k = (kb.T @ (rng.standard_normal(kb.shape[0]))).reshape(x.bch.m, x.bch.m)
             coeff, _ = x.bch.express_in_spanning(k)
-            w = rng.standard_normal(null.shape[0]) + 1j * rng.standard_normal(null.shape[0])
-            perturbed = coeff + (null.T @ w).reshape(x.dim, x.dim)
+            # an isotropic draw on dim² coordinates, projected onto the null space
+            z = rng.standard_normal(x.dim ** 2) + 1j * rng.standard_normal(x.dim ** 2)
+            perturbed = coeff + (null.conj().T @ (null @ z)).reshape(x.dim, x.dim)
             d = x.right_act(t, k, coeff=coeff) - x.right_act(t, k, coeff=perturbed)
             worst_pres = max(worst_pres, float(np.linalg.norm(x.qx @ d.coeffs))
                              / max(1.0, x.class_norm(t)))

@@ -1,11 +1,24 @@
 """Problem files: JSON schema, lenient numeric forms, canonical output."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
-from starint import SpecError, canonical_json, dump_spec, load_spec
+from starint import (
+    LinMap,
+    SpecError,
+    amplified_interaction,
+    amplify,
+    build_bimodule,
+    canonical_json,
+    dump_spec,
+    flip_interaction,
+    load_spec,
+)
+from starint.cli import main
 from starint.specio import matrix_out
 
 DATA = "tests/data"
@@ -134,3 +147,120 @@ def _entrywise_matrix_out(m):
 ])
 def test_matrix_out_writes_the_same_bytes_as_the_entrywise_writer(m):
     assert canonical_json({"m": matrix_out(m)}) == canonical_json({"m": _entrywise_matrix_out(m)})
+
+
+# -- the writer against its byte oracle: json.dumps of the old sanitizer ---------
+
+
+def _old_sanitize(obj):
+    """The structure canonical_json handed to json.dumps before it wrote
+    arrays itself: numpy numbers to Python ones, complex to [re, im],
+    non-finite floats to strings."""
+    if isinstance(obj, dict):
+        return {str(k): _old_sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_old_sanitize(v) for v in obj]
+    if isinstance(obj, (np.complexfloating, complex)):
+        return [float(np.real(obj)), float(np.imag(obj))]
+    if isinstance(obj, (np.floating, float)):
+        v = float(obj)
+        if math.isnan(v):
+            return "nan"
+        if math.isinf(v):
+            return "inf" if v > 0 else "-inf"
+        return v
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return _old_sanitize(obj.tolist())
+    return obj
+
+
+def oracle(obj) -> str:
+    return json.dumps(_old_sanitize(obj), sort_keys=True, indent=2,
+                      ensure_ascii=False, allow_nan=False) + "\n"
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1e-300, 1 / 3, 1e16, 1e22]
+ARRAYS = {
+    "edge floats 1-D": np.array(EDGE_FLOATS),
+    "edge floats as pairs": matrix_out(np.array(EDGE_FLOATS) - 1j * np.array(EDGE_FLOATS[::-1])),
+    "1x1": matrix_out(np.array([[1 / 3]])),
+    "0-row": matrix_out(np.zeros((0, 4))),
+    "0-row raw": np.zeros((0, 3)),
+    "empty rows": np.zeros((2, 0)),
+    "0-d": np.array(1e22),
+    "stack": matrix_out(np.random.default_rng(1).standard_normal((3, 2, 4)) * (1 + 1j)),
+    "4 axes": np.arange(48.0).reshape(2, 3, 4, 2) / 3,
+    "float32": np.array([[0.1, -0.0]], dtype=np.float32),
+    "ints": np.arange(3),
+    "complex": np.array([1 / 3 - 0.0j, 1e16j]),
+    "NaN pairs": matrix_out(np.array([[complex(np.nan, 1.0), np.inf], [-np.inf, 0.5]])),
+    "NaN raw": np.array([[1.0, np.nan], [np.inf, -np.inf]]),
+    "NaN 3 axes": np.array([[[0.5, np.nan]]]),
+}
+
+
+def _nest(value, depth: int):
+    """``value`` under ``depth`` levels of dicts with unsorted, non-ASCII keys
+    and of lists next to other entries."""
+    for level in range(depth):
+        if level % 2:
+            value = [1 / 3, value, {}, []]
+        else:
+            value = {"zeta": value, "Ärger": level, "alpha": [-0.0], "é": "%s"}
+    return value
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", list(ARRAYS))
+def test_canonical_json_writes_the_oracle_bytes_for_arrays(name, depth):
+    obj = _nest(ARRAYS[name], depth)
+    assert canonical_json(obj) == oracle(obj)
+
+
+def test_canonical_json_writes_the_oracle_bytes_for_scalars_and_strings():
+    obj = {
+        "floats": EDGE_FLOATS + [-1e22, float("nan"), float("inf"), float("-inf")],
+        "numpy": [np.float64(1 / 3), np.float32(0.1), np.int64(-7), np.complex128(1e22 - 5e-324j)],
+        "python": [2 ** 70, True, False, None, complex(-0.0, 1 / 3), (1, "tuple")],
+        # strings that look like the writer's templates, or like its fallback
+        "%s": ["%s", "%%s", "[]", "{}", "nan", "-inf", "☃\n\"\\\t", ""],
+        "nested empty": [[], {}, [[]], {"k": {}}],
+        3: "an integer key",
+        "B": [np.array([0.5, 1e-300]), "%s", matrix_out(np.eye(1))],
+    }
+    assert canonical_json(obj) == oracle(obj)
+    with pytest.raises(TypeError):
+        canonical_json({"x": object()})
+
+
+def _amplified_spec(tmp_path, name: str, n: int) -> str:
+    spec = load_spec(f"{DATA}/{name}.json")
+    v, h = (amplify(LinMap(spec.algebra, m), n) for m in (spec.v, spec.h))
+    path = tmp_path / f"{name}_x{n}.json"
+    path.write_text(canonical_json({"blocks": list(v.algebra.blocks), "mode": "plain",
+                                    "V": matrix_out(v.matrix), "H": matrix_out(h.matrix)}))
+    return str(path)
+
+
+@pytest.mark.parametrize("emit", ["bimodule", "covrep"])
+@pytest.mark.parametrize("name, n", [("flip", 3), ("identity_m2", 2)])
+def test_emitted_artifacts_are_the_oracle_bytes(capsys, tmp_path, name, n, emit):
+    path = _amplified_spec(tmp_path, name, n)
+    assert main(["build", path, "--emit", emit]) == 0
+    out = capsys.readouterr().out
+    # every float survives json.loads exactly, so the oracle of the parsed
+    # payload is the text itself
+    assert out == oracle(json.loads(out))
+
+
+def test_writer_peak_on_the_flip_x3_bimodule_payload():
+    x = build_bimodule(amplified_interaction(flip_interaction(), 3))
+
+    def write():
+        return canonical_json({"r": x.r, "gram_spectrum": x.gram_spectrum,
+                               "kernel_basis": matrix_out(x.kernel)})
+    text, peak = traced_peak(write)
+    assert len(text) > 4_000_000  # about 200k floats
+    assert peak < 16 * 2 ** 20, peak / 2 ** 20
