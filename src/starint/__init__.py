@@ -20,9 +20,7 @@ from .linmaps import (
     LinMap,
     amplify,
     choi_matrix,
-    column_gram,
     compose,
-    grid_element,
     is_completely_positive,
     map_residual,
     range_subspace,

@@ -363,9 +363,8 @@ def _finite_only(fn, mats: np.ndarray) -> np.ndarray:
     finite = np.isfinite(mats).all(axis=(-2, -1))
     if finite.all():
         return fn(mats)
-    out = np.full(mats.shape[:-1], np.nan)
-    if finite.any():
-        out[finite] = fn(mats[finite])
+    out = fn(np.where(finite[..., None, None], mats, 0))
+    out[~finite] = np.nan
     return out
 
 
@@ -377,6 +376,16 @@ def eigvals_hermitian(mats: np.ndarray) -> np.ndarray:
 def singular_values(mats: np.ndarray) -> np.ndarray:
     """Singular values of each square matrix."""
     return _finite_only(lambda m: np.linalg.svd(m, compute_uv=False), mats)
+
+
+def psd_sqrt(mats: np.ndarray) -> np.ndarray:
+    """Positive square root of the hermitian part of each matrix, negative
+    eigenvalues clamped to zero."""
+    def root(h: np.ndarray) -> np.ndarray:
+        vals, vecs = np.linalg.eigh(h)
+        scaled = vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]
+        return scaled @ vecs.conj().swapaxes(-1, -2)
+    return _finite_only(root, hermitian_part(mats))
 
 
 def psd_top(mats: np.ndarray) -> np.ndarray:
@@ -437,23 +446,12 @@ def positivity_defect(x: Element) -> float:
 
 
 def sqrt_psd(x: Element, tol: float = DEFAULT_TOL) -> Element:
-    """Positive square root by blockwise eigendecomposition.
-
-    Negative eigenvalues within ``tol * norm`` are clamped to zero;
-    anything below that raises ValueError.
-    """
-    scale = max(1.0, x.norm())
-    if not x.is_hermitian(tol):
-        raise ValueError("sqrt_psd: input is not Hermitian within tolerance")
-    roots = []
-    for a in x.mats:
-        h = 0.5 * (a + a.conj().T)
-        vals, vecs = np.linalg.eigh(h)
-        if vals.size and vals.min() < -tol * scale:
-            raise ValueError(f"sqrt_psd: eigenvalue {vals.min():.3e} below -tol*norm")
-        vals = np.clip(vals, 0.0, None)
-        roots.append((vecs * np.sqrt(vals)) @ vecs.conj().T)
-    return Element(x.algebra, roots)
+    """Positive square root, block by block (``psd_sqrt``); input whose
+    ``positivity_defect`` exceeds ``tol`` raises ValueError."""
+    defect = positivity_defect(x)
+    if not defect <= tol:
+        raise ValueError(f"sqrt_psd: positivity defect {defect:.3e} above tol")
+    return Element(x.algebra, [psd_sqrt(a) for a in x.mats])
 
 
 # -- subspaces ----------------------------------------------------------------

@@ -17,13 +17,14 @@ import numpy as np
 
 from .algebra import (
     DEFAULT_TOL,
+    TINY,
     Algebra,
     Element,
     NumericalDegeneracy,
     Subspace,
     block_norms,
-    orthonormal_rows,
     representation_defects,
+    svd_rank,
     worst,
     worst_norm,
 )
@@ -93,13 +94,23 @@ class BasicConstruction:
         return ((self.lam @ self.e)[:, None] @ self.lam).reshape(dim * dim, m * m).T
 
     @cached_property
+    def _spanning_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Copies of the factors of the spanning matrix's transpose kept by
+        the ``svd_rank`` cut; the one SVD of the spanning matrix."""
+        u, s, vh = np.linalg.svd(self.spanning_matrix.T, full_matrices=False)
+        k = svd_rank(s, self.tol, TINY)
+        return u[:, :k].copy(), s[:k].copy(), vh[:k].copy()
+
+    @property
     def k_basis(self) -> np.ndarray:
         """(k, m*m): orthonormal span of lam(a) e lam(b)."""
-        return orthonormal_rows(self.spanning_matrix.T, self.tol)
+        return self._spanning_svd[2]
 
     @cached_property
     def spanning_pinv(self) -> np.ndarray:
-        return np.linalg.pinv(self.spanning_matrix, rcond=self.tol)
+        """(dim², m²): the pseudo-inverse of the spanning matrix, from the kept factors."""
+        u, s, vh = self._spanning_svd
+        return (u.conj() / s) @ vh.conj()
 
     def express_in_k(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients in the orthonormal span of each matrix of a (..., m, m)

@@ -188,7 +188,7 @@ def _theta_grids(corr: GenCorrespondence) -> tuple[np.ndarray, np.ndarray]:
 def compact_spans(corr: GenCorrespondence) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases (as vectorized rows) of the spans of the rank-one
     operators on each side, left then right."""
-    return tuple(orthonormal_rows(grid.reshape(corr.n ** 2, -1), corr.tol)
+    return tuple(orthonormal_rows(grid.reshape(corr.n ** 2, corr.n ** 2), corr.tol)
                  for grid in _theta_grids(corr))
 
 
@@ -201,11 +201,12 @@ def _worst_commutator(xs: np.ndarray, ys: np.ndarray) -> float:
 
 def check_commutation(corr: GenCorrespondence) -> dict[str, float]:
     """Every right rank-one operator commutes with every left one, and the
-    two coefficient actions commute with each other."""
-    left, right = _theta_grids(corr)
+    two coefficient actions commute with each other.  The commutator is
+    bilinear, so the rank-one operators are swept through the orthonormal
+    bases of their spans."""
     n = corr.n
-    return {"rank_one_sides_commute": _worst_commutator(right.reshape(n * n, n, n),
-                                                        left.reshape(n * n, n, n)),
+    left, right = (span.reshape(len(span), n, n) for span in corr.spans)
+    return {"rank_one_sides_commute": _worst_commutator(right, left),
             "actions_commute": _worst_commutator(corr.lam_t, corr.rho_t)}
 
 
@@ -335,15 +336,14 @@ def check_713(alpha: LinMap, transfer: LinMap, inter: Interaction,
         """Coefficients of c⊗1 for each c of a (..., dim) stack."""
         return (cs[..., :, None] * one).reshape(*cs.shape[:-1], x.amb)
 
-    # [a, b]: the classes of a⊗b, a·alpha(b)⊗1, b·a⊗1, (a⊗1)·b and b·(a⊗1);
-    # c⊗1 has class c @ one_class
+    # [a, b]: the classes of a⊗b, a·alpha(b)⊗1, b·a⊗1, and of (a⊗1)·b and
+    # b·(a⊗1) by the action tables; c⊗1 has class c @ one_class
     simple = x.qx.T.reshape(alg.dim, alg.dim, x.r)
     one_class = (x.qx.reshape(x.r, alg.dim, alg.dim) @ one).T
     moved = block_product(alg, eye[:, None], alpha_rows) @ one_class
     swapped = block_product(alg, eye[None], eye[:, None]) @ one_class
+    right, left = (np.einsum("bcs,as->abc", acts, one_class) for acts in (x.rho_t, x.lam_t))
     phis = tensor_one(eye)                                               # a⊗1
-    right = x._pair_classes(x._coeff_mats(phis), alg.right_mult_tensor.swapaxes(1, 2))
-    left = x._pair_classes(alg.left_mult_tensor, x._coeff_mats(phis)).swapaxes(0, 1)
     squares = block_product(alg, block_adjoint(alg, eye), eye) @ transfer.matrix.T
     isometry = abs(x._norms_r(phis) - np.sqrt(block_norms(alg, squares)))
 

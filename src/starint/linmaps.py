@@ -124,22 +124,6 @@ def amplify(t: LinMap, n: int) -> LinMap:
     return LinMap(big, m)
 
 
-def grid_element(algebra: Algebra, n: int, cells: dict[tuple[int, int], Element]) -> Element:
-    """Assemble an element of the n-fold amplification from grid cells."""
-    big = algebra.amplified(n)
-    coords = np.zeros(big.dim, dtype=complex)
-    for (row, col), x in cells.items():
-        coords[_cell_indices(algebra, n, row, col)] += x.coords()
-    return big.from_coords(coords)
-
-
-def column_gram(algebra: Algebra, xs: list[Element]) -> Element:
-    """The grid (x_i x_j*) as an element of the len(xs)-fold amplification."""
-    n = len(xs)
-    cells = {(i, j): xs[i] * xs[j].star() for i in range(n) for j in range(n)}
-    return grid_element(algebra, n, cells)
-
-
 # -- positivity ----------------------------------------------------------------
 
 def choi_matrix(t: LinMap) -> np.ndarray:

@@ -12,6 +12,7 @@ from starint import (
     positivity_defect,
     sqrt_psd,
 )
+from starint.algebra import psd_sqrt
 
 
 def test_dims_and_unit():
@@ -114,3 +115,33 @@ def test_sqrt_rejects_indefinite():
     neg = m2.from_coords([-1.0, 0, 0, 1.0])
     with pytest.raises(ValueError):
         sqrt_psd(neg)
+
+
+def test_psd_sqrt_matches_eigh():
+    rng = np.random.default_rng(6)
+    z = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+    mats = z @ z.conj().swapaxes(-1, -2)
+    mats[0] -= 0.5 * np.eye(4) * np.linalg.eigvalsh(mats[0]).max()   # indefinite: clamped
+    roots = psd_sqrt(mats)
+    for mat, root in zip(mats, roots):
+        vals, vecs = np.linalg.eigh(mat)
+        want = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+        assert np.abs(root - want).max() < 1e-12
+    assert np.abs(roots[1:] @ roots[1:] - mats[1:]).max() < 1e-10
+
+
+def test_psd_sqrt_gives_nan_for_a_non_finite_matrix():
+    mats = np.stack([np.eye(2), np.diag([4.0, 9.0]), np.eye(2)]).astype(complex)
+    mats[1, 0, 1] = np.nan
+    roots = psd_sqrt(mats)
+    assert np.isnan(roots[1]).all()
+    assert np.array_equal(roots[[0, 2]], mats[[0, 2]])
+
+
+def test_sqrt_psd_is_the_one_element_case():
+    alg = Algebra((1, 2))
+    x = alg.random_element(np.random.default_rng(2))
+    p = x.star() * x
+    root = sqrt_psd(p)
+    assert np.array_equal(root.mats[1], psd_sqrt(p.mats[1]))
+    assert np.abs((root * root).coords() - p.coords()).max() < 1e-12

@@ -7,12 +7,14 @@ from starint import (
     Algebra,
     LinMap,
     NumericalDegeneracy,
+    amplified_interaction,
     basic_for_h,
     basic_for_v,
     build_basic,
     flip_interaction,
     identity_interaction,
 )
+from starint.algebra import orthonormal_rows
 
 
 def test_flip_h_side_oracle():
@@ -86,3 +88,17 @@ def test_degenerate_expectation_raises():
     zero = LinMap(alg, np.zeros((2, 2)))
     with pytest.raises(NumericalDegeneracy):
         build_basic(zero, flip_interaction().range_h)
+
+
+@pytest.mark.parametrize("inter", [flip_interaction,
+                                   lambda: amplified_interaction(flip_interaction(), 2),
+                                   lambda: identity_interaction(Algebra((2, 1)))])
+def test_one_svd_gives_the_span_basis_and_the_pseudo_inverse(inter):
+    for bc in (basic_for_h(inter()), basic_for_v(inter())):
+        span = bc.spanning_matrix
+        assert np.array_equal(bc.k_basis, orthonormal_rows(span.T, bc.tol))
+        pinv = bc.spanning_pinv
+        assert np.abs(pinv - np.linalg.pinv(span, rcond=bc.tol)).max() < 1e-12
+        # the Moore-Penrose conditions that pin the pseudo-inverse down
+        assert np.abs(span @ pinv @ span - span).max() < 1e-12
+        assert np.abs(pinv @ span @ pinv - pinv).max() < 1e-12

@@ -1,5 +1,7 @@
 """Ternary structures: concrete operator spans and the quotient-module form."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,32 @@ def test_713_endomorphism_transfer_pairs():
     ident = LinMap.identity(id2.algebra)
     out2 = check_713(ident, ident, id2, build_bimodule(id2))
     assert max(out2.values()) <= 1e-9
+
+
+@pytest.mark.parametrize("table, key", [("rho_t", "module_map_right"),
+                                        ("lam_t", "module_map_left")])
+def test_713_module_maps_read_the_action_tables(table, key):
+    # the module-map keys compare the quotient action tables with the
+    # classical module, so a wrong table moves its own key and nothing else
+    alg = Algebra((1, 1))
+    sw = LinMap(alg, SWAP)
+    inter, _ = from_endomorphism_transfer(sw, sw)
+    x = build_bimodule(inter)
+    before = check_713(sw, sw, inter, x)
+    setattr(x, table, getattr(x, table).copy())
+    getattr(x, table)[1] *= 1.1
+    after = check_713(sw, sw, inter, x)
+    assert before[key] <= 1e-12 and after[key] > 1e-2
+    assert {k: v for k, v in after.items() if k != key} == \
+        {k: v for k, v in before.items() if k != key}
+
+
+def test_commutation_on_the_span_bases_sees_a_broken_bracket():
+    corr = correspondence_from_bimodule(build_bimodule(identity_interaction(Algebra((2,)))))
+    assert check_commutation(corr)["rank_one_sides_commute"] <= 1e-12
+    rng = np.random.default_rng(2)
+    broken = replace(corr, tt=corr.tt + 0.1 * rng.standard_normal(corr.tt.shape))
+    assert check_commutation(broken)["rank_one_sides_commute"] > 1e-3
 
 
 def test_713_rejects_wrong_maps():

@@ -1,6 +1,7 @@
 """The factored inner products against the dense dim⁴·m² forms they replace,
 the memory they save, the batched sampled checks 5.2-5.10 against their
-per-element loops, and the noise-free redundancy counts of 7.9."""
+per-element loops, the stacked grid norms of 5.4 against amplified maps, and
+the noise-free redundancy counts of 7.9."""
 
 import numpy as np
 import pytest
@@ -11,11 +12,14 @@ from starint import (
     Interaction,
     LinMap,
     amplified_interaction,
+    amplify,
     build_bimodule,
     correspondence_from_bimodule,
     find_redundancies,
     flip_interaction,
     identity_interaction,
+    sqrt_psd,
+    swap_transfer_interaction,
 )
 from starint.bimodule import (
     check_action_bound,
@@ -25,6 +29,7 @@ from starint.bimodule import (
     check_positivity,
 )
 from starint.checklist import _record
+from starint.linmaps import _cell_indices
 
 TOL = 1e-9
 
@@ -141,6 +146,29 @@ def loop_cauchy_schwarz(x, samples, rng):
     return {"cauchy_schwarz_right": worst_r, "cauchy_schwarz_left": worst_l}
 
 
+def column_gram(alg, xs):
+    """The grid (x_i x_j*) as an element of the len(xs)-fold amplification."""
+    n = len(xs)
+    big = alg.amplified(n)
+    coords = np.zeros(big.dim, dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            coords[_cell_indices(alg, n, i, j)] += (xs[i] * xs[j].star()).coords()
+    return big.from_coords(coords)
+
+
+def amplified_norm_two_ways(x, pairs):
+    """The grid norms of 5.4 through the amplified maps V_n, H_n on the
+    (n·d)-square grid algebra, one Element at a time."""
+    n = len(pairs)
+    vn, hn = amplify(x.inter.v, n), amplify(x.inter.h, n)
+    grid_a = column_gram(x.algebra, [a for a, _ in pairs])
+    grid_b = column_gram(x.algebra, [b for _, b in pairs])
+    n1 = (sqrt_psd(hn(grid_a), x.tol) * sqrt_psd(hn(vn(grid_b)), x.tol)).norm()
+    n2 = (sqrt_psd(vn(hn(grid_a)), x.tol) * sqrt_psd(vn(grid_b), x.tol)).norm()
+    return n1, n2
+
+
 def loop_norm_agreement(x, samples, rng):
     worst_forms = worst_sides = 0.0
     for _ in range(samples):
@@ -150,7 +178,7 @@ def loop_norm_agreement(x, samples, rng):
         count = int(rng.integers(1, 4))
         pairs = [(x.algebra.random_element(rng), x.algebra.random_element(rng))
                  for _ in range(count)]
-        n1, n2 = x.norm_two_ways(pairs)
+        n1, n2 = amplified_norm_two_ways(x, pairs)
         quot = x.module_norm(x.tensor_of_pairs(pairs))
         scale = max(1.0, n1, n2, quot)
         worst_forms = max(worst_forms, abs(n1 - n2) / scale, abs(n1 - quot) / scale)
@@ -234,6 +262,42 @@ def test_batched_sampled_checks_match_the_loops_on_a_broken_module():
         got = batched(x, 6, rng=np.random.default_rng(5))
         assert max(got.values()) > 0.1, (batched.__name__, got)
         _agree(batched, loop, x, 5)
+
+
+GRID_PAIRS = {
+    **PAIRS,
+    "flip": flip_interaction,
+    "swap_endo": lambda: swap_transfer_interaction()[0],
+    "adu_m3": lambda: adu_interaction(haar_unitary(3, 12)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_PAIRS))
+def test_grid_norms_match_the_amplified_maps(name):
+    x = build_bimodule(GRID_PAIRS[name]())
+    alg, rng = x.algebra, np.random.default_rng(8)
+    for count in (1, 2, 3):
+        coords = alg.random_coords(rng, 4 * 2 * count).reshape(4, count, 2, alg.dim)
+        # a stack of four sums, each padded to three pairs with zero pairs
+        padded = np.zeros((4, 3, 2, alg.dim), dtype=complex)
+        padded[:, :count] = coords
+        stacked = x._grid_norms(padded[:, :, 0], padded[:, :, 1])
+        for s, sample in enumerate(coords):
+            pairs = [(alg.from_coords(a), alg.from_coords(b)) for a, b in sample]
+            want = np.array(amplified_norm_two_ways(x, pairs))
+            scale = max(1.0, abs(want).max())
+            assert abs(np.array(x.norm_two_ways(pairs)) - want).max() <= 1e-12 * scale
+            assert abs(stacked[:, s] - want).max() <= 1e-12 * scale, (count, s)
+
+
+def test_noise_in_the_right_middle_factor_fails_5_4():
+    x = build_bimodule(amplified_interaction(flip_interaction(), 2))
+    assert check_norm_agreement(x, 10)["norm_forms_agree"] <= TOL
+    rng = np.random.default_rng(3)
+    x.mid_h = x.mid_h + 0.1 * rng.standard_normal(x.mid_h.shape)
+    record = _record("5.4", check_norm_agreement(x, 10), TOL)
+    assert record.status == "fail"
+    assert record.details["5.4-norm_forms_agree"] > 1e-3
 
 
 # -- 7.9: redundancy counts are decided at unit scale, not by rounding noise -----

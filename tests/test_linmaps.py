@@ -8,7 +8,6 @@ from starint import (
     LinMap,
     amplify,
     choi_matrix,
-    column_gram,
     compose,
     is_completely_positive,
     map_residual,
@@ -76,16 +75,6 @@ def test_amplify_flip_entrywise():
     # base v replaces both coordinates by the second one, entry by entry
     assert np.allclose(out.mats[0], a.mats[1])
     assert np.allclose(out.mats[1], a.mats[1])
-
-
-def test_column_gram_is_positive():
-    alg = Algebra((2,))
-    rng = np.random.default_rng(4)
-    xs = [alg.random_element(rng) for _ in range(3)]
-    g = column_gram(alg, xs)
-    mat = g.block_diag()
-    vals = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
-    assert vals.min() >= -1e-12
 
 
 def test_range_subspace_of_flip():
