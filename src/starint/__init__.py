@@ -51,7 +51,6 @@ from .basic_construction import (
 )
 from .bimodule import (
     BimoduleX,
-    TensorElt,
     build_bimodule,
     check_action_bound,
     check_associativity,

@@ -55,7 +55,8 @@ def eigen_quotient(gram: np.ndarray, tol: float,
         raise NumericalDegeneracy(vanishes)
     if float(lams.min()) < -tol * top:
         raise NumericalDegeneracy(indefinite)
-    keep = lams > tol * top
+    # the ascending eigenvalues keep their top svd_rank entries
+    keep = np.arange(lams.size) >= lams.size - svd_rank(lams[::-1], tol, TINY)
     dropped = lams[~keep]
     if dropped.size and float(dropped.max()) > 1e-300:
         if float(lams[keep].min()) / float(dropped.max()) < GAP_FACTOR:
@@ -115,7 +116,7 @@ class BasicConstruction:
     def express_in_k(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients in the orthonormal span of each matrix of a (..., m, m)
         stack, plus each one's relative residual."""
-        vecs = mats.reshape(*mats.shape[:-2], -1)
+        vecs = mats.reshape(*mats.shape[:-2], self.m * self.m)
         coeffs = vecs @ self.k_basis.conj().T
         resid = np.linalg.norm(vecs - coeffs @ self.k_basis, axis=-1)
         return coeffs, resid / np.maximum(1.0, np.linalg.norm(vecs, axis=-1))
@@ -127,7 +128,7 @@ class BasicConstruction:
         Least-squares presentation; any exact presentation is acceptable
         since the module actions built on it are presentation-independent.
         """
-        vecs = mats.reshape(*mats.shape[:-2], -1)
+        vecs = mats.reshape(*mats.shape[:-2], self.m * self.m)
         c = vecs @ self.spanning_pinv.T
         resid = np.linalg.norm(c @ self.spanning_matrix.T - vecs, axis=-1)
         dim = self.algebra.dim

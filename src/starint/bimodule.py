@@ -16,7 +16,6 @@ import numpy as np
 
 from .algebra import (
     TINY,
-    Element,
     block_adjoint,
     block_product,
     eigvals_hermitian,
@@ -26,6 +25,7 @@ from .algebra import (
     psd_top,
     row_chunks,
     singular_values,
+    svd_rank,
     worst,
     worst_norm,
 )
@@ -38,40 +38,15 @@ from .basic_construction import (
 from .interactions import Interaction
 
 
-class TensorElt:
-    """A finite combination of elementary tensors, by coefficient vector."""
-
-    __slots__ = ("module", "coeffs")
-
-    def __init__(self, module: "BimoduleX", coeffs: np.ndarray):
-        coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
-        if coeffs.shape != (module.amb,):
-            raise ValueError("coefficient length must be dim(A) squared")
-        self.module = module
-        self.coeffs = coeffs
-
-    def __add__(self, other: "TensorElt") -> "TensorElt":
-        return TensorElt(self.module, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "TensorElt") -> "TensorElt":
-        return TensorElt(self.module, self.coeffs - other.coeffs)
-
-    def __rmul__(self, scalar: complex) -> "TensorElt":
-        return TensorElt(self.module, scalar * self.coeffs)
-
-    def __neg__(self) -> "TensorElt":
-        return TensorElt(self.module, -self.coeffs)
-
-    @property
-    def class_coords(self) -> np.ndarray:
-        return self.module.qx @ self.coeffs
-
-    def norm(self) -> float:
-        return self.module.module_norm(self)
-
-
 class BimoduleX:
-    """Quotient module with both inner products realized by their factors."""
+    """Quotient module with both inner products realized by their factors.
+
+    Tensors are (..., dim²) coefficient stacks: the coefficients of a⊗b are
+    kron(coords(a), coords(b)).  Algebra elements are (..., dim) coordinate
+    stacks.  Every method broadcasts over the leading axes, so one tensor is
+    a stack with no leading axis, and a sweep over samples or
+    representatives is one call.
+    """
 
     def __init__(self, inter: Interaction, bch: BasicConstruction,
                  bcv: BasicConstruction, tol: float):
@@ -126,35 +101,7 @@ class BimoduleX:
         self.liftx = quot.lift
         self.kernel = quot.null.T
 
-    # -- constructors ---------------------------------------------------------
-
-    def simple(self, a: Element, b: Element) -> TensorElt:
-        return TensorElt(self, np.outer(a.coords(), b.coords()).reshape(-1))
-
-    def from_coeffs(self, coeffs: np.ndarray) -> TensorElt:
-        return TensorElt(self, coeffs)
-
-    def zero(self) -> TensorElt:
-        return TensorElt(self, np.zeros(self.amb, dtype=complex))
-
-    def unit_tensor(self) -> TensorElt:
-        one = self.algebra.unit()
-        return self.simple(one, one)
-
-    def representatives(self) -> list[TensorElt]:
-        """Canonical lifts of a quotient basis; sweeping them is exhaustive
-        for any law that is (conjugate-)linear in each slot."""
-        return [TensorElt(self, col) for col in self.liftx.T]
-
-    def random(self, rng: np.random.Generator, scale: float = 1.0) -> TensorElt:
-        raw = rng.standard_normal(self.amb) + 1j * rng.standard_normal(self.amb)
-        return TensorElt(self, scale * raw / np.sqrt(2))
-
     # -- inner products and norms ----------------------------------------------
-    # Each per-element method below is the n = 1 case of a contraction over
-    # stacks of coefficients: the sampled checks run it over all samples at
-    # once, and the quotient tables further down over every pair of
-    # representatives.
 
     @property
     def _factors_r(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -193,55 +140,34 @@ class BimoduleX:
     def _coeff_mats(self, coeffs: np.ndarray) -> np.ndarray:
         return coeffs.reshape(*coeffs.shape[:-1], self.dim, self.dim)
 
-    def _inner_r_coeffs(self, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """inner_r over coefficient stacks (..., dim²) that broadcast
-        together: (..., m_h, m_h)."""
+    def _coeffs(self, mats: np.ndarray) -> np.ndarray:
+        return mats.reshape(*mats.shape[:-2], self.amb)
+
+    def inner_r(self, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """(..., m_h, m_h): the right inner products of two coefficient
+        stacks (..., dim²) that broadcast together."""
         return self._pairing(self._coeff_mats(ss.conj()), self._coeff_mats(ts),
                              self._factors_r)
 
-    def _inner_l_coeffs(self, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """inner_l over coefficient stacks, as ``_inner_r_coeffs``; the left
+    def inner_l(self, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """(..., m_v, m_v): the left inner products, as ``inner_r``; the left
         factors pair the first tensor leg where the right ones pair the second."""
         return self._pairing(self._coeff_mats(ss).swapaxes(-1, -2),
                              self._coeff_mats(ts.conj()).swapaxes(-1, -2),
                              self._factors_l)
 
-    def inner_r(self, s: TensorElt, t: TensorElt) -> np.ndarray:
-        return self._inner_r_coeffs(s.coeffs, t.coeffs)
+    def module_norm(self, ts: np.ndarray) -> np.ndarray:
+        """(...): the norm ∥<t, t>_r∥^½ of each tensor of a coefficient stack."""
+        return np.sqrt(psd_top(self.inner_r(ts, ts)))
 
-    def inner_l(self, s: TensorElt, t: TensorElt) -> np.ndarray:
-        return self._inner_l_coeffs(s.coeffs, t.coeffs)
+    def module_norm_left(self, ts: np.ndarray) -> np.ndarray:
+        """(...): the norm ∥<t, t>_l∥^½ of each tensor of a coefficient stack."""
+        return np.sqrt(psd_top(self.inner_l(ts, ts)))
 
-    def _norms_r(self, ts: np.ndarray) -> np.ndarray:
-        """module_norm over a coefficient stack (..., dim²)."""
-        return np.sqrt(psd_top(self._inner_r_coeffs(ts, ts)))
-
-    def _norms_l(self, ts: np.ndarray) -> np.ndarray:
-        return np.sqrt(psd_top(self._inner_l_coeffs(ts, ts)))
-
-    def module_norm(self, t: TensorElt) -> float:
-        return float(self._norms_r(t.coeffs))
-
-    def module_norm_left(self, t: TensorElt) -> float:
-        return float(self._norms_l(t.coeffs))
-
-    def class_norm(self, t: TensorElt) -> float:
-        """Hilbert-space norm of the class under the trace-state form."""
-        return float(np.linalg.norm(self.qx @ t.coeffs))
-
-    def tensor_of_pairs(self, pairs: list[tuple[Element, Element]]) -> TensorElt:
-        return sum((self.simple(a.star(), b) for a, b in pairs), self.zero())
-
-    def norm_two_ways(self, pairs: list[tuple[Element, Element]]) -> tuple[float, float]:
-        """Closed-form norms of sum a_i*⊗b_i via n-by-n grid calculus: the
-        one-sample case of ``_grid_norms``."""
-        coords = np.array([[a.coords(), b.coords()] for a, b in pairs])
-        n1, n2 = self._grid_norms(*coords.reshape(len(pairs), 2, self.dim).swapaxes(0, 1))
-        return float(n1), float(n2)
-
-    def _grid_norms(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(2, ...): ||H_n[a_i a_j*]^½ · (HV)_n[b_i b_j*]^½|| and
-        ||(VH)_n[a_i a_j*]^½ · V_n[b_i b_j*]^½|| for the pairs of two
+    def norm_two_ways(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(2, ...): the closed-form norms of sum a_i*⊗b_i by grid calculus,
+        ∥H_n[a_i a_j*]^½ · (HV)_n[b_i b_j*]^½∥ and
+        ∥(VH)_n[a_i a_j*]^½ · V_n[b_i b_j*]^½∥, for the pairs of two
         (..., n, dim) coordinate stacks.  A map on n-by-n grids acts cell by
         cell, so the maps are applied to the cells a_i·a_j* and b_i·b_j*, and
         each block size is regrouped into (n·d)-square grids for one batched
@@ -263,20 +189,16 @@ class BimoduleX:
         return norms
 
     # -- module actions ----------------------------------------------------------
-    # The stacked forms take tensors and presentations as (..., dim, dim)
-    # coefficient matrices whose leading axes broadcast together, and return
-    # (..., dim²) coefficients.  For the pair presentation c of k, the
-    # coefficient matrix of t·k is right_factor(t) @ c, that of k·t c @ left_factor(t).
+    # An operator k of a span acts through a pair presentation c, with
+    # k = sum c[p, q] lam(a_p) e lam(a_q), as a (..., dim, dim) stack.  The
+    # coefficient matrix of t·k is right_factor(t) @ c, that of k·t is
+    # c @ left_factor(t).
 
     def _right_factor(self, xs: np.ndarray) -> np.ndarray:
         return np.tensordot(xs, self.F1, axes=2).swapaxes(-1, -2)
 
     def _left_factor(self, xs: np.ndarray) -> np.ndarray:
         return np.tensordot(xs, self.G1, axes=((-2, -1), (1, 2)))
-
-    def _right_act_coeffs(self, xs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        out = self._right_factor(xs) @ coeffs
-        return out.reshape(*out.shape[:-2], self.amb)
 
     def _pair_classes(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
         """(len(lefts), len(rights), r): the class coordinates of the tensors
@@ -290,22 +212,22 @@ class BimoduleX:
         part = np.tensordot(rights, q, axes=(2, 2))                    # [b, l, c, k]
         return np.tensordot(lefts, part, axes=((1, 2), (3, 1)))
 
-    def right_act(self, t: TensorElt, k: np.ndarray | None,
-                  coeff: np.ndarray | None = None) -> TensorElt:
-        """Action of k in the right-hand operator span; k is an m×m matrix.
-
-        A pair presentation ``coeff`` (c with k = sum c[p,q] lam(a_p) e lam(a_q))
-        may be supplied directly; otherwise it is solved by least squares.
-        """
+    def right_act(self, ts: np.ndarray, ks: np.ndarray | None,
+                  coeff: np.ndarray | None = None) -> np.ndarray:
+        """(..., dim²): t·k for a coefficient stack ts and a (..., m_h, m_h)
+        stack ks in the right span, broadcast together.  The presentations
+        ``coeff`` of ks may be supplied; otherwise they are solved by least
+        squares."""
         if coeff is None:
-            coeff = self._presentation(k, "right")
-        return TensorElt(self, self._right_act_coeffs(self._coeff_mats(t.coeffs), coeff))
+            coeff = self._presentation(ks, "right")
+        return self._coeffs(self._right_factor(self._coeff_mats(ts)) @ coeff)
 
-    def left_act(self, k: np.ndarray | None, t: TensorElt,
-                 coeff: np.ndarray | None = None) -> TensorElt:
+    def left_act(self, ks: np.ndarray | None, ts: np.ndarray,
+                 coeff: np.ndarray | None = None) -> np.ndarray:
+        """(..., dim²): k·t for ks in the left span, as ``right_act``."""
         if coeff is None:
-            coeff = self._presentation(k, "left")
-        return TensorElt(self, (coeff @ self._left_factor(self._coeff_mats(t.coeffs))).reshape(-1))
+            coeff = self._presentation(ks, "left")
+        return self._coeffs(coeff @ self._left_factor(self._coeff_mats(ts)))
 
     def _presentation(self, ks: np.ndarray, side: str) -> np.ndarray:
         """Least-squares pair presentations of a (..., m, m) stack in the
@@ -317,39 +239,43 @@ class BimoduleX:
             raise ValueError(f"operator outside the {side} span (residual {top:.3e})")
         return coeff
 
-    def act_a(self, a: Element, t: TensorElt, side: str) -> TensorElt:
-        xm = self._coeff_mats(t.coeffs)
+    def act_a(self, a: np.ndarray, ts: np.ndarray, side: str) -> np.ndarray:
+        """(..., dim²): a·t (side "left") or t·a (side "right") for a
+        (..., dim) coordinate stack a and a coefficient stack ts."""
+        xm = self._coeff_mats(ts)
         if side == "left":
-            out = np.tensordot(a.coords(), self.algebra.left_mult_tensor, axes=1) @ xm
+            out = np.tensordot(a, self.algebra.left_mult_tensor, axes=1) @ xm
         elif side == "right":
-            out = xm @ np.tensordot(a.coords(), self.algebra.right_mult_tensor, axes=1).T
+            out = xm @ np.tensordot(a, self.algebra.right_mult_tensor, axes=1).swapaxes(-1, -2)
         else:
             raise ValueError("side must be 'left' or 'right'")
-        return TensorElt(self, out.reshape(-1))
+        return self._coeffs(out)
 
     # -- ternary product -----------------------------------------------------------
 
-    def ternary(self, x: TensorElt, y: TensorElt, z: TensorElt) -> TensorElt:
-        return self.right_act(x, self.inner_r(y, z))
+    def ternary(self, xs: np.ndarray, ys: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        """(..., dim²): x · <y, z>_r over three coefficient stacks."""
+        return self.right_act(xs, self.inner_r(ys, zs))
 
     def _elementary_factors(self, xs: np.ndarray, ys: np.ndarray,
                             zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The elementary formula over three stacks as matrix products: the
-        coefficient matrix for xs[i], ys[j], zs[k] is lefts[i] @ rights[j, k]."""
-        u1 = np.einsum("nuv,uvyr->nry", xs, self.F1, optimize=True)[..., self.sigma]
-        u2 = np.einsum("nzw,xzws->nxs", zs, self.G1, optimize=True)[:, self.sigma]
-        return u1, ys.conj().swapaxes(1, 2)[:, None] @ u2
+        """The elementary formula over three (..., dim, dim) coefficient
+        matrix stacks as a matrix product: the coefficient matrix for x, y, z
+        is lefts @ rights, lefts from x alone and rights from y and z."""
+        lefts = self._right_factor(xs)[..., self.sigma]
+        rights = ys.conj().swapaxes(-1, -2) @ self._left_factor(zs)[..., self.sigma, :]
+        return lefts, rights
 
-    def ternary_elementary(self, x: TensorElt, y: TensorElt,
-                           z: TensorElt) -> TensorElt:
-        """Trilinear extension of the elementary-tensor formula."""
-        lefts, rights = self._elementary_factors(*(self._coeff_mats(u.coeffs)[None]
-                                                   for u in (x, y, z)))
-        return TensorElt(self, (lefts[0] @ rights[0, 0]).reshape(-1))
+    def ternary_elementary(self, xs: np.ndarray, ys: np.ndarray,
+                           zs: np.ndarray) -> np.ndarray:
+        """(..., dim²): the trilinear extension of the elementary-tensor
+        formula over three coefficient stacks."""
+        lefts, rights = self._elementary_factors(*map(self._coeff_mats, (xs, ys, zs)))
+        return self._coeffs(lefts @ rights)
 
     # -- quotient tables over the representatives, each built on first use ------
     # Class coordinates come last; the checks and the correspondence read
-    # these instead of calling the per-element methods.
+    # these instead of sweeping the methods above over the representatives.
 
     @cached_property
     def rep_mats(self) -> np.ndarray:
@@ -359,12 +285,12 @@ class BimoduleX:
     @cached_property
     def inner_r_t(self) -> np.ndarray:
         """(r, r, m_h, m_h): inner_r over pairs of representatives."""
-        return self._inner_r_coeffs(self.liftx.T[:, None], self.liftx.T)
+        return self.inner_r(self.liftx.T[:, None], self.liftx.T)
 
     @cached_property
     def inner_l_t(self) -> np.ndarray:
         """(r, r, m_v, m_v): inner_l over pairs of representatives."""
-        return self._inner_l_coeffs(self.liftx.T[:, None], self.liftx.T)
+        return self.inner_l(self.liftx.T[:, None], self.liftx.T)
 
     @cached_property
     def right_act_t(self) -> np.ndarray:
@@ -414,18 +340,20 @@ def build_bimodule(inter: Interaction, tol: float | None = None) -> BimoduleX:
 
 
 def _random_stack(x: BimoduleX, rng: np.random.Generator, n: int) -> np.ndarray:
-    """(n, dim²): the coefficients of n successive ``x.random`` draws."""
-    return np.array([x.random(rng).coeffs for _ in range(n)]).reshape(n, x.amb)
+    """(n, dim²): n random tensors, each drawn as dim² standard normal real
+    parts, then dim² imaginary parts, scaled by 1/√2."""
+    raw = rng.standard_normal((n, 2, x.amb))
+    return (raw[:, 0] + 1j * raw[:, 1]) / np.sqrt(2)
 
 
 def check_positivity(x: BimoduleX, samples: int = 20,
                      rng: np.random.Generator | None = None) -> dict[str, float]:
     """Both inner squares are positive operators, sampled plus basis tensors."""
     rng = rng or np.random.default_rng(520)
-    basis = np.array([x.simple(a, x.algebra.basis[0]).coeffs for a in x.algebra.basis])
+    basis = np.kron(np.eye(x.dim), np.eye(x.dim)[0])     # the tensors a_i⊗a_0
     ts = np.concatenate([basis, _random_stack(x, rng, samples)])
-    return {"right_square_psd": worst(psd_defect(x._inner_r_coeffs(ts, ts))),
-            "left_square_psd": worst(psd_defect(x._inner_l_coeffs(ts, ts)))}
+    return {"right_square_psd": worst(psd_defect(x.inner_r(ts, ts))),
+            "left_square_psd": worst(psd_defect(x.inner_l(ts, ts)))}
 
 
 def check_cauchy_schwarz(x: BimoduleX, samples: int = 50,
@@ -435,8 +363,8 @@ def check_cauchy_schwarz(x: BimoduleX, samples: int = 50,
     draws = _random_stack(x, rng, 2 * samples)
     ss, ts = draws[0::2], draws[1::2]
     out = {}
-    for name, inner in (("cauchy_schwarz_right", x._inner_r_coeffs),
-                        ("cauchy_schwarz_left", x._inner_l_coeffs)):
+    for name, inner in (("cauchy_schwarz_right", x.inner_r),
+                        ("cauchy_schwarz_left", x.inner_l)):
         diff = (psd_top(inner(ts, ts))[:, None, None] * inner(ss, ss)
                 - inner(ss, ts) @ inner(ts, ss))
         out[name] = worst(psd_defect(diff))
@@ -454,14 +382,15 @@ def check_norm_agreement(x: BimoduleX, samples: int = 50,
     ts = np.zeros((samples, x.amb), dtype=complex)
     pairs = np.zeros((samples, 3, 2, alg.dim), dtype=complex)
     for s in range(samples):
-        ts[s] = x.random(rng).coeffs
+        ts[s] = _random_stack(x, rng, 1)
         count = int(rng.integers(1, 4))
         pairs[s, :count] = alg.random_coords(rng, 2 * count).reshape(count, 2, alg.dim)
     a, b = pairs[:, :, 0], pairs[:, :, 1]
-    right = x._norms_r(ts)
-    sides = abs(right - x._norms_l(ts)) / np.maximum(1.0, right)
-    n1, n2 = x._grid_norms(a, b)
-    quot = x._norms_r(np.einsum("spu,spv->suv", block_adjoint(alg, a), b).reshape(samples, x.amb))
+    right = x.module_norm(ts)
+    sides = abs(right - x.module_norm_left(ts)) / np.maximum(1.0, right)
+    n1, n2 = x.norm_two_ways(a, b)
+    quot = x.module_norm(np.einsum("spu,spv->suv", block_adjoint(alg, a), b)
+                         .reshape(samples, x.amb))
     scale = np.maximum(1.0, np.max([n1, n2, quot], axis=0))
     forms = np.maximum(abs(n1 - n2), abs(n1 - quot)) / scale
     # inner_l is linear in its first slot, so the left seminorm of t is
@@ -469,7 +398,7 @@ def check_norm_agreement(x: BimoduleX, samples: int = 50,
     kern = np.linalg.norm(x.kernel @ x.gram_l.conj().T, axis=-1)
     lam_l = eigvals_hermitian(x.gram_l)        # gram_l is hermitian: its 2-norm is max |λ|
     kern = kern / np.maximum(1.0, abs(lam_l).max(initial=0.0))
-    rank_l = int((lam_l > x.tol * max(lam_l.max(initial=0.0), TINY)).sum())
+    rank_l = svd_rank(lam_l[::-1], x.tol, TINY)
     return {"norm_forms_agree": worst(forms), "seminorms_agree": worst(sides),
             "kernels_coincide": worst(kern), "rank_mismatch": float(abs(rank_l - x.r))}
 
@@ -504,15 +433,15 @@ def check_bound_59(x: BimoduleX, samples: int = 50, terms: int = 3,
     xis, etas = (np.zeros((samples, x.amb), dtype=complex) for _ in range(2))
     terms_ab = np.zeros((samples, terms, 2, alg.dim), dtype=complex)
     for s in range(samples):
-        xis[s], etas[s] = x.random(rng).coeffs, x.random(rng).coeffs
+        xis[s], etas[s] = _random_stack(x, rng, 2)
         terms_ab[s] = alg.random_coords(rng, 2 * terms).reshape(terms, 2, alg.dim)
     a_star, b = block_adjoint(alg, terms_ab[:, :, 0]), terms_ab[:, :, 1]
     lam_a, lam_b = (np.tensordot(c, bch.lam, axes=1) for c in (a_star, b))
     phis = (lam_a @ bch.e @ lam_b).sum(axis=1)
     pairs = a_star[..., :, None] * b[..., None, :]
-    moved = x._right_act_coeffs(x._coeff_mats(etas)[:, None], pairs).sum(axis=1)
-    lhs = np.linalg.norm(x._inner_r_coeffs(xis, moved), 2, axis=(-2, -1))
-    rhs = x._norms_r(xis) * x._norms_r(etas) * np.linalg.norm(phis, 2, axis=(-2, -1))
+    moved = x.right_act(etas[:, None], None, pairs).sum(axis=1)
+    lhs = np.linalg.norm(x.inner_r(xis, moved), 2, axis=(-2, -1))
+    rhs = x.module_norm(xis) * x.module_norm(etas) * np.linalg.norm(phis, 2, axis=(-2, -1))
     return {"pairing_bound": worst(np.maximum(0.0, lhs - rhs) / np.maximum(1.0, rhs))}
 
 
@@ -521,32 +450,30 @@ def check_action_bound(x: BimoduleX, samples: int = 50,
     """∥t·k∥ ≤ ∥t∥·∥k∥, and the action is presentation-independent."""
     rng = rng or np.random.default_rng(5100)
     m, kb = x.bch.m, x.bch.k_basis
-    ts, ks = [], []
-    for _ in range(samples):
-        ts.append(x.random(rng).coeffs)
+    ts = np.zeros((samples, x.amb), dtype=complex)
+    ks = np.zeros((samples, m, m), dtype=complex)
+    for s in range(samples):
+        ts[s] = _random_stack(x, rng, 1)
         w = rng.standard_normal(kb.shape[0]) + 1j * rng.standard_normal(kb.shape[0])
-        ks.append((kb.T @ w).reshape(m, m))
-    ts, ks = np.array(ts).reshape(samples, x.amb), np.array(ks).reshape(samples, m, m)
-    moved = x._right_act_coeffs(x._coeff_mats(ts), x._presentation(ks, "right"))
-    bound = x._norms_r(ts) * np.linalg.norm(ks, 2, axis=(-2, -1))
-    excess = np.maximum(0.0, x._norms_r(moved) - bound) / np.maximum(1.0, bound)
+        ks[s] = (kb.T @ w).reshape(m, m)
+    bound = x.module_norm(ts) * np.linalg.norm(ks, 2, axis=(-2, -1))
+    excess = np.maximum(0.0, x.module_norm(x.right_act(ts, ks)) - bound) / np.maximum(1.0, bound)
     # add z - P·S·z, an isotropic null combination, to a presentation: the class must not move
     span, pinv = x.bch.spanning_matrix, x.bch.spanning_pinv
     moves = np.zeros(0)
     if len(kb) < span.shape[1]:
-        ts, coeffs, perturbed = [], [], []
-        for _ in range(min(samples, 10)):
-            ts.append(x.random(rng).coeffs)
+        n = min(samples, 10)
+        ts = np.zeros((n, x.amb), dtype=complex)
+        coeffs = np.zeros((2, n, x.dim, x.dim), dtype=complex)   # presented, perturbed
+        for s in range(n):
+            ts[s] = _random_stack(x, rng, 1)
             k = (kb.T @ (rng.standard_normal(kb.shape[0]))).reshape(m, m)
-            coeff, _ = x.bch.express_in_spanning(k)
+            coeffs[0, s], _ = x.bch.express_in_spanning(k)
             z = rng.standard_normal(span.shape[1]) + 1j * rng.standard_normal(span.shape[1])
-            coeffs.append(coeff)
-            perturbed.append(coeff + (z - pinv @ (span @ z)).reshape(x.dim, x.dim))
-        tm = x._coeff_mats(np.array(ts))
-        d = (x._right_act_coeffs(tm, np.array(coeffs))
-             - x._right_act_coeffs(tm, np.array(perturbed)))
+            coeffs[1, s] = coeffs[0, s] + (z - pinv @ (span @ z)).reshape(x.dim, x.dim)
+        d = np.subtract(*x.right_act(ts, None, coeffs))
         moves = (np.linalg.norm(d @ x.qx.T, axis=-1)
-                 / np.maximum(1.0, np.linalg.norm(np.array(ts) @ x.qx.T, axis=-1)))
+                 / np.maximum(1.0, np.linalg.norm(ts @ x.qx.T, axis=-1)))
     return {"action_bound": worst(excess), "presentation_independent": worst(moves)}
 
 
@@ -614,7 +541,7 @@ def check_ternary_consistency(x: BimoduleX) -> dict[str, float]:
     """The elementary ternary formula agrees with evaluation through the
     right inner product, on a quotient basis sweep."""
     reps = x.rep_mats
-    lefts, rights = x._elementary_factors(reps, reps, reps)
+    lefts, rights = x._elementary_factors(reps, reps[:, None], reps)
     elementary = x._pair_classes(lefts, rights.reshape(-1, x.dim, x.dim))
     return {"ternary_two_routes": worst_norm(elementary.reshape(x.bracket_t.shape) - x.bracket_t)}
 

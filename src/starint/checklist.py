@@ -62,7 +62,6 @@ from .linmaps import (
     LinMap,
     complete_contractivity_residual,
     is_completely_positive,
-    range_subspace,
 )
 
 CANONICAL_IDS: tuple[str, ...] = (
@@ -196,10 +195,7 @@ def verify_stage_records(v: LinMap, h: LinMap, tol: float, samples: int,
         records["2.6"] = _skip("2.6", why)
         records["2.7"] = _skip("2.7", why)
         return None, records
-    inter = Interaction(algebra=v.algebra, v=v, h=h, tol=tol,
-                        range_v=range_subspace(v, tol),
-                        range_h=range_subspace(h, tol),
-                        report=report)
+    inter = Interaction.from_report(v, h, report)
     try:
         details = {}
         for name, exp in (("v", inter.e_v), ("h", inter.e_h)):

@@ -79,8 +79,11 @@ def _environment(spec: ProblemSpec, command: str, tol: float, seed: int,
 
 def _write(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise SpecError(f"cannot write {out}: {err.strerror or err}") from err
     else:
         sys.stdout.write(text)
 
@@ -115,6 +118,9 @@ def cmd_verify(spec: ProblemSpec, args: argparse.Namespace) -> int:
 
 
 def _interaction_for_build(spec: ProblemSpec, tol: float) -> Interaction:
+    if spec.mode == "partial_isometry":          # verified once, while derived
+        return derive_from_partial_isometry(spec.algebra, spec.a_embed, spec.s,
+                                            tol).interaction
     v, h, _, _, _ = _resolve(spec, tol, 1)
     return Interaction.build(v, h, tol)
 
@@ -192,8 +198,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         spec = load_spec(args.spec)
-        if getattr(args, "amplify", 1) < 1:
-            raise SpecError("--amplify must be at least 1")
+        for flag, least in (("amplify", 1), ("samples", 0), ("seed", 0)):
+            if getattr(args, flag, least) < least:
+                raise SpecError(f"--{flag} must be at least {least}")
         return args.func(spec, args)
     except SpecError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -102,7 +102,7 @@ class GenCorrespondence:
         coords = np.asarray(coords, dtype=complex)
         if self.mode == "concrete":
             return block_norms(self.tro.ambient, coords @ self.tro.basis)
-        return self.x._norms_r(coords @ self.x.liftx.T)
+        return self.x.module_norm(coords @ self.x.liftx.T)
 
     @cached_property
     def laws(self) -> dict[str, float]:
@@ -345,16 +345,14 @@ def check_713(alpha: LinMap, transfer: LinMap, inter: Interaction,
     right, left = (np.einsum("bcs,as->abc", acts, one_class) for acts in (x.rho_t, x.lam_t))
     phis = tensor_one(eye)                                               # a⊗1
     squares = block_product(alg, block_adjoint(alg, eye), eye) @ transfer.matrix.T
-    isometry = abs(x._norms_r(phis) - np.sqrt(block_norms(alg, squares)))
+    isometry = abs(x.module_norm(phis) - np.sqrt(block_norms(alg, squares)))
 
     # u·alpha(transfer(v*·w))⊗1 against the bracket of u⊗1, v⊗1, w⊗1
     draws = alg.random_coords(np.random.default_rng(713), 24).reshape(8, 3, alg.dim)
     u, v, w = draws.swapaxes(0, 1)                # triple t is draws 3t, 3t+1, 3t+2
     lhs = block_product(alg, u, block_product(alg, block_adjoint(alg, v), w)
                         @ transfer.matrix.T @ alpha.matrix.T) @ one_class
-    inner = x._inner_r_coeffs(tensor_one(v), tensor_one(w))
-    rhs = x._right_act_coeffs(x._coeff_mats(tensor_one(u)),
-                              x._presentation(inner, "right")) @ x.qx.T
+    rhs = x.ternary(tensor_one(u), tensor_one(v), tensor_one(w)) @ x.qx.T
     return {
         "density": worst_norm(simple - moved),
         "isometry": worst(isometry),

@@ -53,6 +53,7 @@ class InteractionReport:
     tol: float
     residuals: dict[str, float]
     witnesses: dict[str, dict] = field(default_factory=dict)
+    ranges: tuple[Subspace, Subspace] | None = None   # of V and H; None if not finite
 
     @property
     def passed(self) -> bool:
@@ -125,16 +126,17 @@ def verify_interaction(v: LinMap, h: LinMap, tol: float = DEFAULT_TOL,
     residuals["2.4.i"] = residuals["3.1.ii"]
     residuals["2.4.ii"] = residuals["3.1.iii"]
 
+    ranges = None
     if np.isfinite(v.matrix).all() and np.isfinite(h.matrix).all():
-        range_v = range_subspace(v, tol)
-        range_h = range_subspace(h, tol)
+        ranges = range_v, range_h = range_subspace(v, tol), range_subspace(h, tol)
         residuals["3.1.iv"], witnesses["3.1.iv"] = _multiplicativity_scan(v, range_h, tol)
         residuals["3.1.v"], witnesses["3.1.v"] = _multiplicativity_scan(h, range_v, tol)
     else:
         # the range of a non-finite map is undefined, so both scans fail
         for cid in ("3.1.iv", "3.1.v"):
             residuals[cid], witnesses[cid] = float("nan"), {}
-    return InteractionReport(tol=tol, residuals=residuals, witnesses=witnesses)
+    return InteractionReport(tol=tol, residuals=residuals, witnesses=witnesses,
+                             ranges=ranges)
 
 
 @dataclass(frozen=True)
@@ -150,17 +152,21 @@ class Interaction:
     report: InteractionReport
 
     @classmethod
-    def build(cls, v: LinMap, h: LinMap, tol: float = DEFAULT_TOL,
-              samples: int = 25,
-              rng: np.random.Generator | None = None) -> "Interaction":
-        report = verify_interaction(v, h, tol, samples, rng)
+    def from_report(cls, v: LinMap, h: LinMap, report: InteractionReport) -> "Interaction":
+        """The pair that ``report`` verified, with the ranges it found; a
+        failing report is refused."""
         if not report.passed:
             raise InteractionError(
                 f"pair rejected; failing checks: {report.failing()}", report)
-        return cls(algebra=v.algebra, v=v, h=h, tol=tol,
-                   range_v=range_subspace(v, tol),
-                   range_h=range_subspace(h, tol),
-                   report=report)
+        range_v, range_h = report.ranges
+        return cls(algebra=v.algebra, v=v, h=h, tol=report.tol,
+                   range_v=range_v, range_h=range_h, report=report)
+
+    @classmethod
+    def build(cls, v: LinMap, h: LinMap, tol: float = DEFAULT_TOL,
+              samples: int = 25,
+              rng: np.random.Generator | None = None) -> "Interaction":
+        return cls.from_report(v, h, verify_interaction(v, h, tol, samples, rng))
 
     @cached_property
     def e_v(self) -> "CondExp":
@@ -382,8 +388,7 @@ def derive_from_partial_isometry(a_algebra: Algebra,
                                                            sc, side)
         if min(gates.values()) <= tol:
             continue
-        inter = Interaction.build(v, h, tol, samples, rng)
-        return DeriveResult(interaction=inter, gauge=gauge,
+        return DeriveResult(interaction=Interaction.from_report(v, h, report), gauge=gauge,
                             residuals=residuals, gates=gates)
     raise InteractionError("no gauge of the compressed pair verifies", last_report)
 

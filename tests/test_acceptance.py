@@ -83,10 +83,11 @@ def test_criterion_2_norm_formulas_agree():
         x = build_bimodule(inter)
         rng = np.random.default_rng(42)
         for _ in range(200):
-            pairs = [(inter.algebra.random_element(rng),
-                      inter.algebra.random_element(rng)) for _ in range(2)]
-            nr, nl = x.norm_two_ways(pairs)
-            ng = x.module_norm(x.tensor_of_pairs(pairs))
+            pairs = inter.algebra.random_coords(rng, 4).reshape(2, 2, -1)
+            a, b = pairs[:, 0], pairs[:, 1]
+            nr, nl = x.norm_two_ways(a, b)
+            ng = x.module_norm(sum(np.kron(inter.algebra.from_coords(ai).star().coords(), bi)
+                                   for ai, bi in zip(a, b)))
             scale = max(nr, nl, ng, 1e-30)
             worst = max(worst, abs(nr - nl) / scale, abs(nr - ng) / scale,
                         abs(nl - ng) / scale)

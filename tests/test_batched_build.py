@@ -80,9 +80,10 @@ def old_covrep(inter, x):
         pi[i, :r, :r] = x.qx @ left @ x.liftx
         pi[i, r:, r:] = kb.conj() @ np.kron(x.bch.lam[i], np.eye(m)) @ kb.T
     smat = np.zeros((r + s, r + s), dtype=complex)
+    one = alg.unit().coords()
     for b in range(s):
-        image = x.right_act(x.unit_tensor(), kb[b].reshape(m, m))
-        smat[:r, r + b] = np.sqrt(m) * (x.qx @ image.coeffs)
+        image = x.right_act(np.kron(one, one), kb[b].reshape(m, m))
+        smat[:r, r + b] = np.sqrt(m) * (x.qx @ image)
     return pi, smat
 
 
@@ -205,7 +206,7 @@ def old_check_commutation(corr):
 def old_norm(corr, coords):
     if corr.mode == "concrete":
         return corr.tro.ambient.from_coords(corr.tro.basis.T @ coords).norm()
-    return corr.x.module_norm(corr.x.from_coeffs(corr.x.liftx @ coords))
+    return corr.x.module_norm(corr.x.liftx @ coords)
 
 
 def old_cube(corr):
@@ -220,26 +221,28 @@ def old_cube(corr):
 def old_check_713(alpha, transfer, x):
     alg = x.algebra
     one = alg.unit()
+
+    def simple(a, b):
+        return np.kron(a.coords(), b.coords())
+
     density = isometry = right_lin = left_lin = ternary = 0.0
     for a in alg.basis:
-        phi_a = x.simple(a, one)
+        phi_a = simple(a, one)
         isometry = max(isometry, abs(
             x.module_norm(phi_a) - np.sqrt(transfer(a.star() * a).norm())))
         for b in alg.basis:
-            moved = x.simple(a * alpha(b), one).class_coords
-            density = max(density, float(np.linalg.norm(
-                x.simple(a, b).class_coords - moved)))
+            moved = x.qx @ simple(a * alpha(b), one)
+            density = max(density, float(np.linalg.norm(x.qx @ simple(a, b) - moved)))
             right_lin = max(right_lin, float(np.linalg.norm(
-                moved - x.act_a(b, phi_a, side="right").class_coords)))
+                moved - x.qx @ x.act_a(b.coords(), phi_a, side="right"))))
             left_lin = max(left_lin, float(np.linalg.norm(
-                x.simple(b * a, one).class_coords
-                - x.act_a(b, phi_a, side="left").class_coords)))
+                x.qx @ (simple(b * a, one) - x.act_a(b.coords(), phi_a, side="left")))))
     rng = np.random.default_rng(713)
     for _ in range(8):
         u, v, w = (alg.random_element(rng) for _ in range(3))
-        lhs = x.simple(u * alpha(transfer(v.star() * w)), one)
-        rhs = x.ternary(x.simple(u, one), x.simple(v, one), x.simple(w, one))
-        ternary = max(ternary, float(np.linalg.norm(lhs.class_coords - rhs.class_coords)))
+        lhs = simple(u * alpha(transfer(v.star() * w)), one)
+        rhs = x.ternary(simple(u, one), simple(v, one), simple(w, one))
+        ternary = max(ternary, float(np.linalg.norm(x.qx @ (lhs - rhs))))
     return {"density": density, "isometry": isometry, "module_map_right": right_lin,
             "module_map_left": left_lin, "ternary": ternary}
 

@@ -160,12 +160,14 @@ def old_sliding(x):
     for c in x.inter.range_v.elements():
         for a in alg.basis:
             for b in alg.basis:
-                d = x.simple(a * c, b).coeffs - x.simple(a, h(c) * b).coeffs
+                d = (np.kron((a * c).coords(), b.coords())
+                     - np.kron(a.coords(), (h(c) * b).coords()))
                 worst_v = max(worst_v, float(np.linalg.norm(x.qx @ d)))
     for c in x.inter.range_h.elements():
         for a in alg.basis:
             for b in alg.basis:
-                d = x.simple(a, c * b).coeffs - x.simple(a * v(c), b).coeffs
+                d = (np.kron(a.coords(), (c * b).coords())
+                     - np.kron((a * v(c)).coords(), b.coords()))
                 worst_h = max(worst_h, float(np.linalg.norm(x.qx @ d)))
     return {"slide_range_v": worst_v, "slide_range_h": worst_h}
 

@@ -49,10 +49,7 @@ def test_flip_rank_and_norm():
     x = build_bimodule(flip_interaction())
     assert x.r == 1
     assert np.allclose(x.gram_spectrum, [1.0])
-    alg = x.algebra
-    a = alg.from_coords([3.0, 5.0])
-    b = alg.from_coords([2.0, 7.0])
-    t = x.simple(a, b)
+    t = np.kron([3.0, 5.0], [2.0, 7.0])
     # only the (first-coordinate of a) × (second-coordinate of b) survives
     assert x.module_norm(t) == pytest.approx(21.0)
     assert x.module_norm_left(t) == pytest.approx(21.0)
@@ -60,11 +57,12 @@ def test_flip_rank_and_norm():
 
 def test_flip_dead_class_vanishes():
     x = build_bimodule(flip_interaction())
-    alg = x.algebra
-    dead = x.simple(alg.from_coords([0.0, 9.0]), alg.from_coords([2.0, 7.0]))
+    dead = np.kron([0.0, 9.0], [2.0, 7.0])
     assert x.module_norm(dead) == 0.0
-    also_dead = x.simple(alg.from_coords([4.0, 9.0]), alg.from_coords([2.0, 0.0]))
+    also_dead = np.kron([4.0, 9.0], [2.0, 0.0])
     assert x.module_norm(also_dead) == 0.0
+    # a stack of tensors is one call, its norms those of the tensors
+    assert np.array_equal(x.module_norm(np.stack([dead, also_dead])), [0.0, 0.0])
 
 
 def test_identity_m2_inner_is_compressed_product():
@@ -76,7 +74,7 @@ def test_identity_m2_inner_is_compressed_product():
     for _ in range(5):
         u = inter.algebra.random_element(rng)
         v = inter.algebra.random_element(rng)
-        ip = x.inner_r(x.simple(one, u), x.simple(one, v))
+        ip = x.inner_r(np.kron(one.coords(), u.coords()), np.kron(one.coords(), v.coords()))
         assert np.abs(ip - x.bch.lam_of(u.star() * v)).max() < 1e-12
 
 
@@ -84,17 +82,14 @@ def test_norm_two_ways_agree_on_sums():
     inter = identity_interaction(Algebra((2,)))
     x = build_bimodule(inter)
     rng = np.random.default_rng(13)
-    pairs = [(inter.algebra.random_element(rng), inter.algebra.random_element(rng))
-             for _ in range(3)]
-    nr, nl = x.norm_two_ways(pairs)
+    pairs = inter.algebra.random_coords(rng, 6).reshape(3, 2, -1)
+    nr, nl = x.norm_two_ways(pairs[:, 0], pairs[:, 1])
     assert nr == pytest.approx(nl, rel=1e-8)
 
 
 def test_inner_products_match_gram():
     x = build_bimodule(flip_interaction())
-    a = x.algebra.from_coords([3.0, 5.0])
-    b = x.algebra.from_coords([2.0, 7.0])
-    t = x.simple(a, b)
+    t = np.kron([3.0, 5.0], [2.0, 7.0])
     assert np.allclose(x.inner_r(t, t), [[441.0]])
     assert np.allclose(x.inner_l(t, t), [[441.0]])
 
@@ -102,13 +97,18 @@ def test_inner_products_match_gram():
 def test_action_shapes():
     x = build_bimodule(flip_interaction())
     alg = x.algebra
-    t = x.simple(alg.from_coords([3.0, 5.0]), alg.from_coords([2.0, 7.0]))
+    t = np.kron([3.0, 5.0], [2.0, 7.0])
     k = x.bch.lam_of(alg.from_coords([1.0, 2.0]))
     moved = x.right_act(t, k)
+    assert moved.shape == (x.amb,)
     # right action rescales the surviving class by the compressed factor
     assert x.module_norm(moved) == pytest.approx(42.0)
-    scaled = x.act_a(alg.from_coords([2.0, 1.0]), t, side="left")
+    scaled = x.act_a(np.array([2.0, 1.0]), t, side="left")
     assert x.module_norm(scaled) == pytest.approx(42.0)
+    # stacks of tensors and operators broadcast together
+    stacked = x.right_act(np.stack([t, 2 * t]), np.stack([k, k]))
+    assert stacked.shape == (2, x.amb)
+    assert np.allclose(x.module_norm(stacked), [42.0, 84.0])
 
 
 @pytest.mark.parametrize("idx", range(3))
@@ -126,7 +126,7 @@ def test_all_checks_tiny(idx):
 
 def test_representatives_span_the_quotient():
     x = build_bimodule(identity_interaction(Algebra((2,))))
-    reps = x.representatives()
-    assert len(reps) == x.r
+    assert x.rep_mats.shape == (x.r, x.dim, x.dim)
+    assert np.array_equal(x.rep_mats.reshape(x.r, x.amb), x.liftx.T)
     mat = np.stack([x.qx @ x.liftx[:, k] for k in range(x.r)], axis=1)
     assert np.allclose(mat, np.eye(x.r))

@@ -1,5 +1,5 @@
-"""The module's quotient tables against the per-element methods, and the
-batched checks 5.11-5.17 against broken tables."""
+"""The module's quotient tables against its methods called on one-element
+stacks, and the batched checks 5.11-5.17 against broken tables."""
 
 import math
 
@@ -52,7 +52,7 @@ def test_unitary_is_unitary():
 
 def test_inner_tables_match_inner_products(module):
     x = module
-    reps = x.representatives()
+    reps = x.liftx.T
     for j, k in [(0, 0), (0, x.r - 1), (x.r - 1, 1 % x.r)]:
         assert np.abs(x.inner_r_t[j, k] - x.inner_r(reps[j], reps[k])).max() < 1e-12
         assert np.abs(x.inner_l_t[j, k] - x.inner_l(reps[j], reps[k])).max() < 1e-12
@@ -60,50 +60,65 @@ def test_inner_tables_match_inner_products(module):
 
 def test_action_tables_match_actions(module):
     x = module
-    reps = x.representatives()
+    reps = x.liftx.T
     rng = np.random.default_rng(3)
     kh = (x.bch.k_basis.T @ rng.standard_normal(x.bch.k_basis.shape[0]))
     kv = (x.bcv.k_basis.T @ rng.standard_normal(x.bcv.k_basis.shape[0]))
     for i in (0, x.r - 1):
         moved = x.right_act(reps[i], kh.reshape(x.bch.m, x.bch.m))
-        assert np.abs(x.right_act_t[i].T @ kh - x.qx @ moved.coeffs).max() < 1e-12
+        assert np.abs(x.right_act_t[i].T @ kh - x.qx @ moved).max() < 1e-12
         moved = x.left_act(kv.reshape(x.bcv.m, x.bcv.m), reps[i])
-        assert np.abs(x.left_act_t[i].T @ kv - x.qx @ moved.coeffs).max() < 1e-12
+        assert np.abs(x.left_act_t[i].T @ kv - x.qx @ moved).max() < 1e-12
     alg = x.algebra
     for a in (0, alg.dim - 1):
         for side, table in (("left", x.lam_t), ("right", x.rho_t)):
-            moved = x.act_a(alg.basis[a], reps[-1], side)
-            assert np.abs(table[a][:, -1] - x.qx @ moved.coeffs).max() < 1e-12
+            moved = x.act_a(alg.basis[a].coords(), reps[-1], side)
+            assert np.abs(table[a][:, -1] - x.qx @ moved).max() < 1e-12
 
 
 def test_bracket_matches_both_ternary_routes(module):
     x = module
-    reps = x.representatives()
+    reps = x.liftx.T
     last = x.r - 1
     for i, j, k in [(0, 0, 0), (last, 0, last), (0, last, 1 % x.r)]:
-        via_inner = x.qx @ x.ternary(reps[i], reps[j], reps[k]).coeffs
-        elementary = x.qx @ x.ternary_elementary(reps[i], reps[j], reps[k]).coeffs
+        via_inner = x.qx @ x.ternary(reps[i], reps[j], reps[k])
+        elementary = x.qx @ x.ternary_elementary(reps[i], reps[j], reps[k])
         assert np.abs(x.bracket_t[i, j, k] - via_inner).max() < 1e-12
         assert np.abs(x.bracket_t[i, j, k] - elementary).max() < 1e-12
+
+
+def test_stacked_methods_reproduce_the_whole_tables(module):
+    # one call over every pair or triple of representatives, by broadcasting
+    x = module
+    reps = x.liftx.T
+    assert np.abs(x.inner_r(reps[:, None], reps) - x.inner_r_t).max() < 1e-12
+    assert np.abs(x.inner_l(reps[:, None], reps) - x.inner_l_t).max() < 1e-12
+    for route in (x.ternary, x.ternary_elementary):
+        classes = route(reps[:, None, None], reps[:, None], reps) @ x.qx.T
+        assert np.abs(classes - x.bracket_t).max() < 1e-12, route.__name__
+    eye = np.eye(x.dim)
+    for side, table in (("left", x.lam_t), ("right", x.rho_t)):
+        moved = x.act_a(eye[:, None], reps, side) @ x.qx.T      # [a, t, c]
+        assert np.abs(moved.swapaxes(1, 2) - table).max() < 1e-12, side
 
 
 def test_slot_adjoint_defects_match_ternary_differences(module):
     from starint.bimodule import slot_adjoint_slices
 
     x = module
-    reps = x.representatives()
+    reps = x.liftx.T
     s, t, u = reps[0], reps[-1], reps[min(1, x.r - 1)]
     ijk = (0, x.r - 1, min(1, x.r - 1))
     for ai in (0, x.algebra.dim - 1):
         mid, outer = slot_adjoint_slices(x.bracket_t, x.lam_t, x.rho_t, x.sigma,
                                          slice(ai, ai + 1))
-        a = x.algebra.basis[ai]
+        a, a_star = x.algebra.basis[ai].coords(), x.algebra.basis[ai].star().coords()
         lhs = x.ternary(s, x.act_a(a, t, "left"), u)
-        rhs = x.ternary(s, t, x.act_a(a.star(), u, "left"))
-        assert np.abs(mid[(0, *ijk)] - x.qx @ (lhs - rhs).coeffs).max() < 1e-12
+        rhs = x.ternary(s, t, x.act_a(a_star, u, "left"))
+        assert np.abs(mid[(0, *ijk)] - x.qx @ (lhs - rhs)).max() < 1e-12
         lhs = x.ternary(s, x.act_a(a, t, "right"), u)
-        rhs = x.ternary(x.act_a(a.star(), s, "right"), t, u)
-        assert np.abs(outer[(0, *ijk)] - x.qx @ (lhs - rhs).coeffs).max() < 1e-12
+        rhs = x.ternary(x.act_a(a_star, s, "right"), t, u)
+        assert np.abs(outer[(0, *ijk)] - x.qx @ (lhs - rhs)).max() < 1e-12
 
 
 def test_batched_checks_pass_on_good_modules(module):

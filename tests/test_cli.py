@@ -1,9 +1,12 @@
 """Command-line entry point: exit codes, report payloads, determinism."""
 
 import json
+import sys
 
 import pytest
 
+from starint import interactions, linmaps
+from starint.checklist import CANONICAL_IDS
 from starint.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 
 DATA = "tests/data"
@@ -160,3 +163,61 @@ def test_non_finite_or_non_positive_tolerance_is_usage_error(capsys, monkeypatch
     argv = ["verify", FLIP] + (["--tol", flag] if flag is not None else [])
     code, _, err = run(capsys, *argv)
     assert code == EXIT_USAGE, err
+
+
+@pytest.mark.parametrize("argv", [["fuzz", FLIP, "--seed", "-1"],
+                                  ["fuzz", FLIP, "--samples", "-3"],
+                                  ["build", FLIP, "--out", "{missing}/x.json"]],
+                         ids=["negative-seed", "negative-samples", "unwritable-out"])
+def test_bad_option_is_usage_error(capsys, tmp_path, argv):
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE, err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
+def test_build_with_zero_samples(capsys, tmp_path):
+    with open(FLIP) as fh:
+        spec = json.load(fh)
+    spec["samples"] = 0
+    path = tmp_path / "flip_no_samples.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "build", str(path))
+    assert code == EXIT_PASS, err
+    report = json.loads(out)
+    assert report["environment"]["samples"] == 0
+    assert sorted(report["checks"]) == sorted(CANONICAL_IDS)
+
+
+def counted(monkeypatch, module, name):
+    """A list that gains one entry per call of ``module.name``, from every
+    starint module that binds the function."""
+    original, calls = getattr(module, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("starint") \
+                and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+def test_each_pair_is_verified_once(capsys, monkeypatch):
+    verified = counted(monkeypatch, interactions, "verify_interaction")
+    ranges = counted(monkeypatch, linmaps, "range_subspace")
+    # once while deriving the pair, once with the report's own seeded samples
+    assert run(capsys, "build", f"{DATA}/flip_isometry.json")[0] == EXIT_PASS
+    assert len(verified) == 2
+    verified.clear()
+    # the emitted module is built on the derived pair
+    assert run(capsys, "build", f"{DATA}/flip_isometry.json", "--emit", "bimodule")[0] \
+        == EXIT_PASS
+    assert len(verified) == 1
+    ranges.clear()
+    # the ranges of V and H, then the range of each expectation
+    assert run(capsys, "verify", FLIP)[0] == EXIT_PASS
+    assert len(ranges) == 4

@@ -78,6 +78,12 @@ def dense_forms(x):
             lf.reshape(x.amb, x.amb, x.bcv.m, x.bcv.m))
 
 
+def draw(x, rng):
+    """One random tensor, drawn as the sampled checks draw each of theirs."""
+    raw = rng.standard_normal(x.amb) + 1j * rng.standard_normal(x.amb)
+    return raw / np.sqrt(2)
+
+
 def hermitian_trace(form: np.ndarray) -> np.ndarray:
     gram = np.einsum("uvaa->uv", form) / form.shape[-1]
     return (gram + gram.conj().T) / 2
@@ -88,9 +94,9 @@ def test_factored_forms_match_the_dense_oracle(module):
     rf, lf = dense_forms(x)
     rng = np.random.default_rng(4)
     for _ in range(3):
-        s, t = x.random(rng), x.random(rng)
-        want_r = np.einsum("u,v,uvab->ab", s.coeffs.conj(), t.coeffs, rf)
-        want_l = np.einsum("u,v,uvab->ab", s.coeffs, t.coeffs.conj(), lf)
+        s, t = draw(x, rng), draw(x, rng)
+        want_r = np.einsum("u,v,uvab->ab", s.conj(), t, rf)
+        want_l = np.einsum("u,v,uvab->ab", s, t.conj(), lf)
         assert np.abs(x.inner_r(s, t) - want_r).max() < 1e-12
         assert np.abs(x.inner_l(s, t) - want_l).max() < 1e-12
     assert np.abs(x.gram_r - hermitian_trace(rf)).max() < 1e-12
@@ -129,8 +135,9 @@ def _psd_defect(mat):
 
 
 def loop_positivity(x, samples, rng):
-    pool = [x.simple(a, b) for a in x.algebra.basis for b in x.algebra.basis[:1]]
-    pool += [x.random(rng) for _ in range(samples)]
+    pool = [np.kron(a.coords(), b.coords())
+            for a in x.algebra.basis for b in x.algebra.basis[:1]]
+    pool += [draw(x, rng) for _ in range(samples)]
     return {"right_square_psd": max(_psd_defect(x.inner_r(t, t)) for t in pool),
             "left_square_psd": max(_psd_defect(x.inner_l(t, t)) for t in pool)}
 
@@ -138,7 +145,7 @@ def loop_positivity(x, samples, rng):
 def loop_cauchy_schwarz(x, samples, rng):
     worst_r = worst_l = 0.0
     for _ in range(samples):
-        s, t = x.random(rng), x.random(rng)
+        s, t = draw(x, rng), draw(x, rng)
         diff = _psd_norm(x.inner_r(t, t)) * x.inner_r(s, s) - x.inner_r(s, t) @ x.inner_r(t, s)
         worst_r = max(worst_r, _psd_defect(diff))
         diff = _psd_norm(x.inner_l(t, t)) * x.inner_l(s, s) - x.inner_l(s, t) @ x.inner_l(t, s)
@@ -172,14 +179,14 @@ def amplified_norm_two_ways(x, pairs):
 def loop_norm_agreement(x, samples, rng):
     worst_forms = worst_sides = 0.0
     for _ in range(samples):
-        t = x.random(rng)
+        t = draw(x, rng)
         worst_sides = max(worst_sides, abs(x.module_norm(t) - x.module_norm_left(t))
                           / max(1.0, x.module_norm(t)))
         count = int(rng.integers(1, 4))
         pairs = [(x.algebra.random_element(rng), x.algebra.random_element(rng))
                  for _ in range(count)]
         n1, n2 = amplified_norm_two_ways(x, pairs)
-        quot = x.module_norm(x.tensor_of_pairs(pairs))
+        quot = x.module_norm(sum(np.kron(a.star().coords(), b.coords()) for a, b in pairs))
         scale = max(1.0, n1, n2, quot)
         worst_forms = max(worst_forms, abs(n1 - n2) / scale, abs(n1 - quot) / scale)
     return {"norm_forms_agree": worst_forms, "seminorms_agree": worst_sides}
@@ -188,16 +195,16 @@ def loop_norm_agreement(x, samples, rng):
 def loop_bound_59(x, samples, rng, terms=3):
     worst = 0.0
     for _ in range(samples):
-        xi, eta = x.random(rng), x.random(rng)
+        xi, eta = draw(x, rng), draw(x, rng)
         phi = np.zeros((x.bch.m, x.bch.m), dtype=complex)
-        moved = x.zero()
+        moved = np.zeros(x.amb, dtype=complex)
         for _ in range(terms):
             a_star = x.algebra.random_element(rng).star()
             b = x.algebra.random_element(rng)
             phi += x.bch.lam_of(a_star) @ x.bch.e @ x.bch.lam_of(b)
             moved = moved + x.right_act(eta, None, coeff=np.outer(a_star.coords(), b.coords()))
         lhs = float(np.linalg.norm(x.inner_r(xi, moved), 2))
-        rhs = xi.norm() * eta.norm() * float(np.linalg.norm(phi, 2))
+        rhs = x.module_norm(xi) * x.module_norm(eta) * float(np.linalg.norm(phi, 2))
         worst = max(worst, max(0.0, lhs - rhs) / max(1.0, rhs))
     return {"pairing_bound": worst}
 
@@ -206,26 +213,26 @@ def loop_action_bound(x, samples, rng):
     worst_bound = 0.0
     kb = x.bch.k_basis
     for _ in range(samples):
-        t = x.random(rng)
+        t = draw(x, rng)
         w = rng.standard_normal(kb.shape[0]) + 1j * rng.standard_normal(kb.shape[0])
         k = (kb.T @ w).reshape(x.bch.m, x.bch.m)
-        bound = t.norm() * float(np.linalg.norm(k, 2))
-        worst_bound = max(worst_bound,
-                          max(0.0, x.right_act(t, k).norm() - bound) / max(1.0, bound))
+        bound = x.module_norm(t) * float(np.linalg.norm(k, 2))
+        worst_bound = max(worst_bound, max(0.0, x.module_norm(x.right_act(t, k)) - bound)
+                          / max(1.0, bound))
     _, s, vh = np.linalg.svd(x.bch.spanning_matrix)
     null = vh[int((s > x.tol * max(s[0], 1e-300)).sum()):]
     worst_pres = 0.0
     if null.shape[0]:
         for _ in range(min(samples, 10)):
-            t = x.random(rng)
+            t = draw(x, rng)
             k = (kb.T @ (rng.standard_normal(kb.shape[0]))).reshape(x.bch.m, x.bch.m)
             coeff, _ = x.bch.express_in_spanning(k)
             # an isotropic draw on dim² coordinates, projected onto the null space
             z = rng.standard_normal(x.dim ** 2) + 1j * rng.standard_normal(x.dim ** 2)
             perturbed = coeff + (null.conj().T @ (null @ z)).reshape(x.dim, x.dim)
             d = x.right_act(t, k, coeff=coeff) - x.right_act(t, k, coeff=perturbed)
-            worst_pres = max(worst_pres, float(np.linalg.norm(x.qx @ d.coeffs))
-                             / max(1.0, x.class_norm(t)))
+            worst_pres = max(worst_pres, float(np.linalg.norm(x.qx @ d))
+                             / max(1.0, float(np.linalg.norm(x.qx @ t))))
     return {"action_bound": worst_bound, "presentation_independent": worst_pres}
 
 
@@ -281,12 +288,13 @@ def test_grid_norms_match_the_amplified_maps(name):
         # a stack of four sums, each padded to three pairs with zero pairs
         padded = np.zeros((4, 3, 2, alg.dim), dtype=complex)
         padded[:, :count] = coords
-        stacked = x._grid_norms(padded[:, :, 0], padded[:, :, 1])
+        stacked = x.norm_two_ways(padded[:, :, 0], padded[:, :, 1])
         for s, sample in enumerate(coords):
             pairs = [(alg.from_coords(a), alg.from_coords(b)) for a, b in sample]
             want = np.array(amplified_norm_two_ways(x, pairs))
             scale = max(1.0, abs(want).max())
-            assert abs(np.array(x.norm_two_ways(pairs)) - want).max() <= 1e-12 * scale
+            one = x.norm_two_ways(sample[:, 0], sample[:, 1])     # unpadded, no stack axis
+            assert abs(one - want).max() <= 1e-12 * scale
             assert abs(stacked[:, s] - want).max() <= 1e-12 * scale, (count, s)
 
 
@@ -325,3 +333,17 @@ def test_a_nan_in_the_module_fails_5_2_and_5_3():
         for cid, check in checks:
             record = _record(cid, check(x, 4, np.random.default_rng(0)), TOL)
             assert record.status == "fail" and np.isnan(record.residual), cid
+
+
+@pytest.mark.parametrize("name", ["identity_m2", "flip_x2"])
+def test_a_rank_one_left_term_fails_the_5_4_kernel_keys(name):
+    # a rank-one PSD term in the left middle factor, with the left Gram matrix
+    # rebuilt from it, moves the left kernel and rank away from the right ones
+    x = build_bimodule(PAIRS[name]())
+    w = np.random.default_rng(0).standard_normal(x.dim * x.bcv.m)
+    x.mid_v = x.mid_v + np.outer(w, w).reshape(x.mid_v.shape)
+    x.gram_l = x._basis_gram(x._factors_l).transpose(1, 0, 3, 2).reshape(x.amb, x.amb)
+    record = _record("5.4", check_norm_agreement(x, 4, np.random.default_rng(0)), TOL)
+    assert record.status == "fail"
+    assert record.details["5.4-kernels_coincide"] > TOL
+    assert record.details["5.4-rank_mismatch"] > TOL
