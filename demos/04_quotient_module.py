@@ -15,6 +15,7 @@ stacks of these and broadcasts over the leading axes.
 import numpy as np
 
 from starint import build_bimodule, flip_interaction
+from starint.algebra import block_adjoint
 
 x = build_bimodule(flip_interaction())
 alg = x.algebra
@@ -35,6 +36,6 @@ rng = np.random.default_rng(0)
 pairs = alg.random_coords(rng, 6).reshape(3, 2, alg.dim)
 a_s, b_s = pairs[:, 0], pairs[:, 1]
 nr, nl = x.norm_two_ways(a_s, b_s)
-tensor = sum(np.kron(alg.from_coords(ai).star().coords(), bi) for ai, bi in zip(a_s, b_s))
+tensor = sum(np.kron(block_adjoint(alg, ai), bi) for ai, bi in zip(a_s, b_s))
 ng = x.module_norm(tensor)
 print("right / left / gram:", round(nr, 12), round(nl, 12), round(ng, 12))

@@ -22,8 +22,8 @@ from starint import (
 rep = build_covrep(flip_interaction())
 print("space splits as", rep.r, "+", rep.s)
 print("S =\n", rep.smat.real)
-a = rep.interaction.algebra.from_coords([3.0, 7.0])
-print("pi(a) =\n", rep.pi_of(a).real)
+a = np.array([3.0, 7.0])                  # coordinates of a
+print("pi(a) =\n", np.tensordot(a, rep.pi, axes=1).real)
 print("worst representation residual:", max(rep.residuals.values()))
 
 # nondegeneracy gates: smallest singular value of x -> pi(x) S over each range

@@ -8,13 +8,9 @@ from .algebra import (
     DEFAULT_TOL,
     Algebra,
     DescriptorMismatch,
-    Element,
     NumericalDegeneracy,
     Subspace,
     generated_subalgebra,
-    is_positive,
-    positivity_defect,
-    sqrt_psd,
 )
 from .linmaps import (
     LinMap,

@@ -5,6 +5,8 @@ Algebras are presented as direct sums of full complex matrix blocks
 matrix units, blocks in order, entries row-major; with that choice the
 trace inner product tr(x*y) coincides with the standard inner product
 on coordinate vectors, so subspace work reduces to plain linear algebra.
+An element is its coordinate vector, and a (..., dim) array is a stack of
+elements: the products, adjoints and norms below act on whole stacks.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -94,50 +96,18 @@ class Algebra:
             raise ValueError("amplification order must be >= 1")
         return Algebra(tuple(n * d for d in self.blocks))
 
-    # -- elements ----------------------------------------------------------
+    def unit(self) -> np.ndarray:
+        """Coordinates of the unit: the identity in every block."""
+        return np.concatenate([np.eye(d, dtype=complex).reshape(-1) for d in self.blocks])
 
-    def zero(self) -> "Element":
-        return Element(self, [np.zeros((d, d), dtype=complex) for d in self.blocks])
-
-    def unit(self) -> "Element":
-        return Element(self, [np.eye(d, dtype=complex) for d in self.blocks])
-
-    def from_coords(self, coords: np.ndarray) -> "Element":
-        coords = np.asarray(coords, dtype=complex).reshape(-1)
-        if coords.shape != (self.dim,):
-            raise ValueError(f"expected {self.dim} coordinates, got {coords.shape}")
-        return Element(self, [coords[off:off + d * d].reshape(d, d).copy()
-                              for off, d in zip(self.offsets, self.blocks)])
-
-    def basis_element(self, k: int) -> "Element":
-        vec = np.zeros(self.dim, dtype=complex)
-        vec[k] = 1.0
-        return self.from_coords(vec)
-
-    @cached_property
-    def basis(self) -> tuple["Element", ...]:
-        return tuple(self.basis_element(k) for k in range(self.dim))
-
-    def random_coords(self, rng: np.random.Generator, n: int,
-                      scale: float = 1.0) -> np.ndarray:
-        """(n, dim): the coordinates of n successive ``random_element`` draws,
-        from one draw of the same normal stream (per element and block, the
-        real parts, then the imaginary parts)."""
+    def random_coords(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """(n, dim): the coordinates of n random elements, from one draw of
+        the normal stream (per element and block, the real parts, then the
+        imaginary parts)."""
         raw = rng.standard_normal((n, 2 * self.dim))
         m = np.concatenate([raw[:, 2 * off:2 * (off + d * d)].reshape(n, 2, d * d)
                             for off, d in zip(self.offsets, self.blocks)], axis=2)
-        return scale * (m[:, 0] + 1j * m[:, 1]) / np.sqrt(2.0)
-
-    def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> "Element":
-        return self.from_coords(self.random_coords(rng, 1, scale)[0])
-
-    def random_hermitian(self, rng: np.random.Generator) -> "Element":
-        x = self.random_element(rng)
-        return 0.5 * (x + x.star())
-
-    def random_psd(self, rng: np.random.Generator) -> "Element":
-        x = self.random_element(rng)
-        return x.star() * x
+        return (m[:, 0] + 1j * m[:, 1]) / np.sqrt(2.0)
 
     # -- cached structure ---------------------------------------------------
 
@@ -189,94 +159,9 @@ class Algebra:
         return f"Algebra{self.blocks}"
 
 
-class Element:
-    """An element of a multimatrix algebra: one square matrix per block."""
-
-    __slots__ = ("algebra", "mats")
-
-    def __init__(self, algebra: Algebra, mats: Sequence[np.ndarray]):
-        if len(mats) != len(algebra.blocks):
-            raise ValueError("wrong number of blocks")
-        clean = []
-        for m, d in zip(mats, algebra.blocks):
-            m = np.asarray(m, dtype=complex)
-            if m.shape != (d, d):
-                raise ValueError(f"block of shape {m.shape}, expected ({d}, {d})")
-            clean.append(m)
-        self.algebra = algebra
-        self.mats = tuple(clean)
-
-    # -- linear structure ----------------------------------------------------
-
-    def _check(self, other: "Element") -> None:
-        if self.algebra != other.algebra:
-            raise DescriptorMismatch(f"{self.algebra} vs {other.algebra}")
-
-    def __add__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.algebra, [a + b for a, b in zip(self.mats, other.mats)])
-
-    def __sub__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.algebra, [a - b for a, b in zip(self.mats, other.mats)])
-
-    def __neg__(self) -> "Element":
-        return Element(self.algebra, [-a for a in self.mats])
-
-    def __mul__(self, other):
-        if isinstance(other, Element):
-            self._check(other)
-            return Element(self.algebra, [a @ b for a, b in zip(self.mats, other.mats)])
-        return Element(self.algebra, [complex(other) * a for a in self.mats])
-
-    def __rmul__(self, scalar) -> "Element":
-        return Element(self.algebra, [complex(scalar) * a for a in self.mats])
-
-    def star(self) -> "Element":
-        """The adjoint: conjugate transpose in every block."""
-        return Element(self.algebra, [a.conj().T for a in self.mats])
-
-    # -- metrics -------------------------------------------------------------
-
-    def coords(self) -> np.ndarray:
-        return np.concatenate([a.reshape(-1) for a in self.mats])
-
-    def norm(self) -> float:
-        """C*-norm: the largest singular value over the blocks."""
-        return max(float(np.linalg.norm(a, 2)) if a.size else 0.0 for a in self.mats)
-
-    def hs_norm(self) -> float:
-        """Hilbert-Schmidt (Frobenius) norm, equal to the coordinate 2-norm."""
-        return float(np.sqrt(sum(float(np.linalg.norm(a)) ** 2 for a in self.mats)))
-
-    def trace(self) -> complex:
-        return complex(sum(np.trace(a) for a in self.mats))
-
-    def tau(self) -> complex:
-        """Normalized trace state of the block-diagonal embedding."""
-        return self.trace() / self.algebra.matrix_size
-
-    def block_diag(self) -> np.ndarray:
-        """The block-diagonal matrix of size ``matrix_size``."""
-        n = self.algebra.matrix_size
-        out = np.zeros((n, n), dtype=complex)
-        base = 0
-        for a, d in zip(self.mats, self.algebra.blocks):
-            out[base:base + d, base:base + d] = a
-            base += d
-        return out
-
-    def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
-        gap = max(float(np.linalg.norm(a - a.conj().T)) for a in self.mats)
-        return rel(gap, self.hs_norm()) <= tol
-
-    def __repr__(self) -> str:
-        return f"Element({self.algebra}, {[a.round(6).tolist() for a in self.mats]})"
-
-
 # -- coordinate stacks --------------------------------------------------------
-# Elements given as (..., dim) coordinate arrays: each block size is one
-# batched operation over every block of that size and every leading index.
+# Each block size is one batched operation over every block of that size and
+# every leading index.
 
 #: Entry count of one chunk of a temporary that pairs every row of one stack
 #: with a whole other stack: the rows are taken a few at a time so that peak
@@ -338,7 +223,7 @@ def representation_defects(algebra: Algebra, reps: np.ndarray) -> tuple[float, f
 
 
 def positivity_defects(algebra: Algebra, xs: np.ndarray) -> np.ndarray:
-    """``positivity_defect`` of each element of a (..., dim) stack: the
+    """Distance from positivity of each element of a (..., dim) stack: the
     largest Hermitian gap or negative eigenvalue over the blocks, relative
     to max(1, C*-norm); NaN where an entry is not finite."""
     gap = low = np.zeros(np.shape(xs)[:-1])
@@ -426,34 +311,6 @@ def worst_key(values: dict[str, float]) -> str:
     return max(values, key=lambda k: np.inf if np.isnan(values[k]) else values[k])
 
 
-# -- order structure ---------------------------------------------------------
-
-def is_positive(x: Element, tol: float = DEFAULT_TOL) -> bool:
-    """Hermitian within tol and spectrum above ``-tol * norm`` in every block."""
-    if not x.is_hermitian(tol):
-        return False
-    floor = -tol * max(1.0, x.norm())
-    for a in x.mats:
-        h = 0.5 * (a + a.conj().T)
-        if a.size and float(np.linalg.eigvalsh(h).min()) < floor:
-            return False
-    return True
-
-
-def positivity_defect(x: Element) -> float:
-    """Largest Hermitian gap or negative-eigenvalue magnitude, relative."""
-    return float(positivity_defects(x.algebra, x.coords()))
-
-
-def sqrt_psd(x: Element, tol: float = DEFAULT_TOL) -> Element:
-    """Positive square root, block by block (``psd_sqrt``); input whose
-    ``positivity_defect`` exceeds ``tol`` raises ValueError."""
-    defect = positivity_defect(x)
-    if not defect <= tol:
-        raise ValueError(f"sqrt_psd: positivity defect {defect:.3e} above tol")
-    return Element(x.algebra, [psd_sqrt(a) for a in x.mats])
-
-
 # -- subspaces ----------------------------------------------------------------
 
 class Subspace:
@@ -478,34 +335,18 @@ class Subspace:
         rows = np.asarray(rows, dtype=complex).reshape(-1, algebra.dim)
         return cls(algebra, orthonormal_rows(rows, tol))
 
-    def elements(self) -> list[Element]:
-        return [self.algebra.from_coords(row) for row in self.basis]
 
-    def project_coords(self, vec: np.ndarray) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros_like(np.asarray(vec, dtype=complex))
-        coeff = self.basis.conj() @ vec
-        return self.basis.T @ coeff
-
-    def contains(self, x: Element, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-        vec = x.coords()
-        resid = rel(np.linalg.norm(vec - self.project_coords(vec)), x.hs_norm())
-        return resid <= tol, float(resid)
-
-
-def generated_subalgebra(gens: Sequence[Element],
+def generated_subalgebra(algebra: Algebra, rows: np.ndarray,
                          tol: float = DEFAULT_TOL) -> Subspace:
-    """Smallest *-subalgebra span containing the generators.
+    """Smallest *-subalgebra span containing the generators, given as
+    (n, dim) coordinate rows.
 
     Closes the linear span under adjoints and products until the
     dimension stabilises; the iteration cap signals numerical degeneracy.
     """
-    if not gens:
+    rows = np.asarray(rows, dtype=complex).reshape(-1, algebra.dim)
+    if not len(rows):
         raise ValueError("need at least one generator")
-    algebra = gens[0].algebra
-    if any(g.algebra != algebra for g in gens):
-        raise DescriptorMismatch("generators over different algebras")
-    rows = np.array([g.coords() for g in gens])
     space = Subspace.from_spanning(algebra, np.concatenate([rows, block_adjoint(algebra, rows)]),
                                    tol)
     for _ in range(algebra.dim + 2):

@@ -19,7 +19,6 @@ from .algebra import (
     DEFAULT_TOL,
     TINY,
     Algebra,
-    Element,
     NumericalDegeneracy,
     Subspace,
     block_norms,
@@ -78,15 +77,6 @@ class BasicConstruction:
     lift: np.ndarray     # (dim, m): class coordinates -> canonical representative
     lam: np.ndarray      # (dim, m, m): left multiplication by each basis element
     e: np.ndarray        # (m, m): the projection implementing the expectation
-
-    def class_coords(self, x: Element) -> np.ndarray:
-        return self.q @ x.coords()
-
-    def lam_of(self, x: Element) -> np.ndarray:
-        return np.tensordot(x.coords(), self.lam, axes=(0, 0))
-
-    def representative(self, coords: np.ndarray) -> Element:
-        return self.algebra.from_coords(self.lift @ coords)
 
     @cached_property
     def spanning_matrix(self) -> np.ndarray:
@@ -163,7 +153,7 @@ class BasicConstruction:
 def build_basic(expectation: LinMap, range_sub: Subspace,
                 tol: float = DEFAULT_TOL) -> BasicConstruction:
     alg = expectation.algebra
-    trace = alg.unit().coords()          # tr(x) = trace · coords(x)
+    trace = alg.unit()                   # tr(x) = trace · coords(x)
     tr_e = trace @ expectation.matrix    # tr(E(x)) = tr_e · coords(x)
     normalizer = float((tr_e @ trace).real)
     if normalizer <= tol:

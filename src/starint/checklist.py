@@ -311,7 +311,10 @@ def build_stage_records(inter: Interaction, tol: float, samples: int, seed: int,
     records.update(_covrep_records(inter, x, tol))
     records.update(_correspondence_records(x, tol))
     if mode == "endo_transfer" and alpha is not None and transfer is not None:
-        records["7.13"] = _record("7.13", check_713(alpha, transfer, inter, x, tol), tol)
+        try:
+            records["7.13"] = _record("7.13", check_713(alpha, transfer, inter, x, tol), tol)
+        except ValueError as err:
+            records["7.13"] = _fail("7.13", str(err))
     else:
         records["7.13"] = _skip("7.13", "requires endomorphism/transfer mode")
     return records

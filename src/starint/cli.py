@@ -7,6 +7,8 @@ import argparse
 import math
 import os
 import sys
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 from .algebra import DEFAULT_TOL, NumericalDegeneracy
 from .bimodule import build_bimodule
@@ -43,7 +45,7 @@ def _resolve(spec: ProblemSpec, tol: float, amplification: int
     info: dict = {}
     alg = spec.algebra
     if spec.mode == "partial_isometry":
-        result = derive_from_partial_isometry(alg, spec.a_embed, spec.s, tol)
+        result = derive_from_partial_isometry(alg, spec.ambient, spec.a_embed, spec.s, tol)
         info["derive"] = {"gauge": result.gauge,
                           "gates": dict(result.gates),
                           "residuals": dict(result.residuals)}
@@ -77,60 +79,86 @@ def _environment(spec: ProblemSpec, command: str, tol: float, seed: int,
     return env
 
 
-def _write(text: str, out: str | None) -> None:
-    if out:
+Writer = Callable[[str], object]
+
+
+@contextmanager
+def _output(path: str | None) -> Iterator[Writer]:
+    """The writer of the command's output: stdout, or ``path``, opened before
+    any work so that a path that cannot be written fails at once.  The file
+    is opened without truncating it and replaced by the one write; a file
+    that this opening created and that was never written is removed."""
+    if not path:
+        yield sys.stdout.write
+        return
+    existed = os.path.exists(path)
+    try:
+        fh = open(path, "a", encoding="utf-8")
+    except OSError as err:
+        raise SpecError(f"cannot write {path}: {err.strerror or err}") from err
+    written = False
+
+    def write(text: str) -> None:
+        nonlocal written
         try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            fh.truncate(0)
+            fh.write(text)
+            fh.flush()
         except OSError as err:
-            raise SpecError(f"cannot write {out}: {err.strerror or err}") from err
-    else:
-        sys.stdout.write(text)
+            raise SpecError(f"cannot write {path}: {err.strerror or err}") from err
+        written = True
+
+    try:
+        yield write
+    finally:
+        fh.close()
+        if not (written or existed):
+            os.remove(path)
 
 
-def _emit_report(report: Report, out: str | None) -> int:
-    _write(canonical_json(report.to_dict()), out)
+def _emit_report(report: Report, write: Writer) -> int:
+    write(canonical_json(report.to_dict()))
     for line in report.summary_lines():
         print(line, file=sys.stderr)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def _run(spec: ProblemSpec, command: str, stage: str, tol: float, seed: int,
-         samples: int, amplification: int, out: str | None) -> int:
+         samples: int, amplification: int, write: Writer) -> int:
     try:
         v, h, alpha, transfer, info = _resolve(spec, tol, amplification)
     except InteractionError as err:
         env = _environment(spec, command, tol, seed, samples, amplification, {})
         report = report_for_failed_candidate(err.report, tol, str(err), env)
-        return _emit_report(report, out)
+        return _emit_report(report, write)
     env = _environment(spec, command, tol, seed, samples, amplification, info)
     report = run_checklist(v, h, tol=tol, stage=stage,
                            samples=samples, seed=seed, mode=spec.mode,
                            alpha=alpha, transfer=transfer, environment=env)
-    return _emit_report(report, out)
+    return _emit_report(report, write)
 
 
-def cmd_verify(spec: ProblemSpec, args: argparse.Namespace) -> int:
+def cmd_verify(spec: ProblemSpec, args: argparse.Namespace, write: Writer) -> int:
     tol = _tolerance(spec, args.tol)
     seed = spec.seed if spec.seed is not None else 0
     samples = spec.samples if spec.samples is not None else 25
-    return _run(spec, "verify", "verify", tol, seed, samples, 1, args.out)
+    return _run(spec, "verify", "verify", tol, seed, samples, 1, write)
 
 
 def _interaction_for_build(spec: ProblemSpec, tol: float) -> Interaction:
     if spec.mode == "partial_isometry":          # verified once, while derived
-        return derive_from_partial_isometry(spec.algebra, spec.a_embed, spec.s,
-                                            tol).interaction
+        return derive_from_partial_isometry(spec.algebra, spec.ambient, spec.a_embed,
+                                            spec.s, tol).interaction
     v, h, _, _, _ = _resolve(spec, tol, 1)
     return Interaction.build(v, h, tol)
 
 
-def cmd_build(spec: ProblemSpec, args: argparse.Namespace) -> int:
+def cmd_build(spec: ProblemSpec, args: argparse.Namespace, write: Writer) -> int:
     tol = _tolerance(spec, args.tol)
     seed = spec.seed if spec.seed is not None else 0
     samples = spec.samples if spec.samples is not None else 25
     if args.emit == "report":
-        return _run(spec, "build", "build", tol, seed, samples, 1, args.out)
+        return _run(spec, "build", "build", tol, seed, samples, 1, write)
     try:
         inter = _interaction_for_build(spec, tol)
         if args.emit == "bimodule":
@@ -152,14 +180,14 @@ def cmd_build(spec: ProblemSpec, args: argparse.Namespace) -> int:
     except (InteractionError, CovariantError, NumericalDegeneracy) as err:
         print(f"build failed: {err}", file=sys.stderr)
         return EXIT_FAIL
-    _write(canonical_json(payload), args.out)
+    write(canonical_json(payload))
     return EXIT_PASS
 
 
-def cmd_fuzz(spec: ProblemSpec, args: argparse.Namespace) -> int:
+def cmd_fuzz(spec: ProblemSpec, args: argparse.Namespace, write: Writer) -> int:
     tol = _tolerance(spec, args.tol)
     return _run(spec, "fuzz", "build", tol, args.seed, args.samples,
-                args.amplify, args.out)
+                args.amplify, write)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -201,7 +229,8 @@ def main(argv: list[str] | None = None) -> int:
         for flag, least in (("amplify", 1), ("samples", 0), ("seed", 0)):
             if getattr(args, flag, least) < least:
                 raise SpecError(f"--{flag} must be at least {least}")
-        return args.func(spec, args)
+        with _output(args.out) as write:
+            return args.func(spec, args, write)
     except SpecError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, Algebra, Element, block_adjoint, block_norms, block_product,
+from .algebra import (DEFAULT_TOL, Algebra, block_adjoint, block_norms, block_product,
                       orthonormal_rows, representation_defects, row_chunks, svd_rank, worst,
                       worst_key, worst_norm)
 from .bimodule import BimoduleX, slot_adjoint_defects
@@ -55,9 +55,11 @@ class ConcreteTRO:
         return self.coords_of(block_product(amb, xy[:, :, None], b))
 
 
-def concrete_tro(ambient: Algebra, spanning: list[Element],
+def concrete_tro(ambient: Algebra, rows: np.ndarray,
                  tol: float = DEFAULT_TOL) -> ConcreteTRO:
-    rows = np.array([e.coords() for e in spanning]).reshape(-1, ambient.dim)
+    """The subspace spanned by (n, ambient.dim) coordinate rows, which must
+    be closed under the triple product."""
+    rows = np.asarray(rows, dtype=complex).reshape(-1, ambient.dim)
     tro = ConcreteTRO(ambient=ambient, basis=orthonormal_rows(rows, tol), tol=tol)
     leak = worst(tro.triples[1])
     if not leak <= tol:
@@ -87,15 +89,6 @@ class GenCorrespondence:
     @property
     def n(self) -> int:
         return self.tt.shape[0]
-
-    def lam_of(self, a: Element) -> np.ndarray:
-        return np.tensordot(a.coords(), self.lam_t, axes=(0, 0))
-
-    def rho_of(self, a: Element) -> np.ndarray:
-        return np.tensordot(a.coords(), self.rho_t, axes=(0, 0))
-
-    def bracket(self, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,k,ijkc->c", u, np.conj(v), w, self.tt)
 
     def norm_of(self, coords: np.ndarray) -> np.ndarray:
         """Norm of each element of a (..., n) coordinate stack."""
@@ -133,15 +126,18 @@ def check_71(corr: GenCorrespondence) -> dict[str, float]:
 
 
 def correspondence_from_tro(tro: ConcreteTRO, coeff: Algebra,
-                            embed: list[Element],
+                            embed_rows: np.ndarray,
                             tol: float | None = None) -> GenCorrespondence:
     """Concrete mode: the coefficient algebra acts through an embedding into
-    the ambient algebra, which must preserve the subspace on both sides."""
+    the ambient algebra, given as the (coeff.dim, ambient.dim) coordinate
+    rows of the images of its basis, which must preserve the subspace on
+    both sides."""
     tol = tro.tol if tol is None else tol
-    if len(embed) != coeff.dim:
+    embed_rows = np.asarray(embed_rows, dtype=complex)
+    if embed_rows.shape != (coeff.dim, tro.ambient.dim):
         raise CorrespondenceError("need one embedded element per basis element")
     tt, leak = tro.triples
-    imgs = np.array([e.coords() for e in embed])[:, None]
+    imgs = embed_rows[:, None]
     # [a, :, k]: the coordinates of img_a·x_k (left) and x_k·img_a (right)
     cl, leak_l = tro.coords_of(block_product(tro.ambient, imgs, tro.basis))
     cr, leak_r = tro.coords_of(block_product(tro.ambient, tro.basis, imgs))
@@ -260,7 +256,7 @@ def check_78(corr: GenCorrespondence) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class Redundancy:
-    a: Element
+    a: np.ndarray          # coordinates of the coefficient element
     k: np.ndarray          # coefficients in the orthonormal operator span
     side: str
     residual: float
@@ -305,7 +301,7 @@ def find_redundancies(corr: GenCorrespondence, side: str = "right",
     ops = rows @ vecs                             # each direction's action
     coeffs = ops @ span.conj().T
     resid = np.linalg.norm(ops - coeffs @ span, axis=-1)
-    return [Redundancy(a=alg.from_coords(row), k=k, side=side, residual=float(r),
+    return [Redundancy(a=row, k=k, side=side, residual=float(r),
                        restricted=i < len(inside))
             for i, (row, k, r) in enumerate(zip(rows, coeffs, resid))]
 
@@ -330,7 +326,7 @@ def check_713(alpha: LinMap, transfer: LinMap, inter: Interaction,
     mult = worst(_product_defects(alpha, eye, eye, alpha_rows)[..., 0])
     if not mult <= tol:
         raise ValueError(f"first map is not multiplicative ({mult:.3e})")
-    one = alg.unit().coords()
+    one = alg.unit()
 
     def tensor_one(cs: np.ndarray) -> np.ndarray:
         """Coefficients of c⊗1 for each c of a (..., dim) stack."""

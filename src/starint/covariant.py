@@ -15,7 +15,6 @@ import numpy as np
 
 from .algebra import (
     Algebra,
-    Element,
     Subspace,
     block_norms,
     block_product,
@@ -42,9 +41,6 @@ class _Relations:
     interaction: Interaction
     pi: np.ndarray            # (dim, n, n): representation of each basis element
     smat: np.ndarray          # (n, n): the partial isometry
-
-    def pi_of(self, a: Element) -> np.ndarray:
-        return np.tensordot(a.coords(), self.pi, axes=(0, 0))
 
     @cached_property
     def ss(self) -> np.ndarray:
@@ -116,7 +112,7 @@ def build_covrep(inter: Interaction, x: BimoduleX | None = None,
 
     # S sends the span basis k_b to the class of (1⊗1)·k_b, scaled by sqrt(m)
     smat = np.zeros_like(pi[0])
-    unit = inter.algebra.unit().coords()
+    unit = inter.algebra.unit()
     one = x._right_factor(np.outer(unit, unit)[None])
     smat[:r, r:] = np.sqrt(m) * x._pair_classes(one, x._presentation(ks, "right"))[0].T
 
@@ -171,9 +167,9 @@ def check_unit_relations(rep: CovariantRep) -> dict[str, float]:
     one = inter.algebra.unit()
     return {
         "v_unit_fixes_support": float(np.linalg.norm(
-            rep.pi_of(inter.v(one)) @ rep.ss - rep.ss)),
+            np.tensordot(inter.v.matrix @ one, rep.pi, axes=(0, 0)) @ rep.ss - rep.ss)),
         "h_unit_fixes_support": float(np.linalg.norm(
-            rep.pi_of(inter.h(one)) @ rep.s_s - rep.s_s)),
+            np.tensordot(inter.h.matrix @ one, rep.pi, axes=(0, 0)) @ rep.s_s - rep.s_s)),
     }
 
 
@@ -197,7 +193,7 @@ def check_nondegeneracy(rep: CovariantRep) -> dict[str, float]:
     for name, space, side in (("v", inter.range_v, "right"), ("h", inter.range_h, "left")):
         gates[f"gate_range_{name}"] = _gate(rep.pi, space, rep.smat, side)
         gates[f"gate_generated_{name}"] = _gate(
-            rep.pi, generated_subalgebra(space.elements(), tol), rep.smat, side)
+            rep.pi, generated_subalgebra(space.algebra, space.basis, tol), rep.smat, side)
     gates["nondegenerate"] = float(min(gates.values()) > tol)
     # passing the plain-range gate must imply passing the generated one
     implication_ok = ((gates["gate_range_v"] <= tol or gates["gate_generated_v"] > tol)
@@ -229,21 +225,19 @@ def faithful_extension(rep: CovariantRep) -> FaithfulRep:
                        injectivity=float(sv.min()))
 
 
-def rep_ambient_data(rep: CovariantRep) -> tuple[Algebra, list[Element], Element]:
-    """Package (ambient matrix algebra, embedded basis, S) for reconstruction."""
-    ambient = Algebra((rep.n,))
-    embedded = [ambient.from_coords(p.reshape(-1)) for p in rep.pi]
-    s_elt = ambient.from_coords(rep.smat.reshape(-1))
-    return ambient, embedded, s_elt
+def rep_ambient_data(rep: CovariantRep) -> tuple[Algebra, np.ndarray, np.ndarray]:
+    """Package (ambient matrix algebra, embedded basis, S) for reconstruction:
+    the (dim, n²) coordinate rows of pi and the (n²,) coordinates of S."""
+    return Algebra((rep.n,)), rep.pi.reshape(len(rep.pi), -1), rep.smat.reshape(-1)
 
 
 def check_derive_roundtrip(rep: CovariantRep) -> dict[str, float]:
     """Reconstructing the pair from (pi(A), S) recovers the original maps."""
     from .interactions import derive_from_partial_isometry
 
-    ambient, embedded, s_elt = rep_ambient_data(rep)
-    result = derive_from_partial_isometry(rep.interaction.algebra, embedded,
-                                          s_elt, max(rep.tol, 1e-9))
+    ambient, embedded, s_coords = rep_ambient_data(rep)
+    result = derive_from_partial_isometry(rep.interaction.algebra, ambient, embedded,
+                                          s_coords, max(rep.tol, 1e-9))
     got = result.interaction
     return {
         "v_recovered": float(np.linalg.norm(got.v.matrix - rep.interaction.v.matrix)),

@@ -17,7 +17,6 @@ import numpy as np
 from .algebra import (
     DEFAULT_TOL,
     Algebra,
-    Element,
     Subspace,
     block_adjoint,
     block_norms,
@@ -264,15 +263,16 @@ def from_endomorphism_transfer(alpha: LinMap, transfer: LinMap,
         raise ValueError("maps must live over the same algebra")
     eye = np.eye(alg.dim, dtype=complex)
     alpha_rows = alpha.matrix.T                   # alpha(a_j) as rows
+    one = alg.unit()
     residuals = {
         # alpha(a_i a_j) - alpha(a_i) alpha(a_j)
         "endomorphism_multiplicative": worst(
             _product_defects(alpha, eye, eye, alpha_rows)[..., 0]),
         "endomorphism_star": star_preservation_residual(alpha),
-        "endomorphism_unital": (alpha(alg.unit()) - alg.unit()).hs_norm(),
+        "endomorphism_unital": float(np.linalg.norm(alpha.matrix @ one - one)),
         # transfer(a_i alpha(a_j)) - transfer(a_i) a_j
         "transfer_identity": worst(_product_defects(transfer, eye, alpha_rows, eye)[..., 0]),
-        "transfer_unital": (transfer(alg.unit()) - alg.unit()).hs_norm(),
+        "transfer_unital": float(np.linalg.norm(transfer.matrix @ one - one)),
     }
     bad = {k: v for k, v in residuals.items() if not v <= tol}
     if bad:
@@ -309,31 +309,38 @@ def _injectivity_gate(ambient: Algebra, rows_in_ambient: np.ndarray,
 
 
 def derive_from_partial_isometry(a_algebra: Algebra,
-                                 a_embed: list[Element],
-                                 s: Element,
+                                 ambient: Algebra,
+                                 a_embed: np.ndarray,
+                                 s: np.ndarray,
                                  tol: float = DEFAULT_TOL,
                                  samples: int = 25,
                                  rng: np.random.Generator | None = None
                                  ) -> DeriveResult:
     """Reconstruct the pair compressed by a partial isometry.
 
-    Solves S a S* = b * SS* and S* a S = c * S*S for b, c in the span of
-    the embedded copy of the coefficient algebra.  The minimal-norm
-    solution is completed to the unital gauge (identity off the support
-    of the compression); both candidates are verified and the first pair
-    passing all identities plus both injectivity gates is returned.
+    ``a_embed`` holds, as (a_algebra.dim, ambient.dim) rows, the ambient
+    coordinates of the embedded image of each canonical basis element, and
+    ``s`` the (ambient.dim,) coordinates of S.  Solves S a S* = b * SS* and
+    S* a S = c * S*S for b, c in the span of the embedded copy of the
+    coefficient algebra.  The minimal-norm solution is completed to the
+    unital gauge (identity off the support of the compression); both
+    candidates are verified and the first pair passing all identities plus
+    both injectivity gates is returned.
     """
-    if len(a_embed) != a_algebra.dim:
-        raise ValueError("need one embedded element per canonical basis vector")
-    ambient = s.algebra
+    rows = np.asarray(a_embed, dtype=complex)        # ambient coords per abstract basis
+    sc = np.asarray(s, dtype=complex)
+    if rows.shape != (a_algebra.dim, ambient.dim) or sc.shape != (ambient.dim,):
+        raise ValueError("need one embedded element per canonical basis vector "
+                         "and the coordinates of S")
+    sc_star = block_adjoint(ambient, sc)
     residuals: dict[str, float] = {}
 
-    pi_gap = (s * s.star() * s - s).hs_norm()
-    residuals["partial_isometry"] = rel(pi_gap, s.hs_norm())
+    pi_gap = float(np.linalg.norm(
+        block_product(ambient, block_product(ambient, sc, sc_star), sc) - sc))
+    residuals["partial_isometry"] = rel(pi_gap, float(np.linalg.norm(sc)))
     if residuals["partial_isometry"] > tol:
         raise InteractionError(f"not a partial isometry (residual {pi_gap:.3e})")
 
-    rows = np.array([x.coords() for x in a_embed])   # ambient coords per abstract basis
     # embed(a_j a_k) = embed(a_j) embed(a_k), with coords(a_j a_k) = L[j, :, k];
     # embed(a_j*) = embed(a_j)*, with coords(a_j*) one-hot at star_perm[j]
     products = block_product(ambient, rows[:, None], rows)
@@ -342,8 +349,6 @@ def derive_from_partial_isometry(a_algebra: Algebra,
         np.linalg.norm(block_adjoint(ambient, rows) - rows[a_algebra.star_perm], axis=-1))
     if not residuals["embedding"] <= tol:
         raise InteractionError("embedded basis is not a *-homomorphic image")
-
-    sc, sc_star = s.coords(), s.star().coords()
 
     def solve(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, float]:
         """The matrix of the map b with left·x·right = b(x)·(left·right) on the
@@ -363,7 +368,7 @@ def derive_from_partial_isometry(a_algebra: Algebra,
 
     def unital_completion(mat: np.ndarray) -> np.ndarray:
         """Adds x -> u·x·u for u = 1 - b(1), the part of the unit b misses."""
-        one = a_algebra.unit().coords()
+        one = a_algebra.unit()
         missing = one - mat @ one
         sandwich = block_product(a_algebra, block_product(
             a_algebra, missing, np.eye(a_algebra.dim, dtype=complex)), missing)
@@ -382,8 +387,7 @@ def derive_from_partial_isometry(a_algebra: Algebra,
             continue
         gates = {}
         for name, mat, side in (("v", vm, "right"), ("h", hm, "left")):
-            images = [a_algebra.from_coords(col) for col in mat.T]
-            span = generated_subalgebra(images, tol)
+            span = generated_subalgebra(a_algebra, mat.T, tol)
             gates[f"{name}_generated"] = _injectivity_gate(ambient, span.basis @ rows,
                                                            sc, side)
         if min(gates.values()) <= tol:

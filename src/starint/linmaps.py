@@ -17,7 +17,6 @@ from .algebra import (
     TINY,
     Algebra,
     DescriptorMismatch,
-    Element,
     Subspace,
     block_adjoint,
     block_norms,
@@ -47,16 +46,8 @@ class LinMap:
     def identity(cls, algebra: Algebra) -> "LinMap":
         return cls(algebra, np.eye(algebra.dim, dtype=complex))
 
-    def apply(self, x: Element) -> Element:
-        if x.algebra != self.algebra:
-            raise DescriptorMismatch(f"{x.algebra} vs {self.algebra}")
-        return self.algebra.from_coords(self.matrix @ x.coords())
-
-    def __call__(self, x: Element) -> Element:
-        return self.apply(x)
-
     def __matmul__(self, other: "LinMap") -> "LinMap":
-        """Composition: (self @ other)(x) == self(other(x))."""
+        """Composition, ``other`` first: the matrix ``self.matrix @ other.matrix``."""
         if other.algebra != self.algebra:
             raise DescriptorMismatch("composition over different algebras")
         return LinMap(self.algebra, self.matrix @ other.matrix)
@@ -135,12 +126,12 @@ def choi_matrix(t: LinMap) -> np.ndarray:
     """
     alg = t.algebra
     big = alg.matrix_size
-    choi = np.zeros((big * big, big * big), dtype=complex)
-    for k in range(alg.dim):
-        r, c = alg.unit_positions[k]
-        out = t(alg.basis[k]).block_diag()
-        choi[r * big:(r + 1) * big, c * big:(c + 1) * big] = out
-    return choi
+    rows, cols = alg.unit_positions.T
+    images = np.zeros((alg.dim, big, big), dtype=complex)
+    images[:, rows, cols] = t.matrix.T          # [k]: t(e_k) block-diagonally
+    choi = np.zeros((big, big, big, big), dtype=complex)   # [r, p, c, q]
+    choi[rows, :, cols] = images                # block (r, c) of e_k holds t(e_k)
+    return choi.reshape(big * big, big * big)
 
 
 def _choi_pieces(t: LinMap):

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring
 
 import numpy as np
 
-from .algebra import Algebra, Element
+from .algebra import Algebra
 
 
 class SpecError(ValueError):
@@ -69,16 +69,18 @@ def matrix_out(m: np.ndarray) -> np.ndarray | list:
     return parts if np.isfinite(parts).all() else parts.tolist()
 
 
-def element_in(algebra: Algebra, obj) -> Element:
+def element_in(algebra: Algebra, obj) -> np.ndarray:
+    """The (dim,) coordinates of an element written block by block."""
     if not isinstance(obj, list) or len(obj) != len(algebra.blocks):
         raise SpecError(f"element must list {len(algebra.blocks)} block matrices")
     mats = [matrix_in(b, (d, d)) for b, d in zip(obj, algebra.blocks)]
-    coords = np.concatenate([m.reshape(-1) for m in mats])
-    return algebra.from_coords(coords)
+    return np.concatenate([m.reshape(-1) for m in mats])
 
 
-def element_out(a: Element) -> list:
-    return [matrix_out(b) for b in a.mats]
+def element_out(algebra: Algebra, coords: np.ndarray) -> list:
+    """An element's (dim,) coordinates, written block by block."""
+    return [matrix_out(coords[off:off + d * d].reshape(d, d))
+            for off, d in zip(algebra.offsets, algebra.blocks)]
 
 
 def _template(shape: tuple[int, ...], level: int) -> str:
@@ -154,8 +156,8 @@ class ProblemSpec:
     alpha: np.ndarray | None = None
     transfer: np.ndarray | None = None
     ambient_blocks: tuple[int, ...] | None = None
-    a_embed: list[Element] | None = None
-    s: Element | None = None
+    a_embed: np.ndarray | None = None     # (dim, ambient.dim) coordinate rows
+    s: np.ndarray | None = None           # (ambient.dim,) coordinates
     tolerance: float | None = None
     samples: int | None = None
     seed: int | None = None
@@ -223,7 +225,7 @@ def load_spec(path: str) -> ProblemSpec:
         basis = raw["a_basis"]
         if not isinstance(basis, list) or len(basis) != dim:
             raise SpecError(f"'a_basis' must list {dim} ambient elements")
-        spec.a_embed = [element_in(ambient, e) for e in basis]
+        spec.a_embed = np.array([element_in(ambient, e) for e in basis])
         spec.s = element_in(ambient, raw["S"])
 
     if "tolerance" in raw:
@@ -249,9 +251,9 @@ def dump_spec(spec: ProblemSpec) -> str:
     if spec.ambient_blocks:
         out["ambient_blocks"] = list(spec.ambient_blocks)
     if spec.a_embed is not None:
-        out["a_basis"] = [element_out(e) for e in spec.a_embed]
+        out["a_basis"] = [element_out(spec.ambient, e) for e in spec.a_embed]
     if spec.s is not None:
-        out["S"] = element_out(spec.s)
+        out["S"] = element_out(spec.ambient, spec.s)
     for key in ("tolerance", "samples", "seed"):
         val = getattr(spec, key)
         if val is not None:

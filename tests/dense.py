@@ -1,0 +1,57 @@
+"""Dense oracle for the block algebras: an element as its block-diagonal
+matrix, with plain matrix arithmetic.  It shares no code with the stacked
+primitives of ``starint.algebra``; only the matrix-unit positions of the
+canonical basis (``Algebra.unit_positions``) connect the two pictures."""
+
+import numpy as np
+
+
+def to_dense(alg, xs):
+    """The block-diagonal matrix of each element of a (..., dim) stack."""
+    xs = np.asarray(xs, dtype=complex)
+    rows, cols = alg.unit_positions.T
+    out = np.zeros((*xs.shape[:-1], alg.matrix_size, alg.matrix_size), dtype=complex)
+    out[..., rows, cols] = xs
+    return out
+
+
+def from_dense(alg, mats):
+    """Coordinates of each matrix of a (..., n, n) stack; entries off the
+    block diagonal are dropped."""
+    rows, cols = alg.unit_positions.T
+    return np.asarray(mats)[..., rows, cols]
+
+
+def mul(alg, x, y):
+    return from_dense(alg, to_dense(alg, x) @ to_dense(alg, y))
+
+
+def star(alg, x):
+    return from_dense(alg, to_dense(alg, x).conj().T)
+
+
+def norm(alg, x):
+    """C*-norm: the largest singular value of the block-diagonal matrix."""
+    return float(np.linalg.norm(to_dense(alg, x), 2))
+
+
+def diagonal_blocks(alg, x):
+    """The square blocks on the diagonal of the dense matrix, in order."""
+    mat = to_dense(alg, x)
+    edges = np.cumsum((0,) + alg.blocks)
+    return [mat[a:b, a:b] for a, b in zip(edges[:-1], edges[1:])]
+
+
+def positivity_defect(alg, x):
+    """Largest Hermitian gap of a block, or the most negative eigenvalue of
+    the Hermitian part, relative to max(1, norm)."""
+    mat = to_dense(alg, x)
+    gap = max(float(np.linalg.norm(b - b.conj().T)) for b in diagonal_blocks(alg, x))
+    low = -float(np.linalg.eigvalsh((mat + mat.conj().T) / 2).min())
+    return max(gap, low) / max(1.0, norm(alg, x))
+
+
+def psd_root(alg, x):
+    """Coordinates of the positive square root of a Hermitian element."""
+    vals, vecs = np.linalg.eigh(to_dense(alg, x))
+    return from_dense(alg, (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T)

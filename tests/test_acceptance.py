@@ -40,6 +40,7 @@ from starint import (
     transpose_map,
     verify_interaction,
 )
+from starint.algebra import block_adjoint
 from starint.cli import EXIT_PASS, main
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -86,7 +87,7 @@ def test_criterion_2_norm_formulas_agree():
             pairs = inter.algebra.random_coords(rng, 4).reshape(2, 2, -1)
             a, b = pairs[:, 0], pairs[:, 1]
             nr, nl = x.norm_two_ways(a, b)
-            ng = x.module_norm(sum(np.kron(inter.algebra.from_coords(ai).star().coords(), bi)
+            ng = x.module_norm(sum(np.kron(block_adjoint(inter.algebra, ai), bi)
                                    for ai, bi in zip(a, b)))
             scale = max(nr, nl, ng, 1e-30)
             worst = max(worst, abs(nr - nl) / scale, abs(nr - ng) / scale,
@@ -159,13 +160,13 @@ def test_criterion_7_endomorphism_transfer_forms():
 
 def test_criterion_8_ternary_layer():
     alg2 = Algebra((2,))
-    units = [alg2.from_coords(np.eye(4)[k]) for k in range(4)]
+    units = np.eye(4)
     diag_coeff = Algebra((1, 1))
-    diag_embed = [units[0], units[3]]
+    diag_embed = units[[0, 3]]
     corrs = [
-        correspondence_from_tro(concrete_tro(alg2, [units[1]]),
+        correspondence_from_tro(concrete_tro(alg2, units[[1]]),
                                 diag_coeff, diag_embed),
-        correspondence_from_tro(concrete_tro(alg2, [units[0], units[3]]),
+        correspondence_from_tro(concrete_tro(alg2, units[[0, 3]]),
                                 diag_coeff, diag_embed),
         correspondence_from_tro(concrete_tro(alg2, units), alg2, units),
     ]

@@ -2,17 +2,22 @@
 
 import numpy as np
 import pytest
+from dense import to_dense
 
 from starint import (
     Algebra,
     DescriptorMismatch,
+    LinMap,
     Subspace,
     generated_subalgebra,
-    is_positive,
-    positivity_defect,
-    sqrt_psd,
 )
-from starint.algebra import psd_sqrt
+from starint.algebra import (
+    block_adjoint,
+    block_norms,
+    block_product,
+    positivity_defects,
+    psd_sqrt,
+)
 
 
 def test_dims_and_unit():
@@ -20,87 +25,89 @@ def test_dims_and_unit():
     assert alg.dim == 5
     assert alg.matrix_size == 3
     one = alg.unit()
-    assert np.allclose(one.block_diag(), np.eye(3))
-    assert np.allclose(one.coords(), [1, 0, 0, 1, 1])
+    assert np.array_equal(to_dense(alg, one), np.eye(3))
+    assert np.array_equal(one, [1, 0, 0, 1, 1])
 
 
 def test_coords_round_trip():
+    # coordinates placed at the matrix-unit positions read back unchanged
     alg = Algebra((2, 3))
     rng = np.random.default_rng(0)
     c = rng.normal(size=alg.dim) + 1j * rng.normal(size=alg.dim)
-    a = alg.from_coords(c)
-    assert np.allclose(a.coords(), c)
+    rows, cols = alg.unit_positions.T
+    mat = to_dense(alg, c)
+    assert np.array_equal(mat[rows, cols], c)
+    assert np.count_nonzero(mat) == alg.dim
+    assert np.array_equal(block_adjoint(alg, block_adjoint(alg, c)), c)
 
 
 def test_matrix_unit_products():
     m2 = Algebra((2,))
-    e12 = m2.from_coords([0, 1, 0, 0])
-    e21 = m2.from_coords([0, 0, 1, 0])
-    e11 = m2.from_coords([1, 0, 0, 0])
-    assert np.allclose((e12 * e21).coords(), e11.coords())
-    assert np.allclose((e12 * e12).coords(), 0)
-    assert np.allclose(e12.star().coords(), e21.coords())
+    e11, e12, e21, _ = np.eye(4)
+    assert np.array_equal(block_product(m2, e12, e21), e11)
+    assert np.array_equal(block_product(m2, e12, e12), np.zeros(4))
+    assert np.array_equal(block_adjoint(m2, e12), e21)
 
 
 def test_norm_is_largest_block_norm():
     alg = Algebra((1, 2))
-    a = alg.from_coords([3.0, 0, 2.0, 0, 0])   # block2 = [[0,2],[0,0]]
-    assert a.norm() == pytest.approx(3.0)
-    b = alg.from_coords([1.0, 0, 5.0, 0, 0])
-    assert b.norm() == pytest.approx(5.0)
+    a = np.array([3.0, 0, 2.0, 0, 0])        # block2 = [[0,2],[0,0]]
+    b = np.array([1.0, 0, 5.0, 0, 0])
+    assert block_norms(alg, np.stack([a, b])) == pytest.approx([3.0, 5.0])
 
 
 def test_trace_and_state():
+    # the trace is the pairing with the unit's coordinates
     alg = Algebra((2, 1))
-    a = alg.from_coords([1, 0, 0, 1, 4.0])
-    assert a.trace() == pytest.approx(6.0)
-    assert a.tau() == pytest.approx(2.0)      # normalized by matrix size 3
-    assert alg.unit().tau() == pytest.approx(1.0)
+    a = np.array([1, 0, 0, 1, 4.0])
+    assert alg.unit() @ a == pytest.approx(6.0)
+    assert alg.unit() @ a / alg.matrix_size == pytest.approx(2.0)   # normalized trace
+    assert alg.unit() @ alg.unit() / alg.matrix_size == pytest.approx(1.0)
 
 
 def test_mixed_algebra_arithmetic_rejected():
     with pytest.raises(DescriptorMismatch):
-        Algebra((2,)).unit() * Algebra((1, 1)).unit()
+        LinMap.identity(Algebra((2,))) @ LinMap.identity(Algebra((1, 1)))
 
 
 def test_positivity_helpers():
     m2 = Algebra((2,))
-    h = m2.from_coords([2.0, 1.0, 1.0, 2.0])   # [[2,1],[1,2]], eigs 1, 3
-    assert is_positive(h)
-    root = sqrt_psd(h)
-    assert np.allclose((root * root).coords(), h.coords())
-    neg = m2.from_coords([-1.0, 0, 0, 1.0])
-    assert not is_positive(neg)
-    assert positivity_defect(neg) == pytest.approx(1.0)
+    h = np.array([2.0, 1.0, 1.0, 2.0])      # [[2,1],[1,2]], eigs 1, 3
+    neg = np.array([-1.0, 0, 0, 1.0])
+    assert positivity_defects(m2, np.stack([h, neg])) == pytest.approx([0.0, 1.0])
+    root = psd_sqrt(h.reshape(2, 2)).reshape(-1)
+    assert np.allclose(block_product(m2, root, root), h)
 
 
 def test_hermitian_random_samples():
     alg = Algebra((2, 2))
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        h = alg.random_hermitian(rng)
-        assert h.is_hermitian()
-        p = alg.random_psd(rng)
-        assert is_positive(p, tol=1e-9)
+    xs = alg.random_coords(np.random.default_rng(5), 10)
+    herm = (xs + block_adjoint(alg, xs)) / 2
+    assert np.array_equal(herm, block_adjoint(alg, herm))
+    assert (positivity_defects(alg, block_product(alg, block_adjoint(alg, xs), xs))
+            <= 1e-9).all()
 
 
 def test_subspace_membership():
     alg = Algebra((1, 1))
     diag = Subspace.from_spanning(alg, np.array([[1.0, 1.0]]))
     assert diag.dim == 1
-    ok, resid = diag.contains(alg.unit())
-    assert ok and resid < 1e-12
-    ok, resid = diag.contains(alg.from_coords([1.0, 0.0]))
-    assert not ok and resid > 0.1
+
+    def leak(x):
+        return np.linalg.norm(x - diag.basis.T @ (diag.basis.conj() @ x))
+
+    assert leak(alg.unit()) < 1e-12
+    assert leak(np.array([1.0, 0.0])) > 0.1
 
 
 def test_generated_subalgebra_off_diagonal_unit():
     m2 = Algebra((2,))
-    e12 = m2.from_coords([0, 1, 0, 0])
-    full = generated_subalgebra([e12])
+    full = generated_subalgebra(m2, [[0, 1, 0, 0]])
     assert full.dim == 4          # e12 and its adjoint generate everything
-    diag = generated_subalgebra([m2.from_coords([1, 0, 0, 0])])
+    diag = generated_subalgebra(m2, [[1, 0, 0, 0]])
     assert diag.dim == 1
+    with pytest.raises(ValueError):
+        generated_subalgebra(m2, np.zeros((0, 4)))
 
 
 def test_amplified_descriptor():
@@ -111,10 +118,12 @@ def test_amplified_descriptor():
 
 
 def test_sqrt_rejects_indefinite():
+    # positivity_defects is the gate in front of a root: psd_sqrt itself
+    # clamps the negative part
     m2 = Algebra((2,))
-    neg = m2.from_coords([-1.0, 0, 0, 1.0])
-    with pytest.raises(ValueError):
-        sqrt_psd(neg)
+    neg = np.array([-1.0, 0, 0, 1.0])
+    assert not positivity_defects(m2, neg) <= 1e-9
+    assert np.array_equal(psd_sqrt(neg.reshape(2, 2)), np.diag([0.0, 1.0]))
 
 
 def test_psd_sqrt_matches_eigh():
@@ -139,9 +148,11 @@ def test_psd_sqrt_gives_nan_for_a_non_finite_matrix():
 
 
 def test_sqrt_psd_is_the_one_element_case():
+    # the root of an element is psd_sqrt of each of its blocks
     alg = Algebra((1, 2))
-    x = alg.random_element(np.random.default_rng(2))
-    p = x.star() * x
-    root = sqrt_psd(p)
-    assert np.array_equal(root.mats[1], psd_sqrt(p.mats[1]))
-    assert np.abs((root * root).coords() - p.coords()).max() < 1e-12
+    x = alg.random_coords(np.random.default_rng(2), 1)[0]
+    p = block_product(alg, block_adjoint(alg, x), x)
+    root = np.concatenate([psd_sqrt(p[:1].reshape(1, 1)).reshape(-1),
+                           psd_sqrt(p[1:].reshape(2, 2)).reshape(-1)])
+    assert positivity_defects(alg, root) <= 1e-12
+    assert np.abs(block_product(alg, root, root) - p).max() < 1e-12

@@ -1,8 +1,10 @@
 """The build stage as identities on coordinate stacks: the per-basis loops
 it replaced (basic construction, covariant representation, concrete
 correspondence, the endomorphism/transfer forms) are kept here as oracles,
-with the NaN gates of the representation and the correspondence laws."""
+on the dense block-diagonal matrices, with the NaN gates of the
+representation and the correspondence laws."""
 
+import dense
 import numpy as np
 import pytest
 
@@ -45,23 +47,27 @@ TOL = 1e-9
 # -- the per-basis loops the stacked build replaced ------------------------------
 
 
+def pi_of(pi, a):
+    """pi(a) for the coordinates a."""
+    return np.tensordot(a, pi, axes=(0, 0))
+
+
 def old_rep_residuals(inter, pi, smat):
     alg = inter.algebra
+    basis = np.eye(alg.dim)
     hom = star = 0.0
-    for i, a in enumerate(alg.basis):
-        star = max(star, float(np.linalg.norm(
-            np.tensordot(a.star().coords(), pi, axes=(0, 0)) - pi[i].conj().T)))
-        for j, b in enumerate(alg.basis):
-            prod = np.tensordot((a * b).coords(), pi, axes=(0, 0))
+    for i, a in enumerate(basis):
+        star = max(star, float(np.linalg.norm(pi_of(pi, dense.star(alg, a)) - pi[i].conj().T)))
+        for j, b in enumerate(basis):
+            prod = pi_of(pi, dense.mul(alg, a, b))
             hom = max(hom, float(np.linalg.norm(prod - pi[i] @ pi[j])))
     s_adj = smat.conj().T
     out = {"pi_multiplicative": hom, "pi_star": star,
            "partial_isometry": float(np.linalg.norm(smat @ s_adj @ smat - smat))}
     cov_v = cov_h = 0.0
     ss, s_s = smat @ s_adj, s_adj @ smat
-    for i, a in enumerate(alg.basis):
-        pv = np.tensordot(inter.v(a).coords(), pi, axes=(0, 0))
-        ph = np.tensordot(inter.h(a).coords(), pi, axes=(0, 0))
+    for i, a in enumerate(basis):
+        pv, ph = pi_of(pi, inter.v.matrix @ a), pi_of(pi, inter.h.matrix @ a)
         cov_v = max(cov_v, float(np.linalg.norm(smat @ pi[i] @ s_adj - pv @ ss)))
         cov_h = max(cov_h, float(np.linalg.norm(s_adj @ pi[i] @ smat - ph @ s_s)))
     out.update(covariance_v=cov_v, covariance_h=cov_h)
@@ -80,7 +86,7 @@ def old_covrep(inter, x):
         pi[i, :r, :r] = x.qx @ left @ x.liftx
         pi[i, r:, r:] = kb.conj() @ np.kron(x.bch.lam[i], np.eye(m)) @ kb.T
     smat = np.zeros((r + s, r + s), dtype=complex)
-    one = alg.unit().coords()
+    one = alg.unit()
     for b in range(s):
         image = x.right_act(np.kron(one, one), kb[b].reshape(m, m))
         smat[:r, r + b] = np.sqrt(m) * (x.qx @ image)
@@ -90,43 +96,53 @@ def old_covrep(inter, x):
 def old_checks(rep):
     """2.2, 2.8, 2.9 and 6.1, one basis or range element at a time."""
     inter = rep.interaction
+    alg = inter.algebra
     ss = rep.smat @ rep.smat.conj().T
     s_s = rep.smat.conj().T @ rep.smat
     out = {}
     worst_v = worst_h = norm_gap = 0.0
-    for a in inter.algebra.basis:
-        va, ha = inter.v(a), inter.h(a)
-        pv, ph = rep.pi_of(va), rep.pi_of(ha)
+    for a in np.eye(alg.dim):
+        va, ha = inter.v.matrix @ a, inter.h.matrix @ a
+        pv, ph = pi_of(rep.pi, va), pi_of(rep.pi, ha)
+        nv, nh = dense.norm(alg, va), dense.norm(alg, ha)
         worst_v = max(worst_v, float(np.linalg.norm(pv @ ss - ss @ pv)))
         worst_h = max(worst_h, float(np.linalg.norm(ph @ s_s - s_s @ ph)))
         norm_gap = max(norm_gap,
-                       rel(abs(float(np.linalg.norm(pv @ ss, 2)) - va.norm()), va.norm()),
-                       rel(abs(float(np.linalg.norm(ph @ s_s, 2)) - ha.norm()), ha.norm()))
+                       rel(abs(float(np.linalg.norm(pv @ ss, 2)) - nv), nv),
+                       rel(abs(float(np.linalg.norm(ph @ s_s, 2)) - nh), nh))
     out.update(range_v_commutes_support=worst_v, range_h_commutes_support=worst_h,
                corner_norm_equality=norm_gap)
     mult = iso = 0.0
     for space, t, proj in ((inter.range_h, inter.v, ss), (inter.range_v, inter.h, s_s)):
-        elems = space.elements()
-        images = [rep.pi_of(t(e)) @ proj for e in elems]
+        elems = space.basis
+        images = [pi_of(rep.pi, t.matrix @ e) @ proj for e in elems]
         for i, xe in enumerate(elems):
-            iso = max(iso, abs(float(np.linalg.norm(images[i], 2)) - xe.norm()))
+            iso = max(iso, abs(float(np.linalg.norm(images[i], 2)) - dense.norm(alg, xe)))
             for j, ye in enumerate(elems):
-                lhs = rep.pi_of(t(xe * ye)) @ proj
+                lhs = pi_of(rep.pi, t.matrix @ dense.mul(alg, xe, ye)) @ proj
                 mult = max(mult, float(np.linalg.norm(lhs - images[i] @ images[j])))
     out.update(corner_multiplicative=mult, corner_isometric=iso)
-    one = inter.algebra.unit()
-    out["v_unit_fixes_support"] = float(np.linalg.norm(rep.pi_of(inter.v(one)) @ ss - ss))
-    out["h_unit_fixes_support"] = float(np.linalg.norm(rep.pi_of(inter.h(one)) @ s_s - s_s))
+    one = alg.unit()
+    out["v_unit_fixes_support"] = float(np.linalg.norm(
+        pi_of(rep.pi, inter.v.matrix @ one) @ ss - ss))
+    out["h_unit_fixes_support"] = float(np.linalg.norm(
+        pi_of(rep.pi, inter.h.matrix @ one) @ s_s - s_s))
     return out
 
 
 def old_gram(expectation):
     alg = expectation.algebra
-    normalizer = expectation(alg.unit()).trace().real
+    e = expectation.matrix
+
+    def trace(x):
+        return np.trace(dense.to_dense(alg, x))
+
+    normalizer = trace(e @ alg.unit()).real
+    basis = np.eye(alg.dim)
     gram = np.empty((alg.dim, alg.dim), dtype=complex)
-    for j, aj in enumerate(alg.basis):
-        for k, ak in enumerate(alg.basis):
-            gram[j, k] = expectation(aj.star() * ak).trace() / normalizer
+    for j, aj in enumerate(basis):
+        for k, ak in enumerate(basis):
+            gram[j, k] = trace(e @ dense.mul(alg, dense.star(alg, aj), ak)) / normalizer
     return (gram + gram.conj().T) / 2
 
 
@@ -138,26 +154,30 @@ def old_express_in_k(kb, mat):
 
 def old_invariants(bc):
     alg = bc.algebra
+    basis = np.eye(alg.dim)
     out = {"e_hermitian": float(np.linalg.norm(bc.e - bc.e.conj().T)),
            "e_idempotent": float(np.linalg.norm(bc.e @ bc.e - bc.e))}
     star = mult = jones = implemented = 0.0
-    for i, a in enumerate(alg.basis):
-        star = max(star, float(np.linalg.norm(bc.lam_of(a.star()) - bc.lam[i].conj().T)))
+    for i, a in enumerate(basis):
+        star = max(star, float(np.linalg.norm(pi_of(bc.lam, dense.star(alg, a))
+                                              - bc.lam[i].conj().T)))
         for j in range(alg.dim):
-            prod = bc.lam_of(alg.basis[i] * alg.basis[j])
+            prod = pi_of(bc.lam, dense.mul(alg, basis[i], basis[j]))
             mult = max(mult, float(np.linalg.norm(prod - bc.lam[i] @ bc.lam[j])))
-        ea = bc.lam_of(bc.expectation(a))
-        jones = max(jones, float(np.linalg.norm(bc.e @ bc.lam[i] @ bc.e - ea @ bc.e)))
+        ea = bc.expectation.matrix @ a
+        jones = max(jones, float(np.linalg.norm(bc.e @ bc.lam[i] @ bc.e
+                                                - pi_of(bc.lam, ea) @ bc.e)))
         implemented = max(implemented, float(np.linalg.norm(
-            bc.e @ (bc.q @ a.coords()) - bc.q @ bc.expectation(a).coords())))
+            bc.e @ (bc.q @ a) - bc.q @ ea)))
     out.update(left_regular_star=star, left_regular_multiplicative=mult,
                jones_relation=jones, expectation_implemented=implemented)
     commute = norm_gap = 0.0
-    for b in bc.range_sub.elements():
-        lb = bc.lam_of(b)
+    for b in bc.range_sub.basis:
+        lb = pi_of(bc.lam, b)
         commute = max(commute, float(np.linalg.norm(bc.e @ lb - lb @ bc.e)))
         got = float(np.linalg.norm(lb @ bc.e, 2))
-        norm_gap = max(norm_gap, rel(abs(got - b.norm()), b.norm()))
+        nb = dense.norm(alg, b)
+        norm_gap = max(norm_gap, rel(abs(got - nb), nb))
     out.update(e_commutes_with_range=commute, corner_isometric_on_range=norm_gap)
     out["k_star_closed"] = max(old_express_in_k(bc.k_basis, row.reshape(bc.m, bc.m).conj().T)
                                for row in bc.k_basis)
@@ -168,11 +188,11 @@ def old_triples(tro):
     n = tro.n
     tt = np.zeros((n, n, n, n), dtype=complex)
     leaks = np.zeros((n, n, n))
-    xs = [tro.ambient.from_coords(row) for row in tro.basis]
+    amb, xs = tro.ambient, tro.basis
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                v = (xs[i] * xs[j].star() * xs[k]).coords()
+                v = dense.mul(amb, dense.mul(amb, xs[i], dense.star(amb, xs[j])), xs[k])
                 tt[i, j, k] = tro.basis.conj() @ v
                 leaks[i, j, k] = np.linalg.norm(v - tro.basis.T @ tt[i, j, k])
     return tt, leaks
@@ -183,10 +203,9 @@ def old_tro_actions(tro, embed):
     lam_t = np.zeros((len(embed), n, n), dtype=complex)
     rho_t = np.zeros_like(lam_t)
     for a, img in enumerate(embed):
-        for k in range(n):
-            b = tro.ambient.from_coords(tro.basis[k])
-            lam_t[a, :, k] = tro.basis.conj() @ (img * b).coords()
-            rho_t[a, :, k] = tro.basis.conj() @ (b * img).coords()
+        for k, b in enumerate(tro.basis):
+            lam_t[a, :, k] = tro.basis.conj() @ dense.mul(tro.ambient, img, b)
+            rho_t[a, :, k] = tro.basis.conj() @ dense.mul(tro.ambient, b, img)
     return lam_t, rho_t
 
 
@@ -205,7 +224,7 @@ def old_check_commutation(corr):
 
 def old_norm(corr, coords):
     if corr.mode == "concrete":
-        return corr.tro.ambient.from_coords(corr.tro.basis.T @ coords).norm()
+        return dense.norm(corr.tro.ambient, corr.tro.basis.T @ coords)
     return corr.x.module_norm(corr.x.liftx @ coords)
 
 
@@ -220,28 +239,30 @@ def old_cube(corr):
 
 def old_check_713(alpha, transfer, x):
     alg = x.algebra
+    al, tr = alpha.matrix, transfer.matrix
     one = alg.unit()
+    basis = np.eye(alg.dim)
 
-    def simple(a, b):
-        return np.kron(a.coords(), b.coords())
+    def mul(a, b):
+        return dense.mul(alg, a, b)
 
     density = isometry = right_lin = left_lin = ternary = 0.0
-    for a in alg.basis:
-        phi_a = simple(a, one)
-        isometry = max(isometry, abs(
-            x.module_norm(phi_a) - np.sqrt(transfer(a.star() * a).norm())))
-        for b in alg.basis:
-            moved = x.qx @ simple(a * alpha(b), one)
-            density = max(density, float(np.linalg.norm(x.qx @ simple(a, b) - moved)))
+    for a in basis:
+        phi_a = np.kron(a, one)
+        isometry = max(isometry, abs(x.module_norm(phi_a) - np.sqrt(
+            dense.norm(alg, tr @ mul(dense.star(alg, a), a)))))
+        for b in basis:
+            moved = x.qx @ np.kron(mul(a, al @ b), one)
+            density = max(density, float(np.linalg.norm(x.qx @ np.kron(a, b) - moved)))
             right_lin = max(right_lin, float(np.linalg.norm(
-                moved - x.qx @ x.act_a(b.coords(), phi_a, side="right"))))
+                moved - x.qx @ x.act_a(b, phi_a, side="right"))))
             left_lin = max(left_lin, float(np.linalg.norm(
-                x.qx @ (simple(b * a, one) - x.act_a(b.coords(), phi_a, side="left")))))
+                x.qx @ (np.kron(mul(b, a), one) - x.act_a(b, phi_a, side="left")))))
     rng = np.random.default_rng(713)
     for _ in range(8):
-        u, v, w = (alg.random_element(rng) for _ in range(3))
-        lhs = simple(u * alpha(transfer(v.star() * w)), one)
-        rhs = x.ternary(simple(u, one), simple(v, one), simple(w, one))
+        u, v, w = alg.random_coords(rng, 3)
+        lhs = np.kron(mul(u, al @ tr @ mul(dense.star(alg, v), w)), one)
+        rhs = x.ternary(np.kron(u, one), np.kron(v, one), np.kron(w, one))
         ternary = max(ternary, float(np.linalg.norm(x.qx @ (lhs - rhs))))
     return {"density": density, "isometry": isometry, "module_map_right": right_lin,
             "module_map_left": left_lin, "ternary": ternary}
@@ -249,33 +270,46 @@ def old_check_713(alpha, transfer, x):
 
 def old_endo_transfer(alpha, transfer):
     alg = alpha.algebra
-    basis = alg.basis
+    al, tr = alpha.matrix, transfer.matrix
+    basis = np.eye(alg.dim)
+
+    def mul(a, b):
+        return dense.mul(alg, a, b)
+
     return {
-        "endomorphism_multiplicative": max((alpha(a * b) - alpha(a) * alpha(b)).hs_norm()
+        "endomorphism_multiplicative": max(np.linalg.norm(al @ mul(a, b) - mul(al @ a, al @ b))
                                            for a in basis for b in basis),
-        "transfer_identity": max((transfer(a * alpha(b)) - transfer(a) * b).hs_norm()
+        "transfer_identity": max(np.linalg.norm(tr @ mul(a, al @ b) - mul(tr @ a, b))
                                  for a in basis for b in basis),
     }
 
 
-def old_derive_residuals(a_algebra, a_embed, s):
+def old_derive_residuals(a_algebra, ambient, a_embed, s):
     """The embedding and compression-fit residuals of the reconstruction."""
-    emb = np.array([x.coords() for x in a_embed]).T
+    def mul(*xs):
+        out = xs[0]
+        for x in xs[1:]:
+            out = dense.mul(ambient, out, x)
+        return out
+
+    emb = a_embed.T
+    basis = np.eye(a_algebra.dim)
     worst = 0.0
-    for j, aj in enumerate(a_algebra.basis):
-        for k, ak in enumerate(a_algebra.basis):
+    for j, aj in enumerate(basis):
+        for k, ak in enumerate(basis):
             worst = max(worst, float(np.linalg.norm(
-                (a_embed[j] * a_embed[k]).coords() - emb @ (aj * ak).coords())))
+                mul(a_embed[j], a_embed[k]) - emb @ dense.mul(a_algebra, aj, ak))))
         worst = max(worst, float(np.linalg.norm(
-            a_embed[j].star().coords() - emb @ aj.star().coords())))
+            dense.star(ambient, a_embed[j]) - emb @ dense.star(a_algebra, aj))))
     out = {"embedding": worst}
-    for name, proj, compress in (("v", s * s.star(), lambda x: s * x * s.star()),
-                                 ("h", s.star() * s, lambda x: s.star() * x * s)):
-        cols = np.array([(x * proj).coords() for x in a_embed]).T
+    s_star = dense.star(ambient, s)
+    for name, proj, compress in (("v", mul(s, s_star), lambda x: mul(s, x, s_star)),
+                                 ("h", mul(s_star, s), lambda x: mul(s_star, x, s))):
+        cols = np.array([mul(x, proj) for x in a_embed]).T
         pinv = np.linalg.pinv(cols)
         fit = 0.0
         for x in a_embed:
-            rhs = compress(x).coords()
+            rhs = compress(x)
             fit = max(fit, rel(np.linalg.norm(cols @ (pinv @ rhs) - rhs), np.linalg.norm(rhs)))
         out[f"compression_fit_{name}"] = fit
     return out
@@ -362,9 +396,9 @@ def test_covariant_representation_matches_the_loops(built):
 
 def test_reconstruction_residuals_match_the_loops(built):
     _, inter, _, rep = built
-    ambient, embedded, s_elt = rep_ambient_data(rep)
-    got = derive_from_partial_isometry(inter.algebra, embedded, s_elt, TOL)
-    want = old_derive_residuals(inter.algebra, embedded, s_elt)
+    ambient, embedded, s_coords = rep_ambient_data(rep)
+    got = derive_from_partial_isometry(inter.algebra, ambient, embedded, s_coords, TOL)
+    want = old_derive_residuals(inter.algebra, ambient, embedded, s_coords)
     close({k: got.residuals[k] for k in want}, want)
     close_arrays(got.interaction.v.matrix, inter.v.matrix)
 
@@ -387,19 +421,18 @@ def test_endomorphism_transfer_forms_match_the_loops(built):
 
 
 def concrete_cases():
-    """(ambient, spanning elements, coefficient algebra, its embedding)."""
+    """(ambient, spanning rows, coefficient algebra, its embedding rows)."""
     m2, m3, mixed = Algebra((2,)), Algebra((3,)), Algebra((2, 1))
-    u2, u3, um = m2.basis, m3.basis, mixed.basis
+    u2, u3, um = np.eye(4), np.eye(9), np.eye(5)
     return {
-        "matrix_unit": (m2, [u2[1]], Algebra((1, 1)), [u2[0], u2[3]]),
-        "full_m2": (m2, list(u2), m2, list(u2)),
+        "matrix_unit": (m2, u2[[1]], Algebra((1, 1)), u2[[0, 3]]),
+        "full_m2": (m2, u2, m2, u2),
         # the first row of M_3, complex: C on the left, C ⊕ C on the right
         "row_m3": (m3, [u3[0] + 1j * u3[1], u3[1] - 2j * u3[2], u3[2]], Algebra((1, 1)),
                    [u3[0], u3[4] + u3[8]]),
         # e12 of the 2-block with the 1-block, over the block units
-        "mixed": (mixed, [um[1], um[4]], Algebra((1, 1, 1)),
-                  [um[0], um[3], um[4]]),
-        "empty": (m2, [], Algebra((1, 1)), [u2[0], u2[3]]),
+        "mixed": (mixed, um[[1, 4]], Algebra((1, 1, 1)), um[[0, 3, 4]]),
+        "empty": (m2, np.zeros((0, 4)), Algebra((1, 1)), u2[[0, 3]]),
     }
 
 

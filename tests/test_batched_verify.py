@@ -1,15 +1,16 @@
 """The verify stage as whole-stack identities: the per-element loops it
-replaced are kept here as oracles, with the Choi pieces against the full Choi
-matrix, the closed-form multiplication tensors against Element products, the
-memory of the verify stage, and non-finite maps."""
+replaced are kept here as oracles on the dense block-diagonal matrices, with
+the Choi pieces against the full Choi matrix, the closed-form multiplication
+tensors against dense products, the memory of the verify stage, and
+non-finite maps."""
 
+import dense
 import numpy as np
 import pytest
 from conftest import traced_peak
 
 from starint import (
     Algebra,
-    Element,
     Interaction,
     LinMap,
     amplified_interaction,
@@ -44,23 +45,16 @@ TOL = 1e-9
 
 
 def old_random_element(alg, rng):
-    mats = []
+    blocks = []
     for d in alg.blocks:
         m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        mats.append(m / np.sqrt(2.0))
-    return Element(alg, mats)
-
-
-def old_positivity_defect(x):
-    herm = max(float(np.linalg.norm(a - a.conj().T)) for a in x.mats)
-    worst = 0.0
-    for a in x.mats:
-        worst = max(worst, -float(np.linalg.eigvalsh(0.5 * (a + a.conj().T)).min()))
-    return max(herm, worst) / max(1.0, x.norm())
+        blocks.append((m / np.sqrt(2.0)).reshape(-1))
+    return np.concatenate(blocks)
 
 
 def old_rank_one_positives(alg):
     out = []
+    edges = np.cumsum((0,) + alg.blocks)
     for b_idx, d in enumerate(alg.blocks):
         eye = np.eye(d, dtype=complex)
         vecs = [eye[:, p] for p in range(d)]
@@ -69,24 +63,29 @@ def old_rank_one_positives(alg):
                 vecs.append(eye[:, p] + eye[:, q])
                 vecs.append(eye[:, p] + 1j * eye[:, q])
         for v in vecs:
-            mats = [np.zeros((dd, dd), dtype=complex) for dd in alg.blocks]
-            mats[b_idx] = np.outer(v, v.conj())
-            out.append(Element(alg, mats))
+            mat = np.zeros((alg.matrix_size,) * 2, dtype=complex)
+            mat[edges[b_idx]:edges[b_idx + 1], edges[b_idx]:edges[b_idx + 1]] = np.outer(
+                v, v.conj())
+            out.append(dense.from_dense(alg, mat))
     return out
 
 
 def old_positivity_certificate(t, trials, rng):
+    alg = t.algebra
     worst = 0.0
-    for x in old_rank_one_positives(t.algebra):
-        worst = max(worst, old_positivity_defect(t(x)))
+    for x in old_rank_one_positives(alg):
+        worst = max(worst, dense.positivity_defect(alg, t.matrix @ x))
     for _ in range(trials):
-        y = old_random_element(t.algebra, rng)
-        worst = max(worst, old_positivity_defect(t(y.star() * y)))
+        y = old_random_element(alg, rng)
+        worst = max(worst, dense.positivity_defect(
+            alg, t.matrix @ dense.mul(alg, dense.star(alg, y), y)))
     return worst
 
 
 def old_star_preservation(t):
-    return max((t(b.star()) - t(b).star()).hs_norm() for b in t.algebra.basis)
+    alg = t.algebra
+    return max(np.linalg.norm(t.matrix @ dense.star(alg, b) - dense.star(alg, t.matrix @ b))
+               for b in np.eye(alg.dim))
 
 
 def old_contractivity(t, samples, rng, amplification=2):
@@ -95,27 +94,29 @@ def old_contractivity(t, samples, rng, amplification=2):
     for tt in (t, amplify(t, amplification)):
         for _ in range(samples):
             x = old_random_element(tt.algebra, rng)
-            nx = x.norm()
+            nx = dense.norm(tt.algebra, x)
             if nx > 0:
-                worst = max(worst, (tt(x).norm() - nx) / nx)
+                worst = max(worst, (dense.norm(tt.algebra, tt.matrix @ x) - nx) / nx)
     return max(0.0, worst)
 
 
 def old_scan(t, domain, tol):
     alg = t.algebra
+    basis = np.eye(alg.dim)
     pool = []
-    for i, b in enumerate(alg.basis):
-        if domain.contains(b, tol)[0]:
+    for i, b in enumerate(basis):
+        if np.linalg.norm(b - domain.basis.T @ (domain.basis.conj() @ b)) <= tol:
             pool.append(("unit", i, b))
-    for i, x in enumerate(domain.elements()):
+    for i, x in enumerate(domain.basis):
         pool.append(("range", i, x))
     worst, witness = 0.0, {}
     for kind, idx, x in pool:
-        tx = t(x)
-        for j, y in enumerate(alg.basis):
-            ty = t(y)
+        tx = t.matrix @ x
+        for j, y in enumerate(basis):
+            ty = t.matrix @ y
             for order, left, right, tl, tr in (("xy", x, y, tx, ty), ("yx", y, x, ty, tx)):
-                resid = (t(left * right) - tl * tr).hs_norm()
+                resid = np.linalg.norm(t.matrix @ dense.mul(alg, left, right)
+                                       - dense.mul(alg, tl, tr))
                 if resid > worst:
                     worst = resid
                     witness = {"x_kind": kind, "x_index": idx,
@@ -125,49 +126,52 @@ def old_scan(t, domain, tol):
 
 def old_expectation(e, expected_range):
     """fixes_range and bimodule, the two swept residuals of 2.6."""
+    alg = e.algebra
     worst_fix = worst_bim = 0.0
-    for b in expected_range.elements():
-        worst_fix = max(worst_fix, (e(b) - b).hs_norm())
-        for a in e.algebra.basis:
-            ea = e(a)
-            worst_bim = max(worst_bim, (e(a * b) - ea * b).hs_norm(),
-                            (e(b * a) - b * ea).hs_norm())
+    for b in expected_range.basis:
+        worst_fix = max(worst_fix, np.linalg.norm(e.matrix @ b - b))
+        for a in np.eye(alg.dim):
+            ea = e.matrix @ a
+            worst_bim = max(worst_bim,
+                            np.linalg.norm(e.matrix @ dense.mul(alg, a, b) - dense.mul(alg, ea, b)),
+                            np.linalg.norm(e.matrix @ dense.mul(alg, b, a) - dense.mul(alg, b, ea)))
     return {"fixes_range": worst_fix, "bimodule": worst_bim}
 
 
 def old_inverse_pair(inter):
-    v, h = inter.v, inter.h
-    out = {"h1_after_v1_is_id": max((h(v(x)) - x).hs_norm()
-                                    for x in inter.range_h.elements()),
-           "v1_after_h1_is_id": max((v(h(x)) - x).hs_norm()
-                                    for x in inter.range_v.elements())}
+    alg, v, h = inter.algebra, inter.v.matrix, inter.h.matrix
+    out = {"h1_after_v1_is_id": max(np.linalg.norm(h @ v @ x - x)
+                                    for x in inter.range_h.basis),
+           "v1_after_h1_is_id": max(np.linalg.norm(v @ h @ x - x)
+                                    for x in inter.range_v.basis)}
     iso = mult = star = 0.0
     for t, space in ((v, inter.range_h), (h, inter.range_v)):
-        elems = space.elements()
-        for x in elems:
-            iso = max(iso, abs(t(x).norm() - x.norm()))
-            star = max(star, (t(x.star()) - t(x).star()).hs_norm())
-            for y in elems:
-                mult = max(mult, (t(x * y) - t(x) * t(y)).hs_norm())
+        for x in space.basis:
+            iso = max(iso, abs(dense.norm(alg, t @ x) - dense.norm(alg, x)))
+            star = max(star, np.linalg.norm(t @ dense.star(alg, x) - dense.star(alg, t @ x)))
+            for y in space.basis:
+                mult = max(mult, np.linalg.norm(t @ dense.mul(alg, x, y)
+                                                - dense.mul(alg, t @ x, t @ y)))
     out.update(restriction_isometric=iso, restriction_multiplicative=mult,
                restriction_star=star)
     return out
 
 
 def old_sliding(x):
-    alg, h, v = x.algebra, x.inter.h, x.inter.v
+    alg, h, v = x.algebra, x.inter.h.matrix, x.inter.v.matrix
+    basis = np.eye(alg.dim)
     worst_v = worst_h = 0.0
-    for c in x.inter.range_v.elements():
-        for a in alg.basis:
-            for b in alg.basis:
-                d = (np.kron((a * c).coords(), b.coords())
-                     - np.kron(a.coords(), (h(c) * b).coords()))
+    for c in x.inter.range_v.basis:
+        for a in basis:
+            for b in basis:
+                d = (np.kron(dense.mul(alg, a, c), b)
+                     - np.kron(a, dense.mul(alg, h @ c, b)))
                 worst_v = max(worst_v, float(np.linalg.norm(x.qx @ d)))
-    for c in x.inter.range_h.elements():
-        for a in alg.basis:
-            for b in alg.basis:
-                d = (np.kron(a.coords(), (c * b).coords())
-                     - np.kron((a * v(c)).coords(), b.coords()))
+    for c in x.inter.range_h.basis:
+        for a in basis:
+            for b in basis:
+                d = (np.kron(a, dense.mul(alg, c, b))
+                     - np.kron(dense.mul(alg, a, v @ c), b))
                 worst_h = max(worst_h, float(np.linalg.norm(x.qx @ d)))
     return {"slide_range_v": worst_v, "slide_range_h": worst_h}
 
@@ -294,33 +298,31 @@ def test_failing_pairs_keep_their_witnesses():
 def test_random_coords_draw_the_per_element_stream():
     alg = Algebra((2, 1, 3))
     rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
-    want = np.array([old_random_element(alg, rng_a).coords() for _ in range(4)])
+    want = np.array([old_random_element(alg, rng_a) for _ in range(4)])
     assert np.array_equal(alg.random_coords(rng_b, 4), want)
-    assert np.array_equal(alg.random_element(rng_b).coords(),
-                          old_random_element(alg, rng_a).coords())
+    assert np.array_equal(alg.random_coords(rng_b, 1)[0], old_random_element(alg, rng_a))
 
 
 def test_block_stacks_match_element_arithmetic():
     alg, rng = Algebra((2, 1, 3, 1)), np.random.default_rng(2)
-    xs = [alg.random_element(rng) for _ in range(3)]
-    ys = [alg.random_element(rng) for _ in range(3)]
-    cx, cy = (np.array([e.coords() for e in s]) for s in (xs, ys))
+    cx, cy = alg.random_coords(rng, 3), alg.random_coords(rng, 3)
     prods = block_product(alg, cx[:, None], cy)
-    for i, x in enumerate(xs):
-        assert np.array_equal(block_adjoint(alg, cx[i]), x.star().coords())
-        close(float(block_norms(alg, cx[i])), x.norm())
-        close(float(positivity_defects(alg, cx[i])), old_positivity_defect(x))
-        for j, y in enumerate(ys):
-            assert np.allclose(prods[i, j], (x * y).coords(), atol=1e-14)
+    for i, x in enumerate(cx):
+        assert np.array_equal(block_adjoint(alg, x), dense.star(alg, x))
+        close(float(block_norms(alg, x)), dense.norm(alg, x))
+        close(float(positivity_defects(alg, x)), dense.positivity_defect(alg, x))
+        for j, y in enumerate(cy):
+            assert np.allclose(prods[i, j], dense.mul(alg, x, y), atol=1e-14)
 
 
 @pytest.mark.parametrize("blocks", [(2, 1), (3, 3), (1, 1, 1)])
 def test_multiplication_tensors_equal_element_products(blocks):
     alg = Algebra(blocks)
-    for i, bi in enumerate(alg.basis):
-        for k, bk in enumerate(alg.basis):
-            assert np.array_equal(alg.left_mult_tensor[i, :, k], (bi * bk).coords())
-            assert np.array_equal(alg.right_mult_tensor[i, :, k], (bk * bi).coords())
+    basis = np.eye(alg.dim)
+    for i, bi in enumerate(basis):
+        for k, bk in enumerate(basis):
+            assert np.array_equal(alg.left_mult_tensor[i, :, k], dense.mul(alg, bi, bk))
+            assert np.array_equal(alg.right_mult_tensor[i, :, k], dense.mul(alg, bk, bi))
 
 
 # -- complete positivity, piece by piece -----------------------------------------

@@ -21,6 +21,7 @@ from starint import (
     flip_interaction,
     identity_interaction,
 )
+from starint.algebra import block_adjoint, block_product
 
 ALL_CHECKS = [
     check_positivity,
@@ -69,13 +70,14 @@ def test_identity_m2_inner_is_compressed_product():
     inter = identity_interaction(Algebra((2,)))
     x = build_bimodule(inter)
     assert x.r == 4
+    alg = inter.algebra
     rng = np.random.default_rng(7)
-    one = inter.algebra.unit()
+    one = alg.unit()
     for _ in range(5):
-        u = inter.algebra.random_element(rng)
-        v = inter.algebra.random_element(rng)
-        ip = x.inner_r(np.kron(one.coords(), u.coords()), np.kron(one.coords(), v.coords()))
-        assert np.abs(ip - x.bch.lam_of(u.star() * v)).max() < 1e-12
+        u, v = alg.random_coords(rng, 2)
+        ip = x.inner_r(np.kron(one, u), np.kron(one, v))
+        want = np.tensordot(block_product(alg, block_adjoint(alg, u), v), x.bch.lam, axes=1)
+        assert np.abs(ip - want).max() < 1e-12
 
 
 def test_norm_two_ways_agree_on_sums():
@@ -96,9 +98,8 @@ def test_inner_products_match_gram():
 
 def test_action_shapes():
     x = build_bimodule(flip_interaction())
-    alg = x.algebra
     t = np.kron([3.0, 5.0], [2.0, 7.0])
-    k = x.bch.lam_of(alg.from_coords([1.0, 2.0]))
+    k = np.tensordot([1.0, 2.0], x.bch.lam, axes=1)
     moved = x.right_act(t, k)
     assert moved.shape == (x.amb,)
     # right action rescales the surviving class by the compressed factor

@@ -20,6 +20,7 @@ from starint import (
     identity_interaction,
     run_checklist,
 )
+from starint.algebra import block_adjoint
 from starint.checklist import _record
 
 TOL = 1e-9
@@ -72,7 +73,7 @@ def test_action_tables_match_actions(module):
     alg = x.algebra
     for a in (0, alg.dim - 1):
         for side, table in (("left", x.lam_t), ("right", x.rho_t)):
-            moved = x.act_a(alg.basis[a].coords(), reps[-1], side)
+            moved = x.act_a(np.eye(alg.dim)[a], reps[-1], side)
             assert np.abs(table[a][:, -1] - x.qx @ moved).max() < 1e-12
 
 
@@ -112,7 +113,8 @@ def test_slot_adjoint_defects_match_ternary_differences(module):
     for ai in (0, x.algebra.dim - 1):
         mid, outer = slot_adjoint_slices(x.bracket_t, x.lam_t, x.rho_t, x.sigma,
                                          slice(ai, ai + 1))
-        a, a_star = x.algebra.basis[ai].coords(), x.algebra.basis[ai].star().coords()
+        a = np.eye(x.algebra.dim)[ai]
+        a_star = block_adjoint(x.algebra, a)
         lhs = x.ternary(s, x.act_a(a, t, "left"), u)
         rhs = x.ternary(s, t, x.act_a(a_star, u, "left"))
         assert np.abs(mid[(0, *ijk)] - x.qx @ (lhs - rhs)).max() < 1e-12

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from starint import interactions, linmaps
+from starint import cli, interactions, linmaps
 from starint.checklist import CANONICAL_IDS
 from starint.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 
@@ -115,6 +115,61 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == EXIT_PASS
     assert out == ""
     assert json.loads(target.read_text())["checks"]["2.4"]["status"] == "pass"
+
+
+def test_unwritable_out_fails_before_any_check(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the checklist ran before --out was opened")
+
+    monkeypatch.setattr(cli, "run_checklist", refuse)
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "fuzz", FLIP, "--amplify", "2", "--out", str(target))
+    assert code == EXIT_USAGE
+    assert "cannot write" in err and out == ""
+
+
+def test_failed_emit_leaves_no_file(capsys, tmp_path):
+    target = tmp_path / "x.json"
+    code, _, err = run(capsys, "build", TRANSPOSE, "--emit", "bimodule", "--out", str(target))
+    assert code == EXIT_FAIL and "build failed" in err
+    assert not target.exists()
+    # a file that was there already is left as it was
+    target.write_text("old")
+    assert run(capsys, "build", TRANSPOSE, "--emit", "bimodule", "--out", str(target))[0] \
+        == EXIT_FAIL
+    assert target.read_text() == "old"
+
+
+def test_out_replaces_an_existing_file(capsys, tmp_path):
+    target = tmp_path / "report.json"
+    target.write_text("x" * 100000)
+    assert run(capsys, "verify", FLIP, "--out", str(target))[0] == EXIT_PASS
+    assert target.read_text() == run(capsys, "verify", FLIP)[1]
+
+
+ID = [[1, 0], [0, 1]]
+SWAP = [[0, 1], [1, 0]]
+DIAG_M2 = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]
+
+
+@pytest.mark.parametrize("spec, reason", [
+    # V and H are not the supplied endomorphism and transfer
+    ({"blocks": [1, 1], "mode": "endo_transfer", "alpha": SWAP, "transfer": SWAP,
+      "V": ID, "H": ID}, "not generated by the supplied"),
+    # the diagonal expectation on M_2 is a valid pair but not multiplicative
+    ({"blocks": [2], "mode": "endo_transfer", "alpha": DIAG_M2, "transfer": DIAG_M2},
+     "not multiplicative"),
+])
+def test_713_refusal_fails_the_record(capsys, tmp_path, spec, reason):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run(capsys, "build", str(path))
+    assert code == EXIT_FAIL
+    checks = json.loads(out)["checks"]
+    assert checks["7.13"]["status"] == "fail"
+    assert reason in checks["7.13"]["reason"]
+    assert sorted(checks) == sorted(CANONICAL_IDS)
+    assert checks["3.1.i"]["status"] == "pass"
 
 
 def test_fuzz_deterministic(capsys):

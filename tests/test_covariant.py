@@ -26,8 +26,7 @@ def test_flip_rep_oracle():
     assert (rep.r, rep.s, rep.n) == (1, 1, 2)
     # the shift sends the second basis vector onto the first, nothing else
     assert np.array_equal(rep.smat, np.array([[0, 1], [0, 0]], dtype=complex))
-    a = rep.interaction.algebra.from_coords([3.0, 7.0])
-    assert np.allclose(rep.pi_of(a), np.diag([3.0, 7.0]))
+    assert np.allclose(np.tensordot([3.0, 7.0], rep.pi, axes=1), np.diag([3.0, 7.0]))
     assert max(rep.residuals.values()) == 0.0
 
 
@@ -65,19 +64,18 @@ def test_faithful_extension_flip():
     rep = build_covrep(flip_interaction())
     ext = faithful_extension(rep)
     assert ext.injectivity == pytest.approx(np.sqrt(2))
-    a = rep.interaction.algebra.from_coords([3.0, 7.0])
-    big = ext.pi_of(a)
-    assert big.shape[0] > rep.pi_of(a).shape[0]
+    a = np.array([3.0, 7.0])
+    big, small = np.tensordot(a, ext.pi, axes=1), np.tensordot(a, rep.pi, axes=1)
+    assert big.shape[0] > small.shape[0]
     # original block sits in the top-left corner
-    assert np.allclose(big[: rep.pi.shape[1], : rep.pi.shape[1]], rep.pi_of(a))
+    assert np.allclose(big[: rep.pi.shape[1], : rep.pi.shape[1]], small)
 
 
 def test_faithful_extension_separates_elements():
     rep = build_covrep(flip_interaction())
     ext = faithful_extension(rep)
-    a = rep.interaction.algebra.from_coords([1.0, 0.0])
-    b = rep.interaction.algebra.from_coords([0.0, 1.0])
-    assert np.abs(ext.pi_of(a) - ext.pi_of(b)).max() > 0.5
+    # pi of the two minimal projections
+    assert np.abs(ext.pi[0] - ext.pi[1]).max() > 0.5
 
 
 def test_derive_roundtrip_exact():

@@ -3,6 +3,7 @@ the memory they save, the batched sampled checks 5.2-5.10 against their
 per-element loops, the stacked grid norms of 5.4 against amplified maps, and
 the noise-free redundancy counts of 7.9."""
 
+import dense
 import numpy as np
 import pytest
 from conftest import traced_peak
@@ -18,7 +19,6 @@ from starint import (
     find_redundancies,
     flip_interaction,
     identity_interaction,
-    sqrt_psd,
     swap_transfer_interaction,
 )
 from starint.bimodule import (
@@ -135,8 +135,8 @@ def _psd_defect(mat):
 
 
 def loop_positivity(x, samples, rng):
-    pool = [np.kron(a.coords(), b.coords())
-            for a in x.algebra.basis for b in x.algebra.basis[:1]]
+    basis = np.eye(x.algebra.dim)
+    pool = [np.kron(a, b) for a in basis for b in basis[:1]]
     pool += [draw(x, rng) for _ in range(samples)]
     return {"right_square_psd": max(_psd_defect(x.inner_r(t, t)) for t in pool),
             "left_square_psd": max(_psd_defect(x.inner_l(t, t)) for t in pool)}
@@ -160,20 +160,24 @@ def column_gram(alg, xs):
     coords = np.zeros(big.dim, dtype=complex)
     for i in range(n):
         for j in range(n):
-            coords[_cell_indices(alg, n, i, j)] += (xs[i] * xs[j].star()).coords()
-    return big.from_coords(coords)
+            coords[_cell_indices(alg, n, i, j)] += dense.mul(alg, xs[i], dense.star(alg, xs[j]))
+    return coords
 
 
 def amplified_norm_two_ways(x, pairs):
     """The grid norms of 5.4 through the amplified maps V_n, H_n on the
-    (n·d)-square grid algebra, one Element at a time."""
+    (n·d)-square grid algebra, one dense grid at a time."""
     n = len(pairs)
-    vn, hn = amplify(x.inter.v, n), amplify(x.inter.h, n)
+    big = x.algebra.amplified(n)
+    vn, hn = amplify(x.inter.v, n).matrix, amplify(x.inter.h, n).matrix
     grid_a = column_gram(x.algebra, [a for a, _ in pairs])
     grid_b = column_gram(x.algebra, [b for _, b in pairs])
-    n1 = (sqrt_psd(hn(grid_a), x.tol) * sqrt_psd(hn(vn(grid_b)), x.tol)).norm()
-    n2 = (sqrt_psd(vn(hn(grid_a)), x.tol) * sqrt_psd(vn(grid_b), x.tol)).norm()
-    return n1, n2
+
+    def norm_of_roots(p, q):
+        return dense.norm(big, dense.mul(big, dense.psd_root(big, p), dense.psd_root(big, q)))
+
+    return (norm_of_roots(hn @ grid_a, hn @ vn @ grid_b),
+            norm_of_roots(vn @ hn @ grid_a, vn @ grid_b))
 
 
 def loop_norm_agreement(x, samples, rng):
@@ -183,10 +187,10 @@ def loop_norm_agreement(x, samples, rng):
         worst_sides = max(worst_sides, abs(x.module_norm(t) - x.module_norm_left(t))
                           / max(1.0, x.module_norm(t)))
         count = int(rng.integers(1, 4))
-        pairs = [(x.algebra.random_element(rng), x.algebra.random_element(rng))
+        pairs = [(x.algebra.random_coords(rng, 1)[0], x.algebra.random_coords(rng, 1)[0])
                  for _ in range(count)]
         n1, n2 = amplified_norm_two_ways(x, pairs)
-        quot = x.module_norm(sum(np.kron(a.star().coords(), b.coords()) for a, b in pairs))
+        quot = x.module_norm(sum(np.kron(dense.star(x.algebra, a), b) for a, b in pairs))
         scale = max(1.0, n1, n2, quot)
         worst_forms = max(worst_forms, abs(n1 - n2) / scale, abs(n1 - quot) / scale)
     return {"norm_forms_agree": worst_forms, "seminorms_agree": worst_sides}
@@ -199,10 +203,11 @@ def loop_bound_59(x, samples, rng, terms=3):
         phi = np.zeros((x.bch.m, x.bch.m), dtype=complex)
         moved = np.zeros(x.amb, dtype=complex)
         for _ in range(terms):
-            a_star = x.algebra.random_element(rng).star()
-            b = x.algebra.random_element(rng)
-            phi += x.bch.lam_of(a_star) @ x.bch.e @ x.bch.lam_of(b)
-            moved = moved + x.right_act(eta, None, coeff=np.outer(a_star.coords(), b.coords()))
+            a_star = dense.star(x.algebra, x.algebra.random_coords(rng, 1)[0])
+            b = x.algebra.random_coords(rng, 1)[0]
+            lam_a, lam_b = (np.tensordot(c, x.bch.lam, axes=1) for c in (a_star, b))
+            phi += lam_a @ x.bch.e @ lam_b
+            moved = moved + x.right_act(eta, None, coeff=np.outer(a_star, b))
         lhs = float(np.linalg.norm(x.inner_r(xi, moved), 2))
         rhs = x.module_norm(xi) * x.module_norm(eta) * float(np.linalg.norm(phi, 2))
         worst = max(worst, max(0.0, lhs - rhs) / max(1.0, rhs))
@@ -290,8 +295,7 @@ def test_grid_norms_match_the_amplified_maps(name):
         padded[:, :count] = coords
         stacked = x.norm_two_ways(padded[:, :, 0], padded[:, :, 1])
         for s, sample in enumerate(coords):
-            pairs = [(alg.from_coords(a), alg.from_coords(b)) for a, b in sample]
-            want = np.array(amplified_norm_two_ways(x, pairs))
+            want = np.array(amplified_norm_two_ways(x, sample))
             scale = max(1.0, abs(want).max())
             one = x.norm_two_ways(sample[:, 0], sample[:, 1])     # unpadded, no stack axis
             assert abs(one - want).max() <= 1e-12 * scale
