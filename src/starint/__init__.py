@@ -16,7 +16,6 @@ from .linmaps import (
     LinMap,
     amplify,
     choi_matrix,
-    compose,
     is_completely_positive,
     map_residual,
     range_subspace,

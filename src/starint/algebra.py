@@ -131,17 +131,8 @@ class Algebra:
     @cached_property
     def star_perm(self) -> np.ndarray:
         """Index map with coords(x*) == conj(coords(x))[star_perm]."""
-        out = np.arange(self.dim)
-        for off, d in zip(self.offsets, self.blocks):
-            out[off:off + d * d] = off + np.arange(d * d).reshape(d, d).T.reshape(-1)
-        return out
-
-    @cached_property
-    def star_signature(self) -> np.ndarray:
-        """Permutation ``P`` with coords(x*) == P @ conj(coords(x))."""
-        perm = np.zeros((self.dim, self.dim))
-        perm[np.arange(self.dim), self.star_perm] = 1.0
-        return perm
+        return np.concatenate([off + np.arange(d * d).reshape(d, d).T.reshape(-1)
+                               for off, d in zip(self.offsets, self.blocks)])
 
     @cached_property
     def left_mult_tensor(self) -> np.ndarray:

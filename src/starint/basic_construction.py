@@ -33,37 +33,60 @@ from .linmaps import LinMap
 GAP_FACTOR = 1e3
 
 
+#: A matrix given as pieces (g, index): the small matrix g is repeated on the
+#: coordinates index[c] of each copy c, and the pieces cover every coordinate once.
+Pieces = tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
 class Quotient(NamedTuple):
-    kept: np.ndarray     # eigenvalues above the cut
+    kept: np.ndarray     # eigenvalues above the cut, ascending, once per copy
     q: np.ndarray        # (k, n): coordinates -> class coordinates
     lift: np.ndarray     # (n, k): class coordinates -> canonical representative
-    null: np.ndarray     # (n, n - k): discarded eigenvectors, as columns
-    top: float           # largest eigenvalue
+    null: Pieces         # per piece, its discarded eigenvectors as columns
 
 
-def eigen_quotient(gram: np.ndarray, tol: float,
+def place_rows(pieces: Pieces) -> np.ndarray:
+    """(rows, n): each column of each piece placed at the coordinates of
+    each of its copies, piece by piece, column by column."""
+    n = sum(index.size for _, index in pieces)
+    out = []
+    for vecs, index in pieces:
+        rows = np.zeros((vecs.shape[1], len(index), n), dtype=vecs.dtype)
+        rows[:, np.arange(len(index))[:, None], index] = vecs.T[:, None]
+        out.append(rows.reshape(-1, n))
+    return np.concatenate(out)
+
+
+def eigen_quotient(pieces: Pieces, tol: float,
                    messages: tuple[str, str, str]) -> Quotient:
-    """Quotient of a hermitian positive form by its kernel, cut at
+    """Quotient of a hermitian positive form, given as pieces, by its
+    kernel.  Each piece is eigendecomposed, and one cut over the union of
+    their spectra, each value counted once per copy, keeps the values above
     ``tol`` times the top eigenvalue.  ``messages`` explain the three ways
     the cut can fail: the form vanishes, is not positive, or has no
-    spectral gap of ``GAP_FACTOR`` at the cut."""
+    spectral gap of ``GAP_FACTOR`` at the cut.  Kept classes are in
+    ascending eigenvalue order, ties in piece, column and copy order."""
     vanishes, indefinite, no_gap = messages
-    lams, vecs = np.linalg.eigh(gram)
-    top = float(lams.max(initial=0.0))
+    eigs = [(*np.linalg.eigh(g), index) for g, index in pieces]
+    lams = np.sort(np.concatenate([np.repeat(vals, len(index)) for vals, _, index in eigs]))[::-1]
+    top = max(float(lams[0]), 0.0)
     if top <= tol:
         raise NumericalDegeneracy(vanishes)
-    if float(lams.min()) < -tol * top:
+    if float(lams[-1]) < -tol * top:
         raise NumericalDegeneracy(indefinite)
-    # the ascending eigenvalues keep their top svd_rank entries
-    keep = np.arange(lams.size) >= lams.size - svd_rank(lams[::-1], tol, TINY)
-    dropped = lams[~keep]
-    if dropped.size and float(dropped.max()) > 1e-300:
-        if float(lams[keep].min()) / float(dropped.max()) < GAP_FACTOR:
+    # the descending eigenvalues keep their first svd_rank entries
+    k = svd_rank(lams, tol, TINY)
+    if k < lams.size and float(lams[k]) > 1e-300:
+        if float(lams[k - 1]) / float(lams[k]) < GAP_FACTOR:
             raise NumericalDegeneracy(no_gap)
-    roots = np.sqrt(lams[keep])
-    u_keep = vecs[:, keep]
-    return Quotient(kept=lams[keep], q=roots[:, None] * u_keep.conj().T,
-                    lift=u_keep / roots[None, :], null=vecs[:, ~keep], top=top)
+    keep = [vals >= lams[k - 1] for vals, _, _ in eigs]
+    kept = np.concatenate([np.repeat(vals[c], len(index))
+                           for (vals, _, index), c in zip(eigs, keep)])
+    order = np.argsort(kept, kind="stable")
+    units = place_rows(tuple((vecs[:, c], index) for (_, vecs, index), c in zip(eigs, keep)))[order]
+    roots = np.sqrt(kept[order])
+    return Quotient(kept=kept[order], q=roots[:, None] * units.conj(), lift=units.T / roots,
+                    null=tuple((vecs[:, ~c], index) for (_, vecs, index), c in zip(eigs, keep)))
 
 
 @dataclass(frozen=True)
@@ -167,20 +190,18 @@ def build_basic(expectation: LinMap, range_sub: Subspace,
         raise NumericalDegeneracy("expectation form is not hermitian")
     gram = (gram + gram.conj().T) / 2
 
-    quot = eigen_quotient(gram, tol, (
+    quot = eigen_quotient(((gram, np.arange(alg.dim)[None]),), tol, (
         "expectation form vanishes identically",
         "expectation form is not positive",
         "quotient ill-conditioned: no spectral gap between kept and "
         "discarded directions"))
-    q, lift, null = quot.q, quot.lift, quot.null
+    q, lift, null = quot.q, quot.lift, place_rows(quot.null).T
 
     ql = q @ alg.left_mult_tensor
     # left multiplication must kill the discarded directions
-    if null.size:
-        leak = worst_norm(ql @ null, axis=(-2, -1))
-        if not leak <= tol * max(1.0, quot.top):
-            raise NumericalDegeneracy("null directions are not an ideal "
-                                      f"(leak {leak:.3e})")
+    leak = worst_norm(ql @ null, axis=(-2, -1))
+    if not leak <= tol * max(1.0, float(quot.kept[-1])):
+        raise NumericalDegeneracy(f"null directions are not an ideal (leak {leak:.3e})")
     return BasicConstruction(algebra=alg, expectation=expectation,
                              range_sub=range_sub, tol=tol, m=quot.kept.size, q=q,
                              lift=lift, lam=ql @ lift,

@@ -11,6 +11,7 @@ is realized as explicit tensors over the quotient coordinates.
 from __future__ import annotations
 
 from functools import cached_property, partial
+from itertools import product
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .algebra import (
     block_adjoint,
     block_product,
     eigvals_hermitian,
+    hermitian_part,
     orthonormal_rows,
     psd_defect,
     psd_sqrt,
@@ -31,6 +33,7 @@ from .algebra import (
 )
 from .basic_construction import (
     BasicConstruction,
+    Pieces,
     basic_for_h,
     basic_for_v,
     eigen_quotient,
@@ -87,11 +90,7 @@ class BimoduleX:
                                lam_v, e_v, optimize=True)
         self.lam_v_star = lam_v.conj().transpose(0, 2, 1)
 
-        self.gram_r = self._basis_gram(self._factors_r).reshape(self.amb, self.amb)
-        self.gram_l = self._basis_gram(self._factors_l).transpose(
-            1, 0, 3, 2).reshape(self.amb, self.amb)
-
-        quot = eigen_quotient(self.gram_r, tol, (
+        quot = eigen_quotient(self._gram_pieces("right"), tol, (
             "module collapses: both inner products vanish",
             "right inner product form is not positive (broken input pair)",
             "module quotient ill-conditioned"))
@@ -99,16 +98,15 @@ class BimoduleX:
         self.gram_spectrum = quot.kept
         self.qx = quot.q
         self.liftx = quot.lift
-        self.kernel = quot.null.T
+        self.null_r = quot.null
+        self.pieces_l = self._gram_pieces("left")     # for 5.4, on the same coordinates
 
     # -- inner products and norms ----------------------------------------------
 
-    @property
-    def _factors_r(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.lam_h_star, self.mid_h, self.e_lam_h
-
-    @property
-    def _factors_l(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _factors(self, side: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The factors (P, M, Q) of the right or left inner product."""
+        if side == "right":
+            return self.lam_h_star, self.mid_h, self.e_lam_h
         return self.lam_v, self.mid_v, self.lam_v_star
 
     @staticmethod
@@ -125,17 +123,29 @@ class BimoduleX:
         right = (vs @ last.reshape(dim, m * m)).reshape(*lead_v, dim * m, m)
         return left @ mid.reshape(dim * m, dim * m) @ right
 
-    @staticmethod
-    def _basis_gram(factors: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-        """[i, j, k, l] = tr(P[j] · M[i, k] · Q[l]) / m, hermitian as a matrix
-        over the pairs (i, j) and (k, l): the pairing of basis tensors under
-        the trace state."""
-        first, mid, last = factors
-        dim, m = first.shape[:2]
-        wrap = last[:, None] @ first[None]          # [l, j] = Q[l] · P[j]
-        gram = np.einsum("ibkc,ljcb->ijkl", mid, wrap, optimize=True) / m
-        gram = gram.reshape(dim * dim, dim * dim)
-        return ((gram + gram.conj().T) / 2).reshape(dim, dim, dim, dim)
+    def _gram_pieces(self, side: str) -> Pieces:
+        """The Gram matrix of the basis tensors under one inner product
+        (side "right" or "left") and the trace state, as one piece g_bc per
+        block pair.  For e_pq, e_p'q' in block b and e_rs, e_r's' in block c,
+            <e_pq⊗e_rs, e_p'q'⊗e_r's'> = δ_pp'·δ_ss'·g_bc[(q, r), (q', r')],
+        since a_i*·a_k = δ_pp'·e_qq' in the middle factor and the trace of
+        the outer factors sees d·b* = δ_ss'·e_r'r.  So g_bc is formed on the
+        tensors e_0q⊗e_r0 alone and repeated on the copies (p, s)."""
+        first, mid, last = self._factors(side)
+        alg, m = self.algebra, first.shape[1]
+        units = [off + np.arange(d * d).reshape(d, d) for off, d in zip(alg.offsets, alg.blocks)]
+        pieces = []
+        for ub, uc in product(units, repeat=2):
+            # tr(P[j] · M[i, k] · Q[l]) / m: M pairs the first tensor leg (i, k)
+            # on the right and the second on the left, P and Q the other leg
+            inner, outer, out = ((ub[0], uc[:, 0], "ijkl") if side == "right"
+                                 else (uc[:, 0], ub[0], "jilk"))
+            wrap = last[outer, None] @ first[None, outer]      # [l, j] = Q[l] · P[j]
+            g = np.einsum(f"ibkc,ljcb->{out}", mid[inner][:, :, inner], wrap, optimize=True) / m
+            k = len(ub) * len(uc)
+            index = ub[:, None, :, None] * self.dim + uc.T[None, :, None, :]   # [p, s, q, r]
+            pieces.append((hermitian_part(g.reshape(k, k)), index.reshape(k, k)))
+        return tuple(pieces)
 
     def _coeff_mats(self, coeffs: np.ndarray) -> np.ndarray:
         return coeffs.reshape(*coeffs.shape[:-1], self.dim, self.dim)
@@ -147,14 +157,14 @@ class BimoduleX:
         """(..., m_h, m_h): the right inner products of two coefficient
         stacks (..., dim²) that broadcast together."""
         return self._pairing(self._coeff_mats(ss.conj()), self._coeff_mats(ts),
-                             self._factors_r)
+                             self._factors("right"))
 
     def inner_l(self, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """(..., m_v, m_v): the left inner products, as ``inner_r``; the left
         factors pair the first tensor leg where the right ones pair the second."""
         return self._pairing(self._coeff_mats(ss).swapaxes(-1, -2),
                              self._coeff_mats(ts.conj()).swapaxes(-1, -2),
-                             self._factors_l)
+                             self._factors("left"))
 
     def module_norm(self, ts: np.ndarray) -> np.ndarray:
         """(...): the norm ∥<t, t>_r∥^½ of each tensor of a coefficient stack."""
@@ -394,9 +404,14 @@ def check_norm_agreement(x: BimoduleX, samples: int = 50,
     scale = np.maximum(1.0, np.max([n1, n2, quot], axis=0))
     forms = np.maximum(abs(n1 - n2), abs(n1 - quot)) / scale
     # inner_l is linear in its first slot, so the left seminorm of t is
-    # t^H conj(gram_l) t and its kernel is the null space of conj(gram_l)
-    kern = np.linalg.norm(x.kernel @ x.gram_l.conj().T, axis=-1)
-    lam_l = eigvals_hermitian(x.gram_l)        # gram_l is hermitian: its 2-norm is max |λ|
+    # t^H conj(gram_l) t and its kernel is the null space of conj(gram_l).
+    # Both Grams are pieces on the same coordinates, so each left piece
+    # meets the null vectors of the right piece on the same copies.
+    kern = np.concatenate([np.linalg.norm(g.conj() @ vecs, axis=0)
+                           for (g, _), (vecs, _) in zip(x.pieces_l, x.null_r)])
+    lam_l = np.sort(np.concatenate([np.repeat(eigvals_hermitian(g), len(index))
+                                    for g, index in x.pieces_l]))
+    # gram_l is hermitian: its 2-norm is max |λ|
     kern = kern / np.maximum(1.0, abs(lam_l).max(initial=0.0))
     rank_l = svd_rank(lam_l[::-1], x.tol, TINY)
     return {"norm_forms_agree": worst(forms), "seminorms_agree": worst(sides),

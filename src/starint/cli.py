@@ -11,6 +11,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterator
 
 from .algebra import DEFAULT_TOL, NumericalDegeneracy
+from .basic_construction import place_rows
 from .bimodule import build_bimodule
 from .checklist import Report, report_for_failed_candidate, run_checklist
 from .covariant import CovariantError, build_covrep
@@ -166,7 +167,7 @@ def cmd_build(spec: ProblemSpec, args: argparse.Namespace, write: Writer) -> int
             payload = {
                 "r": x.r,
                 "gram_spectrum": x.gram_spectrum,
-                "kernel_basis": matrix_out(x.kernel),
+                "kernel_basis": matrix_out(place_rows(x.null_r)),
             }
         else:
             rep = build_covrep(inter, tol=tol)

@@ -52,28 +52,11 @@ class LinMap:
             raise DescriptorMismatch("composition over different algebras")
         return LinMap(self.algebra, self.matrix @ other.matrix)
 
-    def __add__(self, other: "LinMap") -> "LinMap":
-        if other.algebra != self.algebra:
-            raise DescriptorMismatch("sum over different algebras")
-        return LinMap(self.algebra, self.matrix + other.matrix)
-
-    def __sub__(self, other: "LinMap") -> "LinMap":
-        if other.algebra != self.algebra:
-            raise DescriptorMismatch("difference over different algebras")
-        return LinMap(self.algebra, self.matrix - other.matrix)
-
-    def __rmul__(self, scalar) -> "LinMap":
-        return LinMap(self.algebra, complex(scalar) * self.matrix)
-
-
-def compose(s: LinMap, t: LinMap) -> LinMap:
-    return s @ t
-
 
 def transpose_map(algebra: Algebra) -> LinMap:
     """Blockwise transpose: positive but not completely positive on 2x2 blocks."""
-    m = algebra.star_signature.astype(complex)  # transpose permutes like the adjoint, minus conjugation
-    return LinMap(algebra, m)
+    # transpose permutes like the adjoint, minus conjugation
+    return LinMap(algebra, np.eye(algebra.dim)[algebra.star_perm])
 
 
 def map_residual(s: LinMap, t: LinMap) -> float:
@@ -92,26 +75,18 @@ def star_preservation_residual(t: LinMap) -> float:
 
 def _cell_indices(algebra: Algebra, n: int, row: int, col: int) -> np.ndarray:
     """Amplified coordinates of grid cell (row, col), ordered like the base coordinates."""
-    out = np.empty(algebra.dim, dtype=int)
-    pos, big_off = 0, 0
-    for d in algebra.blocks:
-        nd = n * d
-        for r in range(d):
-            for s in range(d):
-                out[pos] = big_off + (row * d + r) * nd + (col * d + s)
-                pos += 1
-        big_off += nd * nd
-    return out
+    return np.concatenate([
+        (off + (row * d + np.arange(d))[:, None] * n * d + col * d + np.arange(d)).reshape(-1)
+        for off, d in zip(algebra.amplified(n).offsets, algebra.blocks)])
 
 
 def amplify(t: LinMap, n: int) -> LinMap:
     """The entrywise extension of t to n-by-n grids over the algebra."""
     big = t.algebra.amplified(n)
+    cells = np.array([_cell_indices(t.algebra, n, row, col)
+                      for row in range(n) for col in range(n)])
     m = np.zeros((big.dim, big.dim), dtype=complex)
-    for row in range(n):
-        for col in range(n):
-            idx = _cell_indices(t.algebra, n, row, col)
-            m[np.ix_(idx, idx)] = t.matrix
+    m[cells[:, :, None], cells[:, None, :]] = t.matrix
     return LinMap(big, m)
 
 
@@ -163,20 +138,17 @@ def is_completely_positive(t: LinMap, tol: float = DEFAULT_TOL) -> tuple[bool, f
 
 def _rank_one_positives(algebra: Algebra) -> np.ndarray:
     """Coordinates of a spanning family of rank-one positive elements, block
-    by block."""
+    by block: v·v* for v = e_p, then e_p + e_q and e_p + i·e_q for p < q."""
     rows = []
     for off, d in zip(algebra.offsets, algebra.blocks):
         eye = np.eye(d, dtype=complex)
-        vecs = [eye[:, p] for p in range(d)]
-        for p in range(d):
-            for q in range(p + 1, d):
-                vecs.append(eye[:, p] + eye[:, q])
-                vecs.append(eye[:, p] + 1j * eye[:, q])
-        for v in vecs:
-            row = np.zeros(algebra.dim, dtype=complex)
-            row[off:off + d * d] = np.outer(v, v.conj()).reshape(-1)
-            rows.append(row)
-    return np.array(rows)
+        p, q = np.triu_indices(d, 1)
+        vecs = np.concatenate([eye, np.stack([eye[p] + eye[q], eye[p] + 1j * eye[q]], 1)
+                               .reshape(-1, d)])
+        block = np.zeros((len(vecs), algebra.dim), dtype=complex)
+        block[:, off:off + d * d] = (vecs[:, :, None] * vecs[:, None].conj()).reshape(len(vecs), -1)
+        rows.append(block)
+    return np.concatenate(rows)
 
 
 def positivity_certificate(t: LinMap, trials: int, tol: float = DEFAULT_TOL,

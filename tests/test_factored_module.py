@@ -99,13 +99,64 @@ def test_factored_forms_match_the_dense_oracle(module):
         want_l = np.einsum("u,v,uvab->ab", s, t.conj(), lf)
         assert np.abs(x.inner_r(s, t) - want_r).max() < 1e-12
         assert np.abs(x.inner_l(s, t) - want_l).max() < 1e-12
-    assert np.abs(x.gram_r - hermitian_trace(rf)).max() < 1e-12
-    assert np.abs(x.gram_l - hermitian_trace(lf)).max() < 1e-12
     lift = x.liftx
     want_r = np.einsum("uj,vk,uvab->jkab", lift.conj(), lift, rf)
     want_l = np.einsum("uj,vk,uvab->jkab", lift, lift.conj(), lf)
     assert np.abs(x.inner_r_t - want_r).max() < 1e-12
     assert np.abs(x.inner_l_t - want_l).max() < 1e-12
+
+
+def diagonal_expectation(alg: Algebra) -> LinMap:
+    """The conditional expectation onto the diagonal of every block."""
+    diag = np.concatenate([(np.arange(d)[:, None] == np.arange(d)).reshape(-1)
+                           for d in alg.blocks])
+    return LinMap(alg, np.diag(diag.astype(complex)))
+
+
+PATTERN_PAIRS = {
+    **PAIRS,
+    # unequal block sizes, where a slip between the legs' indices would show
+    "identity_21": lambda: identity_interaction(Algebra((2, 1))),
+    "identity_122": lambda: identity_interaction(Algebra((1, 2, 2))),
+    "diagonal_21": lambda: Interaction.build(diagonal_expectation(Algebra((2, 1))),
+                                             diagonal_expectation(Algebra((2, 1))), TOL),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATTERN_PAIRS))
+def test_gram_pieces_are_the_dense_grams_by_matrix_units(name):
+    # each side's dense Gram is its pieces placed at their coordinates, copy
+    # by copy, exactly 0.0 elsewhere, and its spectrum is theirs
+    x = build_bimodule(PATTERN_PAIRS[name]())
+    rf, lf = dense_forms(x)
+    for side, form in (("right", rf), ("left", lf)):
+        want = hermitian_trace(form)
+        placed = np.zeros(want.shape, dtype=bool)
+        for g, index in x._gram_pieces(side):
+            for copy in index:
+                cell = np.ix_(copy, copy)
+                assert np.abs(want[cell] - g).max() < 1e-12, side
+                placed[cell] = True
+        assert not want[~placed].any(), side
+        spectrum = np.concatenate([np.repeat(np.linalg.eigvalsh(g), len(index))
+                                   for g, index in x._gram_pieces(side)])
+        assert np.abs(np.sort(spectrum) - np.linalg.eigvalsh(want)).max() < 1e-12, side
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_module_build_holds_no_amb_square_array(n):
+    inter = amplified_interaction(flip_interaction(), n)
+    x, peak = traced_peak(lambda: build_bimodule(inter))
+    square = 16 * x.amb ** 2          # bytes of one complex amb-by-amb array
+    assert peak < 4 * square, peak / square
+
+    def entries(value):
+        if isinstance(value, np.ndarray):
+            return value.size
+        return sum(map(entries, value)) if isinstance(value, tuple) else 0
+
+    big = [k for k, v in vars(x).items() if entries(v) >= x.amb ** 2 and k not in ("F1", "G1")]
+    assert not big, big
 
 
 def test_module_keeps_no_dense_form():
@@ -326,14 +377,14 @@ def test_redundancy_counts_equal_the_algebra_dimension(inter):
 
 def test_a_nan_in_the_module_fails_5_2_and_5_3():
     # a NaN in the right middle factor fails 5.2 and 5.3; one in the left
-    # middle factor, with the left Gram matrix rebuilt from it, fails 5.4
+    # middle factor, with the left Gram pieces rebuilt from it, fails 5.4
     for factor, checks in (("mid_h", (("5.2", check_positivity),
                                       ("5.3", check_cauchy_schwarz))),
                            ("mid_v", (("5.4", check_norm_agreement),))):
         x = build_bimodule(identity_interaction(Algebra((2,))))
         setattr(x, factor, getattr(x, factor).copy())
         getattr(x, factor)[0, 0, 0, 0] = np.nan
-        x.gram_l = x._basis_gram(x._factors_l).transpose(1, 0, 3, 2).reshape(x.amb, x.amb)
+        x.pieces_l = x._gram_pieces("left")
         for cid, check in checks:
             record = _record(cid, check(x, 4, np.random.default_rng(0)), TOL)
             assert record.status == "fail" and np.isnan(record.residual), cid
@@ -341,12 +392,13 @@ def test_a_nan_in_the_module_fails_5_2_and_5_3():
 
 @pytest.mark.parametrize("name", ["identity_m2", "flip_x2"])
 def test_a_rank_one_left_term_fails_the_5_4_kernel_keys(name):
-    # a rank-one PSD term in the left middle factor, with the left Gram matrix
-    # rebuilt from it, moves the left kernel and rank away from the right ones
+    # a rank-one PSD term in one left Gram piece moves the left kernel and
+    # rank away from the right ones; the term stays inside the matrix-unit
+    # pattern, as any left Gram built from factors on a representation does
     x = build_bimodule(PAIRS[name]())
-    w = np.random.default_rng(0).standard_normal(x.dim * x.bcv.m)
-    x.mid_v = x.mid_v + np.outer(w, w).reshape(x.mid_v.shape)
-    x.gram_l = x._basis_gram(x._factors_l).transpose(1, 0, 3, 2).reshape(x.amb, x.amb)
+    (g, index), *rest = x.pieces_l
+    w = np.random.default_rng(0).standard_normal(len(g))
+    x.pieces_l = ((g + np.outer(w, w), index), *rest)
     record = _record("5.4", check_norm_agreement(x, 4, np.random.default_rng(0)), TOL)
     assert record.status == "fail"
     assert record.details["5.4-kernels_coincide"] > TOL

@@ -8,7 +8,6 @@ from starint import (
     LinMap,
     amplify,
     choi_matrix,
-    compose,
     is_completely_positive,
     map_residual,
     range_subspace,
@@ -28,7 +27,7 @@ def flip_maps():
 def test_identity_and_compose():
     alg = Algebra((2,))
     ident = LinMap.identity(alg)
-    assert map_residual(compose(ident, ident), ident) == 0.0
+    assert map_residual(ident @ ident, ident) == 0.0
     a = np.array([1, 2, 3, 4])
     assert np.array_equal(ident.matrix @ a, a)
 
