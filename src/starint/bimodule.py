@@ -63,32 +63,31 @@ class BimoduleX:
         self.dim = dim
         self.amb = dim * dim
 
-        lt, rt = alg.left_mult_tensor, alg.right_mult_tensor
-        self.sigma = sigma = alg.star_perm
+        self.sigma = alg.star_perm
         vm, hm = inter.v.matrix, inter.h.matrix
 
-        # F1[i,j,p] = coords(a_i · V(a_j a_p)); G1[q,i,j] = coords(H(a_q a_i) · a_j)
-        vl = np.einsum("ab,jbp->jap", vm, lt)
-        self.F1 = np.einsum("iab,jbp->ijpa", lt, vl, optimize=True)
-        hl = np.einsum("ab,qbi->qai", hm, lt)
-        self.G1 = np.einsum("jab,qbi->qija", rt, hl, optimize=True)
+        # The actions contract in two steps through the dim³ tables
+        # vl[j, s, p] = coords_s(V(a_j a_p)) and hl[q, s, i] = coords_s(H(a_q a_i)).
+        self.vl = np.einsum("ab,jbp->jap", vm, alg.left_mult_tensor)
+        self.hl = np.einsum("ab,qbi->qai", hm, alg.left_mult_tensor)
 
         # Both inner products of elementary tensors are products of three
         # small operators, and only these factors are stored:
         #   <a⊗b, c⊗d>_r = λ_h(b)* · λ_h(H(a* c)) · e_h λ_h(d)
         #   <a⊗b, c⊗d>_l = λ_v(a) · λ_v(V(b d*)) e_v · λ_v(c)*
-        # Each middle factor is kept as mid[i, b, k, c] (basis indices i, k
-        # outside the operator indices b, c), so it reshapes to a matrix.
-        lam_h, e_h = bch.lam, bch.e
-        lam_v, e_v = bcv.lam, bcv.e
-        self.lam_h_star = lam_h.conj().transpose(0, 2, 1)
-        self.mid_h = np.einsum("iks,sbc->ibkc", hl[sigma].transpose(0, 2, 1),
-                               lam_h, optimize=True)
-        self.e_lam_h = np.einsum("ab,lbc->lac", e_h, lam_h)
-        self.lam_v = lam_v
-        self.mid_v = np.einsum("jls,sab,bc->jalc", vl[:, :, sigma].transpose(0, 2, 1),
-                               lam_v, e_v, optimize=True)
-        self.lam_v_star = lam_v.conj().transpose(0, 2, 1)
+        # Each side keeps (P, M, Q, grids).  grids[b][p, q] indexes e_pq (right)
+        # or e_qp (left) in block b, and M pairs only indices of one copy p of
+        # one block, through the piece M[b][q, ·, q', ·]: (e_pq)*·e_p'q' and
+        # e_qp·(e_q'p')* are δ_pp'·e_qq' in one block and 0 across blocks.
+        self.units = tuple(off + np.arange(d * d).reshape(d, d)
+                           for off, d in zip(alg.offsets, alg.blocks))
+        lam_h, lam_v = bch.lam, bcv.lam
+        self.factors_r = (lam_h.conj().transpose(0, 2, 1),
+                          tuple(np.einsum("sqr,sbc->qbrc", hm[:, u], lam_h) for u in self.units),
+                          np.einsum("ab,lbc->lac", bch.e, lam_h), self.units)
+        self.factors_l = (lam_v, tuple(np.einsum("sqr,sab,bc->qarc", vm[:, u], lam_v, bcv.e,
+                                                 optimize=True) for u in self.units),
+                          lam_v.conj().transpose(0, 2, 1), tuple(u.T for u in self.units))
 
         quot = eigen_quotient(self._gram_pieces("right"), tol, (
             "module collapses: both inner products vanish",
@@ -103,25 +102,22 @@ class BimoduleX:
 
     # -- inner products and norms ----------------------------------------------
 
-    def _factors(self, side: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The factors (P, M, Q) of the right or left inner product."""
-        if side == "right":
-            return self.lam_h_star, self.mid_h, self.e_lam_h
-        return self.lam_v, self.mid_v, self.lam_v_star
-
     @staticmethod
-    def _pairing(us: np.ndarray, vs: np.ndarray,
-                 factors: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    def _pairing(us: np.ndarray, vs: np.ndarray, factors: tuple) -> np.ndarray:
         """Sum over i, j, k, l of us[..., i, j] · P[j] · M[i, k] · vs[..., k, l] · Q[l]
-        for the factors (P, M, Q), one (m, m) operator for each index of the
+        for one side's factors, one (m, m) operator for each index of the
         broadcast leading axes of the (..., dim, dim) stacks us and vs."""
-        first, mid, last = factors
+        first, mids, last, grids = factors
         dim, m = first.shape[:2]
         lead_u, lead_v = us.shape[:-2], vs.shape[:-2]
         left = (us @ first.reshape(dim, m * m)).reshape(*lead_u, dim, m, m)
         left = left.swapaxes(-3, -2).reshape(*lead_u, m, dim * m)
-        right = (vs @ last.reshape(dim, m * m)).reshape(*lead_v, dim * m, m)
-        return left @ mid.reshape(dim * m, dim * m) @ right
+        right = (vs @ last.reshape(dim, m * m)).reshape(*lead_v, dim, m, m)
+        moved = np.zeros(right.shape, dtype=complex)    # [..., i, y, z]: M @ right, by block
+        for mid, grid in zip(mids, grids):
+            moved[..., grid, :, :] = np.einsum("qyrc,...prcz->...pqyz", mid,
+                                               right[..., grid, :, :], optimize=True)
+        return left @ moved.reshape(*lead_v, dim * m, m)
 
     def _gram_pieces(self, side: str) -> Pieces:
         """The Gram matrix of the basis tensors under one inner product
@@ -131,17 +127,16 @@ class BimoduleX:
         since a_i*·a_k = δ_pp'·e_qq' in the middle factor and the trace of
         the outer factors sees d·b* = δ_ss'·e_r'r.  So g_bc is formed on the
         tensors e_0q⊗e_r0 alone and repeated on the copies (p, s)."""
-        first, mid, last = self._factors(side)
-        alg, m = self.algebra, first.shape[1]
-        units = [off + np.arange(d * d).reshape(d, d) for off, d in zip(alg.offsets, alg.blocks)]
+        first, mids, last, _ = self.factors_r if side == "right" else self.factors_l
+        m = first.shape[1]
         pieces = []
-        for ub, uc in product(units, repeat=2):
+        for (b, ub), (c, uc) in product(enumerate(self.units), repeat=2):
             # tr(P[j] · M[i, k] · Q[l]) / m: M pairs the first tensor leg (i, k)
             # on the right and the second on the left, P and Q the other leg
-            inner, outer, out = ((ub[0], uc[:, 0], "ijkl") if side == "right"
-                                 else (uc[:, 0], ub[0], "jilk"))
+            mid, outer, out = ((mids[b], uc[:, 0], "ijkl") if side == "right"
+                               else (mids[c], ub[0], "jilk"))
             wrap = last[outer, None] @ first[None, outer]      # [l, j] = Q[l] · P[j]
-            g = np.einsum(f"ibkc,ljcb->{out}", mid[inner][:, :, inner], wrap, optimize=True) / m
+            g = np.einsum(f"ibkc,ljcb->{out}", mid, wrap, optimize=True) / m
             k = len(ub) * len(uc)
             index = ub[:, None, :, None] * self.dim + uc.T[None, :, None, :]   # [p, s, q, r]
             pieces.append((hermitian_part(g.reshape(k, k)), index.reshape(k, k)))
@@ -156,15 +151,13 @@ class BimoduleX:
     def inner_r(self, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """(..., m_h, m_h): the right inner products of two coefficient
         stacks (..., dim²) that broadcast together."""
-        return self._pairing(self._coeff_mats(ss.conj()), self._coeff_mats(ts),
-                             self._factors("right"))
+        return self._pairing(self._coeff_mats(ss.conj()), self._coeff_mats(ts), self.factors_r)
 
     def inner_l(self, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """(..., m_v, m_v): the left inner products, as ``inner_r``; the left
         factors pair the first tensor leg where the right ones pair the second."""
         return self._pairing(self._coeff_mats(ss).swapaxes(-1, -2),
-                             self._coeff_mats(ts.conj()).swapaxes(-1, -2),
-                             self._factors("left"))
+                             self._coeff_mats(ts.conj()).swapaxes(-1, -2), self.factors_l)
 
     def module_norm(self, ts: np.ndarray) -> np.ndarray:
         """(...): the norm ∥<t, t>_r∥^½ of each tensor of a coefficient stack."""
@@ -205,10 +198,14 @@ class BimoduleX:
     # c @ left_factor(t).
 
     def _right_factor(self, xs: np.ndarray) -> np.ndarray:
-        return np.tensordot(xs, self.F1, axes=2).swapaxes(-1, -2)
+        # [..., a, p] = coords_a(Σ_ij x[i, j]·a_i·V(a_j a_p)): x @ (V∘L), then Σ_i L_i·(…)
+        return np.einsum("ias,...isp->...ap", self.algebra.left_mult_tensor,
+                         np.tensordot(xs, self.vl, axes=1), optimize=True)
 
     def _left_factor(self, xs: np.ndarray) -> np.ndarray:
-        return np.tensordot(xs, self.G1, axes=((-2, -1), (1, 2)))
+        # [..., q, a] = coords_a(Σ_ij x[i, j]·H(a_q a_i)·a_j): (H∘L) @ x, then Σ_j R_j·(…)
+        return np.einsum("...qsj,jas->...qa", self.hl @ xs[..., None, :, :],
+                         self.algebra.right_mult_tensor, optimize=True)
 
     def _pair_classes(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
         """(len(lefts), len(rights), r): the class coordinates of the tensors

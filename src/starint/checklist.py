@@ -301,6 +301,10 @@ def build_stage_records(inter: Interaction, tol: float, samples: int, seed: int,
                         alpha: LinMap | None = None,
                         transfer: LinMap | None = None) -> dict[str, CheckRecord]:
     build_ids = [cid for cid in CANONICAL_IDS if cid not in VERIFY_STAGE_IDS]
+    # V = H = 0 satisfies every axiom and its module is {0}; no other verified pair
+    # has tr(E(1)) = 0, as E = H∘V ≥ 0 then vanishes and so do V = V∘E, H = E∘H
+    if max(abs(inter.v.matrix).max(), abs(inter.h.matrix).max()) <= tol:
+        return {cid: _skip(cid, "zero pair: the module is {0}") for cid in build_ids}
     try:
         x = build_bimodule(inter, tol)
     except (NumericalDegeneracy, InteractionError) as err:
@@ -332,13 +336,8 @@ def run_checklist(v: LinMap, h: LinMap, *, tol: float = DEFAULT_TOL,
     skipped; stage "build" additionally constructs the module, the two-block
     representation, and the ternary layer.
     """
-    env = dict(environment or {})
-    env.setdefault("tolerance", tol)
-    env.setdefault("seed", seed)
-    env.setdefault("samples", samples)
-    env.setdefault("stage", stage)
-    env.setdefault("mode", mode or "plain")
-    env.setdefault("dims", list(v.algebra.blocks))
+    env = {"tolerance": tol, "seed": seed, "samples": samples, "stage": stage,
+           "mode": mode or "plain", "dims": list(v.algebra.blocks), **(environment or {})}
     inter, records = verify_stage_records(v, h, tol, samples, seed)
     remaining = [cid for cid in CANONICAL_IDS if cid not in records]
     if stage == "verify":

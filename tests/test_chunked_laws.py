@@ -5,6 +5,7 @@ rank-one spans once, and the peak memory of each chunked site is bounded."""
 
 from collections import Counter
 
+import dense
 import numpy as np
 import pytest
 from conftest import traced_peak
@@ -52,7 +53,7 @@ def noisy(x: BimoduleX) -> BimoduleX:
     def noise(a):
         return a + 0.1 * (rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape))
 
-    x.F1, x.G1 = noise(x.F1), noise(x.G1)
+    x.vl, x.hl = noise(x.vl), noise(x.hl)
     for table in ("inner_r_t", "inner_l_t", "right_act_t", "left_act_t",
                   "bracket_t", "lam_t", "rho_t"):
         setattr(x, table, noise(getattr(x, table)))
@@ -111,8 +112,21 @@ def old_associativity(x):
     }
 
 
+def old_action_tables(x):
+    """The dim⁴ action tables the module once stored, by dense products with
+    the module's map tables: F1[i, j, p] = coords(a_i · V(a_j a_p)) and
+    G1[q, i, j] = coords(H(a_q a_i) · a_j)."""
+    alg, dim = x.algebra, x.dim
+    eye = np.eye(dim, dtype=complex)
+    v_of = x.vl.reshape(dim, dim, dim).transpose(0, 2, 1)    # [j, p] = V(a_j a_p)
+    h_of = x.hl.reshape(dim, dim, dim).transpose(0, 2, 1)    # [q, i] = H(a_q a_i)
+    return (dense.mul(alg, eye[:, None, None], v_of[None]),
+            dense.mul(alg, h_of[:, :, None], eye[None, None]))
+
+
 def old_ternary_consistency(x):
-    p1, p2 = x.F1[:, :, x.sigma, :], x.G1[x.sigma]     # the σ-permuted copies
+    f1, g1 = old_action_tables(x)
+    p1, p2 = f1[:, :, x.sigma, :], g1[x.sigma]     # the σ-permuted copies
     reps = x.rep_mats
     u1 = np.einsum("nuv,uvyr->nyr", reps, p1, optimize=True)
     u2 = np.einsum("nzw,xzws->nxs", reps, p2, optimize=True)
@@ -128,10 +142,11 @@ def old_tables(x):
     lefts = x.algebra.left_mult_tensor[None] @ x.rep_mats[:, None]
     rights = x.rep_mats[:, None] @ x.algebra.right_mult_tensor[None].swapaxes(-1, -2)
     reps = x.rep_mats[:, None]
+    f1, g1 = old_action_tables(x)
     return {
-        "right_act_t": np.einsum("...ij,...pq,ijpk->...kq", reps, units_r, x.F1,
+        "right_act_t": np.einsum("...ij,...pq,ijpk->...kq", reps, units_r, f1,
                                  optimize=True).reshape(x.r, -1, x.amb) @ x.qx.T,
-        "left_act_t": np.einsum("...pq,...ij,qijl->...pl", units_l, reps, x.G1,
+        "left_act_t": np.einsum("...pq,...ij,qijl->...pl", units_l, reps, g1,
                                 optimize=True).reshape(x.r, -1, x.amb) @ x.qx.T,
         "lam_t": (lefts.reshape(x.r, x.dim, x.amb) @ x.qx.T).transpose(1, 2, 0),
         "rho_t": (rights.reshape(x.r, x.dim, x.amb) @ x.qx.T).transpose(1, 2, 0),

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from starint import cli, interactions, linmaps
-from starint.checklist import CANONICAL_IDS
+from starint.checklist import CANONICAL_IDS, VERIFY_STAGE_IDS
 from starint.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 
 DATA = "tests/data"
@@ -170,6 +170,26 @@ def test_713_refusal_fails_the_record(capsys, tmp_path, spec, reason):
     assert reason in checks["7.13"]["reason"]
     assert sorted(checks) == sorted(CANONICAL_IDS)
     assert checks["3.1.i"]["status"] == "pass"
+
+
+@pytest.mark.parametrize("blocks", [[2], [2, 1]])
+def test_zero_pair_builds_with_every_build_id_skipped(capsys, tmp_path, blocks):
+    # V = H = 0 satisfies every axiom and its module is {0}: verify, build and
+    # fuzz all exit 0; emitting the module, which has nothing to build on, fails
+    dim = sum(d * d for d in blocks)
+    zero = [[0] * dim] * dim
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"blocks": blocks, "mode": "plain", "V": zero, "H": zero}))
+    for argv in (["verify"], ["build"], ["fuzz", "--amplify", "2"]):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == EXIT_PASS, (argv, err)
+        checks = json.loads(out)["checks"]
+        assert all(checks[cid]["status"] == "pass" for cid in VERIFY_STAGE_IDS), argv
+        if argv[0] != "verify":
+            assert {rec.get("reason") for cid, rec in checks.items()
+                    if cid not in VERIFY_STAGE_IDS} == {"zero pair: the module is {0}"}
+    code, out, err = run(capsys, "build", str(path), "--emit", "bimodule")
+    assert code == EXIT_FAIL and out == "" and "build failed" in err
 
 
 def test_fuzz_deterministic(capsys):
