@@ -41,6 +41,15 @@ from .basic_construction import (
 from .interactions import Interaction
 
 
+def _by_chunks(part, stacks: tuple[np.ndarray, ...], row_entries: int) -> np.ndarray:
+    """``part`` over (..., a, b) stacks of one leading shape, ``row_chunks`` of their
+    matrices at a time (one at least, so that an empty stack keeps its shape)."""
+    flats = [z.reshape(-1, *z.shape[-2:]) for z in stacks]
+    out = np.concatenate([part(*(z[rows] for z in flats))
+                          for rows in row_chunks(max(len(flats[0]), 1), row_entries)])
+    return out.reshape(*stacks[0].shape[:-2], *out.shape[1:])
+
+
 class BimoduleX:
     """Quotient module with both inner products realized by their factors.
 
@@ -106,7 +115,18 @@ class BimoduleX:
     def _pairing(us: np.ndarray, vs: np.ndarray, factors: tuple) -> np.ndarray:
         """Sum over i, j, k, l of us[..., i, j] · P[j] · M[i, k] · vs[..., k, l] · Q[l]
         for one side's factors, one (m, m) operator for each index of the
-        broadcast leading axes of the (..., dim, dim) stacks us and vs."""
+        broadcast leading axes of the (..., dim, dim) stacks us and vs.  Each
+        pair forms (dim·m²)-entry temporaries, so stacks of one leading shape are
+        paired a chunk at a time; a broadcast pairing, whose chunks would each
+        redo the broadcast side, is formed whole."""
+        if us.shape[:-2] != vs.shape[:-2]:
+            return BimoduleX._pair_stacks(us, vs, factors)
+        dim, m = factors[0].shape[:2]
+        return _by_chunks(lambda u, v: BimoduleX._pair_stacks(u, v, factors), (us, vs),
+                          dim * m * m)
+
+    @staticmethod
+    def _pair_stacks(us: np.ndarray, vs: np.ndarray, factors: tuple) -> np.ndarray:
         first, mids, last, grids = factors
         dim, m = first.shape[:2]
         lead_u, lead_v = us.shape[:-2], vs.shape[:-2]
@@ -198,14 +218,18 @@ class BimoduleX:
     # c @ left_factor(t).
 
     def _right_factor(self, xs: np.ndarray) -> np.ndarray:
-        # [..., a, p] = coords_a(Σ_ij x[i, j]·a_i·V(a_j a_p)): x @ (V∘L), then Σ_i L_i·(…)
-        return np.einsum("ias,...isp->...ap", self.algebra.left_mult_tensor,
-                         np.tensordot(xs, self.vl, axes=1), optimize=True)
+        # [..., a, p] = coords_a(Σ_ij x[i, j]·a_i·V(a_j a_p)): x @ (V∘L), then Σ_i L_i·(…),
+        # a few matrices at a time, since each forms a dim³ temporary
+        return _by_chunks(lambda x: np.einsum("ias,nisp->nap", self.algebra.left_mult_tensor,
+                                              np.tensordot(x, self.vl, axes=1), optimize=True),
+                          (xs,), self.dim ** 3)
 
     def _left_factor(self, xs: np.ndarray) -> np.ndarray:
-        # [..., q, a] = coords_a(Σ_ij x[i, j]·H(a_q a_i)·a_j): (H∘L) @ x, then Σ_j R_j·(…)
-        return np.einsum("...qsj,jas->...qa", self.hl @ xs[..., None, :, :],
-                         self.algebra.right_mult_tensor, optimize=True)
+        # [..., q, a] = coords_a(Σ_ij x[i, j]·H(a_q a_i)·a_j): (H∘L) @ x, then Σ_j R_j·(…),
+        # a few matrices at a time, as _right_factor
+        return _by_chunks(lambda x: np.einsum("nqsj,jas->nqa", self.hl @ x[:, None],
+                                              self.algebra.right_mult_tensor, optimize=True),
+                          (xs,), self.dim ** 3)
 
     def _pair_classes(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
         """(len(lefts), len(rights), r): the class coordinates of the tensors

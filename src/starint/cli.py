@@ -1,5 +1,10 @@
 """Batch front end: verify problem files, build artifacts, fuzz with
-amplification.  Exit status: 0 all good, 1 a check failed, 2 bad input."""
+amplification.  Exit status: 0 all good, 1 a check failed, 2 bad input.
+
+The file, the options and the output path are checked before numpy loads,
+so unusable input exits 2 at the cost of an interpreter start.  Then
+``verify`` loads the map-level layers and the other commands the build
+stage as well, each once, before any array is made."""
 
 from __future__ import annotations
 
@@ -8,16 +13,15 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from importlib import import_module
+from typing import TYPE_CHECKING, Callable, Iterator
 
-from .algebra import DEFAULT_TOL, NumericalDegeneracy
-from .basic_construction import place_rows
-from .bimodule import build_bimodule
-from .checklist import Report, report_for_failed_candidate, run_checklist
-from .covariant import CovariantError, build_covrep
-from .interactions import Interaction, InteractionError, derive_from_partial_isometry
-from .linmaps import LinMap, amplify
-from .specio import ProblemSpec, SpecError, canonical_json, load_spec, matrix_out
+from .specio import ProblemSpec, SpecError, canonical_json, matrix_out, read_spec, spec_arrays
+
+if TYPE_CHECKING:
+    from .interactions import Interaction
+    from .linmaps import LinMap
+    from .records import Report
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 TOL_ENV = "STARINT_TOL"
@@ -34,6 +38,7 @@ def _tolerance(spec: ProblemSpec, flag: float | None) -> float:
             raise SpecError(f"{TOL_ENV} must be a number, got {env!r}") from err
         source = TOL_ENV
     else:
+        from .algebra import DEFAULT_TOL
         return spec.tolerance if spec.tolerance is not None else DEFAULT_TOL
     if not (math.isfinite(val) and val > 0):
         raise SpecError(f"{source} must be a positive finite number, got {val!r}")
@@ -43,6 +48,9 @@ def _tolerance(spec: ProblemSpec, flag: float | None) -> float:
 def _resolve(spec: ProblemSpec, tol: float, amplification: int
              ) -> tuple[LinMap, LinMap, LinMap | None, LinMap | None, dict]:
     """Maps for the checklist, amplified if requested, plus mode metadata."""
+    from .interactions import derive_from_partial_isometry
+    from .linmaps import LinMap, amplify
+
     info: dict = {}
     alg = spec.algebra
     if spec.mode == "partial_isometry":
@@ -126,6 +134,9 @@ def _emit_report(report: Report, write: Writer) -> int:
 
 def _run(spec: ProblemSpec, command: str, stage: str, tol: float, seed: int,
          samples: int, amplification: int, write: Writer) -> int:
+    from .interactions import InteractionError
+    from .records import report_for_failed_candidate, run_checklist
+
     try:
         v, h, alpha, transfer, info = _resolve(spec, tol, amplification)
     except InteractionError as err:
@@ -139,14 +150,15 @@ def _run(spec: ProblemSpec, command: str, stage: str, tol: float, seed: int,
     return _emit_report(report, write)
 
 
-def cmd_verify(spec: ProblemSpec, args: argparse.Namespace, write: Writer) -> int:
-    tol = _tolerance(spec, args.tol)
+def cmd_verify(spec: ProblemSpec, args: argparse.Namespace, tol: float, write: Writer) -> int:
     seed = spec.seed if spec.seed is not None else 0
     samples = spec.samples if spec.samples is not None else 25
     return _run(spec, "verify", "verify", tol, seed, samples, 1, write)
 
 
 def _interaction_for_build(spec: ProblemSpec, tol: float) -> Interaction:
+    from .interactions import Interaction, derive_from_partial_isometry
+
     if spec.mode == "partial_isometry":          # verified once, while derived
         return derive_from_partial_isometry(spec.algebra, spec.ambient, spec.a_embed,
                                             spec.s, tol).interaction
@@ -154,12 +166,17 @@ def _interaction_for_build(spec: ProblemSpec, tol: float) -> Interaction:
     return Interaction.build(v, h, tol)
 
 
-def cmd_build(spec: ProblemSpec, args: argparse.Namespace, write: Writer) -> int:
-    tol = _tolerance(spec, args.tol)
+def cmd_build(spec: ProblemSpec, args: argparse.Namespace, tol: float, write: Writer) -> int:
     seed = spec.seed if spec.seed is not None else 0
     samples = spec.samples if spec.samples is not None else 25
     if args.emit == "report":
         return _run(spec, "build", "build", tol, seed, samples, 1, write)
+    from .algebra import NumericalDegeneracy
+    from .basic_construction import place_rows
+    from .bimodule import build_bimodule
+    from .covariant import CovariantError, build_covrep
+    from .interactions import InteractionError
+
     try:
         inter = _interaction_for_build(spec, tol)
         if args.emit == "bimodule":
@@ -185,8 +202,7 @@ def cmd_build(spec: ProblemSpec, args: argparse.Namespace, write: Writer) -> int
     return EXIT_PASS
 
 
-def cmd_fuzz(spec: ProblemSpec, args: argparse.Namespace, write: Writer) -> int:
-    tol = _tolerance(spec, args.tol)
+def cmd_fuzz(spec: ProblemSpec, args: argparse.Namespace, tol: float, write: Writer) -> int:
     return _run(spec, "fuzz", "build", tol, args.seed, args.samples,
                 args.amplify, write)
 
@@ -202,7 +218,7 @@ def _parser() -> argparse.ArgumentParser:
     pv.add_argument("spec")
     pv.add_argument("--tol", type=float, default=None)
     pv.add_argument("--out", default=None)
-    pv.set_defaults(func=cmd_verify)
+    pv.set_defaults(func=cmd_verify, stage="records")
 
     pb = sub.add_parser("build", help="construct artifacts and the full checklist")
     pb.add_argument("spec")
@@ -210,7 +226,7 @@ def _parser() -> argparse.ArgumentParser:
                     default="report")
     pb.add_argument("--tol", type=float, default=None)
     pb.add_argument("--out", default=None)
-    pb.set_defaults(func=cmd_build)
+    pb.set_defaults(func=cmd_build, stage="checklist")
 
     pf = sub.add_parser("fuzz", help="full checklist on the n-amplified pair")
     pf.add_argument("spec")
@@ -219,19 +235,21 @@ def _parser() -> argparse.ArgumentParser:
     pf.add_argument("--seed", type=int, default=0)
     pf.add_argument("--tol", type=float, default=None)
     pf.add_argument("--out", default=None)
-    pf.set_defaults(func=cmd_fuzz)
+    pf.set_defaults(func=cmd_fuzz, stage="checklist")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        spec = load_spec(args.spec)
+        spec = read_spec(args.spec)
         for flag, least in (("amplify", 1), ("samples", 0), ("seed", 0)):
             if getattr(args, flag, least) < least:
                 raise SpecError(f"--{flag} must be at least {least}")
         with _output(args.out) as write:
-            return args.func(spec, args, write)
+            tol = _tolerance(spec, args.tol)
+            import_module(f".{args.stage}", __package__)   # the layers the command runs
+            return args.func(spec_arrays(spec), args, tol, write)
     except SpecError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

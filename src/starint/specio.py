@@ -6,18 +6,22 @@ per block.  Writing always normalizes (sorted keys, two-space indent, newline
 at EOF) so equal inputs produce byte-equal artifacts.  The bytes are those of
 ``json.dumps(indent=2)``, whose encoder is pure Python, one call per float, so
 a finite float array goes out in bulk: a ``%`` template per row of its reprs.
+A file is checked whole in pure Python before any array is made, so that a
+file that cannot be used is refused without loading numpy.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from json.encoder import encode_basestring
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .algebra import Algebra
+    from .algebra import Algebra
 
 
 class SpecError(ValueError):
@@ -49,32 +53,34 @@ def _complex_in(obj) -> complex:
     raise SpecError(f"expected a finite number or [re, im] pair, got {obj!r}")
 
 
-def matrix_in(obj, shape: tuple[int, int] | None = None) -> np.ndarray:
+def matrix_in(obj, shape: tuple[int, int] | None = None) -> list[list[complex]]:
+    """The validated rows of a matrix."""
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise SpecError("matrix must be a nonempty list of rows")
     width = len(obj[0])
     if any(len(r) != width for r in obj):
         raise SpecError("matrix rows have unequal lengths")
-    out = np.array([[_complex_in(v) for v in row] for row in obj], dtype=complex)
-    if shape is not None and out.shape != shape:
-        raise SpecError(f"matrix has shape {out.shape}, expected {shape}")
-    return out
+    rows = [[_complex_in(v) for v in row] for row in obj]
+    if shape is not None and (len(rows), width) != shape:
+        raise SpecError(f"matrix has shape {(len(rows), width)}, expected {shape}")
+    return rows
 
 
 def matrix_out(m: np.ndarray) -> np.ndarray | list:
     """[re, im] pairs of a matrix or stack: the finite (..., 2) float array,
     or nested lists if an entry is not finite, to be written as a string."""
+    import numpy as np
+
     z = np.array(np.atleast_2d(m), dtype=complex, order="C")  # a copy, never a view
     parts = z.view(float).reshape(*z.shape, 2)
     return parts if np.isfinite(parts).all() else parts.tolist()
 
 
-def element_in(algebra: Algebra, obj) -> np.ndarray:
-    """The (dim,) coordinates of an element written block by block."""
-    if not isinstance(obj, list) or len(obj) != len(algebra.blocks):
-        raise SpecError(f"element must list {len(algebra.blocks)} block matrices")
-    mats = [matrix_in(b, (d, d)) for b, d in zip(obj, algebra.blocks)]
-    return np.concatenate([m.reshape(-1) for m in mats])
+def element_in(blocks: tuple[int, ...], obj) -> list[complex]:
+    """The validated coordinates of an element written block by block."""
+    if not isinstance(obj, list) or len(obj) != len(blocks):
+        raise SpecError(f"element must list {len(blocks)} block matrices")
+    return [v for b, d in zip(obj, blocks) for row in matrix_in(b, (d, d)) for v in row]
 
 
 def element_out(algebra: Algebra, coords: np.ndarray) -> list:
@@ -95,6 +101,8 @@ def _template(shape: tuple[int, ...], level: int) -> str:
 
 
 def _scalar(obj) -> str:
+    import numpy as np
+
     if isinstance(obj, str):
         return encode_basestring(obj)
     if isinstance(obj, (np.floating, float)):
@@ -110,6 +118,8 @@ def _scalar(obj) -> str:
 def _write(obj, level: int, out: list[str]) -> None:
     """Append the text of ``obj`` at nesting ``level`` to ``out``; a finite
     float array of more than two axes goes out a row at a time."""
+    import numpy as np
+
     if isinstance(obj, np.ndarray):
         if not (obj.ndim and obj.dtype.kind == "f" and np.isfinite(obj).all()):
             obj = obj.tolist()
@@ -165,10 +175,12 @@ class ProblemSpec:
 
     @property
     def algebra(self) -> Algebra:
+        from .algebra import Algebra
         return Algebra(self.blocks)
 
     @property
     def ambient(self) -> Algebra | None:
+        from .algebra import Algebra
         return Algebra(self.ambient_blocks) if self.ambient_blocks else None
 
 
@@ -179,7 +191,9 @@ def _blocks_in(obj, key: str) -> tuple[int, ...]:
     return tuple(obj)
 
 
-def load_spec(path: str) -> ProblemSpec:
+def read_spec(path: str) -> ProblemSpec:
+    """The problem file, every check made in pure Python: its matrices are
+    validated rows of complex numbers until ``spec_arrays`` makes them arrays."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -203,7 +217,7 @@ def load_spec(path: str) -> ProblemSpec:
         raise SpecError(f"mode must be one of {MODES}")
     spec = ProblemSpec(blocks=blocks, mode=mode, source=path)
 
-    def maybe_matrix(key: str) -> np.ndarray | None:
+    def maybe_matrix(key: str) -> list | None:
         return matrix_in(raw[key], (dim, dim)) if key in raw else None
 
     spec.v, spec.h = maybe_matrix("V"), maybe_matrix("H")
@@ -221,12 +235,11 @@ def load_spec(path: str) -> ProblemSpec:
             raise SpecError("partial_isometry mode requires 'ambient_blocks', "
                             "'a_basis', and 'S'")
         spec.ambient_blocks = _blocks_in(raw["ambient_blocks"], "ambient_blocks")
-        ambient = Algebra(spec.ambient_blocks)
         basis = raw["a_basis"]
         if not isinstance(basis, list) or len(basis) != dim:
             raise SpecError(f"'a_basis' must list {dim} ambient elements")
-        spec.a_embed = np.array([element_in(ambient, e) for e in basis])
-        spec.s = element_in(ambient, raw["S"])
+        spec.a_embed = [element_in(spec.ambient_blocks, e) for e in basis]
+        spec.s = element_in(spec.ambient_blocks, raw["S"])
 
     if "tolerance" in raw:
         tol = raw["tolerance"]
@@ -240,6 +253,20 @@ def load_spec(path: str) -> ProblemSpec:
                 raise SpecError(f"'{key}' must be a nonnegative integer")
             setattr(spec, key, val)
     return spec
+
+
+def spec_arrays(spec: ProblemSpec) -> ProblemSpec:
+    """``spec`` with its matrices and coordinates as complex arrays."""
+    import numpy as np
+
+    return replace(spec, **{key: np.array(rows, dtype=complex)
+                            for key in ("v", "h", "alpha", "transfer", "a_embed", "s")
+                            if (rows := getattr(spec, key)) is not None})
+
+
+def load_spec(path: str) -> ProblemSpec:
+    """The problem file, checked, with its matrices as arrays."""
+    return spec_arrays(read_spec(path))
 
 
 def dump_spec(spec: ProblemSpec) -> str:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from starint import cli, interactions, linmaps
+from starint import interactions, linmaps, records
 from starint.checklist import CANONICAL_IDS, VERIFY_STAGE_IDS
 from starint.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 
@@ -121,7 +121,7 @@ def test_unwritable_out_fails_before_any_check(capsys, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the checklist ran before --out was opened")
 
-    monkeypatch.setattr(cli, "run_checklist", refuse)
+    monkeypatch.setattr(records, "run_checklist", refuse)
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, "fuzz", FLIP, "--amplify", "2", "--out", str(target))
     assert code == EXIT_USAGE
@@ -296,3 +296,50 @@ def test_each_pair_is_verified_once(capsys, monkeypatch):
     # the ranges of V and H, then the range of each expectation
     assert run(capsys, "verify", FLIP)[0] == EXIT_PASS
     assert len(ranges) == 4
+
+
+I2 = [[1, 0], [0, 1]]
+ISOMETRY_BASIS = [[[[1, 0], [0, 0]]], [[[0, 0], [0, 1]]]]
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"blocks": [1, 1],', "invalid JSON in {path}: Expecting property name enclosed in "
+                           "double quotes: line 1 column 19 (char 18)"),
+    ("[1, 2]", "top level must be an object"),
+    (json.dumps({"blocks": [1, 1], "V": I2, "H": I2, "extra": 1}), "unknown keys: ['extra']"),
+    (json.dumps({"V": I2, "H": I2}), "missing 'blocks'"),
+    (json.dumps({"blocks": [2, 0], "V": I2, "H": I2}),
+     "'blocks' must be a nonempty list of positive integers"),
+    (json.dumps({"blocks": [1, 1], "mode": "bogus", "V": I2, "H": I2}),
+     "mode must be one of ('plain', 'endo_transfer', 'partial_isometry')"),
+    # an entry of V is refused before the missing H
+    ('{"blocks": [1, 1], "V": [[NaN, 0], [0, 1]]}',
+     "expected a finite number or [re, im] pair, got nan"),
+    ('{"blocks": [1, 1], "V": [[true, 0], [0, 1]]}',
+     "expected a finite number or [re, im] pair, got True"),
+    (json.dumps({"blocks": [1, 1], "V": [[1, 0, 0], [0, 1, 0]], "H": I2}),
+     "matrix has shape (2, 3), expected (2, 2)"),
+    (json.dumps({"blocks": [1, 1], "V": [[1, 0], [0]], "H": I2}),
+     "matrix rows have unequal lengths"),
+    (json.dumps({"blocks": [1, 1], "V": [[[1, 2, 3], 0], [0, 1]], "H": I2}),
+     "expected a finite number or [re, im] pair, got [1, 2, 3]"),
+    (json.dumps({"blocks": [1, 1], "mode": "partial_isometry", "ambient_blocks": [2],
+                 "a_basis": ISOMETRY_BASIS}),
+     "partial_isometry mode requires 'ambient_blocks', 'a_basis', and 'S'"),
+    (json.dumps({"blocks": [1, 1], "mode": "partial_isometry", "ambient_blocks": [2],
+                 "a_basis": ISOMETRY_BASIS[:1], "S": [[[0, 1], [0, 0]]]}),
+     "'a_basis' must list 2 ambient elements"),
+    (json.dumps({"blocks": [1, 1], "V": I2, "H": I2, "tolerance": -1}),
+     "'tolerance' must be a positive finite number"),
+    (json.dumps({"blocks": [1, 1], "V": I2, "H": I2, "seed": "x"}),
+     "'seed' must be a nonnegative integer"),
+], ids=["invalid-json", "not-an-object", "unknown-key", "missing-blocks", "bad-blocks",
+        "bad-mode", "nan-before-missing-h", "true-before-missing-h", "wrong-shape",
+        "unequal-rows", "three-element-pair", "isometry-without-s", "short-a-basis",
+        "negative-tolerance", "string-seed"])
+def test_usage_error_message_table(capsys, tmp_path, text, message):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    for command in ("verify", "build"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message.format(path=path)}\n")

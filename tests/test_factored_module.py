@@ -1,7 +1,9 @@
 """The factored inner products against the dense dim⁴·m² forms they replace,
-the memory they save, the batched sampled checks 5.2-5.10 against their
-per-element loops, the stacked grid norms of 5.4 against amplified maps, and
-the noise-free redundancy counts of 7.9."""
+the memory they and the chunked sampled checks save, the batched sampled
+checks 5.2-5.10 against their per-element loops, the stacked grid norms of
+5.4 against amplified maps, and the noise-free redundancy counts of 7.9."""
+
+import tracemalloc
 
 import dense
 import numpy as np
@@ -21,6 +23,7 @@ from starint import (
     identity_interaction,
     swap_transfer_interaction,
 )
+from starint import algebra
 from starint.bimodule import (
     check_action_bound,
     check_bound_59,
@@ -220,6 +223,52 @@ def test_module_keeps_no_dense_form():
     assert peak < 32 * 2**20, peak / 2**20
     largest = max(v.nbytes for v in vars(x).values() if hasattr(v, "nbytes"))
     assert largest < 4 * 2**20, largest / 2**20
+
+
+def test_chunked_factors_and_pairings_match_one_chunk(monkeypatch):
+    # a stack taken one matrix at a time gives what one chunk gives, over
+    # two leading axes, and an empty stack keeps its shape
+    x = build_bimodule(PAIRS["flip_x2"]())
+    rng = np.random.default_rng(5)
+    ss, ts = (np.stack([draw(x, rng) for _ in range(6)]).reshape(2, 3, x.amb)
+              for _ in range(2))
+    mats = ss.reshape(2, 3, x.dim, x.dim)
+
+    def evaluate():
+        return (x.inner_r(ss, ts), x.inner_l(ss, ts), x._right_factor(mats),
+                x._left_factor(mats), x.inner_r(ss[:0, 0], ts[:0, 0]),
+                x._right_factor(mats[:0, 0]))
+
+    whole = evaluate()
+    monkeypatch.setattr(algebra, "CHUNK_ENTRIES", 1)
+    for got, want in zip(evaluate(), whole):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max(initial=0.0) < 1e-12
+    assert whole[4].shape == (0, x.bch.m, x.bch.m)
+    assert whole[5].shape == (0, x.dim, x.dim)
+
+
+def test_sampled_action_checks_stay_near_the_build_peak():
+    # 5.9 and 5.10 act on a stack of samples through the dim³ action
+    # factors and pair the results; formed for the whole stack at once, those
+    # temporaries took about ten times the build's peak here (40 and 35 MB).
+    # 5.10 keeps the spanning presentation it forms on first use, so its
+    # peak is counted above what it leaves behind.
+    inter = amplified_interaction(flip_interaction(), 4)      # dim 32, r = m = 16
+    tracemalloc.start()
+    try:
+        x = build_bimodule(inter)
+        build = tracemalloc.get_traced_memory()[1]
+        peaks = {}
+        for cid, check, lane in (("5.9", check_bound_59, 59),
+                                 ("5.10", check_action_bound, 510)):
+            tracemalloc.reset_peak()
+            check(x, 25, rng=np.random.default_rng([0, lane]))
+            left, peak = tracemalloc.get_traced_memory()
+            peaks[cid] = peak - left
+    finally:
+        tracemalloc.stop()
+    assert max(peaks.values()) < 2 * build, {k: v / build for k, v in peaks.items()}
 
 
 # -- the sampled checks, one element at a time -----------------------------------
