@@ -119,6 +119,12 @@ class Algebra:
         return (bases + local).T
 
     @cached_property
+    def units(self) -> tuple[np.ndarray, ...]:
+        """For each block, the (d, d) array of the coordinates of its matrix units."""
+        return tuple(off + np.arange(d * d).reshape(d, d)
+                     for off, d in zip(self.offsets, self.blocks))
+
+    @cached_property
     def size_groups(self) -> tuple[tuple[int, np.ndarray], ...]:
         """For each distinct block size d, the (blocks of size d, d²) array of
         their coordinate positions, blocks in order."""

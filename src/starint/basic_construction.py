@@ -5,6 +5,13 @@ left multiplication on the completion of A under <x, y> = tr_B(E(x* y)),
 where tr_B is the normalized trace.  Null directions are quotiented out by
 an eigenvalue cut, giving finite matrices: a representation ``lam``, the
 projection ``e`` implementing E, and the linear span of lam(a) e lam(b).
+
+On matrix units, (e_pq)*·e_p'q' = δ_pp'·e_qq' in one block, so the Gram
+matrix is ⊕_b I ⊗ g_b, and in the class coordinates (block b, copy p, kept
+vector) lam(e_pq) = E_pq ⊗ I.  Hence lam(e_pq) e lam(e_rs) = E_ps ⊗ e_bc[q, r],
+e_bc[q, r] the slab of e between copy q of block b and copy r of block c: the
+spanning matrix is one piece of rows vec e_bc[q, r] per block pair, repeated
+on the copies (p, s).
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .algebra import (
     NumericalDegeneracy,
     Subspace,
     block_norms,
+    hermitian_part,
     representation_defects,
     svd_rank,
     worst,
@@ -43,6 +51,14 @@ class Quotient(NamedTuple):
     q: np.ndarray        # (k, n): coordinates -> class coordinates
     lift: np.ndarray     # (n, k): class coordinates -> canonical representative
     null: Pieces         # per piece, its discarded eigenvectors as columns
+    classes: tuple[np.ndarray, ...]   # per piece, (copies, kept columns): the class of each
+
+
+def copy_index(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """(a·c, b·d): the pairs rows[p, q]·n + cols[s, r] of two (a, b) and (c, d)
+    index arrays, one row per copy (p, s), columns (q, r)."""
+    out = rows[:, None, :, None] * n + cols[None, :, None, :]
+    return out.reshape(len(rows) * len(cols), -1)
 
 
 def place_rows(pieces: Pieces) -> np.ndarray:
@@ -85,8 +101,49 @@ def eigen_quotient(pieces: Pieces, tol: float,
     order = np.argsort(kept, kind="stable")
     units = place_rows(tuple((vecs[:, c], index) for (_, vecs, index), c in zip(eigs, keep)))[order]
     roots = np.sqrt(kept[order])
+    # the class of each kept column on each copy, piece by piece
+    ends = np.cumsum([c.sum() * len(index) for (_, _, index), c in zip(eigs, keep)])[:-1]
+    classes = tuple(p.reshape(-1, len(i)).T
+                    for p, (_, _, i) in zip(np.split(np.argsort(order), ends), eigs))
     return Quotient(kept=kept[order], q=roots[:, None] * units.conj(), lift=units.T / roots,
-                    null=tuple((vecs[:, ~c], index) for (_, vecs, index), c in zip(eigs, keep)))
+                    null=tuple((vecs[:, ~c], index) for (_, vecs, index), c in zip(eigs, keep)),
+                    classes=classes)
+
+
+class SpanPieces(NamedTuple):
+    """The span pieces of the block pairs of one shape, stacked: copy c of
+    piece g sits at the pairs pairs[g, c] and the entries entries[g, c]."""
+    pairs: np.ndarray     # (G, C, R): the pair (a_i, a_j) as i·dim + j
+    entries: np.ndarray   # (G, C, E): the entry (α, β) of an (m, m) matrix as α·m + β
+    s: np.ndarray         # (G, K): singular values, 0 below the cut
+    vh: np.ndarray        # (G, K, E): right singular vectors
+    pinv: np.ndarray      # (G, E, R): the pseudo-inverse of each piece, cut with s
+
+
+def span_pieces(units: tuple[np.ndarray, ...], classes: tuple[np.ndarray, ...],
+                e: np.ndarray, tol: float) -> tuple[SpanPieces, ...]:
+    """The spanning matrix as pieces, one stacked SVD per shape, and one
+    ``svd_rank`` cut over the union of their singular values, each counted
+    once per copy: the rank, span and least-norm pseudo-inverse of the dense
+    matrix."""
+    dim, m, shapes = sum(u.size for u in units), len(e), {}
+    for ub, cb in zip(units, classes):
+        for uc, cc in zip(units, classes):
+            if cb.size and cc.size:      # a block that keeps no class meets no entry
+                entries = copy_index(cb, cc, m)
+                shapes.setdefault(entries.shape, []).append((copy_index(ub, uc.T, dim), entries))
+    groups = [tuple(map(np.stack, zip(*found))) for found in shapes.values()]
+    # the copies (q, r) of the entries are the rows (q, r) of the piece
+    svds = [np.linalg.svd(e.reshape(-1)[entries], full_matrices=False) for _, entries in groups]
+    vals = np.sort(np.concatenate([np.repeat(s, u.shape[1]) for u, s, _ in svds]))[::-1]
+    k = svd_rank(vals, tol, TINY)
+    out = []
+    for (pairs, entries), (u, s, vh) in zip(groups, svds):
+        s = np.where(s >= (vals[k - 1] if k else np.inf), s, 0.0)
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
+        pinv = (vh.conj().swapaxes(-1, -2) * inv[:, None]) @ u.conj().swapaxes(-1, -2)
+        out.append(SpanPieces(pairs, entries, s, vh, pinv))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -100,31 +157,14 @@ class BasicConstruction:
     lift: np.ndarray     # (dim, m): class coordinates -> canonical representative
     lam: np.ndarray      # (dim, m, m): left multiplication by each basis element
     e: np.ndarray        # (m, m): the projection implementing the expectation
+    span: tuple[SpanPieces, ...]   # the spanning matrix of lam(a) e lam(b), by pieces
 
     @cached_property
-    def spanning_matrix(self) -> np.ndarray:
-        """Columns vec(lam(a_i) e lam(a_j)), indexed by the pair (i, j)."""
-        dim, m = self.algebra.dim, self.m
-        return ((self.lam @ self.e)[:, None] @ self.lam).reshape(dim * dim, m * m).T
-
-    @cached_property
-    def _spanning_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Copies of the factors of the spanning matrix's transpose kept by
-        the ``svd_rank`` cut; the one SVD of the spanning matrix."""
-        u, s, vh = np.linalg.svd(self.spanning_matrix.T, full_matrices=False)
-        k = svd_rank(s, self.tol, TINY)
-        return u[:, :k].copy(), s[:k].copy(), vh[:k].copy()
-
-    @property
     def k_basis(self) -> np.ndarray:
-        """(k, m*m): orthonormal span of lam(a) e lam(b)."""
-        return self._spanning_svd[2]
-
-    @cached_property
-    def spanning_pinv(self) -> np.ndarray:
-        """(dim², m²): the pseudo-inverse of the spanning matrix, from the kept factors."""
-        u, s, vh = self._spanning_svd
-        return (u.conj() / s) @ vh.conj()
+        """(k, m*m): orthonormal span of lam(a) e lam(b): the kept right
+        singular vectors of the pieces, each placed on each of its copies."""
+        return place_rows(tuple((vh[s > 0].T, index) for g in self.span
+                                for s, vh, index in zip(g.s, g.vh, g.entries)))
 
     def express_in_k(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients in the orthonormal span of each matrix of a (..., m, m)
@@ -134,19 +174,48 @@ class BasicConstruction:
         resid = np.linalg.norm(vecs - coeffs @ self.k_basis, axis=-1)
         return coeffs, resid / np.maximum(1.0, np.linalg.norm(vecs, axis=-1))
 
+    def _through_pieces(self, xs: np.ndarray, mats: list, to_entries: bool) -> np.ndarray:
+        """A (..., dim²) stack of pair coordinates taken to entry coordinates
+        (``to_entries``), or the reverse, by one matrix per piece: on each
+        copy, the coordinates of x times the piece's matrix."""
+        out = np.zeros((*xs.shape[:-1], self.m ** 2 if to_entries else self.algebra.dim ** 2),
+                       dtype=complex)
+        for g, mat in zip(self.span, mats):
+            src, dst = (g.pairs, g.entries) if to_entries else (g.entries, g.pairs)
+            out[..., dst] = xs[..., src] @ mat
+        return out
+
+    def spanned(self, coeffs: np.ndarray) -> np.ndarray:
+        """(..., m, m): sum c[i, j] lam(a_i) e lam(a_j) for each matrix c of a
+        (..., dim, dim) stack of pair coefficients."""
+        vecs = coeffs.reshape(*coeffs.shape[:-2], self.algebra.dim ** 2)
+        out = self._through_pieces(vecs, [self.e.reshape(-1)[g.entries] for g in self.span], True)
+        return out.reshape(*out.shape[:-1], self.m, self.m)
+
     def express_in_spanning(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pair coefficients c with mat = sum c[i,j] lam(a_i) e lam(a_j) for
         each matrix of a (..., m, m) stack, plus each one's relative residual.
 
-        Least-squares presentation; any exact presentation is acceptable
-        since the module actions built on it are presentation-independent.
+        Least-squares presentation of least norm; any exact presentation is
+        acceptable since the module actions built on it are
+        presentation-independent.
         """
-        vecs = mats.reshape(*mats.shape[:-2], self.m * self.m)
-        c = vecs @ self.spanning_pinv.T
-        resid = np.linalg.norm(c @ self.spanning_matrix.T - vecs, axis=-1)
-        dim = self.algebra.dim
-        return (c.reshape(*c.shape[:-1], dim, dim),
-                resid / np.maximum(1.0, np.linalg.norm(vecs, axis=-1)))
+        dim, vecs = self.algebra.dim, mats.reshape(*mats.shape[:-2], self.m * self.m)
+        c = self._through_pieces(vecs, [g.pinv for g in self.span], False)
+        c = c.reshape(*vecs.shape[:-1], dim, dim)
+        resid = np.linalg.norm(self.spanned(c) - mats, axis=(-2, -1))
+        return c, resid / np.maximum(1.0, np.linalg.norm(vecs, axis=-1))
+
+    def null_part(self, coeffs: np.ndarray) -> np.ndarray:
+        """(..., dim, dim): each pair coefficient matrix of a stack less the
+        presentation of what it spans, its part that spans zero."""
+        return coeffs - self.express_in_spanning(self.spanned(coeffs))[0]
+
+    def pinv_transpose(self, gs: np.ndarray) -> np.ndarray:
+        """(..., m²): g @ P for each g of a (..., dim²) stack, P the (dim², m²)
+        map of ``express_in_spanning``: the functional c -> sum g·c on the
+        presentations, pulled back to vec(k)."""
+        return self._through_pieces(gs, [g.pinv.swapaxes(-1, -2) for g in self.span], True)
 
     @cached_property
     def invariants(self) -> dict[str, float]:
@@ -182,30 +251,26 @@ def build_basic(expectation: LinMap, range_sub: Subspace,
     if normalizer <= tol:
         raise NumericalDegeneracy("expectation unit image has no trace mass")
 
-    # gram[j, k] = tr(E(a_j* a_k)) / normalizer, with a_j* = a_star_perm[j]
-    # and coords(a_i a_k) = left_mult_tensor[i, :, k]
-    gram = (tr_e @ alg.left_mult_tensor)[alg.star_perm] / normalizer
-    herm_gap = float(np.linalg.norm(gram - gram.conj().T))
-    if herm_gap > tol * max(1.0, float(np.linalg.norm(gram))):
+    # the Gram matrix tr(E(a_j* a_k)) / normalizer is ⊕_b I ⊗ g_b, with
+    # g_b[q, q'] = tr(E(e_qq')) / normalizer, so its norms add over the copies
+    grams = [tr_e[u] / normalizer for u in alg.units]
+    norms = np.array([[np.linalg.norm(g - g.conj().T), np.linalg.norm(g)] for g in grams])
+    herm_gap, size = np.sqrt(np.array(alg.blocks) @ norms ** 2)
+    if herm_gap > tol * max(1.0, size):
         raise NumericalDegeneracy("expectation form is not hermitian")
-    gram = (gram + gram.conj().T) / 2
 
-    quot = eigen_quotient(((gram, np.arange(alg.dim)[None]),), tol, (
+    quot = eigen_quotient(tuple(zip(map(hermitian_part, grams), alg.units)), tol, (
         "expectation form vanishes identically",
         "expectation form is not positive",
         "quotient ill-conditioned: no spectral gap between kept and "
         "discarded directions"))
-    q, lift, null = quot.q, quot.lift, place_rows(quot.null).T
-
-    ql = q @ alg.left_mult_tensor
-    # left multiplication must kill the discarded directions
-    leak = worst_norm(ql @ null, axis=(-2, -1))
-    if not leak <= tol * max(1.0, float(quot.kept[-1])):
-        raise NumericalDegeneracy(f"null directions are not an ideal (leak {leak:.3e})")
-    return BasicConstruction(algebra=alg, expectation=expectation,
-                             range_sub=range_sub, tol=tol, m=quot.kept.size, q=q,
-                             lift=lift, lam=ql @ lift,
-                             e=q @ expectation.matrix @ lift)
+    m, e = quot.kept.size, quot.q @ expectation.matrix @ quot.lift
+    lam = np.zeros((alg.dim, m, m), dtype=complex)    # lam(e_pq) = E_pq ⊗ I
+    for u, c in zip(alg.units, quot.classes):
+        lam[u[:, :, None], c[:, None, :], c[None, :, :]] = 1.0
+    return BasicConstruction(algebra=alg, expectation=expectation, range_sub=range_sub,
+                             tol=tol, m=m, q=quot.q, lift=quot.lift, lam=lam, e=e,
+                             span=span_pieces(alg.units, quot.classes, e, tol))
 
 
 def basic_for_h(inter, tol: float | None = None) -> BasicConstruction:

@@ -36,6 +36,7 @@ from .basic_construction import (
     Pieces,
     basic_for_h,
     basic_for_v,
+    copy_index,
     eigen_quotient,
 )
 from .interactions import Interaction
@@ -88,8 +89,7 @@ class BimoduleX:
         # or e_qp (left) in block b, and M pairs only indices of one copy p of
         # one block, through the piece M[b][q, ·, q', ·]: (e_pq)*·e_p'q' and
         # e_qp·(e_q'p')* are δ_pp'·e_qq' in one block and 0 across blocks.
-        self.units = tuple(off + np.arange(d * d).reshape(d, d)
-                           for off, d in zip(alg.offsets, alg.blocks))
+        self.units = alg.units
         lam_h, lam_v = bch.lam, bcv.lam
         self.factors_r = (lam_h.conj().transpose(0, 2, 1),
                           tuple(np.einsum("sqr,sbc->qbrc", hm[:, u], lam_h) for u in self.units),
@@ -158,8 +158,7 @@ class BimoduleX:
             wrap = last[outer, None] @ first[None, outer]      # [l, j] = Q[l] · P[j]
             g = np.einsum(f"ibkc,ljcb->{out}", mid, wrap, optimize=True) / m
             k = len(ub) * len(uc)
-            index = ub[:, None, :, None] * self.dim + uc.T[None, :, None, :]   # [p, s, q, r]
-            pieces.append((hermitian_part(g.reshape(k, k)), index.reshape(k, k)))
+            pieces.append((hermitian_part(g.reshape(k, k)), copy_index(ub, uc.T, self.dim)))
         return tuple(pieces)
 
     def _coeff_mats(self, coeffs: np.ndarray) -> np.ndarray:
@@ -323,18 +322,30 @@ class BimoduleX:
         """(r, r, m_v, m_v): inner_l over pairs of representatives."""
         return self.inner_l(self.liftx.T[:, None], self.liftx.T)
 
+    def _act_table(self, side: str) -> np.ndarray:
+        """(r, m², r): [i, w] is the class of rep_i acted on by the w-th matrix
+        unit of vec(k) on ``side``, presented as ``express_in_spanning``
+        presents k: each class's functional on the presentations c, pulled
+        back through the pseudo-inverse.  c acts as right_factor(rep_i) @ c
+        and as c @ left_factor(rep_i)."""
+        q = self.qx.reshape(self.r, self.dim, self.dim)
+        bc, factor, spec = ((self.bch, self._right_factor, "nal,caq->nclq") if side == "right"
+                            else (self.bcv, self._left_factor, "nlb,cab->ncal"))
+        facts, out = factor(self.rep_mats), np.empty((self.r, bc.m ** 2, self.r), dtype=complex)
+        for rows in row_chunks(self.r, self.r * self.amb):
+            part = np.einsum(spec, facts[rows], q, optimize=True)
+            out[rows] = bc.pinv_transpose(part.reshape(-1, self.r, self.amb)).swapaxes(1, 2)
+        return out
+
     @cached_property
     def right_act_t(self) -> np.ndarray:
-        """(r, m_h², r): [i, w] is the class of rep_i acted on by the w-th
-        matrix unit of vec(k), presented as ``right_act`` presents k."""
-        units = self.bch.spanning_pinv.T.reshape(-1, self.dim, self.dim)
-        return self._pair_classes(self._right_factor(self.rep_mats), units)
+        """(r, m_h², r): the ``_act_table`` of ``right_act``."""
+        return self._act_table("right")
 
     @cached_property
     def left_act_t(self) -> np.ndarray:
-        """(r, m_v², r): the mirror of ``right_act_t`` for ``left_act``."""
-        units = self.bcv.spanning_pinv.T.reshape(-1, self.dim, self.dim)
-        return self._pair_classes(units, self._left_factor(self.rep_mats)).swapaxes(0, 1)
+        """(r, m_v², r): the ``_act_table`` of ``left_act``."""
+        return self._act_table("left")
 
     @cached_property
     def bracket_t(self) -> np.ndarray:
@@ -494,10 +505,9 @@ def check_action_bound(x: BimoduleX, samples: int = 50,
         ks[s] = (kb.T @ w).reshape(m, m)
     bound = x.module_norm(ts) * np.linalg.norm(ks, 2, axis=(-2, -1))
     excess = np.maximum(0.0, x.module_norm(x.right_act(ts, ks)) - bound) / np.maximum(1.0, bound)
-    # add z - P·S·z, an isotropic null combination, to a presentation: the class must not move
-    span, pinv = x.bch.spanning_matrix, x.bch.spanning_pinv
+    # add the null part of an isotropic z to a presentation: the class must not move
     moves = np.zeros(0)
-    if len(kb) < span.shape[1]:
+    if len(kb) < x.amb:
         n = min(samples, 10)
         ts = np.zeros((n, x.amb), dtype=complex)
         coeffs = np.zeros((2, n, x.dim, x.dim), dtype=complex)   # presented, perturbed
@@ -505,8 +515,8 @@ def check_action_bound(x: BimoduleX, samples: int = 50,
             ts[s] = _random_stack(x, rng, 1)
             k = (kb.T @ (rng.standard_normal(kb.shape[0]))).reshape(m, m)
             coeffs[0, s], _ = x.bch.express_in_spanning(k)
-            z = rng.standard_normal(span.shape[1]) + 1j * rng.standard_normal(span.shape[1])
-            coeffs[1, s] = coeffs[0, s] + (z - pinv @ (span @ z)).reshape(x.dim, x.dim)
+            z = rng.standard_normal(x.amb) + 1j * rng.standard_normal(x.amb)
+            coeffs[1, s] = coeffs[0, s] + x.bch.null_part(z.reshape(x.dim, x.dim))
         d = np.subtract(*x.right_act(ts, None, coeffs))
         moves = (np.linalg.norm(d @ x.qx.T, axis=-1)
                  / np.maximum(1.0, np.linalg.norm(ts @ x.qx.T, axis=-1)))

@@ -55,3 +55,24 @@ def psd_root(alg, x):
     """Coordinates of the positive square root of a Hermitian element."""
     vals, vecs = np.linalg.eigh(to_dense(alg, x))
     return from_dense(alg, (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T)
+
+
+def spanning_matrix(bc):
+    """(m², dim²): the spanning matrix of a basic construction, columns
+    vec(lam(a_i) e lam(a_j)) indexed by the pair (i, j)."""
+    dim, m = bc.algebra.dim, bc.m
+    return ((bc.lam @ bc.e)[:, None] @ bc.lam).reshape(dim * dim, m * m).T
+
+
+def spanning_svd(bc):
+    """The factors of one full SVD of the spanning matrix's transpose that
+    a cut at ``bc.tol`` times the largest singular value keeps."""
+    u, s, vh = np.linalg.svd(spanning_matrix(bc).T, full_matrices=False)
+    k = int(np.sum(s > bc.tol * max(s[0], 1e-300)))
+    return u[:, :k], s[:k], vh[:k]
+
+
+def spanning_pinv(bc):
+    """(dim², m²): the pseudo-inverse of the spanning matrix from the kept factors."""
+    u, s, vh = spanning_svd(bc)
+    return (u.conj() / s) @ vh.conj()

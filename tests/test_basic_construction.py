@@ -1,5 +1,6 @@
 """Compressed-algebra construction attached to each conditional expectation."""
 
+import dense
 import numpy as np
 import pytest
 
@@ -14,7 +15,7 @@ from starint import (
     flip_interaction,
     identity_interaction,
 )
-from starint.algebra import block_adjoint, block_product, orthonormal_rows
+from starint.algebra import block_adjoint, block_product
 
 
 def lam_of(bc, a):
@@ -91,15 +92,27 @@ def test_degenerate_expectation_raises():
         build_basic(zero, flip_interaction().range_h)
 
 
+def piece_pinv(bc):
+    """(dim², m²): the presentation map of the span pieces, read off the
+    presentations of the m² matrix units."""
+    m = bc.m
+    return bc.express_in_spanning(np.eye(m * m).reshape(m * m, m, m))[0].reshape(m * m, -1).T
+
+
 @pytest.mark.parametrize("inter", [flip_interaction,
                                    lambda: amplified_interaction(flip_interaction(), 2),
                                    lambda: identity_interaction(Algebra((2, 1)))])
 def test_one_svd_gives_the_span_basis_and_the_pseudo_inverse(inter):
+    # the span pieces against one SVD of the dense spanning matrix
     for bc in (basic_for_h(inter()), basic_for_v(inter())):
-        span = bc.spanning_matrix
-        assert np.array_equal(bc.k_basis, orthonormal_rows(span.T, bc.tol))
-        pinv = bc.spanning_pinv
+        span, kb = dense.spanning_matrix(bc), dense.spanning_svd(bc)[2]
+        assert bc.k_basis.shape == kb.shape
+        assert np.abs(bc.k_basis.T @ bc.k_basis.conj() - kb.T @ kb.conj()).max() < 1e-12
+        pinv = piece_pinv(bc)
+        assert np.abs(pinv - dense.spanning_pinv(bc)).max() < 1e-12
         assert np.abs(pinv - np.linalg.pinv(span, rcond=bc.tol)).max() < 1e-12
-        # the Moore-Penrose conditions that pin the pseudo-inverse down
+        # the four Moore-Penrose conditions that pin the pseudo-inverse down
         assert np.abs(span @ pinv @ span - span).max() < 1e-12
         assert np.abs(pinv @ span @ pinv - pinv).max() < 1e-12
+        for proj in (span @ pinv, pinv @ span):
+            assert np.abs(proj - proj.conj().T).max() < 1e-12

@@ -136,8 +136,8 @@ def old_ternary_consistency(x):
 
 
 def old_tables(x):
-    units_r = x.bch.spanning_pinv.T.reshape(-1, x.dim, x.dim)
-    units_l = x.bcv.spanning_pinv.T.reshape(-1, x.dim, x.dim)
+    units_r = dense.spanning_pinv(x.bch).T.reshape(-1, x.dim, x.dim)
+    units_l = dense.spanning_pinv(x.bcv).T.reshape(-1, x.dim, x.dim)
     # [n, a]: the coefficients of a_a·rep_n and of rep_n·a_a
     lefts = x.algebra.left_mult_tensor[None] @ x.rep_mats[:, None]
     rights = x.rep_mats[:, None] @ x.algebra.right_mult_tensor[None].swapaxes(-1, -2)

@@ -252,8 +252,7 @@ def test_sampled_action_checks_stay_near_the_build_peak():
     # 5.9 and 5.10 act on a stack of samples through the dim³ action
     # factors and pair the results; formed for the whole stack at once, those
     # temporaries took about ten times the build's peak here (40 and 35 MB).
-    # 5.10 keeps the spanning presentation it forms on first use, so its
-    # peak is counted above what it leaves behind.
+    # Each peak is counted above what the check leaves behind.
     inter = amplified_interaction(flip_interaction(), 4)      # dim 32, r = m = 16
     tracemalloc.start()
     try:
@@ -378,7 +377,7 @@ def loop_action_bound(x, samples, rng):
         bound = x.module_norm(t) * float(np.linalg.norm(k, 2))
         worst_bound = max(worst_bound, max(0.0, x.module_norm(x.right_act(t, k)) - bound)
                           / max(1.0, bound))
-    _, s, vh = np.linalg.svd(x.bch.spanning_matrix)
+    _, s, vh = np.linalg.svd(dense.spanning_matrix(x.bch))
     null = vh[int((s > x.tol * max(s[0], 1e-300)).sum()):]
     worst_pres = 0.0
     if null.shape[0]:

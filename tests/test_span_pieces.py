@@ -1,0 +1,140 @@
+"""The basic construction's span by matrix-unit pieces: against the dense
+oracle on generated pairs, one named perturbation for each check the
+pieces feed, and the memory the pieces save."""
+
+import dataclasses
+import importlib.util
+import os
+
+import dense
+import numpy as np
+import pytest
+from conftest import traced_peak
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from starint import (
+    BasicConstruction,
+    Interaction,
+    amplified_interaction,
+    basic_for_h,
+    basic_for_v,
+    build_bimodule,
+    flip_interaction,
+    identity_interaction,
+)
+from starint.algebra import Algebra, orthonormal_rows
+from starint.bimodule import BimoduleX, check_action_bound, check_fullness
+from starint.cli import EXIT_PASS, _resolve, main
+from starint.specio import read_spec, spec_arrays
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location(
+    "problems", os.path.join(ROOT, "perfbench", "problems.py"))
+problems = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(problems)
+
+TOL = 1e-9
+
+# (family, size, amplification) of the generated pairs whose whole checklist
+# runs in well under a second; the diagonal family at x2 (r = 32 at size 2)
+# takes several seconds and is left out
+CASES = [("classical", n, amp) for n in (2, 3, 4) for amp in (1, 2)] + [
+    ("adu", 2, 1), ("adu", 2, 2), ("adu", 3, 1), ("diag", 2, 1), ("diag", 3, 1)]
+
+
+@pytest.fixture(scope="module")
+def problem_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("problems")
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(CASES), seed=st.integers(0, 2 ** 16))
+def test_span_pieces_match_the_dense_oracle_on_generated_pairs(problem_dir, case, seed):
+    family, size, amp = case
+    path = problems.generate(family, size, seed, 0, str(problem_dir))
+    v, h, _, _, _ = _resolve(spec_arrays(read_spec(path)), TOL, amp)
+    inter = Interaction.build(v, h, TOL)
+    for bc in (basic_for_h(inter), basic_for_v(inter)):
+        span, kb = dense.spanning_matrix(bc), dense.spanning_svd(bc)[2]
+        assert bc.k_basis.shape == kb.shape
+        assert np.abs(bc.k_basis.T @ bc.k_basis.conj() - kb.T @ kb.conj()).max() < 1e-12
+        # each k-basis element is reproduced by its presentation
+        coeffs, resid = bc.express_in_spanning(bc.k_basis.reshape(-1, bc.m, bc.m))
+        assert resid.max() < 1e-12
+        got = coeffs.reshape(len(coeffs), -1) @ span.T
+        assert np.abs(got - bc.k_basis).max() < 1e-12
+    out = str(problem_dir / f"{family}{size}_x{amp}.json")
+    assert main(["fuzz", path, "--amplify", str(amp), "--out", out]) == EXIT_PASS
+
+
+# -- liveness: each check the pieces feed fails on a named perturbation -------
+
+
+def test_a_presentation_shifted_off_the_null_space_fails_510(monkeypatch):
+    x = build_bimodule(amplified_interaction(flip_interaction(), 2))
+    assert check_action_bound(x)["presentation_independent"] <= TOL
+    # the whole isotropic draw, not its null part, is added to the presentation
+    monkeypatch.setattr(BasicConstruction, "null_part", lambda self, coeffs: coeffs)
+    assert check_action_bound(x)["presentation_independent"] > 1e-3
+
+
+def drop_one_kept_row(bc):
+    """``bc`` with the first kept singular vector of its first piece cut."""
+    first = bc.span[0]
+    s = first.s.copy()
+    s[0, np.argmax(s[0] > 0)] = 0.0
+    return dataclasses.replace(bc, span=(first._replace(s=s), *bc.span[1:]))
+
+
+def test_a_span_piece_with_one_kept_row_dropped_fails_515():
+    inter = identity_interaction(Algebra((2, 1)))
+    bch, bcv = basic_for_h(inter), basic_for_v(inter)
+    whole = check_fullness(BimoduleX(inter, bch, bcv, TOL))
+    assert max(whole.values()) <= TOL
+    for side, sides in (("right", (drop_one_kept_row(bch), bcv)),
+                        ("left", (bch, drop_one_kept_row(bcv)))):
+        got = check_fullness(BimoduleX(inter, *sides, TOL))
+        assert got[f"{side}_span_dim_gap"] >= 1
+        assert got[f"{side}_span_inside"] > 1e-3
+
+
+def test_a_k_basis_not_star_closed_moves_k_star_closed():
+    bc = basic_for_h(identity_interaction(Algebra((2,))))
+    assert bc.invariants["k_star_closed"] <= TOL
+    bent = dataclasses.replace(bc)
+    # a random subspace of the same dimension is not closed under adjoints
+    rows = np.random.default_rng(3).standard_normal((len(bc.k_basis), bc.m * bc.m))
+    vars(bent)["k_basis"] = orthonormal_rows(rows * (1 + 1j))
+    assert bent.invariants["k_star_closed"] > 1e-3
+
+
+# -- memory --------------------------------------------------------------------
+
+
+def test_basic_constructions_hold_no_spanning_square_array():
+    inter = amplified_interaction(flip_interaction(), 4)      # dim 32, m = 16
+    dim = inter.algebra.dim
+
+    def build():
+        bch, bcv = basic_for_h(inter), basic_for_v(inter)
+        for bc in (bch, bcv):
+            bc.express_in_spanning(bc.k_basis[:4].reshape(-1, bc.m, bc.m))
+        return bch, bcv
+
+    (bch, bcv), peak = traced_peak(build)
+    x = BimoduleX(inter, bch, bcv, TOL)
+    inter.algebra.right_mult_tensor     # the algebra's own dim³ table, cached once for all uses
+    _, peak_tables = traced_peak(lambda: (x.right_act_t, x.left_act_t))
+    square = 16 ** 2 * dim ** 2          # entries of one dense (m², dim²) spanning matrix
+    assert bch.m == bcv.m == 16
+    assert max(peak, peak_tables) < 16 * square, max(peak, peak_tables) / (16 * square)
+
+    def entries(value):
+        if isinstance(value, np.ndarray):
+            return value.size
+        return sum(map(entries, value)) if isinstance(value, tuple) else 0
+
+    for bc in (bch, bcv):
+        big = [k for k, v in vars(bc).items() if entries(v) >= square]
+        assert not big, big
