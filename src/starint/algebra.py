@@ -141,6 +141,15 @@ class Algebra:
                                for off, d in zip(self.offsets, self.blocks)])
 
     @cached_property
+    def unit_products(self) -> np.ndarray:
+        """``[i, k]`` is the coordinate of a_i·a_k, or -1 where it is 0: with
+        a_i = E_pq and a_k = E_rs in the block-diagonal picture, a_i·a_k =
+        δ_qr·E_ps, whose coordinate is i - q + s."""
+        rows, cols = self.unit_positions.T
+        return np.where(cols[:, None] == rows,
+                        (np.arange(self.dim) - cols)[:, None] + cols, -1)
+
+    @cached_property
     def left_mult_tensor(self) -> np.ndarray:
         """``L[i]`` is the coordinate matrix of x -> basis_i * x."""
         eye = np.eye(self.dim, dtype=complex)
@@ -208,10 +217,11 @@ def representation_defects(algebra: Algebra, reps: np.ndarray) -> tuple[float, f
     """How far a (dim, n, n) stack, one matrix per basis element, is from a
     *-homomorphism: the largest ||rep(a_i a_k) - rep(a_i)·rep(a_k)|| and the
     largest ||rep(a_i*) - rep(a_i)*||, in Frobenius norm; NaN comes through.
-    The products are formed a few rows i at a time."""
+    Each a_i a_k is a matrix unit or 0, so rep(a_i a_k) is gathered from
+    ``reps``; the products are formed a few rows i at a time."""
     dim, n = reps.shape[:2]
-    pairs = algebra.left_mult_tensor.swapaxes(1, 2)   # [i, k] = coords(a_i a_k)
-    mult = [worst_norm(np.tensordot(pairs[rows], reps, axes=1) - reps[rows, None] @ reps,
+    padded = np.concatenate([reps, np.zeros((1, n, n), reps.dtype)])  # [-1] = rep(0)
+    mult = [worst_norm(padded[algebra.unit_products[rows]] - reps[rows, None] @ reps,
                        axis=(-2, -1))
             for rows in row_chunks(dim, dim * n * n)]
     star = worst_norm(reps[algebra.star_perm] - reps.conj().swapaxes(-1, -2),

@@ -3,8 +3,9 @@ amplification.  Exit status: 0 all good, 1 a check failed, 2 bad input.
 
 The file, the options and the output path are checked before numpy loads,
 so unusable input exits 2 at the cost of an interpreter start.  Then
-``verify`` loads the map-level layers and the other commands the build
-stage as well, each once, before any array is made."""
+``verify`` loads the map-level layers, ``fuzz`` and the ``build`` report the
+build stage as well, and ``build --emit`` the construction it writes, each
+once, before any array is made."""
 
 from __future__ import annotations
 
@@ -25,6 +26,9 @@ if TYPE_CHECKING:
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 TOL_ENV = "STARINT_TOL"
+#: the module ``build`` loads for each ``--emit``: the report needs the whole
+#: build stage, an artifact only the construction it writes
+EMIT_STAGES = {"bimodule": "bimodule", "covrep": "covariant", "report": "checklist"}
 
 
 def _tolerance(spec: ProblemSpec, flag: float | None) -> float:
@@ -166,36 +170,47 @@ def _interaction_for_build(spec: ProblemSpec, tol: float) -> Interaction:
     return Interaction.build(v, h, tol)
 
 
+def _bimodule_payload(inter: Interaction, tol: float) -> dict:
+    from .basic_construction import place_rows
+    from .bimodule import build_bimodule
+
+    x = build_bimodule(inter, tol)
+    return {
+        "r": x.r,
+        "gram_spectrum": x.gram_spectrum,
+        "kernel_basis": matrix_out(place_rows(x.null_r)),
+    }
+
+
+def _covrep_payload(inter: Interaction, tol: float) -> dict:
+    from .covariant import build_covrep
+
+    rep = build_covrep(inter, tol=tol)
+    return {
+        "r": rep.r,
+        "s": rep.s,
+        "pi": [matrix_out(rep.pi[i]) for i in range(inter.algebra.dim)],
+        "S": matrix_out(rep.smat),
+        "residual_table": dict(rep.residuals),
+    }
+
+
 def cmd_build(spec: ProblemSpec, args: argparse.Namespace, tol: float, write: Writer) -> int:
     seed = spec.seed if spec.seed is not None else 0
     samples = spec.samples if spec.samples is not None else 25
     if args.emit == "report":
         return _run(spec, "build", "build", tol, seed, samples, 1, write)
     from .algebra import NumericalDegeneracy
-    from .basic_construction import place_rows
-    from .bimodule import build_bimodule
-    from .covariant import CovariantError, build_covrep
     from .interactions import InteractionError
 
+    failures: tuple[type[Exception], ...] = (InteractionError, NumericalDegeneracy)
+    if args.emit == "covrep":
+        from .covariant import CovariantError
+        failures += (CovariantError,)
     try:
         inter = _interaction_for_build(spec, tol)
-        if args.emit == "bimodule":
-            x = build_bimodule(inter, tol)
-            payload = {
-                "r": x.r,
-                "gram_spectrum": x.gram_spectrum,
-                "kernel_basis": matrix_out(place_rows(x.null_r)),
-            }
-        else:
-            rep = build_covrep(inter, tol=tol)
-            payload = {
-                "r": rep.r,
-                "s": rep.s,
-                "pi": [matrix_out(rep.pi[i]) for i in range(inter.algebra.dim)],
-                "S": matrix_out(rep.smat),
-                "residual_table": dict(rep.residuals),
-            }
-    except (InteractionError, CovariantError, NumericalDegeneracy) as err:
+        payload = (_bimodule_payload if args.emit == "bimodule" else _covrep_payload)(inter, tol)
+    except failures as err:
         print(f"build failed: {err}", file=sys.stderr)
         return EXIT_FAIL
     write(canonical_json(payload))
@@ -222,11 +237,10 @@ def _parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("build", help="construct artifacts and the full checklist")
     pb.add_argument("spec")
-    pb.add_argument("--emit", choices=("bimodule", "covrep", "report"),
-                    default="report")
+    pb.add_argument("--emit", choices=tuple(EMIT_STAGES), default="report")
     pb.add_argument("--tol", type=float, default=None)
     pb.add_argument("--out", default=None)
-    pb.set_defaults(func=cmd_build, stage="checklist")
+    pb.set_defaults(func=cmd_build)
 
     pf = sub.add_parser("fuzz", help="full checklist on the n-amplified pair")
     pf.add_argument("spec")
@@ -248,7 +262,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise SpecError(f"--{flag} must be at least {least}")
         with _output(args.out) as write:
             tol = _tolerance(spec, args.tol)
-            import_module(f".{args.stage}", __package__)   # the layers the command runs
+            stage = args.stage if "stage" in args else EMIT_STAGES[args.emit]
+            import_module(f".{stage}", __package__)   # the layers the command runs
             return args.func(spec_arrays(spec), args, tol, write)
     except SpecError as err:
         print(f"error: {err}", file=sys.stderr)

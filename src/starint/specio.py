@@ -5,7 +5,9 @@ nested lists; elements of a block algebra are lists of square matrices, one
 per block.  Writing always normalizes (sorted keys, two-space indent, newline
 at EOF) so equal inputs produce byte-equal artifacts.  The bytes are those of
 ``json.dumps(indent=2)``, whose encoder is pure Python, one call per float, so
-a finite float array goes out in bulk: a ``%`` template per row of its reprs.
+a finite float array goes out by leaf groups, the rows of its last axis: one
+``%`` template for each group that holds a nonzero, and one shared string for
+every all-zero group (in block form, most of an emitted kernel basis or π).
 A file is checked whole in pure Python before any array is made, so that a
 file that cannot be used is refused without loading numpy.
 """
@@ -89,15 +91,35 @@ def element_out(algebra: Algebra, coords: np.ndarray) -> list:
             for off, d in zip(algebra.offsets, algebra.blocks)]
 
 
-def _template(shape: tuple[int, ...], level: int) -> str:
-    """``json.dumps(indent=2)`` layout of ``shape`` at ``level``, ``%s`` per entry."""
-    if not shape:
-        return "%s"
-    if not shape[0]:
-        return "[]"
+def _bracket(items: list[str], level: int) -> list[str]:
+    """The pieces of the ``json.dumps(indent=2)`` layout at ``level`` of a
+    nonempty list of item texts, to be joined once."""
     sep = ",\n" + "  " * (level + 1)
-    return ("[" + sep[1:] + sep.join([_template(shape[1:], level + 1)] * shape[0])
-            + "\n" + "  " * level + "]")
+    pieces = [sep] * (2 * len(items) + 1)
+    pieces[0], pieces[1::2], pieces[-1] = "[" + sep[1:], items, "\n" + "  " * level + "]"
+    return pieces
+
+
+def _float_array(a: np.ndarray, level: int, out: list[str]) -> None:
+    """Append the text at ``level`` of a finite float array without an empty
+    axis to ``out``, one leaf group (a row of its last axis, such as an
+    [re, im] pair) at a time: a ``%`` template for each group that holds a
+    nonzero or a -0.0, one shared string for every all-zero group."""
+    import numpy as np
+
+    *lead, width = a.shape
+    depth = level + len(lead)
+    leaf = "".join(_bracket(["%s"] * width, depth))
+    groups = a.reshape(-1, width)
+    texts = [leaf % (("0.0",) * width)] * len(groups)
+    flagged = np.flatnonzero((groups != 0) | np.signbit(groups)) // width
+    live = list(dict.fromkeys(flagged.tolist()))   # np.unique would import numpy.ma
+    for i, values in zip(live, groups[live].tolist()):
+        texts[i] = leaf % tuple(values)
+    for n in reversed(lead[1:]):
+        depth -= 1
+        texts = ["".join(_bracket(texts[j:j + n], depth)) for j in range(0, len(texts), n)]
+    out.extend(_bracket(texts, level) if lead else texts)
 
 
 def _scalar(obj) -> str:
@@ -117,22 +139,20 @@ def _scalar(obj) -> str:
 
 def _write(obj, level: int, out: list[str]) -> None:
     """Append the text of ``obj`` at nesting ``level`` to ``out``; a finite
-    float array of more than two axes goes out a row at a time."""
+    float array with no empty axis goes out by leaf groups."""
     import numpy as np
 
     if isinstance(obj, np.ndarray):
-        if not (obj.ndim and obj.dtype.kind == "f" and np.isfinite(obj).all()):
-            obj = obj.tolist()
-        elif obj.ndim <= 2:
-            out.append(_template(obj.shape, level)
-                       % tuple(map(float.__repr__, obj.ravel().tolist())))
+        if obj.ndim and obj.size and obj.dtype.kind == "f" and np.isfinite(obj).all():
+            _float_array(obj, level, out)
             return
+        obj = obj.tolist()
     if isinstance(obj, (np.complexfloating, complex)):
         obj = [float(obj.real), float(obj.imag)]
     if isinstance(obj, dict):
         keyed = {str(k): v for k, v in obj.items()}
         items, brackets = [(encode_basestring(k) + ": ", keyed[k]) for k in sorted(keyed)], "{}"
-    elif isinstance(obj, (list, tuple, np.ndarray)):
+    elif isinstance(obj, (list, tuple)):
         items, brackets = [("", v) for v in obj], "[]"
     else:
         out.append(_scalar(obj))

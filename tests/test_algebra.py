@@ -17,6 +17,10 @@ from starint.algebra import (
     block_product,
     positivity_defects,
     psd_sqrt,
+    representation_defects,
+    row_chunks,
+    worst,
+    worst_norm,
 )
 
 
@@ -156,3 +160,31 @@ def test_sqrt_psd_is_the_one_element_case():
                            psd_sqrt(p[1:].reshape(2, 2)).reshape(-1)])
     assert positivity_defects(alg, root) <= 1e-12
     assert np.abs(block_product(alg, root, root) - p).max() < 1e-12
+
+
+def _dense_representation_defects(alg, reps):
+    """representation_defects by the dense formula: rep(a_i a_k) contracted
+    from the dim³ left-multiplication tensor."""
+    dim, n = reps.shape[:2]
+    pairs = alg.left_mult_tensor.swapaxes(1, 2)   # [i, k] = coords(a_i a_k)
+    mult = [worst_norm(np.tensordot(pairs[rows], reps, axes=1) - reps[rows, None] @ reps,
+                       axis=(-2, -1))
+            for rows in row_chunks(dim, dim * n * n)]
+    star = worst_norm(reps[alg.star_perm] - reps.conj().swapaxes(-1, -2), axis=(-2, -1))
+    return worst(mult), star
+
+
+@pytest.mark.parametrize("blocks", [(1,), (3,), (2, 1), (1, 2, 2)])
+def test_representation_defects_match_the_dense_formula(blocks):
+    alg = Algebra(blocks)
+    rng = np.random.default_rng(len(blocks))
+    regular = alg.left_mult_tensor                       # a *-representation
+    noisy = rng.standard_normal((alg.dim, 3, 3)) + 1j * rng.standard_normal((alg.dim, 3, 3))
+    for reps in (regular, noisy, regular.real.copy()):
+        assert representation_defects(alg, reps) == _dense_representation_defects(alg, reps)
+    assert representation_defects(alg, regular) == (0.0, 0.0)
+    broken = noisy.copy()
+    broken[-1, 0, 0] = np.nan
+    mult, star = representation_defects(alg, broken)
+    assert np.isnan(mult) and np.isnan(star)
+    assert all(np.isnan(_dense_representation_defects(alg, broken)))

@@ -92,6 +92,21 @@ def test_build_imports_the_build_stage(tmp_path):
     assert BUILD_STAGE <= modules
 
 
+@pytest.mark.parametrize("emit, construction, unused", [
+    ("bimodule", "starint.bimodule", {"starint.covariant", "starint.correspondences",
+                                      "starint.checklist", "starint.records"}),
+    ("covrep", "starint.covariant", {"starint.correspondences", "starint.checklist",
+                                     "starint.records"}),
+])
+def test_emit_imports_only_the_construction_it_writes(tmp_path, emit, construction, unused):
+    # numpy.ma is what np.unique would load for the writer: a 12 ms import
+    unused = unused | {"numpy.ma"}
+    code, modules = loaded(tmp_path, "build", str(DATA / "flip.json"), "--emit", emit)
+    assert code == 0
+    assert construction in modules
+    assert not unused & modules, unused & modules
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "bad_schema"], ["build", "bad_schema"], ["verify", "bad_shape"],
     ["build", "bad_shape"], ["verify", "malformed"], ["build", "malformed"],

@@ -189,6 +189,18 @@ def oracle(obj) -> str:
 
 
 EDGE_FLOATS = [-0.0, 5e-324, 1e-300, 1 / 3, 1e16, 1e22]
+
+
+def _mostly_zero(shape: tuple[int, ...]) -> np.ndarray:
+    """Zeros but for a few scattered leaf groups, one of them a -0.0 pair."""
+    rng = np.random.default_rng(2)
+    a = np.zeros(shape)
+    groups = a.reshape(-1, shape[-1])
+    groups[rng.choice(len(groups), 6, replace=False)] = rng.standard_normal((6, shape[-1]))
+    groups[7] = -0.0
+    return a
+
+
 ARRAYS = {
     "edge floats 1-D": np.array(EDGE_FLOATS),
     "edge floats as pairs": matrix_out(np.array(EDGE_FLOATS) - 1j * np.array(EDGE_FLOATS[::-1])),
@@ -205,6 +217,14 @@ ARRAYS = {
     "NaN pairs": matrix_out(np.array([[complex(np.nan, 1.0), np.inf], [-np.inf, 0.5]])),
     "NaN raw": np.array([[1.0, np.nan], [np.inf, -np.inf]]),
     "NaN 3 axes": np.array([[[0.5, np.nan]]]),
+    "mostly zero pairs": _mostly_zero((40, 36, 2)),
+    "-0.0 alone in a pair": np.array([[[0.0, 0.0], [0.0, -0.0]], [[-0.0, 0.0], [0.0, 0.0]]]),
+    "all zero 2 axes": np.zeros((3, 2)),
+    "all zero 3 axes": np.zeros((2, 3, 2)),
+    "all zero 4 axes": np.zeros((2, 1, 3, 2)),
+    "0-length middle axis": np.zeros((2, 0, 2)),
+    "float32 zeros": np.zeros((2, 2, 2), dtype=np.float32),
+    "all zero 1-D": np.zeros(5),
 }
 
 
