@@ -38,6 +38,9 @@ def rel(value: float, scale: float) -> float:
 #: Floor of the reference scale for a cut relative to the largest singular value.
 TINY = 1e-300
 
+#: Eigenvalues on either side of a quotient cut must differ by this factor.
+GAP_FACTOR = 1e3
+
 
 def svd_rank(s: np.ndarray, tol: float, floor: float) -> int:
     """The one singular-value rank cut: how many of the descending singular
@@ -127,12 +130,9 @@ class Algebra:
     @cached_property
     def size_groups(self) -> tuple[tuple[int, np.ndarray], ...]:
         """For each distinct block size d, the (blocks of size d, d²) array of
-        their coordinate positions, blocks in order."""
-        out = []
-        for d in sorted(set(self.blocks)):
-            offs = [off for off, dd in zip(self.offsets, self.blocks) if dd == d]
-            out.append((d, np.array(offs)[:, None] + np.arange(d * d)))
-        return tuple(out)
+        their coordinate positions, blocks in order: ``units`` by shape."""
+        return tuple((len(self.units[f[0]]), np.reshape([self.units[i] for i in f], (len(f), -1)))
+                     for f in shape_groups(self.units))
 
     @cached_property
     def star_perm(self) -> np.ndarray:
@@ -316,6 +316,80 @@ def worst_key(values: dict[str, float]) -> str:
     refuses when ``values[worst_key(values)]`` is not <= its limit refuses
     any NaN."""
     return max(values, key=lambda k: np.inf if np.isnan(values[k]) else values[k])
+
+
+# -- block forms ---------------------------------------------------------------
+# A matrix that is a direct sum of small pieces, each repeated on copies, as
+# the Gram, spanning and Choi matrices are over the matrix units.
+
+def shape_groups(mats: Iterable[np.ndarray]) -> list[list[int]]:
+    """The positions of the matrices of each shape, shapes in order of first appearance."""
+    shapes: dict[tuple[int, ...], list[int]] = {}
+    for i, g in enumerate(mats):
+        shapes.setdefault(g.shape, []).append(i)
+    return list(shapes.values())
+
+
+def copy_index(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """(a·c, b·d): the pairs rows[p, q]·n + cols[s, r] of two (a, b) and (c, d)
+    index arrays, one row per copy (p, s), columns (q, r)."""
+    out = rows[:, None, :, None] * n + cols[None, :, None, :]
+    return out.reshape(len(rows) * len(cols), -1)
+
+
+_SPECTRA = {"eigh": np.linalg.eigh, "eigvalsh": eigvals_hermitian,
+            "svd": lambda mats: np.linalg.svd(mats, full_matrices=False)}
+
+
+class BlockForm(tuple):
+    """A matrix as its pieces (g, index): the small matrix g repeated on the
+    coordinates index[c] of each copy c (of its columns, where g is not
+    square), the pieces covering every coordinate once."""
+
+    def spectra(self, how: str) -> list:
+        """Per piece, ``how`` of its matrix, by one batched call per shape:
+        "eigh" (ascending eigenvalues, eigenvectors), "eigvalsh" (those of
+        the hermitian part, NaN for a non-finite piece) or "svd" (thin)."""
+        out: list = [None] * len(self)
+        for found in shape_groups(g for g, _ in self):
+            got = _SPECTRA[how](np.stack([self[i][0] for i in found]))
+            for j, i in enumerate(found):
+                out[i] = got[j] if how == "eigvalsh" else tuple(part[j] for part in got)
+        return out
+
+    def cut(self, values: list[np.ndarray], tol: float) -> tuple[np.ndarray, int, list]:
+        """The one rank cut over the pieces' ``values``: their union, each
+        counted once per copy, descending; its ``svd_rank`` at the TINY-floored
+        reference scale; and per piece, the mask of the values it keeps."""
+        union = np.sort(np.concatenate([np.repeat(v, len(index))
+                                        for v, (_, index) in zip(values, self)]))[::-1]
+        k = svd_rank(union, tol, TINY)
+        return union, k, [v >= (union[k - 1] if k else np.inf) for v in values]
+
+    def place(self) -> np.ndarray:
+        """(rows, n): each column of each piece placed at the coordinates of
+        each of its copies, piece by piece, column by column."""
+        n = sum(index.size for _, index in self)
+        out = []
+        for vecs, index in self:
+            rows = np.zeros((vecs.shape[1], len(index), n), dtype=vecs.dtype)
+            rows[:, np.arange(len(index))[:, None], index] = vecs.T[:, None]
+            out.append(rows.reshape(-1, n))
+        return np.concatenate(out)
+
+
+def quotient_gap(union: np.ndarray, k: int, tol: float, messages: tuple[str, str, str]) -> None:
+    """Refuse the ``BlockForm.cut`` of a hermitian form's eigenvalues as the
+    cut of a quotient by its kernel, with one of ``messages``: the form
+    vanishes, is not positive, or has no spectral gap of ``GAP_FACTOR``."""
+    vanishes, indefinite, no_gap = messages
+    top = max(float(union[0]), 0.0)
+    if top <= tol:
+        raise NumericalDegeneracy(vanishes)
+    if float(union[-1]) < -tol * top:
+        raise NumericalDegeneracy(indefinite)
+    if k < union.size and float(union[k]) > TINY and union[k - 1] / union[k] < GAP_FACTOR:
+        raise NumericalDegeneracy(no_gap)
 
 
 # -- subspaces ----------------------------------------------------------------

@@ -7,11 +7,12 @@ an eigenvalue cut, giving finite matrices: a representation ``lam``, the
 projection ``e`` implementing E, and the linear span of lam(a) e lam(b).
 
 On matrix units, (e_pq)*·e_p'q' = δ_pp'·e_qq' in one block, so the Gram
-matrix is ⊕_b I ⊗ g_b, and in the class coordinates (block b, copy p, kept
-vector) lam(e_pq) = E_pq ⊗ I.  Hence lam(e_pq) e lam(e_rs) = E_ps ⊗ e_bc[q, r],
-e_bc[q, r] the slab of e between copy q of block b and copy r of block c: the
-spanning matrix is one piece of rows vec e_bc[q, r] per block pair, repeated
-on the copies (p, s).
+matrix is the block form ⊕_b I ⊗ g_b (``algebra.BlockForm``), and in the
+class coordinates (block b, copy p, kept vector) lam(e_pq) = E_pq ⊗ I.  Hence
+lam(e_pq) e lam(e_rs) = E_ps ⊗ e_bc[q, r], e_bc[q, r] the slab of e between
+copy q of block b and copy r of block c: the spanning matrix is the block
+form of one piece of rows vec e_bc[q, r] per block pair, repeated on the
+copies (p, s).  Both are cut as forms.
 """
 
 from __future__ import annotations
@@ -24,90 +25,51 @@ import numpy as np
 
 from .algebra import (
     DEFAULT_TOL,
-    TINY,
     Algebra,
+    BlockForm,
     NumericalDegeneracy,
     Subspace,
     block_norms,
+    copy_index,
     hermitian_part,
+    quotient_gap,
     representation_defects,
-    svd_rank,
+    shape_groups,
     worst,
     worst_norm,
 )
 from .linmaps import LinMap
-
-# eigenvalues on either side of the quotient cut must differ by this factor
-GAP_FACTOR = 1e3
-
-
-#: A matrix given as pieces (g, index): the small matrix g is repeated on the
-#: coordinates index[c] of each copy c, and the pieces cover every coordinate once.
-Pieces = tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 class Quotient(NamedTuple):
     kept: np.ndarray     # eigenvalues above the cut, ascending, once per copy
     q: np.ndarray        # (k, n): coordinates -> class coordinates
     lift: np.ndarray     # (n, k): class coordinates -> canonical representative
-    null: Pieces         # per piece, its discarded eigenvectors as columns
+    null: BlockForm      # per piece, its discarded eigenvectors as columns
     classes: tuple[np.ndarray, ...]   # per piece, (copies, kept columns): the class of each
 
 
-def copy_index(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """(a·c, b·d): the pairs rows[p, q]·n + cols[s, r] of two (a, b) and (c, d)
-    index arrays, one row per copy (p, s), columns (q, r)."""
-    out = rows[:, None, :, None] * n + cols[None, :, None, :]
-    return out.reshape(len(rows) * len(cols), -1)
-
-
-def place_rows(pieces: Pieces) -> np.ndarray:
-    """(rows, n): each column of each piece placed at the coordinates of
-    each of its copies, piece by piece, column by column."""
-    n = sum(index.size for _, index in pieces)
-    out = []
-    for vecs, index in pieces:
-        rows = np.zeros((vecs.shape[1], len(index), n), dtype=vecs.dtype)
-        rows[:, np.arange(len(index))[:, None], index] = vecs.T[:, None]
-        out.append(rows.reshape(-1, n))
-    return np.concatenate(out)
-
-
-def eigen_quotient(pieces: Pieces, tol: float,
-                   messages: tuple[str, str, str]) -> Quotient:
-    """Quotient of a hermitian positive form, given as pieces, by its
-    kernel.  Each piece is eigendecomposed, and one cut over the union of
-    their spectra, each value counted once per copy, keeps the values above
-    ``tol`` times the top eigenvalue.  ``messages`` explain the three ways
-    the cut can fail: the form vanishes, is not positive, or has no
-    spectral gap of ``GAP_FACTOR`` at the cut.  Kept classes are in
-    ascending eigenvalue order, ties in piece, column and copy order."""
-    vanishes, indefinite, no_gap = messages
-    eigs = [(*np.linalg.eigh(g), index) for g, index in pieces]
-    lams = np.sort(np.concatenate([np.repeat(vals, len(index)) for vals, _, index in eigs]))[::-1]
-    top = max(float(lams[0]), 0.0)
-    if top <= tol:
-        raise NumericalDegeneracy(vanishes)
-    if float(lams[-1]) < -tol * top:
-        raise NumericalDegeneracy(indefinite)
-    # the descending eigenvalues keep their first svd_rank entries
-    k = svd_rank(lams, tol, TINY)
-    if k < lams.size and float(lams[k]) > 1e-300:
-        if float(lams[k - 1]) / float(lams[k]) < GAP_FACTOR:
-            raise NumericalDegeneracy(no_gap)
-    keep = [vals >= lams[k - 1] for vals, _, _ in eigs]
-    kept = np.concatenate([np.repeat(vals[c], len(index))
-                           for (vals, _, index), c in zip(eigs, keep)])
-    order = np.argsort(kept, kind="stable")
-    units = place_rows(tuple((vecs[:, c], index) for (_, vecs, index), c in zip(eigs, keep)))[order]
-    roots = np.sqrt(kept[order])
+def eigen_quotient(form: BlockForm, tol: float, messages: tuple[str, str, str]) -> Quotient:
+    """Quotient of a hermitian positive form by its kernel: one cut of the
+    form's eigenvalues (``BlockForm.cut``), refused by ``quotient_gap`` with
+    one of ``messages``.  Kept classes are in ascending eigenvalue order,
+    ties in piece, column and copy order."""
+    eigs = form.spectra("eigh")
+    union, k, keep = form.cut([vals for vals, _ in eigs], tol)
+    quotient_gap(union, k, tol, messages)
+    kept, null = (BlockForm((vecs[:, c], index) for (_, vecs), c, (_, index) in zip(eigs, cs, form))
+                  for cs in (keep, [~c for c in keep]))
+    order = np.argsort(np.concatenate([np.repeat(vals[c], len(index))
+                                       for (vals, _), c, (_, index) in zip(eigs, keep, form)]),
+                       kind="stable")
+    units, spectrum = kept.place()[order], union[k - 1::-1]   # the kept values, ascending
+    roots = np.sqrt(spectrum)
     # the class of each kept column on each copy, piece by piece
-    ends = np.cumsum([c.sum() * len(index) for (_, _, index), c in zip(eigs, keep)])[:-1]
+    ends = np.cumsum([vecs.shape[1] * len(index) for vecs, index in kept])[:-1]
     classes = tuple(p.reshape(-1, len(i)).T
-                    for p, (_, _, i) in zip(np.split(np.argsort(order), ends), eigs))
-    return Quotient(kept=kept[order], q=roots[:, None] * units.conj(), lift=units.T / roots,
-                    null=tuple((vecs[:, ~c], index) for (_, vecs, index), c in zip(eigs, keep)),
-                    classes=classes)
+                    for p, (_, i) in zip(np.split(np.argsort(order), ends), form))
+    return Quotient(kept=spectrum, q=roots[:, None] * units.conj(), lift=units.T / roots,
+                    null=null, classes=classes)
 
 
 class SpanPieces(NamedTuple):
@@ -122,27 +84,25 @@ class SpanPieces(NamedTuple):
 
 def span_pieces(units: tuple[np.ndarray, ...], classes: tuple[np.ndarray, ...],
                 e: np.ndarray, tol: float) -> tuple[SpanPieces, ...]:
-    """The spanning matrix as pieces, one stacked SVD per shape, and one
-    ``svd_rank`` cut over the union of their singular values, each counted
-    once per copy: the rank, span and least-norm pseudo-inverse of the dense
-    matrix."""
-    dim, m, shapes = sum(u.size for u in units), len(e), {}
-    for ub, cb in zip(units, classes):
-        for uc, cc in zip(units, classes):
-            if cb.size and cc.size:      # a block that keeps no class meets no entry
-                entries = copy_index(cb, cc, m)
-                shapes.setdefault(entries.shape, []).append((copy_index(ub, uc.T, dim), entries))
-    groups = [tuple(map(np.stack, zip(*found))) for found in shapes.values()]
+    """The spanning matrix as a form of one piece per block pair, cut as one
+    (``BlockForm.cut`` of the singular values): the rank, span and least-norm
+    pseudo-inverse of the dense matrix, the pieces of one shape stacked."""
+    dim, m = sum(u.size for u in units), len(e)
+    pairs, entries = zip(*[(copy_index(ub, uc.T, dim), copy_index(cb, cc, m))
+                           for ub, cb in zip(units, classes) for uc, cc in zip(units, classes)
+                           if cb.size and cc.size])   # a block that keeps no class meets no entry
     # the copies (q, r) of the entries are the rows (q, r) of the piece
-    svds = [np.linalg.svd(e.reshape(-1)[entries], full_matrices=False) for _, entries in groups]
-    vals = np.sort(np.concatenate([np.repeat(s, u.shape[1]) for u, s, _ in svds]))[::-1]
-    k = svd_rank(vals, tol, TINY)
+    form = BlockForm((e.reshape(-1)[index], index) for index in entries)
+    svds = form.spectra("svd")
+    keep = form.cut([s for _, s, _ in svds], tol)[2]
     out = []
-    for (pairs, entries), (u, s, vh) in zip(groups, svds):
-        s = np.where(s >= (vals[k - 1] if k else np.inf), s, 0.0)
+    for found in shape_groups(entries):
+        u, s, vh, kept, at, to = (np.stack([parts[i] for i in found])
+                                  for parts in (*zip(*svds), keep, pairs, entries))
+        s = np.where(kept, s, 0.0)
         inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
         pinv = (vh.conj().swapaxes(-1, -2) * inv[:, None]) @ u.conj().swapaxes(-1, -2)
-        out.append(SpanPieces(pairs, entries, s, vh, pinv))
+        out.append(SpanPieces(at, to, s, vh, pinv))
     return tuple(out)
 
 
@@ -163,8 +123,8 @@ class BasicConstruction:
     def k_basis(self) -> np.ndarray:
         """(k, m*m): orthonormal span of lam(a) e lam(b): the kept right
         singular vectors of the pieces, each placed on each of its copies."""
-        return place_rows(tuple((vh[s > 0].T, index) for g in self.span
-                                for s, vh, index in zip(g.s, g.vh, g.entries)))
+        return BlockForm((vh[s > 0].T, index) for g in self.span
+                         for s, vh, index in zip(g.s, g.vh, g.entries)).place()
 
     def express_in_k(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients in the orthonormal span of each matrix of a (..., m, m)
@@ -259,7 +219,7 @@ def build_basic(expectation: LinMap, range_sub: Subspace,
     if herm_gap > tol * max(1.0, size):
         raise NumericalDegeneracy("expectation form is not hermitian")
 
-    quot = eigen_quotient(tuple(zip(map(hermitian_part, grams), alg.units)), tol, (
+    quot = eigen_quotient(BlockForm(zip(map(hermitian_part, grams), alg.units)), tol, (
         "expectation form vanishes identically",
         "expectation form is not positive",
         "quotient ill-conditioned: no spectral gap between kept and "

@@ -5,7 +5,10 @@ one landing in the span built from the second map's expectation, a left one
 landing in the span built from the first map's — plus left/right algebra
 actions and a ternary product.  Both inner products induce the same
 seminorm; the quotient by its kernel is finite-dimensional and everything
-is realized as explicit tensors over the quotient coordinates.
+is realized as explicit tensors over the quotient coordinates.  Over the
+matrix units each Gram matrix of the basis tensors is a block form
+(``algebra.BlockForm``) of one piece per block pair, and the right one is
+cut by ``eigen_quotient`` as a basic construction's Gram is.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from itertools import product
 import numpy as np
 
 from .algebra import (
-    TINY,
+    BlockForm,
     block_adjoint,
     block_product,
-    eigvals_hermitian,
+    copy_index,
     hermitian_part,
     orthonormal_rows,
     psd_defect,
@@ -27,16 +30,13 @@ from .algebra import (
     psd_top,
     row_chunks,
     singular_values,
-    svd_rank,
     worst,
     worst_norm,
 )
 from .basic_construction import (
     BasicConstruction,
-    Pieces,
     basic_for_h,
     basic_for_v,
-    copy_index,
     eigen_quotient,
 )
 from .interactions import Interaction
@@ -139,7 +139,7 @@ class BimoduleX:
                                                right[..., grid, :, :], optimize=True)
         return left @ moved.reshape(*lead_v, dim * m, m)
 
-    def _gram_pieces(self, side: str) -> Pieces:
+    def _gram_pieces(self, side: str) -> BlockForm:
         """The Gram matrix of the basis tensors under one inner product
         (side "right" or "left") and the trace state, as one piece g_bc per
         block pair.  For e_pq, e_p'q' in block b and e_rs, e_r's' in block c,
@@ -159,7 +159,7 @@ class BimoduleX:
             g = np.einsum(f"ibkc,ljcb->{out}", mid, wrap, optimize=True) / m
             k = len(ub) * len(uc)
             pieces.append((hermitian_part(g.reshape(k, k)), copy_index(ub, uc.T, self.dim)))
-        return tuple(pieces)
+        return BlockForm(pieces)
 
     def _coeff_mats(self, coeffs: np.ndarray) -> np.ndarray:
         return coeffs.reshape(*coeffs.shape[:-1], self.dim, self.dim)
@@ -441,11 +441,9 @@ def check_norm_agreement(x: BimoduleX, samples: int = 50,
     # meets the null vectors of the right piece on the same copies.
     kern = np.concatenate([np.linalg.norm(g.conj() @ vecs, axis=0)
                            for (g, _), (vecs, _) in zip(x.pieces_l, x.null_r)])
-    lam_l = np.sort(np.concatenate([np.repeat(eigvals_hermitian(g), len(index))
-                                    for g, index in x.pieces_l]))
+    lam_l, rank_l, _ = x.pieces_l.cut(x.pieces_l.spectra("eigvalsh"), x.tol)
     # gram_l is hermitian: its 2-norm is max |λ|
     kern = kern / np.maximum(1.0, abs(lam_l).max(initial=0.0))
-    rank_l = svd_rank(lam_l[::-1], x.tol, TINY)
     return {"norm_forms_agree": worst(forms), "seminorms_agree": worst(sides),
             "kernels_coincide": worst(kern), "rank_mismatch": float(abs(rank_l - x.r))}
 

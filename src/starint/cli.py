@@ -1,5 +1,6 @@
 """Batch front end: verify problem files, build artifacts, fuzz with
-amplification.  Exit status: 0 all good, 1 a check failed, 2 bad input.
+amplification.  Exit status: 0 all good, 1 a check failed, 2 bad input,
+including input too large for memory.
 
 The file, the options and the output path are checked before numpy loads,
 so unusable input exits 2 at the cost of an interpreter start.  Then
@@ -171,14 +172,13 @@ def _interaction_for_build(spec: ProblemSpec, tol: float) -> Interaction:
 
 
 def _bimodule_payload(inter: Interaction, tol: float) -> dict:
-    from .basic_construction import place_rows
     from .bimodule import build_bimodule
 
     x = build_bimodule(inter, tol)
     return {
         "r": x.r,
         "gram_spectrum": x.gram_spectrum,
-        "kernel_basis": matrix_out(place_rows(x.null_r)),
+        "kernel_basis": matrix_out(x.null_r.place()),
     }
 
 
@@ -265,8 +265,8 @@ def main(argv: list[str] | None = None) -> int:
             stage = args.stage if "stage" in args else EMIT_STAGES[args.emit]
             import_module(f".{stage}", __package__)   # the layers the command runs
             return args.func(spec_arrays(spec), args, tol, write)
-    except SpecError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (SpecError, MemoryError) as err:   # no --out file is left behind (``_output``)
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

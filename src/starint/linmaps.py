@@ -16,12 +16,13 @@ from .algebra import (
     DEFAULT_TOL,
     TINY,
     Algebra,
+    BlockForm,
     DescriptorMismatch,
     Subspace,
     block_adjoint,
     block_norms,
     block_product,
-    eigvals_hermitian,
+    copy_index,
     positivity_defects,
     rel,
     svd_rank,
@@ -73,18 +74,17 @@ def star_preservation_residual(t: LinMap) -> float:
 
 # -- amplification -------------------------------------------------------------
 
-def _cell_indices(algebra: Algebra, n: int, row: int, col: int) -> np.ndarray:
-    """Amplified coordinates of grid cell (row, col), ordered like the base coordinates."""
-    return np.concatenate([
-        (off + (row * d + np.arange(d))[:, None] * n * d + col * d + np.arange(d)).reshape(-1)
-        for off, d in zip(algebra.amplified(n).offsets, algebra.blocks)])
+def _cell_indices(algebra: Algebra, n: int) -> np.ndarray:
+    """(n², dim): the amplified coordinates of each grid cell (row, col),
+    row-major, ordered like the base coordinates: entry (i, j) of a block of
+    size d in cell (row, col) is entry (row·d + i, col·d + j) of its n-fold block."""
+    return np.concatenate([off + copy_index(*[np.arange(n * d).reshape(n, d)] * 2, n * d)
+                           for off, d in zip(algebra.amplified(n).offsets, algebra.blocks)], axis=1)
 
 
 def amplify(t: LinMap, n: int) -> LinMap:
     """The entrywise extension of t to n-by-n grids over the algebra."""
-    big = t.algebra.amplified(n)
-    cells = np.array([_cell_indices(t.algebra, n, row, col)
-                      for row in range(n) for col in range(n)])
+    big, cells = t.algebra.amplified(n), _cell_indices(t.algebra, n)
     m = np.zeros((big.dim, big.dim), dtype=complex)
     m[cells[:, :, None], cells[:, None, :]] = t.matrix
     return LinMap(big, m)
@@ -109,27 +109,32 @@ def choi_matrix(t: LinMap) -> np.ndarray:
     return choi.reshape(big * big, big * big)
 
 
-def _choi_pieces(t: LinMap):
-    """The Choi matrix of the block-diagonal extension is, up to a permutation
-    of its rows and columns, the direct sum over pairs (b, c) of blocks of
-    the (d_b·d_c)-square pieces [(r, p), (s, q)] = t(e_rs in b)[p, q in c].
-    Yields one stack of pieces per pair of block sizes."""
-    for d_in, cols in t.algebra.size_groups:
-        for d_out, rows in t.algebra.size_groups:
-            s = t.matrix[rows[:, None, :, None], cols[None, :, None, :]]
-            s = s.reshape(len(rows) * len(cols), d_out, d_out, d_in, d_in)
-            yield s.transpose(0, 3, 1, 4, 2).reshape(-1, d_in * d_out, d_in * d_out)
+def _choi_pieces(t: LinMap) -> BlockForm:
+    """The Choi matrix of the block-diagonal extension as a block form: for
+    each pair (b, c) of blocks, the (d_b·d_c)-square piece [(r, p), (s, q)]
+    = t(e_rs in b)[p, q in c], once, at the Choi rows and columns r·size + p
+    (r, p the matrix rows).  The pieces are cut out one pair of sizes at a time."""
+    alg, pieces = t.algebra, []
+    for d_in, cols in alg.size_groups:
+        for d_out, rows in alg.size_groups:
+            s = t.matrix[rows[None, :, :, None], cols[:, None, None, :]]
+            s = s.reshape(len(cols) * len(rows), d_out, d_out, d_in, d_in)
+            at = copy_index(alg.unit_positions[cols[:, :d_in], 1],
+                            alg.unit_positions[rows[:, :d_out], 1], alg.matrix_size)
+            pieces += zip(s.transpose(0, 3, 1, 4, 2).reshape(-1, d_in * d_out, d_in * d_out),
+                          at[:, None])
+    return BlockForm(pieces)
 
 
 def is_completely_positive(t: LinMap, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Decide complete positivity; returns (verdict, smallest Choi eigenvalue).
-    The Choi matrix is taken piece by piece (see ``_choi_pieces``)."""
-    gaps, vals = [], []
-    for piece in _choi_pieces(t):
-        gaps.append(np.linalg.norm(piece - piece.conj().swapaxes(-1, -2), axis=(-2, -1)))
-        vals.append(eigvals_hermitian(piece).reshape(-1))
-    herm_gap = float(np.sqrt(np.sum(np.concatenate(gaps) ** 2)))
-    vals = np.concatenate(vals)
+    The Choi matrix is taken piece by piece (see ``_choi_pieces``); the
+    Frobenius norm of its anti-hermitian part is that of t(a*) - t(a)* over
+    the matrix units a, the columns of T·P - P·conj(T) (P the adjoint's
+    permutation)."""
+    perm = t.algebra.star_perm
+    herm_gap = float(np.linalg.norm(t.matrix[:, perm] - t.matrix.conj()[perm]))
+    vals = np.concatenate(_choi_pieces(t).spectra("eigvalsh"))
     low = float(vals.min())
     scale = max(1.0, float(np.abs(vals).max()))
     ok = rel(herm_gap, scale) <= tol and low >= -tol * scale

@@ -76,3 +76,25 @@ def spanning_pinv(bc):
     """(dim², m²): the pseudo-inverse of the spanning matrix from the kept factors."""
     u, s, vh = spanning_svd(bc)
     return (u.conj() / s) @ vh.conj()
+
+
+def form_matrix(pieces, n):
+    """(n, n): a block form of square pieces (g, index) as one dense matrix,
+    g at the rows and columns index[c] of each copy c."""
+    out = np.zeros((n, n), dtype=complex)
+    for g, index in pieces:
+        for copy in index:
+            out[np.ix_(copy, copy)] = g
+    return out
+
+
+def form_rows(pieces, n):
+    """(rows, n): a block form of pieces (g, index) as one dense matrix whose
+    rows are those of g on each copy c in turn, at the columns index[c]."""
+    out = []
+    for g, index in pieces:
+        for copy in index:
+            rows = np.zeros((len(g), n), dtype=complex)
+            rows[:, copy] = g
+            out.append(rows)
+    return np.concatenate(out)

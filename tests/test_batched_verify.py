@@ -339,13 +339,19 @@ def test_multiplication_tensors_equal_element_products(blocks):
 def test_choi_pieces_have_the_spectrum_and_gap_of_the_full_choi_matrix(t):
     t = t()
     choi = choi_matrix(t)
-    pieces = list(_choi_pieces(t))
+    form = _choi_pieces(t)
+    # the pieces, each at its rows and columns, are the whole Choi matrix
+    assert np.array_equal(dense.form_matrix(form, len(choi)), choi)
+    pieces = [g for g, _ in form]
     herm = [(p + p.conj().swapaxes(-1, -2)) / 2 for p in pieces]
     vals = np.sort(np.concatenate([np.linalg.eigvalsh(p).reshape(-1) for p in herm]))
     assert vals.size == choi.shape[0]
     assert np.allclose(vals, np.linalg.eigvalsh((choi + choi.conj().T) / 2), atol=1e-12)
     gap = np.sqrt(sum(float(np.sum(abs(p - p.conj().swapaxes(-1, -2)) ** 2)) for p in pieces))
     close(gap, float(np.linalg.norm(choi - choi.conj().T)))
+    # the gap is the *-preservation defect that is_completely_positive reads
+    perm = t.algebra.star_perm
+    close(gap, float(np.linalg.norm(t.matrix[:, perm] - t.matrix.conj()[perm])))
     close(is_completely_positive(t, TOL)[1],
           float(np.linalg.eigvalsh((choi + choi.conj().T) / 2).min()))
 

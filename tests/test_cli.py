@@ -1,6 +1,9 @@
 """Command-line entry point: exit codes, report payloads, determinism."""
 
 import json
+import os
+import resource
+import subprocess
 import sys
 
 import pytest
@@ -145,6 +148,25 @@ def test_out_replaces_an_existing_file(capsys, tmp_path):
     target.write_text("x" * 100000)
     assert run(capsys, "verify", FLIP, "--out", str(target))[0] == EXIT_PASS
     assert target.read_text() == run(capsys, "verify", FLIP)[1]
+
+
+def test_out_of_memory_is_one_usage_error_line(tmp_path):
+    # flip x1000 has dim 2·10⁶: its first (dim, dim) complex map needs 58 TiB,
+    # which a 1 GB address-space limit refuses whatever the host's overcommit
+    target = tmp_path / "x.json"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [os.path.abspath("src"),
+                                                  os.environ.get("PYTHONPATH")])))
+    env.pop("STARINT_TOL", None)
+    limit = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "starint.cli", "fuzz", FLIP, "--amplify", "1000",
+         "--out", str(target)], env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == EXIT_USAGE, proc.stderr[-2000:]
+    assert proc.stdout == "" and proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert not target.exists()
 
 
 ID = [[1, 0], [0, 1]]

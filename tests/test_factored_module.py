@@ -310,10 +310,10 @@ def column_gram(alg, xs):
     """The grid (x_i x_j*) as an element of the len(xs)-fold amplification."""
     n = len(xs)
     big = alg.amplified(n)
-    coords = np.zeros(big.dim, dtype=complex)
+    coords, cells = np.zeros(big.dim, dtype=complex), _cell_indices(alg, n)
     for i in range(n):
         for j in range(n):
-            coords[_cell_indices(alg, n, i, j)] += dense.mul(alg, xs[i], dense.star(alg, xs[j]))
+            coords[cells[i * n + j]] += dense.mul(alg, xs[i], dense.star(alg, xs[j]))
     return coords
 
 
@@ -508,7 +508,7 @@ def test_a_rank_one_left_term_fails_the_5_4_kernel_keys(name):
     x = build_bimodule(PAIRS[name]())
     (g, index), *rest = x.pieces_l
     w = np.random.default_rng(0).standard_normal(len(g))
-    x.pieces_l = ((g + np.outer(w, w), index), *rest)
+    x.pieces_l = algebra.BlockForm(((g + np.outer(w, w), index), *rest))
     record = _record("5.4", check_norm_agreement(x, 4, np.random.default_rng(0)), TOL)
     assert record.status == "fail"
     assert record.details["5.4-kernels_coincide"] > TOL

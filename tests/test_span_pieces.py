@@ -1,6 +1,8 @@
 """The basic construction's span by matrix-unit pieces: against the dense
 oracle on generated pairs, one named perturbation for each check the
-pieces feed, and the memory the pieces save."""
+pieces feed, and the memory the pieces save; and the block-form helper
+under them: its cut against dense decompositions of generated forms, and
+the three refusals of a quotient cut."""
 
 import dataclasses
 import importlib.util
@@ -23,7 +25,9 @@ from starint import (
     flip_interaction,
     identity_interaction,
 )
-from starint.algebra import Algebra, orthonormal_rows
+from starint.algebra import (GAP_FACTOR, Algebra, BlockForm, NumericalDegeneracy,
+                             orthonormal_rows)
+from starint.basic_construction import eigen_quotient
 from starint.bimodule import BimoduleX, check_action_bound, check_fullness
 from starint.cli import EXIT_PASS, _resolve, main
 from starint.specio import read_spec, spec_arrays
@@ -138,3 +142,99 @@ def test_basic_constructions_hold_no_spanning_square_array():
     for bc in (bch, bcv):
         big = [k for k, v in vars(bc).items() if entries(v) >= square]
         assert not big, big
+
+
+# -- the block-form helper -----------------------------------------------------
+
+# (rows, columns, copies, rank) of each piece; square pieces for eigh
+PIECE = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.integers(0, 4))
+
+
+def generated_form(rng, pieces, square):
+    """A block form of the given piece shapes, copy counts and ranks, its
+    copies at a random permutation of the coordinates; nonzero values lie
+    in [0.1, 10], so the cut at TOL keeps exactly them."""
+    found, n = [], sum(cols * copies for _, cols, copies, _ in pieces)
+    coords = iter(rng.permutation(n))
+    for rows, cols, copies, rank in pieces:
+        rows = cols if square else rows
+        rank = min(rank, rows, cols)
+        u, v = (np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+                for k in (rows, cols))
+        vals = np.zeros(min(rows, cols))
+        vals[:rank] = rng.uniform(0.1, 10.0, rank)
+        g = (v if square else u[:, :len(vals)]) * vals @ v[:, :len(vals)].conj().T
+        index = np.array([[next(coords) for _ in range(cols)] for _ in range(copies)])
+        found.append((g, index))
+    return BlockForm(found), n
+
+
+def projector(rows):
+    return rows.T @ rows.conj()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pieces=st.lists(PIECE, min_size=1, max_size=4), square=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_the_block_form_cut_matches_a_dense_decomposition(pieces, square, seed):
+    form, n = generated_form(np.random.default_rng(seed), pieces, square)
+    if square:     # a hermitian form: eigh of the pieces against eigh of the placed matrix
+        vals, vecs = np.linalg.eigh(dense.form_matrix(form, n))
+        vals, vecs = vals[::-1], vecs[:, ::-1].T
+        spectra = form.spectra("eigh")
+        mine, right = [v for v, _ in spectra], [w.T for _, w in spectra]
+    else:          # singular values and right vectors against an SVD of the placed rows
+        _, vals, vecs = np.linalg.svd(dense.form_rows(form, n))
+        spectra = form.spectra("svd")
+        mine, right = [s for _, s, _ in spectra], [vh for _, _, vh in spectra]
+    union, k, keep = form.cut(mine, TOL)
+    want = int(np.sum(vals > TOL * max(vals[0], 1e-300)))
+    assert k == want == sum(min(rows if not square else cols, cols, rank) * copies
+                            for rows, cols, copies, rank in pieces)
+    kept = np.sort(np.concatenate([np.repeat(v[c], len(index))
+                                   for v, c, (_, index) in zip(mine, keep, form)]))
+    assert np.abs(kept - np.sort(vals[:k])).max(initial=0.0) < 1e-12
+    assert np.abs(union[:k] - vals[:k]).max(initial=0.0) < 1e-12
+    placed = BlockForm((w[c].T, index) for w, c, (_, index) in zip(right, keep, form)).place()
+    assert placed.shape == (k, n)
+    assert np.abs(projector(placed) - projector(vecs[:k])).max() < 1e-12
+
+
+MESSAGES = ("vanishes", "not positive", "no gap")
+
+
+def hand_form(*pieces):
+    """A block form of diagonal pieces (values, copies), the copies at
+    consecutive coordinates."""
+    found, start = [], 0
+    for values, copies in pieces:
+        width = len(values)
+        found.append((np.diag(np.asarray(values, dtype=complex)),
+                      start + np.arange(copies * width).reshape(copies, width)))
+        start += copies * width
+    return BlockForm(found)
+
+
+@pytest.mark.parametrize("pieces, message", [
+    ((([0.0, 0.0], 2), ([0.0], 3)), "vanishes"),
+    ((([1.0, 0.0], 2), ([-0.5], 1)), "not positive"),
+    # 2e-9 is kept (above TOL · 1) and 5e-10 is not: a ratio of 4
+    ((([1.0, 2e-9], 2), ([5e-10], 3)), "no gap"),
+])
+def test_each_refusal_of_the_quotient_cut(pieces, message):
+    with pytest.raises(NumericalDegeneracy, match=message):
+        eigen_quotient(hand_form(*pieces), TOL, MESSAGES)
+
+
+@pytest.mark.parametrize("ratio, passes", [(GAP_FACTOR * 1.001, True),
+                                           (GAP_FACTOR * 0.999, False)])
+def test_a_gap_just_above_gap_factor_passes_and_just_below_refuses(ratio, passes):
+    low, dropped = 5e-10 * ratio, 5e-10       # kept minimum, dropped maximum
+    form = hand_form(([1.0, low], 2), ([dropped, 0.0], 3))
+    if not passes:
+        with pytest.raises(NumericalDegeneracy, match="no gap"):
+            eigen_quotient(form, TOL, MESSAGES)
+        return
+    quot = eigen_quotient(form, TOL, MESSAGES)
+    assert np.allclose(quot.kept, [low, low, 1.0, 1.0], rtol=1e-12, atol=0.0)
+    assert quot.q.shape == (4, 10) and len(quot.null.place()) == 6

@@ -18,7 +18,6 @@ from starint import (
     flip_interaction,
     load_spec,
 )
-from starint.basic_construction import place_rows
 from starint.cli import main
 from starint.specio import matrix_out
 
@@ -284,7 +283,7 @@ def test_emitted_artifacts_are_the_oracle_bytes(capsys, tmp_path, name, n, emit)
 
 def test_writer_peak_on_the_flip_x3_bimodule_payload():
     x = build_bimodule(amplified_interaction(flip_interaction(), 3))
-    kernel = place_rows(x.null_r)
+    kernel = x.null_r.place()
 
     def write():
         return canonical_json({"r": x.r, "gram_spectrum": x.gram_spectrum,
