@@ -12,7 +12,9 @@ class coordinates (block b, copy p, kept vector) lam(e_pq) = E_pq ⊗ I.  Hence
 lam(e_pq) e lam(e_rs) = E_ps ⊗ e_bc[q, r], e_bc[q, r] the slab of e between
 copy q of block b and copy r of block c: the spanning matrix is the block
 form of one piece of rows vec e_bc[q, r] per block pair, repeated on the
-copies (p, s).  Both are cut as forms.
+copies (p, s).  Both are cut as forms; the kept right singular vectors of
+the pieces are the orthonormal span, and their pseudo-inverses present an
+operator as pairs, sending the part orthogonal to the span to 0.
 """
 
 from __future__ import annotations
@@ -170,12 +172,6 @@ class BasicConstruction:
         """(..., dim, dim): each pair coefficient matrix of a stack less the
         presentation of what it spans, its part that spans zero."""
         return coeffs - self.express_in_spanning(self.spanned(coeffs))[0]
-
-    def pinv_transpose(self, gs: np.ndarray) -> np.ndarray:
-        """(..., m²): g @ P for each g of a (..., dim²) stack, P the (dim², m²)
-        map of ``express_in_spanning``: the functional c -> sum g·c on the
-        presentations, pulled back to vec(k)."""
-        return self._through_pieces(gs, [g.pinv.swapaxes(-1, -2) for g in self.span], True)
 
     @cached_property
     def invariants(self) -> dict[str, float]:

@@ -8,7 +8,9 @@ seminorm; the quotient by its kernel is finite-dimensional and everything
 is realized as explicit tensors over the quotient coordinates.  Over the
 matrix units each Gram matrix of the basis tensors is a block form
 (``algebra.BlockForm``) of one piece per block pair, and the right one is
-cut by ``eigen_quotient`` as a basic construction's Gram is.
+cut by ``eigen_quotient`` as a basic construction's Gram is.  A span acts
+through the presentations of its orthonormal basis (``span_action``), and
+the laws read the operators they contract against it in span coordinates.
 """
 
 from __future__ import annotations
@@ -269,6 +271,18 @@ class BimoduleX:
             raise ValueError(f"operator outside the {side} span (residual {top:.3e})")
         return coeff
 
+    def span_action(self, mats: np.ndarray, side: str) -> np.ndarray:
+        """(n, k, r): [i, j] is the class of t_i·k_j (side "right") or of k_j·t_i
+        ("left") for an (n, dim, dim) stack of coefficient matrices t_i and the
+        side's orthonormal span basis k_j (``k_basis``), presented as by
+        ``right_act`` and ``left_act``; a chunk of t at a time, since
+        ``_pair_classes`` forms (dim²·r)-entry temporaries for each t."""
+        bc = self.bch if side == "right" else self.bcv
+        coeff = self._presentation(bc.k_basis.reshape(-1, bc.m, bc.m), side)
+        act = ((lambda t: self._pair_classes(self._right_factor(t), coeff)) if side == "right"
+               else lambda t: self._pair_classes(coeff, self._left_factor(t)).swapaxes(0, 1))
+        return _by_chunks(act, (mats,), self.r * self.amb)
+
     def act_a(self, a: np.ndarray, ts: np.ndarray, side: str) -> np.ndarray:
         """(..., dim²): a·t (side "left") or t·a (side "right") for a
         (..., dim) coordinate stack a and a coefficient stack ts."""
@@ -322,35 +336,21 @@ class BimoduleX:
         """(r, r, m_v, m_v): inner_l over pairs of representatives."""
         return self.inner_l(self.liftx.T[:, None], self.liftx.T)
 
-    def _act_table(self, side: str) -> np.ndarray:
-        """(r, m², r): [i, w] is the class of rep_i acted on by the w-th matrix
-        unit of vec(k) on ``side``, presented as ``express_in_spanning``
-        presents k: each class's functional on the presentations c, pulled
-        back through the pseudo-inverse.  c acts as right_factor(rep_i) @ c
-        and as c @ left_factor(rep_i)."""
-        q = self.qx.reshape(self.r, self.dim, self.dim)
-        bc, factor, spec = ((self.bch, self._right_factor, "nal,caq->nclq") if side == "right"
-                            else (self.bcv, self._left_factor, "nlb,cab->ncal"))
-        facts, out = factor(self.rep_mats), np.empty((self.r, bc.m ** 2, self.r), dtype=complex)
-        for rows in row_chunks(self.r, self.r * self.amb):
-            part = np.einsum(spec, facts[rows], q, optimize=True)
-            out[rows] = bc.pinv_transpose(part.reshape(-1, self.r, self.amb)).swapaxes(1, 2)
-        return out
-
     @cached_property
     def right_act_t(self) -> np.ndarray:
-        """(r, m_h², r): the ``_act_table`` of ``right_act``."""
-        return self._act_table("right")
+        """(r, k_h, r): the ``span_action`` of the representatives on the right."""
+        return self.span_action(self.rep_mats, "right")
 
     @cached_property
     def left_act_t(self) -> np.ndarray:
-        """(r, m_v², r): the ``_act_table`` of ``left_act``."""
-        return self._act_table("left")
+        """(r, k_v, r): the ``span_action`` of the representatives on the left."""
+        return self.span_action(self.rep_mats, "left")
 
     @cached_property
     def bracket_t(self) -> np.ndarray:
-        """(r, r, r, r): [i, j, k] is the class of rep_i · inner_r(rep_j, rep_k)."""
-        pairs = self.inner_r_t.reshape(self.r, self.r, -1)
+        """(r, r, r, r): [i, j, k] is the class of rep_i · inner_r(rep_j, rep_k),
+        the right action table against the span coordinates of inner_r_t."""
+        pairs = self.inner_r_t.reshape(self.r, self.r, -1) @ self.bch.k_basis.conj().T
         return np.einsum("iwc,jkw->ijkc", self.right_act_t, pairs, optimize=True)
 
     @cached_property
@@ -544,25 +544,33 @@ def slot_adjoint_defects(tt: np.ndarray, lam_t: np.ndarray, rho_t: np.ndarray,
                     map(float, np.max(found, axis=0, initial=0.0))))
 
 
+def _span_products(bc: BasicConstruction, side: str) -> np.ndarray:
+    """(k, k, k): [j, l] is the span coordinates of k_j·k_l (side "right") or
+    of k_l·k_j ("left") for the orthonormal span basis k of ``bc``, a chunk
+    of j at a time."""
+    kb = bc.k_basis.reshape(-1, bc.m, bc.m)
+    return _by_chunks(lambda ks: (ks[:, None] @ kb if side == "right" else kb @ ks[:, None])
+                      .reshape(len(ks), len(kb), -1) @ bc.k_basis.conj().T, (kb,), kb.size)
+
+
 def check_associativity(x: BimoduleX) -> dict[str, float]:
     """Right-span action is associative and inner_r is right-linear over it;
     mirrored for the left span.  Swept over the representatives and the
-    orthonormal span bases, a chunk of representatives t at a time."""
+    orthonormal span bases, a chunk of representatives t at a time; the
+    products of two basis elements are read in span coordinates."""
     ein = partial(np.einsum, optimize=True)
     kh = x.bch.k_basis.reshape(-1, x.bch.m, x.bch.m)
     kv = x.bcv.k_basis.reshape(-1, x.bcv.m, x.bcv.m)
-    by_r = ein("twc,jw->tjc", x.right_act_t, x.bch.k_basis)   # t·j
-    by_l = ein("twc,jw->tjc", x.left_act_t, x.bcv.k_basis)    # j·t
-    jk = ein("jab,kbc->jkac", kh, kh).reshape(len(kh), len(kh), -1)
-    kj = ein("kab,jbc->jkac", kv, kv).reshape(len(kv), len(kv), -1)
+    by_r, by_l = x.right_act_t, x.left_act_t                   # t·j and j·t
+    jk, kj = _span_products(x.bch, "right"), _span_products(x.bcv, "left")
 
     def laws(t: slice) -> list[float]:
         return [worst_norm(ein("tjc,ckd->tjkd", by_r[t], by_r)
-                           - ein("twd,jkw->tjkd", x.right_act_t[t], jk)),
+                           - ein("twd,jkw->tjkd", by_r[t], jk)),
                 worst_norm(ein("tkc,scab->stkab", by_r[t], x.inner_r_t)
                            - ein("stab,kbe->stkae", x.inner_r_t[:, t], kh), axis=(-2, -1)),
                 worst_norm(ein("tjc,ckd->tjkd", by_l[t], by_l)
-                           - ein("twd,jkw->tjkd", x.left_act_t[t], kj)),
+                           - ein("twd,jkw->tjkd", by_l[t], kj)),
                 worst_norm(ein("skc,ctab->stkab", by_l, x.inner_l_t[:, t])
                            - ein("kae,steb->stkab", kv, x.inner_l_t[:, t]), axis=(-2, -1))]
 
@@ -575,8 +583,9 @@ def check_associativity(x: BimoduleX) -> dict[str, float]:
 
 def check_compatibility(x: BimoduleX) -> dict[str, float]:
     """left_act(inner_l(s,t), u) = right_act(s, inner_r(t,u)) on a quotient
-    basis sweep — the two module structures interlock."""
-    pairs = x.inner_l_t.reshape(x.r, x.r, -1)
+    basis sweep — the two module structures interlock.  The left inner
+    products are read in span coordinates."""
+    pairs = x.inner_l_t.reshape(x.r, x.r, -1) @ x.bcv.k_basis.conj().T
     lhs = np.einsum("stw,uwd->stud", pairs, x.left_act_t, optimize=True)
     return {"bimodule_compatibility": worst_norm(lhs - x.bracket_t)}
 

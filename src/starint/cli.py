@@ -137,11 +137,18 @@ def _emit_report(report: Report, write: Writer) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _run(spec: ProblemSpec, command: str, stage: str, tol: float, seed: int,
-         samples: int, amplification: int, write: Writer) -> int:
+def cmd_report(spec: ProblemSpec, args: argparse.Namespace, tol: float, write: Writer) -> int:
+    """The report of ``verify`` (the map-level checks) or of ``build`` and
+    ``fuzz`` (the whole checklist, on the ``--amplify``-fold pair).  The seed
+    and the sample count are each ``fuzz``'s flag, else the file's key, else
+    0 and 25."""
     from .interactions import InteractionError
     from .records import report_for_failed_candidate, run_checklist
 
+    command, amplification = args.command, getattr(args, "amplify", 1)
+    seed, samples = (next(v for v in (getattr(args, flag, None), key, default) if v is not None)
+                     for flag, key, default in (("seed", spec.seed, 0),
+                                                ("samples", spec.samples, 25)))
     try:
         v, h, alpha, transfer, info = _resolve(spec, tol, amplification)
     except InteractionError as err:
@@ -149,16 +156,10 @@ def _run(spec: ProblemSpec, command: str, stage: str, tol: float, seed: int,
         report = report_for_failed_candidate(err.report, tol, str(err), env)
         return _emit_report(report, write)
     env = _environment(spec, command, tol, seed, samples, amplification, info)
-    report = run_checklist(v, h, tol=tol, stage=stage,
+    report = run_checklist(v, h, tol=tol, stage="verify" if command == "verify" else "build",
                            samples=samples, seed=seed, mode=spec.mode,
                            alpha=alpha, transfer=transfer, environment=env)
     return _emit_report(report, write)
-
-
-def cmd_verify(spec: ProblemSpec, args: argparse.Namespace, tol: float, write: Writer) -> int:
-    seed = spec.seed if spec.seed is not None else 0
-    samples = spec.samples if spec.samples is not None else 25
-    return _run(spec, "verify", "verify", tol, seed, samples, 1, write)
 
 
 def _interaction_for_build(spec: ProblemSpec, tol: float) -> Interaction:
@@ -196,10 +197,8 @@ def _covrep_payload(inter: Interaction, tol: float) -> dict:
 
 
 def cmd_build(spec: ProblemSpec, args: argparse.Namespace, tol: float, write: Writer) -> int:
-    seed = spec.seed if spec.seed is not None else 0
-    samples = spec.samples if spec.samples is not None else 25
     if args.emit == "report":
-        return _run(spec, "build", "build", tol, seed, samples, 1, write)
+        return cmd_report(spec, args, tol, write)
     from .algebra import NumericalDegeneracy
     from .interactions import InteractionError
 
@@ -217,11 +216,6 @@ def cmd_build(spec: ProblemSpec, args: argparse.Namespace, tol: float, write: Wr
     return EXIT_PASS
 
 
-def cmd_fuzz(spec: ProblemSpec, args: argparse.Namespace, tol: float, write: Writer) -> int:
-    return _run(spec, "fuzz", "build", tol, args.seed, args.samples,
-                args.amplify, write)
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="starint",
@@ -233,7 +227,7 @@ def _parser() -> argparse.ArgumentParser:
     pv.add_argument("spec")
     pv.add_argument("--tol", type=float, default=None)
     pv.add_argument("--out", default=None)
-    pv.set_defaults(func=cmd_verify, stage="records")
+    pv.set_defaults(func=cmd_report, stage="records")
 
     pb = sub.add_parser("build", help="construct artifacts and the full checklist")
     pb.add_argument("spec")
@@ -245,11 +239,11 @@ def _parser() -> argparse.ArgumentParser:
     pf = sub.add_parser("fuzz", help="full checklist on the n-amplified pair")
     pf.add_argument("spec")
     pf.add_argument("--amplify", type=int, default=1)
-    pf.add_argument("--samples", type=int, default=25)
-    pf.add_argument("--seed", type=int, default=0)
+    pf.add_argument("--samples", type=int, default=None)
+    pf.add_argument("--seed", type=int, default=None)
     pf.add_argument("--tol", type=float, default=None)
     pf.add_argument("--out", default=None)
-    pf.set_defaults(func=cmd_fuzz, stage="checklist")
+    pf.set_defaults(func=cmd_report, stage="checklist")
     return parser
 
 
@@ -258,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         spec = read_spec(args.spec)
         for flag, least in (("amplify", 1), ("samples", 0), ("seed", 0)):
-            if getattr(args, flag, least) < least:
+            if getattr(args, flag, None) is not None and getattr(args, flag) < least:
                 raise SpecError(f"--{flag} must be at least {least}")
         with _output(args.out) as write:
             tol = _tolerance(spec, args.tol)

@@ -113,8 +113,7 @@ def build_covrep(inter: Interaction, x: BimoduleX | None = None,
     # S sends the span basis k_b to the class of (1⊗1)·k_b, scaled by sqrt(m)
     smat = np.zeros_like(pi[0])
     unit = inter.algebra.unit()
-    one = x._right_factor(np.outer(unit, unit)[None])
-    smat[:r, r:] = np.sqrt(m) * x._pair_classes(one, x._presentation(ks, "right"))[0].T
+    smat[:r, r:] = np.sqrt(m) * x.span_action(np.outer(unit, unit)[None], "right")[0].T
 
     rep = CovariantRep(interaction=inter, x=x, r=r, s=s, pi=pi, smat=smat, tol=tol)
     bad = worst_key(rep.residuals)

@@ -63,13 +63,16 @@ def test_action_tables_match_actions(module):
     x = module
     reps = x.liftx.T
     rng = np.random.default_rng(3)
-    kh = (x.bch.k_basis.T @ rng.standard_normal(x.bch.k_basis.shape[0]))
-    kv = (x.bcv.k_basis.T @ rng.standard_normal(x.bcv.k_basis.shape[0]))
+    # an operator of each span, by its coordinates on the orthonormal span basis
+    wh, wv = (rng.standard_normal(len(bc.k_basis)) for bc in (x.bch, x.bcv))
+    kh, kv = x.bch.k_basis.T @ wh, x.bcv.k_basis.T @ wv
+    assert x.right_act_t.shape == (x.r, len(wh), x.r)
+    assert x.left_act_t.shape == (x.r, len(wv), x.r)
     for i in (0, x.r - 1):
         moved = x.right_act(reps[i], kh.reshape(x.bch.m, x.bch.m))
-        assert np.abs(x.right_act_t[i].T @ kh - x.qx @ moved).max() < 1e-12
+        assert np.abs(x.right_act_t[i].T @ wh - x.qx @ moved).max() < 1e-12
         moved = x.left_act(kv.reshape(x.bcv.m, x.bcv.m), reps[i])
-        assert np.abs(x.left_act_t[i].T @ kv - x.qx @ moved).max() < 1e-12
+        assert np.abs(x.left_act_t[i].T @ wv - x.qx @ moved).max() < 1e-12
     alg = x.algebra
     for a in (0, alg.dim - 1):
         for side, table in (("left", x.lam_t), ("right", x.rho_t)):

@@ -19,6 +19,8 @@ from starint import (
     check_71,
     check_associativity,
     check_commutation,
+    check_compatibility,
+    check_fullness,
     check_ternary_consistency,
     check_ternary_module_laws,
     flip_interaction,
@@ -89,23 +91,37 @@ def old_slot_adjoint_defects(tt, lam_t, rho_t, star):
             "outer_norm": worst_norm(outer), "outer_abs": np.abs(outer).max(initial=0.0)}
 
 
-def old_associativity(x):
+def span_products(bc):
+    """(k, k, m²): [j, l] is vec(k_j·k_l) for the orthonormal span basis k of bc."""
+    kb = bc.k_basis.reshape(-1, bc.m, bc.m)
+    return np.einsum("jab,kbc->jkac", kb, kb).reshape(len(kb), len(kb), -1)
+
+
+def old_associativity(x, dense=None):
+    """5.11 in one pass.  The products of two basis elements are read in span
+    coordinates against the module's action tables, or, given ``dense`` =
+    (right table, left table, jk, kj) on the matrix units of M_m, as
+    (k, k, m²) vectors against those."""
     kh = x.bch.k_basis.reshape(-1, x.bch.m, x.bch.m)
     kv = x.bcv.k_basis.reshape(-1, x.bcv.m, x.bcv.m)
-    by_r = np.einsum("twc,jw->tjc", x.right_act_t, x.bch.k_basis)
-    by_l = np.einsum("twc,jw->tjc", x.left_act_t, x.bcv.k_basis)
-    jk = np.einsum("jab,kbc->jkac", kh, kh).reshape(len(kh), len(kh), -1)
-    kj = np.einsum("kab,jbc->jkac", kv, kv).reshape(len(kv), len(kv), -1)
+    if dense is None:
+        act_r, act_l = by_r, by_l = x.right_act_t, x.left_act_t
+        jk = span_products(x.bch) @ x.bch.k_basis.conj().T
+        kj = span_products(x.bcv).swapaxes(0, 1) @ x.bcv.k_basis.conj().T
+    else:
+        act_r, act_l, jk, kj = dense
+        by_r = np.einsum("twc,jw->tjc", act_r, x.bch.k_basis)
+        by_l = np.einsum("twc,jw->tjc", act_l, x.bcv.k_basis)
     return {
         "right_action_associative": worst_norm(
             np.einsum("tjc,ckd->tjkd", by_r, by_r)
-            - np.einsum("twd,jkw->tjkd", x.right_act_t, jk)),
+            - np.einsum("twd,jkw->tjkd", act_r, jk)),
         "inner_r_right_linear": worst_norm(
             np.einsum("tkc,scab->stkab", by_r, x.inner_r_t)
             - np.einsum("stab,kbe->stkae", x.inner_r_t, kh), axis=(-2, -1)),
         "left_action_associative": worst_norm(
             np.einsum("tjc,ckd->tjkd", by_l, by_l)
-            - np.einsum("twd,jkw->tjkd", x.left_act_t, kj)),
+            - np.einsum("twd,jkw->tjkd", act_l, kj)),
         "inner_l_left_linear": worst_norm(
             np.einsum("skc,ctab->stkab", by_l, x.inner_l_t)
             - np.einsum("kae,steb->stkab", kv, x.inner_l_t), axis=(-2, -1)),
@@ -135,19 +151,30 @@ def old_ternary_consistency(x):
     return {"ternary_two_routes": worst_norm(elementary - x.bracket_t)}
 
 
-def old_tables(x):
+def pulled_back_tables(x):
+    """(r, m², r) each: [i, w] is the class of rep_i acted on by the w-th matrix
+    unit of M_m on the right and on the left, the unit presented by the dense
+    pseudo-inverse of the spanning matrix.  A matrix orthogonal to the span
+    has presentation 0, so these tables send it to 0."""
     units_r = dense.spanning_pinv(x.bch).T.reshape(-1, x.dim, x.dim)
     units_l = dense.spanning_pinv(x.bcv).T.reshape(-1, x.dim, x.dim)
+    reps = x.rep_mats[:, None]
+    f1, g1 = old_action_tables(x)
+    return (np.einsum("...ij,...pq,ijpk->...kq", reps, units_r, f1,
+                      optimize=True).reshape(x.r, -1, x.amb) @ x.qx.T,
+            np.einsum("...pq,...ij,qijl->...pl", units_l, reps, g1,
+                      optimize=True).reshape(x.r, -1, x.amb) @ x.qx.T)
+
+
+def old_tables(x):
     # [n, a]: the coefficients of a_a·rep_n and of rep_n·a_a
     lefts = x.algebra.left_mult_tensor[None] @ x.rep_mats[:, None]
     rights = x.rep_mats[:, None] @ x.algebra.right_mult_tensor[None].swapaxes(-1, -2)
-    reps = x.rep_mats[:, None]
-    f1, g1 = old_action_tables(x)
+    dense_r, dense_l = pulled_back_tables(x)
     return {
-        "right_act_t": np.einsum("...ij,...pq,ijpk->...kq", reps, units_r, f1,
-                                 optimize=True).reshape(x.r, -1, x.amb) @ x.qx.T,
-        "left_act_t": np.einsum("...pq,...ij,qijl->...pl", units_l, reps, g1,
-                                optimize=True).reshape(x.r, -1, x.amb) @ x.qx.T,
+        # the matrix-unit tables times the span basis: the action on each basis element
+        "right_act_t": np.einsum("iwc,jw->ijc", dense_r, x.bch.k_basis),
+        "left_act_t": np.einsum("iwc,jw->ijc", dense_l, x.bcv.k_basis),
         "lam_t": (lefts.reshape(x.r, x.dim, x.amb) @ x.qx.T).transpose(1, 2, 0),
         "rho_t": (rights.reshape(x.r, x.dim, x.amb) @ x.qx.T).transpose(1, 2, 0),
     }
@@ -170,6 +197,41 @@ def test_ternary_consistency_matches_the_permuted_copies(module):
 def test_tables_match_the_full_coefficient_stacks(module):
     for name, want in old_tables(module).items():
         close(getattr(BimoduleX, name).func(module), want)
+
+
+@pytest.mark.parametrize("name", ["flip_x2", "identity_m2"])
+def test_the_part_of_a_matrix_outside_the_span_reads_as_zero(name):
+    """A component orthogonal to the span K, added to the inner product
+    tables and to the products of two span basis elements, is sent to 0 by
+    the dense pull-back tables, so the laws that contract them against the
+    action tables read the same numbers on span coordinates; 5.15 is the law
+    that sees it.  Each span gets its own complex orthonormal basis, so that
+    no law can read one side's coordinates on the other's basis."""
+    x = build_bimodule(PAIRS[name](), TOL)
+    rng = np.random.default_rng(11)
+    for bc in (x.bch, x.bcv):
+        k = len(bc.k_basis)
+        u = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+        vars(bc)["k_basis"] = u @ bc.k_basis
+
+    def outside(bc, *shape):
+        w = rng.standard_normal((*shape, bc.m ** 2)) + 1j * rng.standard_normal((*shape, bc.m ** 2))
+        return w - (w @ bc.k_basis.conj().T) @ bc.k_basis
+
+    assert len(x.bch.k_basis) < x.bch.m ** 2 and len(x.bcv.k_basis) < x.bcv.m ** 2
+    x.inner_r_t = x.inner_r_t + outside(x.bch, x.r, x.r).reshape(x.inner_r_t.shape)
+    x.inner_l_t = x.inner_l_t + outside(x.bcv, x.r, x.r).reshape(x.inner_l_t.shape)
+    dense_r, dense_l = pulled_back_tables(x)
+    bracket = np.einsum("iwc,jkw->ijkc", dense_r, x.inner_r_t.reshape(x.r, x.r, -1))
+    close(x.bracket_t, bracket)
+    lhs = np.einsum("stw,uwd->stud", x.inner_l_t.reshape(x.r, x.r, -1), dense_l)
+    close(check_compatibility(x), {"bimodule_compatibility": worst_norm(lhs - bracket)})
+    nh, nv = len(x.bch.k_basis), len(x.bcv.k_basis)
+    jk = span_products(x.bch) + outside(x.bch, nh, nh)
+    kj = span_products(x.bcv).swapaxes(0, 1) + outside(x.bcv, nv, nv)
+    close(check_associativity(x), old_associativity(x, (dense_r, dense_l, jk, kj)))
+    fullness = check_fullness(x)
+    assert min(fullness["right_span_inside"], fullness["left_span_inside"]) > 1e-3, fullness
 
 
 # -- every chunked site, at chunk boundaries -------------------------------------------
@@ -251,8 +313,12 @@ def test_one_build_stage_computes_the_slot_pass_and_the_spans_once(monkeypatch):
 def test_law_checks_and_action_tables_stay_small_on_identity_m2_x2():
     x = build_bimodule(amplified_interaction(identity_interaction(Algebra((2,))), 2))
     assert (x.dim, x.r) == (16, 16)
-    peaks = {name: traced_peak(lambda name=name: getattr(x, name))[1]
-             for name in ("right_act_t", "left_act_t")}
+    tables, peak = traced_peak(lambda: (x.right_act_t, x.left_act_t))
+    assert [t.shape for t in tables] == [(x.r, len(bc.k_basis), x.r) for bc in (x.bch, x.bcv)]
+    # tables on the 16 span basis elements: about 1.5 MiB, where (r, m², r)
+    # tables on all 256 matrix units of M_16 take 4.6 MiB
+    assert peak < 2 * 2**20, peak / 2**20
+    peaks = {"tables": peak}
     for table in ("inner_r_t", "inner_l_t", "bracket_t", "lam_t", "rho_t"):
         getattr(x, table)
     peaks["5.11"] = traced_peak(lambda: check_associativity(x))[1]

@@ -227,11 +227,26 @@ def test_fuzz_deterministic(capsys):
     assert report["environment"]["dims"] == [1, 1]
 
 
-def test_fuzz_trivial_amplification_matches_build(capsys):
+def test_fuzz_trivial_amplification_matches_build(capsys, tmp_path):
     codef, outf, _ = run(capsys, "fuzz", FLIP, "--amplify", "1", "--seed", "0")
     codeb, outb, _ = run(capsys, "build", FLIP)
     assert codef == codeb == EXIT_PASS
     assert json.loads(outf)["checks"] == json.loads(outb)["checks"]
+    # a file's seed and samples hold for every command unless a flag is given
+    spec = tmp_path / "seeded.json"
+    spec.write_text(json.dumps({**json.load(open(FLIP)), "seed": 454637359, "samples": 7}))
+    reports = {}
+    for argv in (["build"], ["fuzz", "--amplify", "1"], ["fuzz", "--seed", "3"],
+                 ["verify"], ["fuzz", "--samples", "2"]):
+        code, out, _ = run(capsys, argv[0], str(spec), *argv[1:])
+        assert code == EXIT_PASS, argv
+        reports[" ".join(argv)] = json.loads(out)
+    env = {name: (rep["environment"]["seed"], rep["environment"]["samples"])
+           for name, rep in reports.items()}
+    assert env == {"build": (454637359, 7), "fuzz --amplify 1": (454637359, 7),
+                   "fuzz --seed 3": (3, 7), "verify": (454637359, 7),
+                   "fuzz --samples 2": (454637359, 2)}
+    assert reports["fuzz --amplify 1"]["checks"] == reports["build"]["checks"]
 
 
 def test_golden_flip_report(capsys):
