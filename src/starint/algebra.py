@@ -11,7 +11,6 @@ elements: the products, adjoints and norms below act on whole stacks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Iterator
@@ -62,15 +61,12 @@ def orthonormal_rows(rows: np.ndarray, tol: float = DEFAULT_TOL,
     return vh[:svd_rank(s, tol, floor)]
 
 
-@dataclass(frozen=True)
 class Algebra:
     """A multimatrix algebra, the direct sum of full matrix blocks.
 
     ``blocks`` lists the matrix sizes (d_1, ..., d_k); the linear
-    dimension is sum(d_i**2).
+    dimension is sum(d_i**2).  Two algebras are equal when their blocks are.
     """
-
-    blocks: tuple[int, ...]
 
     def __init__(self, blocks: Iterable[int]):
         blocks = tuple(int(d) for d in blocks)
@@ -78,7 +74,13 @@ class Algebra:
             raise ValueError("algebra needs at least one block")
         if any(d < 1 for d in blocks):
             raise ValueError("block sizes must be positive")
-        object.__setattr__(self, "blocks", blocks)
+        self.blocks = blocks
+
+    def __eq__(self, other: object) -> bool:
+        return self.blocks == other.blocks if isinstance(other, Algebra) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.blocks)
 
     @property
     def dim(self) -> int:
@@ -195,6 +197,42 @@ def block_product(algebra: Algebra, xs: np.ndarray, ys: np.ndarray) -> np.ndarra
     for d, idx in algebra.size_groups:
         prod = _blocks_of(xs, d, idx) @ _blocks_of(ys, d, idx)
         out[..., idx.reshape(-1)] = prod.reshape(*lead, idx.size)
+    return out
+
+
+def pair_products(algebra: Algebra, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """(len(xs), len(ys), dim): the coordinates of x·y for every x of one
+    (n, dim) stack and every y of another, by one GEMM per block size: on
+    each block, the rows of every x against the columns of every y."""
+    n, k = len(xs), len(ys)
+    out = np.empty((n, k, algebra.dim), dtype=complex)
+    for d, idx in algebra.size_groups:
+        rows = _blocks_of(xs, d, idx).transpose(1, 0, 2, 3).reshape(len(idx), n * d, d)
+        cols = _blocks_of(ys, d, idx).transpose(1, 2, 0, 3).reshape(len(idx), d, k * d)
+        prod = (rows @ cols).reshape(len(idx), n, d, k, d)
+        out[:, :, idx.reshape(-1, d, d)] = prod.transpose(1, 3, 0, 2, 4)
+    return out
+
+
+def unit_images(algebra: Algebra, images: np.ndarray, xs: np.ndarray,
+                x_first: bool) -> np.ndarray:
+    """(n, dim, k): t(x·e_j) if ``x_first``, else t(e_j·x), over every x of
+    an (n, dim) stack and every matrix unit e_j, of a linear t given by its
+    (dim, k) unit images t(e_j).  On a block, x·E_pq = Σ_a x_ap·E_aq and
+    E_pq·x = Σ_c x_qc·E_pc, so this is one GEMM per block size against the
+    images, not one application of t to each product."""
+    n, k = len(xs), images.shape[1]
+    out = np.empty((n, algebra.dim, k), dtype=complex)
+    for d, idx in algebra.size_groups:
+        units = images[idx].reshape(len(idx), d, d, k)          # [b, a, q] = t(E_aq)
+        x = _blocks_of(xs, d, idx).swapaxes(0, 1)              # [b, i, a, p]
+        if x_first:     # [b, (i, p), (q, ·)]: Σ_a x[b, i, a, p]·t(E_aq)
+            got = x.swapaxes(-1, -2).reshape(len(idx), n * d, d) @ units.reshape(len(idx), d, -1)
+            got = got.reshape(len(idx), n, d, d, k).swapaxes(0, 1)
+        else:           # [b, (i, q), (p, ·)]: Σ_c x[b, i, q, c]·t(E_pc)
+            got = x.reshape(len(idx), n * d, d) @ units.swapaxes(1, 2).reshape(len(idx), d, -1)
+            got = got.reshape(len(idx), n, d, d, k).transpose(1, 0, 3, 2, 4)
+        out[:, idx.reshape(-1, d, d)] = got
     return out
 
 
@@ -342,39 +380,47 @@ _SPECTRA = {"eigh": np.linalg.eigh, "eigvalsh": eigvals_hermitian,
 
 
 class BlockForm(tuple):
-    """A matrix as its pieces (g, index): the small matrix g repeated on the
-    coordinates index[c] of each copy c (of its columns, where g is not
-    square), the pieces covering every coordinate once."""
+    """A matrix as stacks of pieces (gs, index): each small matrix gs[g] of a
+    (G, r, c) stack repeated on the coordinates index[g, k] of each of its
+    copies k (of its columns, where it is not square), for a (G, copies, c)
+    index, the pieces covering every coordinate once."""
 
     def spectra(self, how: str) -> list:
-        """Per piece, ``how`` of its matrix, by one batched call per shape:
-        "eigh" (ascending eigenvalues, eigenvectors), "eigvalsh" (those of
-        the hermitian part, NaN for a non-finite piece) or "svd" (thin)."""
+        """Per stack, ``how`` of its matrices, stacked, by one batched call per
+        piece shape: "eigh" (ascending eigenvalues, eigenvectors), "eigvalsh"
+        (those of the hermitian part, NaN for a non-finite piece) or "svd" (thin)."""
         out: list = [None] * len(self)
-        for found in shape_groups(g for g, _ in self):
-            got = _SPECTRA[how](np.stack([self[i][0] for i in found]))
-            for j, i in enumerate(found):
-                out[i] = got[j] if how == "eigvalsh" else tuple(part[j] for part in got)
+        for found in shape_groups(gs[0] for gs, _ in self):
+            got = _SPECTRA[how](np.concatenate([self[i][0] for i in found]))
+            ends = np.cumsum([len(self[i][0]) for i in found])[:-1]
+            parts = (np.split(got, ends) if how == "eigvalsh"
+                     else zip(*(np.split(part, ends) for part in got)))
+            for i, part in zip(found, parts):
+                out[i] = part
         return out
 
     def cut(self, values: list[np.ndarray], tol: float) -> tuple[np.ndarray, int, list]:
-        """The one rank cut over the pieces' ``values``: their union, each
-        counted once per copy, descending; its ``svd_rank`` at the TINY-floored
-        reference scale; and per piece, the mask of the values it keeps."""
-        union = np.sort(np.concatenate([np.repeat(v, len(index))
+        """The one rank cut over the stacks' (G, k) ``values``: their union,
+        each counted once per copy, descending; its ``svd_rank`` at the
+        TINY-floored reference scale; and per stack, the mask of the values
+        it keeps."""
+        union = np.sort(np.concatenate([np.repeat(v.reshape(-1), index.shape[1])
                                         for v, (_, index) in zip(values, self)]))[::-1]
         k = svd_rank(union, tol, TINY)
         return union, k, [v >= (union[k - 1] if k else np.inf) for v in values]
 
-    def place(self) -> np.ndarray:
-        """(rows, n): each column of each piece placed at the coordinates of
-        each of its copies, piece by piece, column by column."""
+    def place(self, keep: list[np.ndarray] | None = None) -> np.ndarray:
+        """(rows, n): each column of each piece, or each that the per-stack
+        (G, c) mask ``keep`` marks, placed at the coordinates of each of its
+        copies, stack by stack, piece by piece, column by column."""
         n = sum(index.size for _, index in self)
         out = []
-        for vecs, index in self:
-            rows = np.zeros((vecs.shape[1], len(index), n), dtype=vecs.dtype)
-            rows[:, np.arange(len(index))[:, None], index] = vecs.T[:, None]
-            out.append(rows.reshape(-1, n))
+        for s, (vecs, index) in enumerate(self):
+            (stack, cols), copies = vecs.shape[::2], index.shape[1]
+            rows = np.zeros((stack, cols, copies, n), dtype=vecs.dtype)
+            rows[np.arange(stack)[:, None, None, None], np.arange(cols)[:, None, None],
+                 np.arange(copies)[:, None], index[:, None]] = vecs.swapaxes(1, 2)[:, :, None]
+            out.append((rows if keep is None else rows[keep[s]]).reshape(-1, n))
         return np.concatenate(out)
 
 

@@ -19,7 +19,6 @@ operator as pairs, sending the part orthogonal to the span to 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -47,7 +46,7 @@ class Quotient(NamedTuple):
     kept: np.ndarray     # eigenvalues above the cut, ascending, once per copy
     q: np.ndarray        # (k, n): coordinates -> class coordinates
     lift: np.ndarray     # (n, k): class coordinates -> canonical representative
-    null: BlockForm      # per piece, its discarded eigenvectors as columns
+    null: BlockForm      # the discarded eigenvectors of each piece as columns, a stack each
     classes: tuple[np.ndarray, ...]   # per piece, (copies, kept columns): the class of each
 
 
@@ -55,21 +54,24 @@ def eigen_quotient(form: BlockForm, tol: float, messages: tuple[str, str, str]) 
     """Quotient of a hermitian positive form by its kernel: one cut of the
     form's eigenvalues (``BlockForm.cut``), refused by ``quotient_gap`` with
     one of ``messages``.  Kept classes are in ascending eigenvalue order,
-    ties in piece, column and copy order."""
+    ties in stack, piece, column and copy order."""
     eigs = form.spectra("eigh")
     union, k, keep = form.cut([vals for vals, _ in eigs], tol)
     quotient_gap(union, k, tol, messages)
-    kept, null = (BlockForm((vecs[:, c], index) for (_, vecs), c, (_, index) in zip(eigs, cs, form))
-                  for cs in (keep, [~c for c in keep]))
-    order = np.argsort(np.concatenate([np.repeat(vals[c], len(index))
-                                       for (vals, _), c, (_, index) in zip(eigs, keep, form)]),
+    copies = [index.shape[1] for _, index in form]
+    order = np.argsort(np.concatenate([np.repeat(vals[c], n)
+                                       for (vals, _), c, n in zip(eigs, keep, copies)]),
                        kind="stable")
-    units, spectrum = kept.place()[order], union[k - 1::-1]   # the kept values, ascending
+    vecs = BlockForm((v, index) for (_, v), (_, index) in zip(eigs, form))
+    units, spectrum = vecs.place(keep)[order], union[k - 1::-1]   # the kept values, ascending
     roots = np.sqrt(spectrum)
     # the class of each kept column on each copy, piece by piece
-    ends = np.cumsum([vecs.shape[1] * len(index) for vecs, index in kept])[:-1]
-    classes = tuple(p.reshape(-1, len(i)).T
-                    for p, (_, i) in zip(np.split(np.argsort(order), ends), form))
+    pieces = [(n, int(m.sum())) for c, n in zip(keep, copies) for m in c]
+    ends = np.cumsum([n * cols for n, cols in pieces])[:-1]
+    classes = tuple(p.reshape(-1, n).T for p, (n, _) in zip(np.split(np.argsort(order), ends),
+                                                             pieces))
+    null = BlockForm((v[g, None][..., ~c[g]], index[g, None])
+                     for (_, v), c, (_, index) in zip(eigs, keep, form) for g in range(len(c)))
     return Quotient(kept=spectrum, q=roots[:, None] * units.conj(), lift=units.T / roots,
                     null=null, classes=classes)
 
@@ -88,19 +90,19 @@ def span_pieces(units: tuple[np.ndarray, ...], classes: tuple[np.ndarray, ...],
                 e: np.ndarray, tol: float) -> tuple[SpanPieces, ...]:
     """The spanning matrix as a form of one piece per block pair, cut as one
     (``BlockForm.cut`` of the singular values): the rank, span and least-norm
-    pseudo-inverse of the dense matrix, the pieces of one shape stacked."""
+    pseudo-inverse of the dense matrix, the pieces of one shape a stack."""
     dim, m = sum(u.size for u in units), len(e)
     pairs, entries = zip(*[(copy_index(ub, uc.T, dim), copy_index(cb, cc, m))
                            for ub, cb in zip(units, classes) for uc, cc in zip(units, classes)
                            if cb.size and cc.size])   # a block that keeps no class meets no entry
+    stacks = [(np.stack([pairs[i] for i in found]), np.stack([entries[i] for i in found]))
+              for found in shape_groups(entries)]
     # the copies (q, r) of the entries are the rows (q, r) of the piece
-    form = BlockForm((e.reshape(-1)[index], index) for index in entries)
+    form = BlockForm((e.reshape(-1)[index], index) for _, index in stacks)
     svds = form.spectra("svd")
     keep = form.cut([s for _, s, _ in svds], tol)[2]
     out = []
-    for found in shape_groups(entries):
-        u, s, vh, kept, at, to = (np.stack([parts[i] for i in found])
-                                  for parts in (*zip(*svds), keep, pairs, entries))
+    for (u, s, vh), kept, (at, to) in zip(svds, keep, stacks):
         s = np.where(kept, s, 0.0)
         inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
         pinv = (vh.conj().swapaxes(-1, -2) * inv[:, None]) @ u.conj().swapaxes(-1, -2)
@@ -108,25 +110,27 @@ def span_pieces(units: tuple[np.ndarray, ...], classes: tuple[np.ndarray, ...],
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class BasicConstruction:
-    algebra: Algebra
-    expectation: LinMap
-    range_sub: Subspace
-    tol: float
-    m: int
-    q: np.ndarray        # (m, dim): representative coordinates -> class coordinates
-    lift: np.ndarray     # (dim, m): class coordinates -> canonical representative
-    lam: np.ndarray      # (dim, m, m): left multiplication by each basis element
-    e: np.ndarray        # (m, m): the projection implementing the expectation
-    span: tuple[SpanPieces, ...]   # the spanning matrix of lam(a) e lam(b), by pieces
+    """The reduced representation of an expectation onto ``range_sub``, on
+    m classes: q (m, dim) takes representative coordinates to class
+    coordinates and lift (dim, m) a class to its canonical representative;
+    lam (dim, m, m) is left multiplication by each basis element, e (m, m)
+    the projection implementing the expectation, and span the spanning
+    matrix of lam(a) e lam(b), by pieces."""
+
+    def __init__(self, algebra: Algebra, expectation: LinMap, range_sub: Subspace, tol: float,
+                 m: int, q: np.ndarray, lift: np.ndarray, lam: np.ndarray, e: np.ndarray,
+                 span: tuple[SpanPieces, ...]):
+        self.algebra, self.expectation, self.range_sub = algebra, expectation, range_sub
+        self.tol, self.m, self.q, self.lift = tol, m, q, lift
+        self.lam, self.e, self.span = lam, e, span
 
     @cached_property
     def k_basis(self) -> np.ndarray:
         """(k, m*m): orthonormal span of lam(a) e lam(b): the kept right
         singular vectors of the pieces, each placed on each of its copies."""
-        return BlockForm((vh[s > 0].T, index) for g in self.span
-                         for s, vh, index in zip(g.s, g.vh, g.entries)).place()
+        return BlockForm((g.vh.swapaxes(1, 2), g.entries) for g in self.span).place(
+            [g.s > 0 for g in self.span])
 
     def express_in_k(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients in the orthonormal span of each matrix of a (..., m, m)
@@ -215,7 +219,8 @@ def build_basic(expectation: LinMap, range_sub: Subspace,
     if herm_gap > tol * max(1.0, size):
         raise NumericalDegeneracy("expectation form is not hermitian")
 
-    quot = eigen_quotient(BlockForm(zip(map(hermitian_part, grams), alg.units)), tol, (
+    quot = eigen_quotient(BlockForm((hermitian_part(g)[None], u[None])
+                                    for g, u in zip(grams, alg.units)), tol, (
         "expectation form vanishes identically",
         "expectation form is not positive",
         "quotient ill-conditioned: no spectral gap between kept and "

@@ -144,7 +144,8 @@ class BimoduleX:
     def _gram_pieces(self, side: str) -> BlockForm:
         """The Gram matrix of the basis tensors under one inner product
         (side "right" or "left") and the trace state, as one piece g_bc per
-        block pair.  For e_pq, e_p'q' in block b and e_rs, e_r's' in block c,
+        block pair, each its own stack, in the order of the right quotient's
+        ``null``.  For e_pq, e_p'q' in block b and e_rs, e_r's' in block c,
             <e_pq⊗e_rs, e_p'q'⊗e_r's'> = δ_pp'·δ_ss'·g_bc[(q, r), (q', r')],
         since a_i*·a_k = δ_pp'·e_qq' in the middle factor and the trace of
         the outer factors sees d·b* = δ_ss'·e_r'r.  So g_bc is formed on the
@@ -160,7 +161,8 @@ class BimoduleX:
             wrap = last[outer, None] @ first[None, outer]      # [l, j] = Q[l] · P[j]
             g = np.einsum(f"ibkc,ljcb->{out}", mid, wrap, optimize=True) / m
             k = len(ub) * len(uc)
-            pieces.append((hermitian_part(g.reshape(k, k)), copy_index(ub, uc.T, self.dim)))
+            pieces.append((hermitian_part(g.reshape(1, k, k)),
+                           copy_index(ub, uc.T, self.dim)[None]))
         return BlockForm(pieces)
 
     def _coeff_mats(self, coeffs: np.ndarray) -> np.ndarray:
@@ -439,7 +441,7 @@ def check_norm_agreement(x: BimoduleX, samples: int = 50,
     # t^H conj(gram_l) t and its kernel is the null space of conj(gram_l).
     # Both Grams are pieces on the same coordinates, so each left piece
     # meets the null vectors of the right piece on the same copies.
-    kern = np.concatenate([np.linalg.norm(g.conj() @ vecs, axis=0)
+    kern = np.concatenate([np.linalg.norm(g.conj() @ vecs, axis=-2).reshape(-1)
                            for (g, _), (vecs, _) in zip(x.pieces_l, x.null_r)])
     lam_l, rank_l, _ = x.pieces_l.cut(x.pieces_l.spectra("eigvalsh"), x.tol)
     # gram_l is hermitian: its 2-norm is max |λ|

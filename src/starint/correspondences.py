@@ -9,8 +9,8 @@ the structure tensor of the bracket plus the two coefficient actions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .algebra import (DEFAULT_TOL, Algebra, block_adjoint, block_norms, block_pr
                       orthonormal_rows, representation_defects, row_chunks, svd_rank, worst,
                       worst_key, worst_norm)
 from .bimodule import BimoduleX, slot_adjoint_defects
-from .interactions import Interaction, _product_defects
+from .interactions import Interaction, _unit_defects
 from .linmaps import LinMap, map_residual
 
 
@@ -28,13 +28,12 @@ class CorrespondenceError(ValueError):
         self.residuals = residuals or {}
 
 
-@dataclass(frozen=True)
 class ConcreteTRO:
-    """Subspace of a matrix algebra closed under the triple product x·y*·z."""
+    """Subspace of a matrix algebra closed under the triple product x·y*·z,
+    given by (n, ambient.dim) orthonormal coordinate rows."""
 
-    ambient: Algebra
-    basis: np.ndarray        # (n, ambient.dim) orthonormal coordinate rows
-    tol: float = DEFAULT_TOL
+    def __init__(self, ambient: Algebra, basis: np.ndarray, tol: float = DEFAULT_TOL):
+        self.ambient, self.basis, self.tol = ambient, basis, tol
 
     @property
     def n(self) -> int:
@@ -68,7 +67,6 @@ def concrete_tro(ambient: Algebra, rows: np.ndarray,
     return tro
 
 
-@dataclass(frozen=True)
 class GenCorrespondence:
     """Ternary space with left/right actions of a coefficient algebra.
 
@@ -76,15 +74,14 @@ class GenCorrespondence:
     bracket is conjugate-linear in the middle slot, handled at evaluation.
     """
 
-    coeff: Algebra
-    tt: np.ndarray            # (n, n, n, n)
-    lam_t: np.ndarray         # (dimA, n, n): left action per basis element
-    rho_t: np.ndarray         # (dimA, n, n): right action per basis element
-    mode: str                 # "concrete" | "abstract"
-    tol: float
-    tro: ConcreteTRO | None = None
-    x: BimoduleX | None = None
-    slot_defects: dict[str, float] | None = None   # slot_adjoint_defects, if already known
+    def __init__(self, coeff: Algebra, tt: np.ndarray, lam_t: np.ndarray, rho_t: np.ndarray,
+                 mode: str, tol: float, tro: ConcreteTRO | None = None,
+                 x: BimoduleX | None = None, slot_defects: dict[str, float] | None = None):
+        self.coeff, self.tt = coeff, tt              # tt: (n, n, n, n)
+        self.lam_t, self.rho_t = lam_t, rho_t        # (dimA, n, n): action per basis element
+        self.mode, self.tol = mode, tol              # mode: "concrete" | "abstract"
+        self.tro, self.x = tro, x
+        self.slot_defects = slot_defects             # slot_adjoint_defects, if already known
 
     @property
     def n(self) -> int:
@@ -254,8 +251,7 @@ def check_78(corr: GenCorrespondence) -> dict[str, float]:
 # -- redundancies -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Redundancy:
+class Redundancy(NamedTuple):
     a: np.ndarray          # coordinates of the coefficient element
     k: np.ndarray          # coefficients in the orthonormal operator span
     side: str
@@ -323,7 +319,7 @@ def check_713(alpha: LinMap, transfer: LinMap, inter: Interaction,
                          f"endomorphism/transfer maps (gap {gap:.3e})")
     eye = np.eye(alg.dim, dtype=complex)
     alpha_rows = alpha.matrix.T                   # alpha(a_j) as rows
-    mult = worst(_product_defects(alpha, eye, eye, alpha_rows)[..., 0])
+    mult = worst(_unit_defects(alpha, eye, alpha_rows)[..., 0])
     if not mult <= tol:
         raise ValueError(f"first map is not multiplicative ({mult:.3e})")
     one = alg.unit()

@@ -8,7 +8,6 @@ representation are matrix identities here and are verified at build time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -80,15 +79,14 @@ class _Relations:
         }
 
 
-@dataclass(frozen=True)
 class CovariantRep(_Relations):
-    interaction: Interaction
-    x: BimoduleX
-    r: int                    # dimension of the module summand
-    s: int                    # dimension of the operator-span summand
-    pi: np.ndarray            # (dim, r+s, r+s): representation of each basis element
-    smat: np.ndarray          # (r+s, r+s): the partial isometry
-    tol: float
+    """The covariant representation (pi, S) of a pair on n = r + s
+    dimensions: the module summand (r) and the operator-span summand (s)."""
+
+    def __init__(self, interaction: Interaction, x: BimoduleX, r: int, s: int,
+                 pi: np.ndarray, smat: np.ndarray, tol: float):
+        self.interaction, self.x, self.r, self.s = interaction, x, r, s
+        self.pi, self.smat, self.tol = pi, smat, tol
 
     @property
     def n(self) -> int:
@@ -201,12 +199,13 @@ def check_nondegeneracy(rep: CovariantRep) -> dict[str, float]:
     return gates
 
 
-@dataclass(frozen=True)
 class FaithfulRep(_Relations):
-    interaction: Interaction
-    pi: np.ndarray        # (dim, n+dim, n+dim) with a trace summand appended
-    smat: np.ndarray
-    injectivity: float
+    """A representation with the trace summand appended to its pi, so that
+    pi is injective; ``injectivity`` is its smallest singular value."""
+
+    def __init__(self, interaction: Interaction, pi: np.ndarray, smat: np.ndarray,
+                 injectivity: float):
+        self.interaction, self.pi, self.smat, self.injectivity = interaction, pi, smat, injectivity
 
 
 def faithful_extension(rep: CovariantRep) -> FaithfulRep:
@@ -246,4 +245,5 @@ def check_derive_roundtrip(rep: CovariantRep) -> dict[str, float]:
 
 def with_zero_s(rep: CovariantRep) -> CovariantRep:
     """The degenerate variant with the same pi and S = 0 (still covariant)."""
-    return replace(rep, smat=np.zeros_like(rep.smat))
+    return CovariantRep(rep.interaction, rep.x, rep.r, rep.s, rep.pi, np.zeros_like(rep.smat),
+                        rep.tol)

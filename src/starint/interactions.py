@@ -9,8 +9,8 @@ are opaque identifiers shared with the command-line report format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,10 @@ from .algebra import (
     block_norms,
     block_product,
     generated_subalgebra,
+    pair_products,
     rel,
     row_chunks,
+    unit_images,
     worst,
 )
 from .linmaps import (
@@ -45,13 +47,12 @@ class InteractionError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class InteractionReport:
+class InteractionReport(NamedTuple):
     """Residuals of the defining identities, keyed by stable check labels."""
 
     tol: float
     residuals: dict[str, float]
-    witnesses: dict[str, dict] = field(default_factory=dict)
+    witnesses: dict[str, dict]
     ranges: tuple[Subspace, Subspace] | None = None   # of V and H; None if not finite
 
     @property
@@ -62,21 +63,23 @@ class InteractionReport:
         return [k for k, r in sorted(self.residuals.items()) if r > self.tol]
 
 
-def _product_defects(t: LinMap, xs: np.ndarray, ys: np.ndarray,
-                     tys: np.ndarray) -> np.ndarray:
-    """(len(xs), len(ys), 2): [i, j] holds ||t(x·y) - t(x)·ty|| and
-    ||t(y·x) - ty·t(x)|| for x = xs[i], y = ys[j] and ty = tys[j], all given
-    as coordinate rows.  Over y = e_j with ty = t(e_j) these are the columns
-    of T·L_x - L_{Tx}·T and T·R_x - R_{Tx}·T."""
+def _unit_defects(t: LinMap, xs: np.ndarray, pxs: np.ndarray) -> np.ndarray:
+    """(len(xs), dim, 2): [i, j] holds ||t(x·e_j) - p·t(e_j)|| and
+    ||t(e_j·x) - t(e_j)·p|| for x = xs[i] and p = pxs[i], given as coordinate
+    rows, over the matrix units e_j.  With p = t(x) these are the columns of
+    T·L_x - L_{Tx}·T and T·R_x - R_{Tx}·T.  The images of the products come
+    from T's columns (``unit_images``), and the products p·t(e_j) and
+    t(e_j)·p from one pair-product GEMM per block size."""
     alg, tt = t.algebra, t.matrix.T
-    txs = xs @ tt
-    out = np.empty((len(xs), len(ys), 2))
-    for rows in row_chunks(len(xs), len(ys) * alg.dim):
-        x, tx = xs[rows, None], txs[rows, None]
-        out[rows, :, 0] = np.linalg.norm(
-            block_product(alg, x, ys) @ tt - block_product(alg, tx, tys), axis=-1)
-        out[rows, :, 1] = np.linalg.norm(
-            block_product(alg, ys, x) @ tt - block_product(alg, tys, tx), axis=-1)
+    out = np.empty((len(xs), alg.dim, 2))
+    for rows in row_chunks(len(xs), alg.dim * alg.dim):
+        x, p = xs[rows], pxs[rows]
+        diff = unit_images(alg, tt, x, True)
+        diff -= pair_products(alg, p, tt)
+        out[rows, :, 0] = np.linalg.norm(diff, axis=-1)
+        diff = unit_images(alg, tt, x, False)
+        diff -= pair_products(alg, tt, p).swapaxes(0, 1)
+        out[rows, :, 1] = np.linalg.norm(diff, axis=-1)
     return out
 
 
@@ -93,8 +96,8 @@ def _multiplicativity_scan(t: LinMap, domain: Subspace,
     outside = np.linalg.norm(eye - domain.basis.T @ domain.basis.conj(), axis=0)
     units = np.flatnonzero(outside <= tol)
     pool = [("unit", int(i)) for i in units] + [("range", i) for i in range(domain.dim)]
-    resid = _product_defects(t, np.concatenate([eye[units], domain.basis]),
-                             eye, t.matrix.T)
+    xs = np.concatenate([eye[units], domain.basis])
+    resid = _unit_defects(t, xs, xs @ t.matrix.T)
     top = worst(resid)
     if top == 0.0:
         return top, {}
@@ -138,17 +141,13 @@ def verify_interaction(v: LinMap, h: LinMap, tol: float = DEFAULT_TOL,
                              ranges=ranges)
 
 
-@dataclass(frozen=True)
 class Interaction:
     """A verified pair of maps together with their ranges and report."""
 
-    algebra: Algebra
-    v: LinMap
-    h: LinMap
-    tol: float
-    range_v: Subspace
-    range_h: Subspace
-    report: InteractionReport
+    def __init__(self, algebra: Algebra, v: LinMap, h: LinMap, tol: float,
+                 range_v: Subspace, range_h: Subspace, report: InteractionReport):
+        self.algebra, self.v, self.h, self.tol = algebra, v, h, tol
+        self.range_v, self.range_h, self.report = range_v, range_h, report
 
     @classmethod
     def from_report(cls, v: LinMap, h: LinMap, report: InteractionReport) -> "Interaction":
@@ -178,8 +177,7 @@ class Interaction:
         return expectation(self.h @ self.v, self.range_h, self.tol)
 
 
-@dataclass(frozen=True)
-class CondExp:
+class CondExp(NamedTuple):
     """An idempotent positive bimodule projection onto a subalgebra."""
 
     target: LinMap
@@ -194,9 +192,8 @@ def expectation(e: LinMap, expected_range: Subspace,
     residuals = {"idempotent": map_residual(e @ e, e)}
     rows = expected_range.basis
     residuals["fixes_range"] = worst(np.linalg.norm(rows @ e.matrix.T - rows, axis=-1))
-    # e(a·b) - e(a)·b and e(b·a) - b·e(a) over the canonical a and the range rows b
-    eye = np.eye(e.algebra.dim, dtype=complex)
-    residuals["bimodule"] = worst(_product_defects(e, eye, rows, rows))
+    # e(b·a) - b·e(a) and e(a·b) - e(a)·b over the range rows b and the matrix units a
+    residuals["bimodule"] = worst(_unit_defects(e, rows, rows))
     own = range_subspace(e, tol).basis
     residuals["range_match"] = float(np.linalg.norm(own.conj().T @ own - rows.conj().T @ rows))
     cp_ok, low = is_completely_positive(e, tol)
@@ -230,7 +227,11 @@ def check_inverse_pair(inter: Interaction) -> dict[str, float]:
         iso.append(abs(block_norms(alg, images) - block_norms(alg, rows)))
         star.append(np.linalg.norm(block_adjoint(alg, rows) @ t.matrix.T
                                    - block_adjoint(alg, images), axis=-1))
-        mult.append(_product_defects(t, rows, rows, images)[..., 0])
+        # t(x·y) - t(x)·t(y) over pairs of range rows, a few rows x at a time
+        for part in row_chunks(len(rows), len(rows) * alg.dim):
+            diff = pair_products(alg, rows[part], rows) @ t.matrix.T
+            diff -= pair_products(alg, images[part], images)
+            mult.append(np.linalg.norm(diff, axis=-1))
     out["restriction_isometric"] = worst(*iso)
     out["restriction_multiplicative"] = worst(*mult)
     out["restriction_star"] = worst(*star)
@@ -266,12 +267,11 @@ def from_endomorphism_transfer(alpha: LinMap, transfer: LinMap,
     one = alg.unit()
     residuals = {
         # alpha(a_i a_j) - alpha(a_i) alpha(a_j)
-        "endomorphism_multiplicative": worst(
-            _product_defects(alpha, eye, eye, alpha_rows)[..., 0]),
+        "endomorphism_multiplicative": worst(_unit_defects(alpha, eye, alpha_rows)[..., 0]),
         "endomorphism_star": star_preservation_residual(alpha),
         "endomorphism_unital": float(np.linalg.norm(alpha.matrix @ one - one)),
         # transfer(a_i alpha(a_j)) - transfer(a_i) a_j
-        "transfer_identity": worst(_product_defects(transfer, eye, alpha_rows, eye)[..., 0]),
+        "transfer_identity": worst(_unit_defects(transfer, alpha_rows, eye)[..., 1]),
         "transfer_unital": float(np.linalg.norm(transfer.matrix @ one - one)),
     }
     bad = {k: v for k, v in residuals.items() if not v <= tol}
@@ -281,8 +281,7 @@ def from_endomorphism_transfer(alpha: LinMap, transfer: LinMap,
     return inter, residuals
 
 
-@dataclass(frozen=True)
-class DeriveResult:
+class DeriveResult(NamedTuple):
     """Outcome of reconstructing a pair from a partial isometry."""
 
     interaction: Interaction

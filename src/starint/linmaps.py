@@ -8,8 +8,6 @@ is positive semidefinite exactly when the map is completely positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import (
@@ -30,18 +28,16 @@ from .algebra import (
 )
 
 
-@dataclass(frozen=True)
 class LinMap:
     """A linear map A -> A given by its coordinate matrix."""
 
-    algebra: Algebra
-    matrix: np.ndarray
+    __slots__ = ("algebra", "matrix")
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.algebra.dim, self.algebra.dim):
-            raise ValueError(f"matrix shape {m.shape}, expected square of {self.algebra.dim}")
-        object.__setattr__(self, "matrix", m)
+    def __init__(self, algebra: Algebra, matrix: np.ndarray):
+        m = np.asarray(matrix, dtype=complex)
+        if m.shape != (algebra.dim, algebra.dim):
+            raise ValueError(f"matrix shape {m.shape}, expected square of {algebra.dim}")
+        self.algebra, self.matrix = algebra, m
 
     @classmethod
     def identity(cls, algebra: Algebra) -> "LinMap":
@@ -113,17 +109,17 @@ def _choi_pieces(t: LinMap) -> BlockForm:
     """The Choi matrix of the block-diagonal extension as a block form: for
     each pair (b, c) of blocks, the (d_b·d_c)-square piece [(r, p), (s, q)]
     = t(e_rs in b)[p, q in c], once, at the Choi rows and columns r·size + p
-    (r, p the matrix rows).  The pieces are cut out one pair of sizes at a time."""
-    alg, pieces = t.algebra, []
+    (r, p the matrix rows).  The pieces are cut out one stack per pair of sizes."""
+    alg, stacks = t.algebra, []
     for d_in, cols in alg.size_groups:
         for d_out, rows in alg.size_groups:
             s = t.matrix[rows[None, :, :, None], cols[:, None, None, :]]
             s = s.reshape(len(cols) * len(rows), d_out, d_out, d_in, d_in)
             at = copy_index(alg.unit_positions[cols[:, :d_in], 1],
                             alg.unit_positions[rows[:, :d_out], 1], alg.matrix_size)
-            pieces += zip(s.transpose(0, 3, 1, 4, 2).reshape(-1, d_in * d_out, d_in * d_out),
-                          at[:, None])
-    return BlockForm(pieces)
+            stacks.append((s.transpose(0, 3, 1, 4, 2).reshape(-1, d_in * d_out, d_in * d_out),
+                           at[:, None]))
+    return BlockForm(stacks)
 
 
 def is_completely_positive(t: LinMap, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
@@ -134,7 +130,7 @@ def is_completely_positive(t: LinMap, tol: float = DEFAULT_TOL) -> tuple[bool, f
     permutation)."""
     perm = t.algebra.star_perm
     herm_gap = float(np.linalg.norm(t.matrix[:, perm] - t.matrix.conj()[perm]))
-    vals = np.concatenate(_choi_pieces(t).spectra("eigvalsh"))
+    vals = np.concatenate([v.reshape(-1) for v in _choi_pieces(t).spectra("eigvalsh")])
     low = float(vals.min())
     scale = max(1.0, float(np.abs(vals).max()))
     ok = rel(herm_gap, scale) <= tol and low >= -tol * scale

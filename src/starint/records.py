@@ -12,7 +12,7 @@ imported only by a run that reaches it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,14 +35,13 @@ VERIFY_STAGE_IDS: frozenset[str] = frozenset(
     {"2.4", "2.6", "2.7", "3.1.i", "3.1.ii", "3.1.iii", "3.1.iv", "3.1.v", "3.3"})
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     check_id: str
     status: str                      # "pass" | "fail" | "skipped"
     residual: float | None = None
     witness: dict | None = None
     reason: str | None = None
-    details: dict[str, float] = field(default_factory=dict)
+    details: dict[str, float] | None = None   # a computed record's sub-residuals
 
     def to_dict(self) -> dict:
         out: dict = {"status": self.status}
@@ -57,19 +56,18 @@ class CheckRecord:
         return out
 
 
-@dataclass
 class Report:
-    records: dict[str, CheckRecord]
-    environment: dict
+    """One record for each canonical id, and the run's environment."""
 
-    def __post_init__(self) -> None:
-        got = tuple(sorted(self.records))
+    def __init__(self, records: dict[str, CheckRecord], environment: dict):
+        got = tuple(sorted(records))
         want = tuple(sorted(CANONICAL_IDS))
         if got != want:
             missing = set(want) - set(got)
             extra = set(got) - set(want)
             raise ValueError(f"checklist coverage broken: missing {sorted(missing)}, "
                              f"extra {sorted(extra)}")
+        self.records, self.environment = records, environment
 
     @property
     def passed(self) -> bool:

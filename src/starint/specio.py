@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING
 
@@ -177,21 +176,23 @@ def canonical_json(obj) -> str:
 MODES = ("plain", "endo_transfer", "partial_isometry")
 
 
-@dataclass
 class ProblemSpec:
-    blocks: tuple[int, ...]
-    mode: str = "plain"
-    v: np.ndarray | None = None
-    h: np.ndarray | None = None
-    alpha: np.ndarray | None = None
-    transfer: np.ndarray | None = None
-    ambient_blocks: tuple[int, ...] | None = None
-    a_embed: np.ndarray | None = None     # (dim, ambient.dim) coordinate rows
-    s: np.ndarray | None = None           # (ambient.dim,) coordinates
-    tolerance: float | None = None
-    samples: int | None = None
-    seed: int | None = None
-    source: str = "<memory>"
+    """A problem file's fields; each matrix (v, h, alpha, transfer), the
+    (dim, ambient.dim) coordinate rows a_embed and the (ambient.dim,)
+    coordinates s are validated rows from ``read_spec`` or complex arrays
+    from ``spec_arrays``, and None where the file has none."""
+
+    def __init__(self, blocks: tuple[int, ...], mode: str = "plain",
+                 v: np.ndarray | None = None, h: np.ndarray | None = None,
+                 alpha: np.ndarray | None = None, transfer: np.ndarray | None = None,
+                 ambient_blocks: tuple[int, ...] | None = None,
+                 a_embed: np.ndarray | None = None, s: np.ndarray | None = None,
+                 tolerance: float | None = None, samples: int | None = None,
+                 seed: int | None = None, source: str = "<memory>"):
+        self.blocks, self.mode, self.source = blocks, mode, source
+        self.v, self.h, self.alpha, self.transfer = v, h, alpha, transfer
+        self.ambient_blocks, self.a_embed, self.s = ambient_blocks, a_embed, s
+        self.tolerance, self.samples, self.seed = tolerance, samples, seed
 
     @property
     def algebra(self) -> Algebra:
@@ -279,9 +280,10 @@ def spec_arrays(spec: ProblemSpec) -> ProblemSpec:
     """``spec`` with its matrices and coordinates as complex arrays."""
     import numpy as np
 
-    return replace(spec, **{key: np.array(rows, dtype=complex)
-                            for key in ("v", "h", "alpha", "transfer", "a_embed", "s")
-                            if (rows := getattr(spec, key)) is not None})
+    arrays = {key: np.array(rows, dtype=complex)
+              for key in ("v", "h", "alpha", "transfer", "a_embed", "s")
+              if (rows := getattr(spec, key)) is not None}
+    return ProblemSpec(**{**vars(spec), **arrays})
 
 
 def load_spec(path: str) -> ProblemSpec:

@@ -78,23 +78,26 @@ def spanning_pinv(bc):
     return (u.conj() / s) @ vh.conj()
 
 
-def form_matrix(pieces, n):
-    """(n, n): a block form of square pieces (g, index) as one dense matrix,
-    g at the rows and columns index[c] of each copy c."""
+def form_matrix(form, n):
+    """(n, n): a block form of stacks of square pieces (gs, index) as one
+    dense matrix, each gs[g] at the rows and columns index[g, c] of each copy c."""
     out = np.zeros((n, n), dtype=complex)
-    for g, index in pieces:
-        for copy in index:
-            out[np.ix_(copy, copy)] = g
+    for gs, index in form:
+        for g, copies in zip(gs, index):
+            for copy in copies:
+                out[np.ix_(copy, copy)] = g
     return out
 
 
-def form_rows(pieces, n):
-    """(rows, n): a block form of pieces (g, index) as one dense matrix whose
-    rows are those of g on each copy c in turn, at the columns index[c]."""
+def form_rows(form, n):
+    """(rows, n): a block form of stacks of pieces (gs, index) as one dense
+    matrix whose rows are those of each gs[g] on each copy c in turn, at the
+    columns index[g, c]."""
     out = []
-    for g, index in pieces:
-        for copy in index:
-            rows = np.zeros((len(g), n), dtype=complex)
-            rows[:, copy] = g
-            out.append(rows)
+    for gs, index in form:
+        for g, copies in zip(gs, index):
+            for copy in copies:
+                rows = np.zeros((len(g), n), dtype=complex)
+                rows[:, copy] = g
+                out.append(rows)
     return np.concatenate(out)

@@ -4,6 +4,9 @@ the Choi pieces against the full Choi matrix, the closed-form multiplication
 tensors against dense products, the memory of the verify stage, and
 non-finite maps."""
 
+import ast
+import re
+
 import dense
 import numpy as np
 import pytest
@@ -12,11 +15,15 @@ from conftest import traced_peak
 from starint import (
     Algebra,
     Interaction,
+    InteractionError,
     LinMap,
+    Subspace,
     amplified_interaction,
     build_bimodule,
+    check_713,
     choi_matrix,
     flip_interaction,
+    from_endomorphism_transfer,
     identity_interaction,
     transpose_map,
 )
@@ -25,6 +32,7 @@ from starint.bimodule import check_sliding
 from starint.checklist import _record, verify_stage_records
 from starint.interactions import (
     _multiplicativity_scan,
+    _unit_defects,
     check_inverse_pair,
     expectation,
     verify_interaction,
@@ -238,10 +246,14 @@ PAIRS = {
     "classical_c6": lambda: classical_pair(6, 3),
     "adu_m3": lambda: adu_pair((3,), 4),
     "adu_2_1": lambda: adu_pair((2, 1), 5),
+    "adu_3_1_2": lambda: adu_pair((3, 1, 2), 6),
+    "adu_2_2": lambda: adu_pair((2, 2), 7),
     "diag_m4": lambda: diag_pair((4,)),
     "diag_2_1": lambda: diag_pair((2, 1)),
+    "diag_3_1_2": lambda: diag_pair((3, 1, 2)),
     "transpose_m2": lambda: (transpose_map(Algebra((2,))),) * 2,
     "transpose_2_1": lambda: (transpose_map(Algebra((2, 1))),) * 2,
+    "transpose_2_2": lambda: (transpose_map(Algebra((2, 2))),) * 2,
     "flip_perturbed": perturbed_flip,
 }
 
@@ -280,6 +292,68 @@ def test_map_level_checks_match_the_loops(name):
                        old_expectation(h @ v, inter.range_h))):
         for key, value in want.items():
             close(got[key], value)
+
+
+def old_endo_transfer(alpha, transfer):
+    """The two swept residuals of an endomorphism/transfer pair."""
+    alg, a, t = alpha.algebra, alpha.matrix, transfer.matrix
+    basis = np.eye(alg.dim)
+    return {"endomorphism_multiplicative": max(
+                np.linalg.norm(a @ dense.mul(alg, x, y) - dense.mul(alg, a @ x, a @ y))
+                for x in basis for y in basis),
+            "transfer_identity": max(
+                np.linalg.norm(t @ dense.mul(alg, x, a @ y) - dense.mul(alg, t @ x, y))
+                for x in basis for y in basis)}
+
+
+def random_map(alg, seed):
+    rng = np.random.default_rng(seed)
+    return LinMap(alg, rng.standard_normal((alg.dim,) * 2)
+                  + 1j * rng.standard_normal((alg.dim,) * 2))
+
+
+@pytest.mark.parametrize("blocks", [(3, 1, 2), (2, 2), (1, 2, 1)])
+def test_every_unit_family_site_matches_the_loops_on_mixed_blocks(blocks):
+    # generic complex maps, so that every residual is of order one and each
+    # site is compared on values that a wrong index would change
+    alg = Algebra(blocks)
+    t, s = random_map(alg, 1), random_map(alg, 2)
+    rng = np.random.default_rng(3)
+    # a domain holding the first matrix unit and two random directions
+    space = Subspace.from_spanning(alg, np.concatenate([np.eye(alg.dim)[:1],
+                                                        alg.random_coords(rng, 2)]))
+    other = Subspace.from_spanning(alg, alg.random_coords(rng, 3))
+    # 3.1.iv and 3.1.v
+    got, want = _multiplicativity_scan(t, space, TOL), old_scan(t, space, TOL)
+    assert want[0] > 1.0 and want[1]["x_kind"] in ("unit", "range")
+    same_scan(got, want)
+    # 2.6 bimodule, with the map in the role of the expectation
+    close(float(_unit_defects(t, space.basis, space.basis).max()),
+          old_expectation(t, space)["bimodule"])
+    # 2.7 over pairs of range rows, on a pair taken as given
+    inter = Interaction(alg, t, s, TOL, other, space, None)
+    for key, value in old_inverse_pair(inter).items():
+        close(check_inverse_pair(inter)[key], value)
+    # from_endomorphism_transfer reports every residual above the tolerance
+    want = old_endo_transfer(t, s)
+    with pytest.raises(InteractionError) as err:
+        from_endomorphism_transfer(t, s, TOL)
+    got = ast.literal_eval(str(err.value).split(": ", 1)[1])
+    for key, value in want.items():
+        close(got[key], value)
+    # 7.13 refuses a first map that is not multiplicative, with its residual
+    message = f"first map is not multiplicative ({want['endomorphism_multiplicative']:.3e})"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_713(t, s, inter, None)
+
+
+@pytest.mark.parametrize("name", ["adu_3_1_2", "adu_2_2"])
+def test_endo_transfer_sites_match_the_loops_on_an_automorphism(name):
+    # Ad u is a unital *-endomorphism, and Ad u* a transfer map for it
+    alpha, transfer = PAIRS[name]()
+    _, got = from_endomorphism_transfer(alpha, transfer, TOL)
+    for key, value in old_endo_transfer(alpha, transfer).items():
+        close(got[key], value)
 
 
 def test_failing_pairs_keep_their_witnesses():
@@ -342,7 +416,7 @@ def test_choi_pieces_have_the_spectrum_and_gap_of_the_full_choi_matrix(t):
     form = _choi_pieces(t)
     # the pieces, each at its rows and columns, are the whole Choi matrix
     assert np.array_equal(dense.form_matrix(form, len(choi)), choi)
-    pieces = [g for g, _ in form]
+    pieces = [g for gs, _ in form for g in gs]
     herm = [(p + p.conj().swapaxes(-1, -2)) / 2 for p in pieces]
     vals = np.sort(np.concatenate([np.linalg.eigvalsh(p).reshape(-1) for p in herm]))
     assert vals.size == choi.shape[0]
@@ -405,6 +479,14 @@ def test_a_nan_entry_fails_the_map_level_records(nan_in):
     t = v if nan_in == "v" else h
     assert np.isnan(_multiplicativity_scan(t, range_subspace(LinMap.identity(t.algebra)),
                                            TOL)[0])
+    # each site of the unit-family contraction and of the pair products
+    eye, rows = np.eye(t.algebra.dim, dtype=complex), t.algebra.random_coords(
+        np.random.default_rng(0), 2)
+    for xs, pxs in ((eye, t.matrix.T), (rows, rows), (t.matrix.T, eye)):
+        assert np.isnan(_unit_defects(t, xs, pxs).max())
+    space = Subspace.from_spanning(t.algebra, rows)
+    inter = Interaction(t.algebra, t, t, TOL, space, space, None)
+    assert np.isnan(check_inverse_pair(inter)["restriction_multiplicative"])
     assert np.isnan(complete_contractivity_residual(t, 3, np.random.default_rng(0)))
     assert not is_completely_positive(t, TOL)[0]
     assert np.isnan(_record("3.3", {"x": positivity_certificate(t, 3, TOL)[1]}, TOL).residual)

@@ -21,6 +21,7 @@ from starint import (
     check_commutation,
     check_compatibility,
     check_fullness,
+    check_inverse_pair,
     check_ternary_consistency,
     check_ternary_module_laws,
     flip_interaction,
@@ -241,7 +242,14 @@ def _sites():
     def product_defects(x):
         v = x.inter.v
         eye = np.eye(x.dim, dtype=complex)
-        return interactions._product_defects(v, eye, eye, v.matrix.T)
+        return interactions._unit_defects(v, eye, v.matrix.T)
+
+    def restriction_multiplicative(x):
+        # 2.7 over pairs of range rows, with V moved so that the law reads order one
+        move = 0.1 * np.sin(np.arange(x.dim ** 2)).reshape(x.dim, x.dim)
+        inter = Interaction(x.algebra, LinMap(x.algebra, x.inter.v.matrix + move), x.inter.h,
+                            TOL, x.inter.range_v, x.inter.range_h, None)
+        return check_inverse_pair(inter)["restriction_multiplicative"]
 
     def corr(x):
         return GenCorrespondence(coeff=x.algebra, tt=x.bracket_t, lam_t=x.lam_t,
@@ -251,6 +259,7 @@ def _sites():
         "representation_defects": lambda x: representation_defects(x.algebra, x.lam_t),
         "worst_commutator": lambda x: check_commutation(corr(x)),
         "product_defects": product_defects,
+        "restriction_multiplicative": restriction_multiplicative,
         "slot_adjoint_pass": lambda x: slot_adjoint_defects(x.bracket_t, x.lam_t, x.rho_t,
                                                             x.sigma),
         "5.11": check_associativity,

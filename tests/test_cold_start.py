@@ -83,13 +83,15 @@ def test_verify_imports_no_build_stage(tmp_path, name, code):
     got, modules = loaded(tmp_path, "verify", str(DATA / f"{name}.json"))
     assert got == code
     assert {"starint.interactions", "starint.records"} <= modules
-    assert not BUILD_STAGE & modules, BUILD_STAGE & modules
+    unwanted = BUILD_STAGE | {"dataclasses"}      # no record class loads it
+    assert not unwanted & modules, unwanted & modules
 
 
 def test_build_imports_the_build_stage(tmp_path):
     code, modules = loaded(tmp_path, "build", str(DATA / "flip.json"))
     assert code == 0
     assert BUILD_STAGE <= modules
+    assert "dataclasses" not in modules
 
 
 @pytest.mark.parametrize("emit, construction, unused", [
@@ -100,7 +102,7 @@ def test_build_imports_the_build_stage(tmp_path):
 ])
 def test_emit_imports_only_the_construction_it_writes(tmp_path, emit, construction, unused):
     # numpy.ma is what np.unique would load for the writer: a 12 ms import
-    unused = unused | {"numpy.ma"}
+    unused = unused | {"numpy.ma", "dataclasses"}
     code, modules = loaded(tmp_path, "build", str(DATA / "flip.json"), "--emit", emit)
     assert code == 0
     assert construction in modules
@@ -118,7 +120,8 @@ def test_unusable_input_exits_before_numpy(tmp_path, argv):
     rest = [a.format(missing=tmp_path / "missing") for a in rest]
     code, modules = loaded(tmp_path, command, str(DATA / f"{name}.json"), *rest)
     assert code == 2
-    assert "numpy" not in modules
+    # nor dataclasses, which would load inspect
+    assert not {"numpy", "dataclasses", "inspect"} & modules, modules
 
 
 def test_public_names_are_pinned():

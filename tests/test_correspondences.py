@@ -1,13 +1,12 @@
 """Ternary structures: concrete operator spans and the quotient-module form."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from starint import (
     Algebra,
     CorrespondenceError,
+    GenCorrespondence,
     Interaction,
     LinMap,
     build_bimodule,
@@ -167,7 +166,9 @@ def test_commutation_on_the_span_bases_sees_a_broken_bracket():
     corr = correspondence_from_bimodule(build_bimodule(identity_interaction(Algebra((2,)))))
     assert check_commutation(corr)["rank_one_sides_commute"] <= 1e-12
     rng = np.random.default_rng(2)
-    broken = replace(corr, tt=corr.tt + 0.1 * rng.standard_normal(corr.tt.shape))
+    broken = GenCorrespondence(corr.coeff, corr.tt + 0.1 * rng.standard_normal(corr.tt.shape),
+                               corr.lam_t, corr.rho_t, corr.mode, corr.tol, corr.tro, corr.x,
+                               corr.slot_defects)
     assert check_commutation(broken)["rank_one_sides_commute"] > 1e-3
 
 

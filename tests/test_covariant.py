@@ -86,12 +86,11 @@ def test_derive_roundtrip_exact():
 
 
 def test_build_rejects_tampered_pair():
-    import dataclasses
-
-    from starint import LinMap
+    from starint import Interaction, LinMap
 
     inter = flip_interaction()
-    doubled = dataclasses.replace(inter, v=LinMap(inter.algebra, 2.0 * inter.v.matrix))
+    doubled = Interaction(inter.algebra, LinMap(inter.algebra, 2.0 * inter.v.matrix), inter.h,
+                          inter.tol, inter.range_v, inter.range_h, inter.report)
     with pytest.raises(CovariantError) as err:
         build_covrep(doubled)
     assert err.value.residuals["partial_isometry"] == pytest.approx(np.sqrt(2))

@@ -135,14 +135,14 @@ def test_gram_pieces_are_the_dense_grams_by_matrix_units(name):
     for side, form in (("right", rf), ("left", lf)):
         want = hermitian_trace(form)
         placed = np.zeros(want.shape, dtype=bool)
-        for g, index in x._gram_pieces(side):
+        for (g,), (index,) in x._gram_pieces(side):      # one piece a stack
             for copy in index:
                 cell = np.ix_(copy, copy)
                 assert np.abs(want[cell] - g).max() < 1e-12, side
                 placed[cell] = True
         assert not want[~placed].any(), side
         spectrum = np.concatenate([np.repeat(np.linalg.eigvalsh(g), len(index))
-                                   for g, index in x._gram_pieces(side)])
+                                   for (g,), (index,) in x._gram_pieces(side)])
         assert np.abs(np.sort(spectrum) - np.linalg.eigvalsh(want)).max() < 1e-12, side
 
 
@@ -507,7 +507,7 @@ def test_a_rank_one_left_term_fails_the_5_4_kernel_keys(name):
     # pattern, as any left Gram built from factors on a representation does
     x = build_bimodule(PAIRS[name]())
     (g, index), *rest = x.pieces_l
-    w = np.random.default_rng(0).standard_normal(len(g))
+    w = np.random.default_rng(0).standard_normal(g.shape[-1])
     x.pieces_l = algebra.BlockForm(((g + np.outer(w, w), index), *rest))
     record = _record("5.4", check_norm_agreement(x, 4, np.random.default_rng(0)), TOL)
     assert record.status == "fail"

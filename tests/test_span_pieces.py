@@ -4,7 +4,6 @@ pieces feed, and the memory the pieces save; and the block-form helper
 under them: its cut against dense decompositions of generated forms, and
 the three refusals of a quotient cut."""
 
-import dataclasses
 import importlib.util
 import os
 
@@ -83,12 +82,18 @@ def test_a_presentation_shifted_off_the_null_space_fails_510(monkeypatch):
     assert check_action_bound(x)["presentation_independent"] > 1e-3
 
 
+def rebuilt(bc, span):
+    """A new construction with the fields of ``bc`` and the given span pieces."""
+    return BasicConstruction(bc.algebra, bc.expectation, bc.range_sub, bc.tol, bc.m, bc.q,
+                             bc.lift, bc.lam, bc.e, span)
+
+
 def drop_one_kept_row(bc):
     """``bc`` with the first kept singular vector of its first piece cut."""
     first = bc.span[0]
     s = first.s.copy()
     s[0, np.argmax(s[0] > 0)] = 0.0
-    return dataclasses.replace(bc, span=(first._replace(s=s), *bc.span[1:]))
+    return rebuilt(bc, (first._replace(s=s), *bc.span[1:]))
 
 
 def test_a_span_piece_with_one_kept_row_dropped_fails_515():
@@ -106,7 +111,7 @@ def test_a_span_piece_with_one_kept_row_dropped_fails_515():
 def test_a_k_basis_not_star_closed_moves_k_star_closed():
     bc = basic_for_h(identity_interaction(Algebra((2,))))
     assert bc.invariants["k_star_closed"] <= TOL
-    bent = dataclasses.replace(bc)
+    bent = rebuilt(bc, bc.span)
     # a random subspace of the same dimension is not closed under adjoints
     rows = np.random.default_rng(3).standard_normal((len(bc.k_basis), bc.m * bc.m))
     vars(bent)["k_basis"] = orthonormal_rows(rows * (1 + 1j))
@@ -146,27 +151,33 @@ def test_basic_constructions_hold_no_spanning_square_array():
 
 # -- the block-form helper -----------------------------------------------------
 
-# (rows, columns, copies, rank) of each piece; square pieces for eigh
-PIECE = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.integers(0, 4))
+# (rows, columns, copies, highest rank, pieces) of each stack; square pieces for eigh
+STACK = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.integers(0, 4),
+                  st.integers(1, 3))
 
 
-def generated_form(rng, pieces, square):
-    """A block form of the given piece shapes, copy counts and ranks, its
-    copies at a random permutation of the coordinates; nonzero values lie
-    in [0.1, 10], so the cut at TOL keeps exactly them."""
-    found, n = [], sum(cols * copies for _, cols, copies, _ in pieces)
+def generated_form(rng, stacks, square):
+    """A block form of stacks of the given piece shapes, copy counts, ranks
+    and stack sizes, each piece of a stack of rank at most the given one, its
+    copies at a random permutation of the coordinates; nonzero values lie in
+    [0.1, 10], so the cut at TOL keeps exactly them.  Also the piece ranks."""
+    found, ranks = [], []
+    n = sum(cols * copies * size for _, cols, copies, _, size in stacks)
     coords = iter(rng.permutation(n))
-    for rows, cols, copies, rank in pieces:
+    for rows, cols, copies, rank, size in stacks:
         rows = cols if square else rows
-        rank = min(rank, rows, cols)
-        u, v = (np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
-                for k in (rows, cols))
-        vals = np.zeros(min(rows, cols))
-        vals[:rank] = rng.uniform(0.1, 10.0, rank)
-        g = (v if square else u[:, :len(vals)]) * vals @ v[:, :len(vals)].conj().T
-        index = np.array([[next(coords) for _ in range(cols)] for _ in range(copies)])
-        found.append((g, index))
-    return BlockForm(found), n
+        gs = []
+        for _ in range(size):
+            u, v = (np.linalg.qr(rng.standard_normal((k, k))
+                                 + 1j * rng.standard_normal((k, k)))[0] for k in (rows, cols))
+            vals = np.zeros(min(rows, cols))
+            ranks.append((int(rng.integers(0, min(rank, rows, cols) + 1)), copies))
+            vals[:ranks[-1][0]] = rng.uniform(0.1, 10.0, ranks[-1][0])
+            gs.append((v if square else u[:, :len(vals)]) * vals @ v[:, :len(vals)].conj().T)
+        index = np.array([[[next(coords) for _ in range(cols)] for _ in range(copies)]
+                          for _ in range(size)])
+        found.append((np.stack(gs), index))
+    return BlockForm(found), n, ranks
 
 
 def projector(rows):
@@ -174,28 +185,27 @@ def projector(rows):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(pieces=st.lists(PIECE, min_size=1, max_size=4), square=st.booleans(),
+@given(stacks=st.lists(STACK, min_size=1, max_size=4), square=st.booleans(),
        seed=st.integers(0, 2 ** 16))
-def test_the_block_form_cut_matches_a_dense_decomposition(pieces, square, seed):
-    form, n = generated_form(np.random.default_rng(seed), pieces, square)
+def test_the_block_form_cut_matches_a_dense_decomposition(stacks, square, seed):
+    form, n, ranks = generated_form(np.random.default_rng(seed), stacks, square)
     if square:     # a hermitian form: eigh of the pieces against eigh of the placed matrix
         vals, vecs = np.linalg.eigh(dense.form_matrix(form, n))
         vals, vecs = vals[::-1], vecs[:, ::-1].T
         spectra = form.spectra("eigh")
-        mine, right = [v for v, _ in spectra], [w.T for _, w in spectra]
+        mine, right = [v for v, _ in spectra], [w for _, w in spectra]
     else:          # singular values and right vectors against an SVD of the placed rows
         _, vals, vecs = np.linalg.svd(dense.form_rows(form, n))
         spectra = form.spectra("svd")
-        mine, right = [s for _, s, _ in spectra], [vh for _, _, vh in spectra]
+        mine, right = [s for _, s, _ in spectra], [vh.swapaxes(1, 2) for _, _, vh in spectra]
     union, k, keep = form.cut(mine, TOL)
     want = int(np.sum(vals > TOL * max(vals[0], 1e-300)))
-    assert k == want == sum(min(rows if not square else cols, cols, rank) * copies
-                            for rows, cols, copies, rank in pieces)
-    kept = np.sort(np.concatenate([np.repeat(v[c], len(index))
+    assert k == want == sum(rank * copies for rank, copies in ranks)
+    kept = np.sort(np.concatenate([np.repeat(v[c], index.shape[1])
                                    for v, c, (_, index) in zip(mine, keep, form)]))
     assert np.abs(kept - np.sort(vals[:k])).max(initial=0.0) < 1e-12
     assert np.abs(union[:k] - vals[:k]).max(initial=0.0) < 1e-12
-    placed = BlockForm((w[c].T, index) for w, c, (_, index) in zip(right, keep, form)).place()
+    placed = BlockForm((w, index) for w, (_, index) in zip(right, form)).place(keep)
     assert placed.shape == (k, n)
     assert np.abs(projector(placed) - projector(vecs[:k])).max() < 1e-12
 
@@ -209,8 +219,8 @@ def hand_form(*pieces):
     found, start = [], 0
     for values, copies in pieces:
         width = len(values)
-        found.append((np.diag(np.asarray(values, dtype=complex)),
-                      start + np.arange(copies * width).reshape(copies, width)))
+        found.append((np.diag(np.asarray(values, dtype=complex))[None],
+                      start + np.arange(copies * width).reshape(1, copies, width)))
         start += copies * width
     return BlockForm(found)
 

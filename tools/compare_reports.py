@@ -14,12 +14,17 @@ checkout this script is in, on the same input files:
   Ad u 2 and diag 2 of ``perfbench/problems.py``), written at seed 7, index 0:
   ``build`` (x1) and ``fuzz --amplify 2`` (x2);
 * ``build --emit bimodule`` and ``--emit covrep`` on the ``emit-large``
-  inputs of ``perfbench/workloads.py``.
+  inputs of ``perfbench/workloads.py``;
+* the ``verify-wide`` jobs of ``perfbench/workloads.py`` not listed above:
+  ``verify`` on the eight fixtures and on the pairs of ``WIDE_VERIFY``
+  (classical 24, Ad u 5 and 7, diag 6 and 8), written at seed 7 with the
+  workload's indices (its ``build`` on the rejected fixtures is listed above).
 
 For each case it prints both exit codes and wall times, whether stdout is
-byte-identical, each check whose status changed, and the largest |old - new|
-of each detail key (of each top-level key of an emitted artifact) that moved.
-It exits 1 if an exit code or a status differs, else 0.
+byte-identical, each check whose status changed or whose witness changed
+where it fails, and the largest |old - new| of each detail key (of each
+top-level key of an emitted artifact) that moved.  It exits 1 if an exit
+code, a status or a witness differs, else 0.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ SEED = 7
 def cases(work: str) -> list[tuple[str, list[str]]]:
     """(name, argv) of every case; the generated inputs are written under ``work``."""
     from problems import generate
-    from workloads import FIXTURE_CODES, MODULE_BUILDS, _emit_large, _fixture
+    from workloads import FIXTURE_CODES, MODULE_BUILDS, _emit_large, _fixture, _verify_wide
 
     out = [(f"build {name}{emit}", ["build", _fixture(name), *emit.split()])
            for name in FIXTURE_CODES for emit in ("", " --emit bimodule", " --emit covrep")]
@@ -53,7 +58,10 @@ def cases(work: str) -> list[tuple[str, list[str]]]:
         path = generate(family, size, SEED, 0, work)
         out += [(f"build {family}{size}", ["build", path]),
                 (f"fuzz {family}{size} x2", ["fuzz", path, "--amplify", "2"])]
-    return out + [(job.name, job.argv) for job in _emit_large(0, work, None)]
+    out += [(job.name, job.argv) for job in _emit_large(0, work, None)]
+    listed = {name for name, _ in out}
+    return out + [(job.name, job.argv) for job in _verify_wide(SEED, work, None)
+                  if job.name not in listed]
 
 
 def run(src: str, argv: list[str]) -> tuple[int, bytes, float]:
@@ -88,17 +96,18 @@ def drift(old: list[float], new: list[float]) -> float:
 
 
 def compare(old: bytes, new: bytes) -> tuple[list[str], dict[str, float]]:
-    """The status changes and the nonzero drift of each key of two outputs."""
+    """The status and witness changes and the nonzero drift of each key of
+    two outputs; a record carries a witness only where it fails."""
     try:
         a, b = json.loads(old), json.loads(new)
     except ValueError:
         return [], {}
     if "checks" in a and "checks" in b:
-        changes = [f"{cid}: {a['checks'].get(cid, {}).get('status')} -> "
-                   f"{b['checks'].get(cid, {}).get('status')}"
+        changes = [f"{cid}: {key} {a['checks'].get(cid, {}).get(key)} -> "
+                   f"{b['checks'].get(cid, {}).get(key)}"
                    for cid in sorted(set(a["checks"]) | set(b["checks"]))
-                   if a["checks"].get(cid, {}).get("status")
-                   != b["checks"].get(cid, {}).get("status")]
+                   for key in ("status", "witness")
+                   if a["checks"].get(cid, {}).get(key) != b["checks"].get(cid, {}).get(key)]
         a, b = ({key: val for rec in x["checks"].values()
                  for key, val in rec.get("details", {}).items()} for x in (a, b))
     else:
@@ -123,13 +132,13 @@ def main(argv: list[str]) -> int:
             differ += code_a != code_b or bool(changes)
             print(f"{name}: exit {code_a}/{code_b}, {t_a:.1f}/{t_b:.1f} s, bytes "
                   f"{'equal' if out_a == out_b else 'differ'}, "
-                  f"{len(changes)} status changes", flush=True)
+                  f"{len(changes)} status or witness changes", flush=True)
             for line in changes:
-                print(f"    status {line}")
+                print(f"    {line}")
             for key, gap in sorted(gaps.items(), key=lambda kv: -kv[1]):
                 print(f"    {key}: {gap:.3g}")
                 largest = max(largest, (gap, f"{key} in {name}"))
-    print(f"{len(todo)} cases, {differ} with a changed exit code or status; "
+    print(f"{len(todo)} cases, {differ} with a changed exit code, status or witness; "
           f"largest drift {largest[0]:.3g}{' (' + largest[1] + ')' if largest[1] else ''}")
     return 1 if differ else 0
 
