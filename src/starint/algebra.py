@@ -155,13 +155,13 @@ class Algebra:
     def left_mult_tensor(self) -> np.ndarray:
         """``L[i]`` is the coordinate matrix of x -> basis_i * x."""
         eye = np.eye(self.dim, dtype=complex)
-        return np.ascontiguousarray(block_product(self, eye[:, None], eye).swapaxes(1, 2))
+        return np.ascontiguousarray(pair_products(self, eye, eye).swapaxes(1, 2))
 
     @cached_property
     def right_mult_tensor(self) -> np.ndarray:
         """``R[i]`` is the coordinate matrix of x -> x * basis_i."""
         eye = np.eye(self.dim, dtype=complex)
-        return np.ascontiguousarray(block_product(self, eye, eye[:, None]).swapaxes(1, 2))
+        return np.ascontiguousarray(pair_products(self, eye, eye).transpose(1, 2, 0))
 
     def __repr__(self) -> str:
         return f"Algebra{self.blocks}"
@@ -478,7 +478,7 @@ def generated_subalgebra(algebra: Algebra, rows: np.ndarray,
                                    tol)
     for _ in range(algebra.dim + 2):
         b = space.basis
-        rows = [b, block_product(algebra, b[:, None], b).reshape(-1, algebra.dim),
+        rows = [b, pair_products(algebra, b, b).reshape(-1, algebra.dim),
                 block_adjoint(algebra, b)]
         bigger = Subspace.from_spanning(algebra, np.concatenate(rows), tol)
         if bigger.dim == space.dim:

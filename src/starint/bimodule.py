@@ -9,8 +9,10 @@ is realized as explicit tensors over the quotient coordinates.  Over the
 matrix units each Gram matrix of the basis tensors is a block form
 (``algebra.BlockForm``) of one piece per block pair, and the right one is
 cut by ``eigen_quotient`` as a basic construction's Gram is.  A span acts
-through the presentations of its orthonormal basis (``span_action``), and
-the laws read the operators they contract against it in span coordinates.
+through the presentations of its orthonormal basis (``span_action``).  The
+inner products take values in that span, so their tables over the
+representatives, and everything the laws contract against the actions, are
+in span coordinates; 5.15 reads what an inner product has outside the span.
 """
 
 from __future__ import annotations
@@ -66,16 +68,8 @@ class BimoduleX:
     def __init__(self, inter: Interaction, bch: BasicConstruction,
                  bcv: BasicConstruction, tol: float):
         alg = inter.algebra
-        dim = alg.dim
-        self.inter = inter
-        self.algebra = alg
-        self.bch = bch
-        self.bcv = bcv
-        self.tol = tol
-        self.dim = dim
-        self.amb = dim * dim
-
-        self.sigma = alg.star_perm
+        self.inter, self.algebra, self.bch, self.bcv, self.tol = inter, alg, bch, bcv, tol
+        self.dim, self.amb, self.sigma = alg.dim, alg.dim ** 2, alg.star_perm
         vm, hm = inter.v.matrix, inter.h.matrix
 
         # The actions contract in two steps through the dim³ tables
@@ -104,12 +98,10 @@ class BimoduleX:
             "module collapses: both inner products vanish",
             "right inner product form is not positive (broken input pair)",
             "module quotient ill-conditioned"))
-        self.r = quot.kept.size
-        self.gram_spectrum = quot.kept
-        self.qx = quot.q
-        self.liftx = quot.lift
-        self.null_r = quot.null
+        self.r, self.gram_spectrum, self.null_r = quot.kept.size, quot.kept, quot.null
+        self.qx, self.liftx = quot.q, quot.lift
         self.pieces_l = self._gram_pieces("left")     # for 5.4, on the same coordinates
+        self.inner_rest: dict[str, np.ndarray] = {}    # by side, filled with its inner table
 
     # -- inner products and norms ----------------------------------------------
 
@@ -118,28 +110,31 @@ class BimoduleX:
         """Sum over i, j, k, l of us[..., i, j] · P[j] · M[i, k] · vs[..., k, l] · Q[l]
         for one side's factors, one (m, m) operator for each index of the
         broadcast leading axes of the (..., dim, dim) stacks us and vs.  Each
-        pair forms (dim·m²)-entry temporaries, so stacks of one leading shape are
-        paired a chunk at a time; a broadcast pairing, whose chunks would each
-        redo the broadcast side, is formed whole."""
-        if us.shape[:-2] != vs.shape[:-2]:
-            return BimoduleX._pair_stacks(us, vs, factors)
+        pair forms (dim·m²)-entry temporaries, so the pairs are formed a chunk
+        at a time."""
         dim, m = factors[0].shape[:2]
-        return _by_chunks(lambda u, v: BimoduleX._pair_stacks(u, v, factors), (us, vs),
-                          dim * m * m)
+        return _by_chunks(lambda u, v: (BimoduleX._pair_left(u, factors)
+                                        @ BimoduleX._pair_right(v, factors)),
+                          np.broadcast_arrays(us, vs), dim * m * m)
 
     @staticmethod
-    def _pair_stacks(us: np.ndarray, vs: np.ndarray, factors: tuple) -> np.ndarray:
-        first, mids, last, grids = factors
-        dim, m = first.shape[:2]
-        lead_u, lead_v = us.shape[:-2], vs.shape[:-2]
-        left = (us @ first.reshape(dim, m * m)).reshape(*lead_u, dim, m, m)
-        left = left.swapaxes(-3, -2).reshape(*lead_u, m, dim * m)
-        right = (vs @ last.reshape(dim, m * m)).reshape(*lead_v, dim, m, m)
+    def _pair_left(us: np.ndarray, factors: tuple) -> np.ndarray:
+        """(..., m, dim·m): [..., x, (i, y)] = Σ_j us[..., i, j]·P[j][x, y]."""
+        dim, m = factors[0].shape[:2]
+        left = (us @ factors[0].reshape(dim, m * m)).reshape(*us.shape[:-2], dim, m, m)
+        return left.swapaxes(-3, -2).reshape(*us.shape[:-2], m, dim * m)
+
+    @staticmethod
+    def _pair_right(vs: np.ndarray, factors: tuple) -> np.ndarray:
+        """(..., dim·m, m): [..., (i, y), z] = Σ_kl M[i, k][y, ·]·vs[..., k, l]·Q[l][·, z]."""
+        _, mids, last, grids = factors
+        dim, m = last.shape[:2]
+        right = (vs @ last.reshape(dim, m * m)).reshape(*vs.shape[:-2], dim, m, m)
         moved = np.zeros(right.shape, dtype=complex)    # [..., i, y, z]: M @ right, by block
         for mid, grid in zip(mids, grids):
             moved[..., grid, :, :] = np.einsum("qyrc,...prcz->...pqyz", mid,
                                                right[..., grid, :, :], optimize=True)
-        return left @ moved.reshape(*lead_v, dim * m, m)
+        return moved.reshape(*vs.shape[:-2], dim * m, m)
 
     def _gram_pieces(self, side: str) -> BlockForm:
         """The Gram matrix of the basis tensors under one inner product
@@ -171,16 +166,22 @@ class BimoduleX:
     def _coeffs(self, mats: np.ndarray) -> np.ndarray:
         return mats.reshape(*mats.shape[:-2], self.amb)
 
+    def _pair_args(self, ss: np.ndarray, ts: np.ndarray, side: str) -> tuple:
+        """``_pairing``'s stacks and factors for one side's inner products; the
+        left factors pair the first tensor leg where the right ones pair the second."""
+        if side == "right":
+            return self._coeff_mats(ss.conj()), self._coeff_mats(ts), self.factors_r
+        return (self._coeff_mats(ss).swapaxes(-1, -2),
+                self._coeff_mats(ts.conj()).swapaxes(-1, -2), self.factors_l)
+
     def inner_r(self, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """(..., m_h, m_h): the right inner products of two coefficient
         stacks (..., dim²) that broadcast together."""
-        return self._pairing(self._coeff_mats(ss.conj()), self._coeff_mats(ts), self.factors_r)
+        return self._pairing(*self._pair_args(ss, ts, "right"))
 
     def inner_l(self, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """(..., m_v, m_v): the left inner products, as ``inner_r``; the left
-        factors pair the first tensor leg where the right ones pair the second."""
-        return self._pairing(self._coeff_mats(ss).swapaxes(-1, -2),
-                             self._coeff_mats(ts.conj()).swapaxes(-1, -2), self.factors_l)
+        """(..., m_v, m_v): the left inner products, as ``inner_r``."""
+        return self._pairing(*self._pair_args(ss, ts, "left"))
 
     def module_norm(self, ts: np.ndarray) -> np.ndarray:
         """(...): the norm ∥<t, t>_r∥^½ of each tensor of a coefficient stack."""
@@ -328,15 +329,27 @@ class BimoduleX:
         """(r, dim, dim): the representatives as coefficient matrices."""
         return self.liftx.T.reshape(self.r, self.dim, self.dim)
 
+    def _span_table(self, side: str) -> np.ndarray:
+        """(r, r, k): ``express_in_k`` of one side's inner products over pairs of
+        representatives, a chunk of rows at a time against the second pairing factor
+        formed once, so that no (r, r, m, m) array is held; remainders go to ``inner_rest``."""
+        bc = self.bch if side == "right" else self.bcv
+        us, vs, factors = self._pair_args(self.liftx.T, self.liftx.T, side)
+        moved = self._pair_right(vs, factors)
+        coords, rests = zip(*(bc.express_in_k(self._pair_left(us[rows], factors)[:, None] @ moved)
+                              for rows in row_chunks(self.r, self.r * bc.m ** 2)))
+        self.inner_rest[side] = np.concatenate(rests)
+        return np.concatenate(coords)
+
     @cached_property
     def inner_r_t(self) -> np.ndarray:
-        """(r, r, m_h, m_h): inner_r over pairs of representatives."""
-        return self.inner_r(self.liftx.T[:, None], self.liftx.T)
+        """(r, r, k_h): inner_r over pairs of representatives, in span coordinates."""
+        return self._span_table("right")
 
     @cached_property
     def inner_l_t(self) -> np.ndarray:
-        """(r, r, m_v, m_v): inner_l over pairs of representatives."""
-        return self.inner_l(self.liftx.T[:, None], self.liftx.T)
+        """(r, r, k_v): inner_l over pairs of representatives, in span coordinates."""
+        return self._span_table("left")
 
     @cached_property
     def right_act_t(self) -> np.ndarray:
@@ -351,9 +364,8 @@ class BimoduleX:
     @cached_property
     def bracket_t(self) -> np.ndarray:
         """(r, r, r, r): [i, j, k] is the class of rep_i · inner_r(rep_j, rep_k),
-        the right action table against the span coordinates of inner_r_t."""
-        pairs = self.inner_r_t.reshape(self.r, self.r, -1) @ self.bch.k_basis.conj().T
-        return np.einsum("iwc,jkw->ijkc", self.right_act_t, pairs, optimize=True)
+        the right action table against the span coordinates inner_r_t."""
+        return np.einsum("iwc,jkw->ijkc", self.right_act_t, self.inner_r_t, optimize=True)
 
     @cached_property
     def lam_t(self) -> np.ndarray:
@@ -551,33 +563,31 @@ def _span_products(bc: BasicConstruction, side: str) -> np.ndarray:
     of k_l·k_j ("left") for the orthonormal span basis k of ``bc``, a chunk
     of j at a time."""
     kb = bc.k_basis.reshape(-1, bc.m, bc.m)
-    return _by_chunks(lambda ks: (ks[:, None] @ kb if side == "right" else kb @ ks[:, None])
-                      .reshape(len(ks), len(kb), -1) @ bc.k_basis.conj().T, (kb,), kb.size)
+    return _by_chunks(lambda ks: bc.express_in_k(ks[:, None] @ kb if side == "right"
+                                                 else kb @ ks[:, None])[0], (kb,), kb.size)
 
 
 def check_associativity(x: BimoduleX) -> dict[str, float]:
     """Right-span action is associative and inner_r is right-linear over it;
     mirrored for the left span.  Swept over the representatives and the
-    orthonormal span bases, a chunk of representatives t at a time; the
-    products of two basis elements are read in span coordinates."""
+    orthonormal span bases, a chunk of representatives t at a time, all in
+    span coordinates: the products of two basis elements (k_w·k_j for the
+    right span) carry both the action laws and <s, t·k_j> = Σ_w <s, t>_w·k_w·k_j."""
     ein = partial(np.einsum, optimize=True)
-    kh = x.bch.k_basis.reshape(-1, x.bch.m, x.bch.m)
-    kv = x.bcv.k_basis.reshape(-1, x.bcv.m, x.bcv.m)
     by_r, by_l = x.right_act_t, x.left_act_t                   # t·j and j·t
     jk, kj = _span_products(x.bch, "right"), _span_products(x.bcv, "left")
 
     def laws(t: slice) -> list[float]:
         return [worst_norm(ein("tjc,ckd->tjkd", by_r[t], by_r)
                            - ein("twd,jkw->tjkd", by_r[t], jk)),
-                worst_norm(ein("tkc,scab->stkab", by_r[t], x.inner_r_t)
-                           - ein("stab,kbe->stkae", x.inner_r_t[:, t], kh), axis=(-2, -1)),
+                worst_norm(ein("tkc,scw->stkw", by_r[t], x.inner_r_t)
+                           - ein("stw,wkv->stkv", x.inner_r_t[:, t], jk)),
                 worst_norm(ein("tjc,ckd->tjkd", by_l[t], by_l)
                            - ein("twd,jkw->tjkd", by_l[t], kj)),
-                worst_norm(ein("skc,ctab->stkab", by_l, x.inner_l_t[:, t])
-                           - ein("kae,steb->stkab", kv, x.inner_l_t[:, t]), axis=(-2, -1))]
+                worst_norm(ein("skc,ctw->stkw", by_l, x.inner_l_t[:, t])
+                           - ein("stw,wkv->stkv", x.inner_l_t[:, t], kj))]
 
-    found = [laws(t) for t in row_chunks(x.r, x.r * max(kh.size, kv.size, len(kh) ** 2,
-                                                        len(kv) ** 2))]
+    found = [laws(t) for t in row_chunks(x.r, x.r * max(len(jk), len(kj)) ** 2)]
     return dict(zip(("right_action_associative", "inner_r_right_linear",
                      "left_action_associative", "inner_l_left_linear"),
                     map(float, np.max(found, axis=0))))
@@ -585,10 +595,8 @@ def check_associativity(x: BimoduleX) -> dict[str, float]:
 
 def check_compatibility(x: BimoduleX) -> dict[str, float]:
     """left_act(inner_l(s,t), u) = right_act(s, inner_r(t,u)) on a quotient
-    basis sweep — the two module structures interlock.  The left inner
-    products are read in span coordinates."""
-    pairs = x.inner_l_t.reshape(x.r, x.r, -1) @ x.bcv.k_basis.conj().T
-    lhs = np.einsum("stw,uwd->stud", pairs, x.left_act_t, optimize=True)
+    basis sweep — the two module structures interlock, in span coordinates."""
+    lhs = np.einsum("stw,uwd->stud", x.inner_l_t, x.left_act_t, optimize=True)
     return {"bimodule_compatibility": worst_norm(lhs - x.bracket_t)}
 
 
@@ -602,14 +610,15 @@ def check_ternary_consistency(x: BimoduleX) -> dict[str, float]:
 
 
 def check_fullness(x: BimoduleX) -> dict[str, float]:
-    """Inner products of basis tensors span the full operator spans.  Both
-    inner products vanish on the kernel, so those of the representatives,
-    the quotient tables, have the same span."""
+    """Inner products of basis tensors span the full operator spans K, as do
+    the quotient tables, since both vanish on the kernel.  K ⊆ span: k less the
+    rank of the (r², k) table is "*_span_dim_gap"; span ⊆ K: the largest relative
+    remainder of an inner product outside K is "*_span_inside"."""
     out = {}
     for side, table, bc in (("right", x.inner_r_t, x.bch), ("left", x.inner_l_t, x.bcv)):
-        span = orthonormal_rows(table.reshape(x.r * x.r, -1), x.tol)
-        out[f"{side}_span_dim_gap"] = float(abs(span.shape[0] - bc.k_basis.shape[0]))
-        out[f"{side}_span_inside"] = worst(bc.express_in_k(span.reshape(-1, bc.m, bc.m))[1])
+        rank = len(orthonormal_rows(table.reshape(x.r * x.r, -1), x.tol))
+        out[f"{side}_span_dim_gap"] = float(len(bc.k_basis) - rank)
+        out[f"{side}_span_inside"] = worst(x.inner_rest[side])
     return out
 
 

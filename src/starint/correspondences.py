@@ -15,8 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import (DEFAULT_TOL, Algebra, block_adjoint, block_norms, block_product,
-                      orthonormal_rows, representation_defects, row_chunks, svd_rank, worst,
-                      worst_key, worst_norm)
+                      orthonormal_rows, pair_products, representation_defects, row_chunks,
+                      svd_rank, worst, worst_key, worst_norm)
 from .bimodule import BimoduleX, slot_adjoint_defects
 from .interactions import Interaction, _unit_defects
 from .linmaps import LinMap, map_residual
@@ -50,7 +50,7 @@ class ConcreteTRO:
         """(n, n, n, n): [i, j, k] holds the coordinates of x_i·x_j*·x_k for
         the basis elements x, with the (n, n, n) leaks."""
         amb, b = self.ambient, self.basis
-        xy = block_product(amb, b[:, None], block_adjoint(amb, b))
+        xy = pair_products(amb, b, block_adjoint(amb, b))
         return self.coords_of(block_product(amb, xy[:, :, None], b))
 
 
@@ -134,10 +134,9 @@ def correspondence_from_tro(tro: ConcreteTRO, coeff: Algebra,
     if embed_rows.shape != (coeff.dim, tro.ambient.dim):
         raise CorrespondenceError("need one embedded element per basis element")
     tt, leak = tro.triples
-    imgs = embed_rows[:, None]
     # [a, :, k]: the coordinates of img_a·x_k (left) and x_k·img_a (right)
-    cl, leak_l = tro.coords_of(block_product(tro.ambient, imgs, tro.basis))
-    cr, leak_r = tro.coords_of(block_product(tro.ambient, tro.basis, imgs))
+    cl, leak_l = tro.coords_of(pair_products(tro.ambient, embed_rows, tro.basis))
+    cr, leak_r = tro.coords_of(pair_products(tro.ambient, tro.basis, embed_rows).swapaxes(0, 1))
     lam_t, rho_t = cl.swapaxes(1, 2), cr.swapaxes(1, 2)
     worst_leak = worst(leak, leak_l, leak_r)
     if not worst_leak <= tol:
@@ -237,12 +236,12 @@ def check_78(corr: GenCorrespondence) -> dict[str, float]:
     out = {"classical_gate": gate}
     if not np.isfinite(gate) or gate > corr.tol:
         return out
+    # e = 1 in classical form, so λ(A) lies in the span K, read in its coordinates
     x = corr.x
-    lam_stack = x.bch.lam.reshape(corr.coeff.dim, -1)
-    inner = x.inner_r_t.reshape(corr.n, corr.n, -1)
-    a_coords = inner @ np.linalg.pinv(lam_stack.T).T            # [j, l, a]
+    lam_k = x.bch.express_in_k(x.bch.lam)[0]
+    a_coords = x.inner_r_t @ np.linalg.pinv(lam_k)               # [j, l, a]
     rho_a = np.einsum("jla,ack->jlck", a_coords, corr.rho_t)
-    out["inner_product_recovered"] = worst_norm(a_coords @ lam_stack - inner)
+    out["inner_product_recovered"] = worst_norm(a_coords @ lam_k - x.inner_r_t)
     out["theta_r_is_inner_action"] = worst_norm(_theta_grids(corr)[1] - rho_a,
                                             axis=(-2, -1))
     return out
@@ -332,8 +331,8 @@ def check_713(alpha: LinMap, transfer: LinMap, inter: Interaction,
     # b·(a⊗1) by the action tables; c⊗1 has class c @ one_class
     simple = x.qx.T.reshape(alg.dim, alg.dim, x.r)
     one_class = (x.qx.reshape(x.r, alg.dim, alg.dim) @ one).T
-    moved = block_product(alg, eye[:, None], alpha_rows) @ one_class
-    swapped = block_product(alg, eye[None], eye[:, None]) @ one_class
+    moved = pair_products(alg, eye, alpha_rows) @ one_class
+    swapped = pair_products(alg, eye, eye).swapaxes(0, 1) @ one_class
     right, left = (np.einsum("bcs,as->abc", acts, one_class) for acts in (x.rho_t, x.lam_t))
     phis = tensor_one(eye)                                               # a⊗1
     squares = block_product(alg, block_adjoint(alg, eye), eye) @ transfer.matrix.T

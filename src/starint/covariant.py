@@ -16,8 +16,8 @@ from .algebra import (
     Algebra,
     Subspace,
     block_norms,
-    block_product,
     generated_subalgebra,
+    pair_products,
     representation_defects,
     worst,
     worst_key,
@@ -98,15 +98,13 @@ def build_covrep(inter: Interaction, x: BimoduleX | None = None,
     tol = inter.tol if tol is None else tol
     x = build_bimodule(inter, tol) if x is None else x
     dim, r, m = inter.algebra.dim, x.r, x.bch.m
-    kb = x.bch.k_basis
-    s = kb.shape[0]
-    ks = kb.reshape(s, m, m)
+    s = x.bch.k_basis.shape[0]
 
     pi = np.zeros((dim, r + s, r + s), dtype=complex)
     pi[:, :r, :r] = x.lam_t
     # [i, b, c] = <k_c, lam(a_i)·k_b>: the span summand acts by left multiplication
-    pi[:, r:, r:] = ((x.bch.lam[:, None] @ ks).reshape(dim, s, m * m)
-                     @ kb.conj().T).swapaxes(1, 2)
+    ks = x.bch.k_basis.reshape(s, m, m)
+    pi[:, r:, r:] = x.bch.express_in_k(x.bch.lam[:, None] @ ks)[0].swapaxes(1, 2)
 
     # S sends the span basis k_b to the class of (1⊗1)·k_b, scaled by sqrt(m)
     smat = np.zeros_like(pi[0])
@@ -140,7 +138,7 @@ def check_corner_isomorphisms(rep: CovariantRep) -> dict[str, float]:
     for rows, pi_t, proj in ((inter.range_h.basis, rep.pi_v, rep.ss),
                              (inter.range_v.basis, rep.pi_h, rep.s_s)):
         images = np.tensordot(rows, pi_t, axes=1) @ proj
-        products = block_product(alg, rows[:, None], rows)
+        products = pair_products(alg, rows, rows)
         iso.append(abs(np.linalg.norm(images, 2, axis=(-2, -1)) - block_norms(alg, rows)))
         mult.append(np.linalg.norm(np.tensordot(products, pi_t, axes=1) @ proj
                                    - images[:, None] @ images, axis=(-2, -1)))

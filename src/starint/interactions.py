@@ -342,7 +342,7 @@ def derive_from_partial_isometry(a_algebra: Algebra,
 
     # embed(a_j a_k) = embed(a_j) embed(a_k), with coords(a_j a_k) = L[j, :, k];
     # embed(a_j*) = embed(a_j)*, with coords(a_j*) one-hot at star_perm[j]
-    products = block_product(ambient, rows[:, None], rows)
+    products = pair_products(ambient, rows, rows)
     residuals["embedding"] = worst(
         np.linalg.norm(products - a_algebra.left_mult_tensor.swapaxes(1, 2) @ rows, axis=-1),
         np.linalg.norm(block_adjoint(ambient, rows) - rows[a_algebra.star_perm], axis=-1))

@@ -44,16 +44,10 @@ class CheckRecord(NamedTuple):
     details: dict[str, float] | None = None   # a computed record's sub-residuals
 
     def to_dict(self) -> dict:
-        out: dict = {"status": self.status}
-        if self.residual is not None:
-            out["residual"] = self.residual
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.reason is not None:
-            out["reason"] = self.reason
-        if self.details:
-            out["details"] = dict(self.details)
-        return out
+        """The record's set fields, details only where there are some."""
+        out = {"status": self.status, "residual": self.residual, "witness": self.witness,
+               "reason": self.reason, "details": dict(self.details) if self.details else None}
+        return {key: value for key, value in out.items() if value is not None}
 
 
 class Report:

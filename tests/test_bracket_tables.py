@@ -51,12 +51,24 @@ def test_unitary_is_unitary():
     assert np.allclose(U @ U.conj().T, np.eye(2))
 
 
+def sides(x):
+    """(side, inner product, span-coordinate table, basic construction) of each side."""
+    return (("right", x.inner_r, x.inner_r_t, x.bch), ("left", x.inner_l, x.inner_l_t, x.bcv))
+
+
 def test_inner_tables_match_inner_products(module):
+    # on the orthonormal span basis the coordinates give back each inner
+    # product, and the remainder is its relative part outside the span
     x = module
     reps = x.liftx.T
-    for j, k in [(0, 0), (0, x.r - 1), (x.r - 1, 1 % x.r)]:
-        assert np.abs(x.inner_r_t[j, k] - x.inner_r(reps[j], reps[k])).max() < 1e-12
-        assert np.abs(x.inner_l_t[j, k] - x.inner_l(reps[j], reps[k])).max() < 1e-12
+    for side, inner, table, bc in sides(x):
+        assert table.shape == (x.r, x.r, len(bc.k_basis))
+        for j, k in [(0, 0), (0, x.r - 1), (x.r - 1, 1 % x.r)]:
+            want = inner(reps[j], reps[k]).reshape(-1)
+            assert np.abs(table[j, k] @ bc.k_basis - want).max() < 1e-12
+            outside = want - (want @ bc.k_basis.conj().T) @ bc.k_basis
+            rest = np.linalg.norm(outside) / max(1.0, np.linalg.norm(want))
+            assert abs(x.inner_rest[side][j, k] - rest) < 1e-12
 
 
 def test_action_tables_match_actions(module):
@@ -95,8 +107,9 @@ def test_stacked_methods_reproduce_the_whole_tables(module):
     # one call over every pair or triple of representatives, by broadcasting
     x = module
     reps = x.liftx.T
-    assert np.abs(x.inner_r(reps[:, None], reps) - x.inner_r_t).max() < 1e-12
-    assert np.abs(x.inner_l(reps[:, None], reps) - x.inner_l_t).max() < 1e-12
+    for _, inner, table, bc in sides(x):
+        want = inner(reps[:, None], reps)
+        assert np.abs((table @ bc.k_basis).reshape(want.shape) - want).max() < 1e-12
     for route in (x.ternary, x.ternary_elementary):
         classes = route(reps[:, None, None], reps[:, None], reps) @ x.qx.T
         assert np.abs(classes - x.bracket_t).max() < 1e-12, route.__name__

@@ -102,11 +102,18 @@ def test_factored_forms_match_the_dense_oracle(module):
         want_l = np.einsum("u,v,uvab->ab", s, t.conj(), lf)
         assert np.abs(x.inner_r(s, t) - want_r).max() < 1e-12
         assert np.abs(x.inner_l(s, t) - want_l).max() < 1e-12
+    # the tables hold span coordinates and each inner product's relative
+    # remainder outside the span
     lift = x.liftx
     want_r = np.einsum("uj,vk,uvab->jkab", lift.conj(), lift, rf)
     want_l = np.einsum("uj,vk,uvab->jkab", lift, lift.conj(), lf)
-    assert np.abs(x.inner_r_t - want_r).max() < 1e-12
-    assert np.abs(x.inner_l_t - want_l).max() < 1e-12
+    for side, table, want, bc in (("right", x.inner_r_t, want_r, x.bch),
+                                  ("left", x.inner_l_t, want_l, x.bcv)):
+        want = want.reshape(x.r, x.r, -1)
+        assert np.abs(table @ bc.k_basis - want).max() < 1e-12
+        outside = np.linalg.norm(want - (want @ bc.k_basis.conj().T) @ bc.k_basis, axis=-1)
+        rest = outside / np.maximum(1.0, np.linalg.norm(want, axis=-1))
+        assert np.abs(x.inner_rest[side] - rest).max() < 1e-12
 
 
 def diagonal_expectation(alg: Algebra) -> LinMap:

@@ -96,7 +96,18 @@ def drop_one_kept_row(bc):
     return rebuilt(bc, (first._replace(s=s), *bc.span[1:]))
 
 
+def add_one_row_outside(bc):
+    """``bc`` with one more orthonormal row of its k-basis, outside its span."""
+    bent = rebuilt(bc, bc.span)
+    w = np.random.default_rng(5).standard_normal(bc.m * bc.m) * (1 + 1j)
+    w -= (w @ bc.k_basis.conj().T) @ bc.k_basis
+    vars(bent)["k_basis"] = np.concatenate([bc.k_basis, w[None] / np.linalg.norm(w)])
+    return bent
+
+
 def test_a_span_piece_with_one_kept_row_dropped_fails_515():
+    # the inner products then leave the span (span ⊆ K fails), while they
+    # still span all of the smaller basis, so the dimension gap reads 0
     inter = identity_interaction(Algebra((2, 1)))
     bch, bcv = basic_for_h(inter), basic_for_v(inter)
     whole = check_fullness(BimoduleX(inter, bch, bcv, TOL))
@@ -104,8 +115,19 @@ def test_a_span_piece_with_one_kept_row_dropped_fails_515():
     for side, sides in (("right", (drop_one_kept_row(bch), bcv)),
                         ("left", (bch, drop_one_kept_row(bcv)))):
         got = check_fullness(BimoduleX(inter, *sides, TOL))
-        assert got[f"{side}_span_dim_gap"] >= 1
         assert got[f"{side}_span_inside"] > 1e-3
+        assert got[f"{side}_span_dim_gap"] == 0.0
+
+
+def test_a_k_basis_with_one_row_outside_the_inner_products_fails_515():
+    # K ⊆ span fails: the inner products miss one basis direction
+    inter = identity_interaction(Algebra((2, 1)))
+    bch, bcv = basic_for_h(inter), basic_for_v(inter)
+    for side, sides in (("right", (add_one_row_outside(bch), bcv)),
+                        ("left", (bch, add_one_row_outside(bcv)))):
+        got = check_fullness(BimoduleX(inter, *sides, TOL))
+        assert got[f"{side}_span_dim_gap"] == 1.0
+        assert got[f"{side}_span_inside"] <= TOL
 
 
 def test_a_k_basis_not_star_closed_moves_k_star_closed():

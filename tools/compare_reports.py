@@ -24,7 +24,8 @@ For each case it prints both exit codes and wall times, whether stdout is
 byte-identical, each check whose status changed or whose witness changed
 where it fails, and the largest |old - new| of each detail key (of each
 top-level key of an emitted artifact) that moved.  It exits 1 if an exit
-code, a status or a witness differs, else 0.
+code, a status or a witness differs, or if any of those keys moved by more
+than ``BOUND``, else 0.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "MKL_NUM_THREADS")}
 FUZZED = ("flip", "identity_m2", "swap_endo")
 SEED = 7
+#: The largest |old - new| of a detail or artifact key that a behaviour-keeping change may show.
+BOUND = 1e-12
 
 
 def cases(work: str) -> list[tuple[str, list[str]]]:
@@ -129,17 +132,20 @@ def main(argv: list[str]) -> int:
         for name, case in todo:
             (code_a, out_a, t_a), (code_b, out_b, t_b) = (run(src, case) for src in srcs)
             changes, gaps = compare(out_a, out_b)
-            differ += code_a != code_b or bool(changes)
+            moved = [key for key, gap in gaps.items() if not gap <= BOUND]
+            differ += code_a != code_b or bool(changes) or bool(moved)
             print(f"{name}: exit {code_a}/{code_b}, {t_a:.1f}/{t_b:.1f} s, bytes "
                   f"{'equal' if out_a == out_b else 'differ'}, "
-                  f"{len(changes)} status or witness changes", flush=True)
+                  f"{len(changes)} status or witness changes, "
+                  f"{len(moved)} keys moved by more than {BOUND:g}", flush=True)
             for line in changes:
                 print(f"    {line}")
             for key, gap in sorted(gaps.items(), key=lambda kv: -kv[1]):
                 print(f"    {key}: {gap:.3g}")
                 largest = max(largest, (gap, f"{key} in {name}"))
-    print(f"{len(todo)} cases, {differ} with a changed exit code, status or witness; "
-          f"largest drift {largest[0]:.3g}{' (' + largest[1] + ')' if largest[1] else ''}")
+    print(f"{len(todo)} cases, {differ} with a changed exit code, status or witness or a "
+          f"drift above {BOUND:g}; largest drift {largest[0]:.3g}"
+          f"{' (' + largest[1] + ')' if largest[1] else ''}")
     return 1 if differ else 0
 
 
