@@ -409,18 +409,20 @@ class BlockForm(tuple):
         k = svd_rank(union, tol, TINY)
         return union, k, [v >= (union[k - 1] if k else np.inf) for v in values]
 
-    def place(self, keep: list[np.ndarray] | None = None) -> np.ndarray:
+    def place(self, keep: list[np.ndarray] | None = None, n: int | None = None) -> np.ndarray:
         """(rows, n): each column of each piece, or each that the per-stack
         (G, c) mask ``keep`` marks, placed at the coordinates of each of its
-        copies, stack by stack, piece by piece, column by column."""
-        n = sum(index.size for _, index in self)
+        copies, stack by stack, piece by piece, column by column, in rows of
+        n coordinates (by default as many as the pieces cover)."""
+        n = sum(index.size for _, index in self) if n is None else n
         out = []
         for s, (vecs, index) in enumerate(self):
-            (stack, cols), copies = vecs.shape[::2], index.shape[1]
-            rows = np.zeros((stack, cols, copies, n), dtype=vecs.dtype)
-            rows[np.arange(stack)[:, None, None, None], np.arange(cols)[:, None, None],
-                 np.arange(copies)[:, None], index[:, None]] = vecs.swapaxes(1, 2)[:, :, None]
-            out.append((rows if keep is None else rows[keep[s]]).reshape(-1, n))
+            pieces, cols = np.nonzero(np.ones(vecs.shape[::2], bool) if keep is None else keep[s])
+            copies = index.shape[1]
+            rows = np.zeros((len(pieces), copies, n), dtype=vecs.dtype)
+            rows[np.arange(len(pieces))[:, None, None], np.arange(copies)[:, None],
+                 index[pieces]] = vecs[pieces, :, cols][:, None]
+            out.append(rows.reshape(-1, n))
         return np.concatenate(out)
 
 

@@ -13,8 +13,9 @@ lam(e_pq) e lam(e_rs) = E_ps ⊗ e_bc[q, r], e_bc[q, r] the slab of e between
 copy q of block b and copy r of block c: the spanning matrix is the block
 form of one piece of rows vec e_bc[q, r] per block pair, repeated on the
 copies (p, s).  Both are cut as forms; the kept right singular vectors of
-the pieces are the orthonormal span, and their pseudo-inverses present an
-operator as pairs, sending the part orthogonal to the span to 0.
+the pieces are the orthonormal span, and the matching left singular
+vectors over their singular values its dual basis on the pairs, which
+presents an operator's part in the span as pairs of least norm.
 """
 
 from __future__ import annotations
@@ -76,61 +77,51 @@ def eigen_quotient(form: BlockForm, tol: float, messages: tuple[str, str, str]) 
                     null=null, classes=classes)
 
 
-class SpanPieces(NamedTuple):
-    """The span pieces of the block pairs of one shape, stacked: copy c of
-    piece g sits at the pairs pairs[g, c] and the entries entries[g, c]."""
-    pairs: np.ndarray     # (G, C, R): the pair (a_i, a_j) as i·dim + j
-    entries: np.ndarray   # (G, C, E): the entry (α, β) of an (m, m) matrix as α·m + β
-    s: np.ndarray         # (G, K): singular values, 0 below the cut
-    vh: np.ndarray        # (G, K, E): right singular vectors
-    pinv: np.ndarray      # (G, E, R): the pseudo-inverse of each piece, cut with s
-
-
-def span_pieces(units: tuple[np.ndarray, ...], classes: tuple[np.ndarray, ...],
-                e: np.ndarray, tol: float) -> tuple[SpanPieces, ...]:
+def span_bases(units: tuple[np.ndarray, ...], classes: tuple[np.ndarray, ...],
+               e: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The spanning matrix as a form of one piece per block pair, cut as one
-    (``BlockForm.cut`` of the singular values): the rank, span and least-norm
-    pseudo-inverse of the dense matrix, the pieces of one shape a stack."""
+    (``BlockForm.cut`` of the singular values of one SVD per piece shape),
+    and each kept singular triple placed on its copies: the orthonormal span
+    (k, m*m) on the entries (α, β) as α·m + β; its dual (k, dim*dim) on the
+    pairs (a_i, a_j) as i·dim + j, the presentation of each basis element,
+    which is its left singular vector, conjugated, over its singular value;
+    and those left singular vectors (k, dim*dim), orthonormal on the pairs."""
     dim, m = sum(u.size for u in units), len(e)
     pairs, entries = zip(*[(copy_index(ub, uc.T, dim), copy_index(cb, cc, m))
                            for ub, cb in zip(units, classes) for uc, cc in zip(units, classes)
                            if cb.size and cc.size])   # a block that keeps no class meets no entry
     stacks = [(np.stack([pairs[i] for i in found]), np.stack([entries[i] for i in found]))
               for found in shape_groups(entries)]
-    # the copies (q, r) of the entries are the rows (q, r) of the piece
-    form = BlockForm((e.reshape(-1)[index], index) for _, index in stacks)
+    # the copies (q, r) of the entries are the rows (q, r) of the piece, and
+    # copy c of piece g sits at the pairs at[g, c] and the entries to[g, c]
+    form = BlockForm((e.reshape(-1)[to], to) for _, to in stacks)
     svds = form.spectra("svd")
     keep = form.cut([s for _, s, _ in svds], tol)[2]
-    out = []
-    for (u, s, vh), kept, (at, to) in zip(svds, keep, stacks):
-        s = np.where(kept, s, 0.0)
-        inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
-        pinv = (vh.conj().swapaxes(-1, -2) * inv[:, None]) @ u.conj().swapaxes(-1, -2)
-        out.append(SpanPieces(at, to, s, vh, pinv))
-    return tuple(out)
+    basis = BlockForm((vh.swapaxes(1, 2), to) for (_, _, vh), (_, to) in zip(svds, stacks))
+    left = BlockForm((u, at) for (u, _, _), (at, _) in zip(svds, stacks)).place(keep, dim * dim)
+    values = np.concatenate([np.repeat(s[kept], to.shape[1])
+                             for (_, s, _), kept, (_, to) in zip(svds, keep, stacks)])
+    return basis.place(keep), left.conj() / values[:, None], left
 
 
 class BasicConstruction:
     """The reduced representation of an expectation onto ``range_sub``, on
     m classes: q (m, dim) takes representative coordinates to class
     coordinates and lift (dim, m) a class to its canonical representative;
-    lam (dim, m, m) is left multiplication by each basis element, e (m, m)
-    the projection implementing the expectation, and span the spanning
-    matrix of lam(a) e lam(b), by pieces."""
+    lam (dim, m, m) is left multiplication by each basis element and e (m, m)
+    the projection implementing the expectation.  The span K of
+    lam(a) e lam(b) is held as ``span_bases`` places it: its orthonormal
+    basis k_basis (k, m*m), the pair presentations k_dual (k, dim*dim) of
+    those basis elements, and the orthonormal pair vectors k_pairs
+    (k, dim*dim) that span the presentations."""
 
     def __init__(self, algebra: Algebra, expectation: LinMap, range_sub: Subspace, tol: float,
                  m: int, q: np.ndarray, lift: np.ndarray, lam: np.ndarray, e: np.ndarray,
-                 span: tuple[SpanPieces, ...]):
+                 k_basis: np.ndarray, k_dual: np.ndarray, k_pairs: np.ndarray):
         self.algebra, self.expectation, self.range_sub = algebra, expectation, range_sub
         self.tol, self.m, self.q, self.lift = tol, m, q, lift
-        self.lam, self.e, self.span = lam, e, span
-
-    @cached_property
-    def k_basis(self) -> np.ndarray:
-        """(k, m*m): orthonormal span of lam(a) e lam(b): the kept right
-        singular vectors of the pieces, each placed on each of its copies."""
-        return BlockForm((g.vh.swapaxes(1, 2), g.entries) for g in self.span).place(
-            [g.s > 0 for g in self.span])
+        self.lam, self.e = lam, e
+        self.k_basis, self.k_dual, self.k_pairs = k_basis, k_dual, k_pairs
 
     def express_in_k(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients in the orthonormal span of each matrix of a (..., m, m)
@@ -140,42 +131,24 @@ class BasicConstruction:
         resid = np.linalg.norm(vecs - coeffs @ self.k_basis, axis=-1)
         return coeffs, resid / np.maximum(1.0, np.linalg.norm(vecs, axis=-1))
 
-    def _through_pieces(self, xs: np.ndarray, mats: list, to_entries: bool) -> np.ndarray:
-        """A (..., dim²) stack of pair coordinates taken to entry coordinates
-        (``to_entries``), or the reverse, by one matrix per piece: on each
-        copy, the coordinates of x times the piece's matrix."""
-        out = np.zeros((*xs.shape[:-1], self.m ** 2 if to_entries else self.algebra.dim ** 2),
-                       dtype=complex)
-        for g, mat in zip(self.span, mats):
-            src, dst = (g.pairs, g.entries) if to_entries else (g.entries, g.pairs)
-            out[..., dst] = xs[..., src] @ mat
-        return out
-
-    def spanned(self, coeffs: np.ndarray) -> np.ndarray:
-        """(..., m, m): sum c[i, j] lam(a_i) e lam(a_j) for each matrix c of a
-        (..., dim, dim) stack of pair coefficients."""
-        vecs = coeffs.reshape(*coeffs.shape[:-2], self.algebra.dim ** 2)
-        out = self._through_pieces(vecs, [self.e.reshape(-1)[g.entries] for g in self.span], True)
-        return out.reshape(*out.shape[:-1], self.m, self.m)
-
     def express_in_spanning(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pair coefficients c with mat = sum c[i,j] lam(a_i) e lam(a_j) for
         each matrix of a (..., m, m) stack, plus each one's relative residual.
 
-        Least-squares presentation of least norm; any exact presentation is
-        acceptable since the module actions built on it are
-        presentation-independent.
+        The least-norm (Moore–Penrose) presentation of the matrix's part in
+        the span, through the dual basis; the residual is that of
+        ``express_in_k``.  Any exact presentation is acceptable since the
+        module actions built on it are presentation-independent.
         """
-        dim, vecs = self.algebra.dim, mats.reshape(*mats.shape[:-2], self.m * self.m)
-        c = self._through_pieces(vecs, [g.pinv for g in self.span], False)
-        c = c.reshape(*vecs.shape[:-1], dim, dim)
-        resid = np.linalg.norm(self.spanned(c) - mats, axis=(-2, -1))
-        return c, resid / np.maximum(1.0, np.linalg.norm(vecs, axis=-1))
+        coeffs, resid = self.express_in_k(mats)
+        dim = self.algebra.dim
+        return (coeffs @ self.k_dual).reshape(*coeffs.shape[:-1], dim, dim), resid
 
     def null_part(self, coeffs: np.ndarray) -> np.ndarray:
-        """(..., dim, dim): each pair coefficient matrix of a stack less the
-        presentation of what it spans, its part that spans zero."""
-        return coeffs - self.express_in_spanning(self.spanned(coeffs))[0]
+        """(..., dim, dim): each pair coefficient matrix of a stack less its
+        projection on the pair vectors, its part that spans zero."""
+        vecs = coeffs.reshape(*coeffs.shape[:-2], -1)
+        return coeffs - ((vecs @ self.k_pairs.T) @ self.k_pairs.conj()).reshape(coeffs.shape)
 
     @cached_property
     def invariants(self) -> dict[str, float]:
@@ -229,9 +202,8 @@ def build_basic(expectation: LinMap, range_sub: Subspace,
     lam = np.zeros((alg.dim, m, m), dtype=complex)    # lam(e_pq) = E_pq ⊗ I
     for u, c in zip(alg.units, quot.classes):
         lam[u[:, :, None], c[:, None, :], c[None, :, :]] = 1.0
-    return BasicConstruction(algebra=alg, expectation=expectation, range_sub=range_sub,
-                             tol=tol, m=m, q=quot.q, lift=quot.lift, lam=lam, e=e,
-                             span=span_pieces(alg.units, quot.classes, e, tol))
+    return BasicConstruction(alg, expectation, range_sub, tol, m, quot.q, quot.lift, lam, e,
+                             *span_bases(alg.units, quot.classes, e, tol))
 
 
 def basic_for_h(inter, tol: float | None = None) -> BasicConstruction:

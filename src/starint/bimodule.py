@@ -99,9 +99,9 @@ class BimoduleX:
             "right inner product form is not positive (broken input pair)",
             "module quotient ill-conditioned"))
         self.r, self.gram_spectrum, self.null_r = quot.kept.size, quot.kept, quot.null
-        self.qx, self.liftx = quot.q, quot.lift
+        self.qx, self.liftx, self.classes = quot.q, quot.lift, quot.classes
         self.pieces_l = self._gram_pieces("left")     # for 5.4, on the same coordinates
-        self.inner_rest: dict[str, np.ndarray] = {}    # by side, filled with its inner table
+        self.span_tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}   # by side, see span_table
 
     # -- inner products and norms ----------------------------------------------
 
@@ -251,8 +251,8 @@ class BimoduleX:
                   coeff: np.ndarray | None = None) -> np.ndarray:
         """(..., dim²): t·k for a coefficient stack ts and a (..., m_h, m_h)
         stack ks in the right span, broadcast together.  The presentations
-        ``coeff`` of ks may be supplied; otherwise they are solved by least
-        squares."""
+        ``coeff`` of ks may be supplied; otherwise they are those of
+        ``_presentation``."""
         if coeff is None:
             coeff = self._presentation(ks, "right")
         return self._coeffs(self._right_factor(self._coeff_mats(ts)) @ coeff)
@@ -265,8 +265,9 @@ class BimoduleX:
         return self._coeffs(coeff @ self._left_factor(self._coeff_mats(ts)))
 
     def _presentation(self, ks: np.ndarray, side: str) -> np.ndarray:
-        """Least-squares pair presentations of a (..., m, m) stack in the
-        right or left span; an operator outside the span is refused."""
+        """Least-norm pair presentations (``express_in_spanning``) of a
+        (..., m, m) stack in the right or left span; an operator outside the
+        span is refused."""
         bc = self.bch if side == "right" else self.bcv
         coeff, resid = bc.express_in_spanning(ks)
         top = worst(resid)
@@ -277,11 +278,12 @@ class BimoduleX:
     def span_action(self, mats: np.ndarray, side: str) -> np.ndarray:
         """(n, k, r): [i, j] is the class of t_i·k_j (side "right") or of k_j·t_i
         ("left") for an (n, dim, dim) stack of coefficient matrices t_i and the
-        side's orthonormal span basis k_j (``k_basis``), presented as by
-        ``right_act`` and ``left_act``; a chunk of t at a time, since
-        ``_pair_classes`` forms (dim²·r)-entry temporaries for each t."""
+        side's orthonormal span basis k_j (``k_basis``), presented by its dual
+        (``k_dual``), as ``right_act`` and ``left_act`` present any operator;
+        a chunk of t at a time, since ``_pair_classes`` forms (dim²·r)-entry
+        temporaries for each t."""
         bc = self.bch if side == "right" else self.bcv
-        coeff = self._presentation(bc.k_basis.reshape(-1, bc.m, bc.m), side)
+        coeff = bc.k_dual.reshape(-1, self.dim, self.dim)
         act = ((lambda t: self._pair_classes(self._right_factor(t), coeff)) if side == "right"
                else lambda t: self._pair_classes(coeff, self._left_factor(t)).swapaxes(0, 1))
         return _by_chunks(act, (mats,), self.r * self.amb)
@@ -329,27 +331,29 @@ class BimoduleX:
         """(r, dim, dim): the representatives as coefficient matrices."""
         return self.liftx.T.reshape(self.r, self.dim, self.dim)
 
-    def _span_table(self, side: str) -> np.ndarray:
-        """(r, r, k): ``express_in_k`` of one side's inner products over pairs of
-        representatives, a chunk of rows at a time against the second pairing factor
-        formed once, so that no (r, r, m, m) array is held; remainders go to ``inner_rest``."""
-        bc = self.bch if side == "right" else self.bcv
-        us, vs, factors = self._pair_args(self.liftx.T, self.liftx.T, side)
-        moved = self._pair_right(vs, factors)
-        coords, rests = zip(*(bc.express_in_k(self._pair_left(us[rows], factors)[:, None] @ moved)
-                              for rows in row_chunks(self.r, self.r * bc.m ** 2)))
-        self.inner_rest[side] = np.concatenate(rests)
-        return np.concatenate(coords)
+    def span_table(self, side: str) -> tuple[np.ndarray, np.ndarray]:
+        """(r, r, k) and (r, r): ``express_in_k`` of one side's inner products over
+        pairs of representatives, coordinates and relative remainders outside the
+        span, formed once per side (``span_tables``) a chunk of rows at a time
+        against the second pairing factor, so that no (r, r, m, m) array is held."""
+        if side not in self.span_tables:
+            bc = self.bch if side == "right" else self.bcv
+            us, vs, factors = self._pair_args(self.liftx.T, self.liftx.T, side)
+            moved = self._pair_right(vs, factors)
+            found = [bc.express_in_k(self._pair_left(us[rows], factors)[:, None] @ moved)
+                     for rows in row_chunks(self.r, self.r * bc.m ** 2)]
+            self.span_tables[side] = tuple(map(np.concatenate, zip(*found)))
+        return self.span_tables[side]
 
     @cached_property
     def inner_r_t(self) -> np.ndarray:
         """(r, r, k_h): inner_r over pairs of representatives, in span coordinates."""
-        return self._span_table("right")
+        return self.span_table("right")[0]
 
     @cached_property
     def inner_l_t(self) -> np.ndarray:
         """(r, r, k_v): inner_l over pairs of representatives, in span coordinates."""
-        return self._span_table("left")
+        return self.span_table("left")[0]
 
     @cached_property
     def right_act_t(self) -> np.ndarray:
@@ -367,16 +371,31 @@ class BimoduleX:
         the right action table against the span coordinates inner_r_t."""
         return np.einsum("iwc,jkw->ijkc", self.right_act_t, self.inner_r_t, optimize=True)
 
+    def _unit_moves(self, side: str) -> np.ndarray:
+        """(dim, r, r): [i] is the matrix of t -> a_i·t (side "left") or t -> t·a_i
+        ("right") on class coordinates.  A class is one kept vector v of the piece
+        of a block pair (b, c) on one copy (p, s), its representative v on the
+        tensors e_pq⊗e_rs.  So the build forces both to be E ⊗ I on the classes:
+        e_xp of block b moves copy (p, s) to (x, s), and the right action of e_sy
+        of block c moves it to (p, y), the left action of its transpose on the
+        copies (s, p).  They are set by index, as ``build_basic`` sets λ; the
+        dense oracle of the tests keeps pinning the pattern."""
+        out = np.zeros((self.dim, self.r, self.r), dtype=complex)
+        for (ub, uc), cls in zip(product(self.units, repeat=2), self.classes):
+            cls = cls.reshape(len(ub), len(uc), -1)                 # [p, s, v]
+            units, cls = (ub, cls) if side == "left" else (uc.T, cls.swapaxes(0, 1))
+            out[units[:, :, None, None], cls[:, None], cls[None, :]] = 1.0
+        return out
+
     @cached_property
     def lam_t(self) -> np.ndarray:
         """(dim, r, r): [i] is the matrix of t -> a_i·t on class coordinates."""
-        return self._pair_classes(self.algebra.left_mult_tensor, self.rep_mats).swapaxes(1, 2)
+        return self._unit_moves("left")
 
     @cached_property
     def rho_t(self) -> np.ndarray:
         """(dim, r, r): [i] is the matrix of t -> t·a_i on class coordinates."""
-        right = self.algebra.right_mult_tensor.swapaxes(1, 2)
-        return self._pair_classes(self.rep_mats, right).transpose(1, 2, 0)
+        return self._unit_moves("right")
 
     @cached_property
     def slot_defects(self) -> dict[str, float]:
@@ -618,7 +637,7 @@ def check_fullness(x: BimoduleX) -> dict[str, float]:
     for side, table, bc in (("right", x.inner_r_t, x.bch), ("left", x.inner_l_t, x.bcv)):
         rank = len(orthonormal_rows(table.reshape(x.r * x.r, -1), x.tol))
         out[f"{side}_span_dim_gap"] = float(len(bc.k_basis) - rank)
-        out[f"{side}_span_inside"] = worst(x.inner_rest[side])
+        out[f"{side}_span_inside"] = worst(x.span_table(side)[1])
     return out
 
 

@@ -14,17 +14,17 @@ import numpy as np
 
 from .algebra import (
     Algebra,
-    Subspace,
     block_norms,
     generated_subalgebra,
     pair_products,
     representation_defects,
+    row_chunks,
     worst,
     worst_key,
     worst_norm,
 )
 from .bimodule import BimoduleX, build_bimodule
-from .interactions import Interaction
+from .interactions import Interaction, _injectivity_gate
 
 
 class CovariantError(ValueError):
@@ -138,10 +138,12 @@ def check_corner_isomorphisms(rep: CovariantRep) -> dict[str, float]:
     for rows, pi_t, proj in ((inter.range_h.basis, rep.pi_v, rep.ss),
                              (inter.range_v.basis, rep.pi_h, rep.s_s)):
         images = np.tensordot(rows, pi_t, axes=1) @ proj
-        products = pair_products(alg, rows, rows)
         iso.append(abs(np.linalg.norm(images, 2, axis=(-2, -1)) - block_norms(alg, rows)))
-        mult.append(np.linalg.norm(np.tensordot(products, pi_t, axes=1) @ proj
-                                   - images[:, None] @ images, axis=(-2, -1)))
+        # the products of every pair of range rows, a chunk of first rows at a time
+        for first in row_chunks(len(rows), images.size):
+            products = pair_products(alg, rows[first], rows)
+            mult.append(np.linalg.norm(np.tensordot(products, pi_t, axes=1) @ proj
+                                       - images[first, None] @ images, axis=(-2, -1)))
     return {"corner_multiplicative": worst(*mult), "corner_isometric": worst(*iso)}
 
 
@@ -168,27 +170,17 @@ def check_unit_relations(rep: CovariantRep) -> dict[str, float]:
     }
 
 
-def _gate(pi: np.ndarray, space: Subspace, smat: np.ndarray, side: str) -> float:
-    """Smallest singular value of x -> pi(x)·S (or S·pi(x)) over a subspace,
-    with the input rescaled to the normalized-trace inner product."""
-    if space.dim == 0:
-        return float("inf")
-    px = np.tensordot(space.basis, pi, axes=1)
-    mats = px @ smat if side == "right" else smat @ px
-    cols = np.sqrt(space.algebra.matrix_size) * mats.reshape(space.dim, -1).T
-    return float(np.linalg.svd(cols, compute_uv=False).min())
-
-
 def check_nondegeneracy(rep: CovariantRep) -> dict[str, float]:
     """Injectivity gates of x -> pi(x)S on the first range (and its generated
     algebra), mirrored as S·pi(x) on the second."""
-    inter = rep.interaction
-    tol = rep.tol
+    inter, tol = rep.interaction, rep.tol
+    ambient, embedded, s_coords = rep_ambient_data(rep)
     gates = {}
     for name, space, side in (("v", inter.range_v, "right"), ("h", inter.range_h, "left")):
-        gates[f"gate_range_{name}"] = _gate(rep.pi, space, rep.smat, side)
-        gates[f"gate_generated_{name}"] = _gate(
-            rep.pi, generated_subalgebra(space.algebra, space.basis, tol), rep.smat, side)
+        generated = generated_subalgebra(space.algebra, space.basis, tol)
+        for kind, sub in (("range", space), ("generated", generated)):
+            gates[f"gate_{kind}_{name}"] = _injectivity_gate(
+                ambient, sub.basis @ embedded, s_coords, side, space.algebra.matrix_size)
     gates["nondegenerate"] = float(min(gates.values()) > tol)
     # passing the plain-range gate must imply passing the generated one
     implication_ok = ((gates["gate_range_v"] <= tol or gates["gate_generated_v"] > tol)

@@ -291,19 +291,19 @@ class DeriveResult(NamedTuple):
 
 
 def _injectivity_gate(ambient: Algebra, rows_in_ambient: np.ndarray,
-                      s: np.ndarray, side: str) -> float:
+                      s: np.ndarray, side: str, scale: int) -> float:
     """Smallest singular value of x -> x·S (side "right") or S·x (side
     "left") over a subspace of the ambient.
 
     Rows are standard-orthonormal coordinates; the input is rescaled to
-    the normalized-trace inner product so a unit subalgebra element has
-    norm one.
+    the normalized-trace inner product of matrix size ``scale``, so that a
+    unit element of the algebra the rows come from has norm one.
     """
     if rows_in_ambient.shape[0] == 0:
         return float("inf")
     moved = (block_product(ambient, rows_in_ambient, s) if side == "right"
              else block_product(ambient, s, rows_in_ambient))
-    sv = np.linalg.svd(np.sqrt(ambient.matrix_size) * moved.T, compute_uv=False)
+    sv = np.linalg.svd(np.sqrt(scale) * moved.T, compute_uv=False)
     return float(sv.min())
 
 
@@ -388,7 +388,7 @@ def derive_from_partial_isometry(a_algebra: Algebra,
         for name, mat, side in (("v", vm, "right"), ("h", hm, "left")):
             span = generated_subalgebra(a_algebra, mat.T, tol)
             gates[f"{name}_generated"] = _injectivity_gate(ambient, span.basis @ rows,
-                                                           sc, side)
+                                                           sc, side, ambient.matrix_size)
         if min(gates.values()) <= tol:
             continue
         return DeriveResult(interaction=Interaction.from_report(v, h, report), gauge=gauge,

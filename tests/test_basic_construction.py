@@ -6,6 +6,7 @@ import pytest
 
 from starint import (
     Algebra,
+    Interaction,
     LinMap,
     NumericalDegeneracy,
     amplified_interaction,
@@ -99,9 +100,22 @@ def piece_pinv(bc):
     return bc.express_in_spanning(np.eye(m * m).reshape(m * m, m, m))[0].reshape(m * m, -1).T
 
 
+def rotated_diagonal_pair():
+    """(E, E) for the expectation E onto u·D·u* in M_2, D the diagonal and u a
+    complex unitary: an interaction whose basic constructions have complex e,
+    span pieces and singular vectors."""
+    alg = Algebra((2,))
+    u = np.array([[1.0 + 2.0j, 2.0j], [2.0j, 1.0 - 2.0j]]) / 3.0
+    ps = [u @ np.diag(d) @ u.conj().T for d in ([1.0, 0.0], [0.0, 1.0])]
+    units = np.eye(4).reshape(4, 2, 2)
+    e = LinMap(alg, np.array([sum(p @ x @ p for p in ps).reshape(-1) for x in units]).T)
+    return Interaction.build(e, e, 1e-9)
+
+
 @pytest.mark.parametrize("inter", [flip_interaction,
                                    lambda: amplified_interaction(flip_interaction(), 2),
-                                   lambda: identity_interaction(Algebra((2, 1)))])
+                                   lambda: identity_interaction(Algebra((2, 1))),
+                                   rotated_diagonal_pair])
 def test_one_svd_gives_the_span_basis_and_the_pseudo_inverse(inter):
     # the span pieces against one SVD of the dense spanning matrix
     for bc in (basic_for_h(inter()), basic_for_v(inter())):
@@ -116,3 +130,8 @@ def test_one_svd_gives_the_span_basis_and_the_pseudo_inverse(inter):
         assert np.abs(pinv @ span @ pinv - pinv).max() < 1e-12
         for proj in (span @ pinv, pinv @ span):
             assert np.abs(proj - proj.conj().T).max() < 1e-12
+        # the null part of a pair coefficient vector c is c - pinv·span·c
+        dim = bc.algebra.dim
+        pairs = np.random.default_rng(4).standard_normal((3, dim * dim, 2)) @ [1.0, 1.0j]
+        null = bc.null_part(pairs.reshape(3, dim, dim)).reshape(3, -1)
+        assert np.abs(null - (pairs - pairs @ (pinv @ span).T)).max() < 1e-12

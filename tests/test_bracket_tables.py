@@ -68,7 +68,7 @@ def test_inner_tables_match_inner_products(module):
             assert np.abs(table[j, k] @ bc.k_basis - want).max() < 1e-12
             outside = want - (want @ bc.k_basis.conj().T) @ bc.k_basis
             rest = np.linalg.norm(outside) / max(1.0, np.linalg.norm(want))
-            assert abs(x.inner_rest[side][j, k] - rest) < 1e-12
+            assert abs(x.span_table(side)[1][j, k] - rest) < 1e-12
 
 
 def test_action_tables_match_actions(module):

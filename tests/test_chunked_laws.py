@@ -16,10 +16,12 @@ from starint import (
     LinMap,
     amplified_interaction,
     build_bimodule,
+    build_covrep,
     check_71,
     check_associativity,
     check_commutation,
     check_compatibility,
+    check_corner_isomorphisms,
     check_fullness,
     check_inverse_pair,
     check_ternary_consistency,
@@ -211,14 +213,14 @@ def test_the_part_of_a_matrix_outside_the_span_reads_as_zero(name):
     span basis elements, is sent to 0 by the dense pull-back tables, so the
     laws read the same numbers on span coordinates as the dense tables do on
     whole matrices; 5.15 is the law that sees it.  Each span gets its own
-    complex orthonormal basis, so that no law can read one side's
-    coordinates on the other's basis."""
+    complex orthonormal basis, its dual rotated with it, so that no law can
+    read one side's coordinates on the other's basis."""
     x = build_bimodule(PAIRS[name](), TOL)
     rng = np.random.default_rng(11)
     for bc in (x.bch, x.bcv):
         k = len(bc.k_basis)
         u = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
-        vars(bc)["k_basis"] = u @ bc.k_basis
+        vars(bc)["k_basis"], vars(bc)["k_dual"] = u @ bc.k_basis, u @ bc.k_dual
 
     def outside(bc, *shape):
         w = rng.standard_normal((*shape, bc.m ** 2)) + 1j * rng.standard_normal((*shape, bc.m ** 2))
@@ -350,7 +352,7 @@ def test_law_checks_and_action_tables_stay_small_on_identity_m2_x2():
     # the inner products in span coordinates, with their remainders
     for side, table, bc in (("right", x.inner_r_t, x.bch), ("left", x.inner_l_t, x.bcv)):
         assert table.shape == (x.r, x.r, len(bc.k_basis))
-        assert x.inner_rest[side].shape == (x.r, x.r)
+        assert x.span_table(side)[1].shape == (x.r, x.r)
     peaks["5.11"] = traced_peak(lambda: check_associativity(x))[1]
     peaks["5.13"] = traced_peak(lambda: check_compatibility(x))[1]
     peaks["5.14"] = traced_peak(lambda: check_ternary_consistency(x))[1]
@@ -379,3 +381,24 @@ def test_law_checks_and_action_tables_stay_small_on_identity_m2_x2():
     held = {name: max(a.size for a in arrays(value)) for name, value in vars(x).items()
             if arrays(value) and name != "bracket_t"}
     assert max(held.values()) < x.r ** 2 * m ** 2, held
+
+
+def test_corner_isomorphisms_take_the_range_rows_a_chunk_at_a_time(monkeypatch):
+    inter = amplified_interaction(identity_interaction(Algebra((2,))), 2)
+    rep = build_covrep(inter, tol=TOL)
+    rep.ss, rep.s_s                                      # the stacks 2.8 reads, formed once
+    # noise in π∘V and π∘H, so that the residuals compared are of order 1
+    rng = np.random.default_rng(28)
+    for name in ("pi_v", "pi_h"):
+        pis = getattr(rep, name)
+        vars(rep)[name] = pis + 0.1 * rng.standard_normal(pis.shape)
+    rows = max(len(inter.range_v.basis), len(inter.range_h.basis))
+    stack = rows * rows * rep.n ** 2        # entries of one (d, d, n, n) stack over all row pairs
+    assert stack > algebra.CHUNK_ENTRIES
+    got, peak = traced_peak(lambda: check_corner_isomorphisms(rep))
+    # a whole complex stack takes 4 MiB here, and several were held at once (8.3 MiB)
+    assert peak < stack * 16 / 2, peak / 2**20
+    # the residuals are maxima, so one chunk of every row gives the same values
+    assert min(got.values()) > 0.1, got
+    monkeypatch.setattr(algebra, "CHUNK_ENTRIES", stack)
+    close(check_corner_isomorphisms(rep), got)

@@ -113,7 +113,7 @@ def test_factored_forms_match_the_dense_oracle(module):
         assert np.abs(table @ bc.k_basis - want).max() < 1e-12
         outside = np.linalg.norm(want - (want @ bc.k_basis.conj().T) @ bc.k_basis, axis=-1)
         rest = outside / np.maximum(1.0, np.linalg.norm(want, axis=-1))
-        assert np.abs(x.inner_rest[side] - rest).max() < 1e-12
+        assert np.abs(x.span_table(side)[1] - rest).max() < 1e-12
 
 
 def diagonal_expectation(alg: Algebra) -> LinMap:

@@ -58,6 +58,7 @@ def test_span_pieces_match_the_dense_oracle_on_generated_pairs(problem_dir, case
     path = problems.generate(family, size, seed, 0, str(problem_dir))
     v, h, _, _, _ = _resolve(spec_arrays(read_spec(path)), TOL, amp)
     inter = Interaction.build(v, h, TOL)
+    rng = np.random.default_rng(seed)
     for bc in (basic_for_h(inter), basic_for_v(inter)):
         span, kb = dense.spanning_matrix(bc), dense.spanning_svd(bc)[2]
         assert bc.k_basis.shape == kb.shape
@@ -67,6 +68,23 @@ def test_span_pieces_match_the_dense_oracle_on_generated_pairs(problem_dir, case
         assert resid.max() < 1e-12
         got = coeffs.reshape(len(coeffs), -1) @ span.T
         assert np.abs(got - bc.k_basis).max() < 1e-12
+        # presentations and null parts against the dense Moore-Penrose oracle,
+        # on matrices inside K and on matrices with a part outside it
+        dim, pinv = bc.algebra.dim, dense.spanning_pinv(bc).T      # (m², dim²)
+        inside = complex_normal(rng, 3, len(kb)) @ bc.k_basis
+        mats = np.concatenate([inside, complex_normal(rng, 3, bc.m ** 2)])
+        coeffs, resid = bc.express_in_spanning(mats.reshape(-1, bc.m, bc.m))
+        want = mats @ pinv
+        assert np.abs(coeffs.reshape(len(mats), -1) - want).max() < 1e-10
+        outside = np.linalg.norm(mats - want @ span.T, axis=-1)
+        scale = np.maximum(1.0, np.linalg.norm(mats, axis=-1))
+        assert np.abs(resid - outside / scale).max() < 1e-12
+        assert resid[:3].max() < 1e-12
+        assert len(kb) == bc.m ** 2 or resid[3:].min() > 1e-3    # K is all of M_m, or not
+        pairs = np.concatenate([want, complex_normal(rng, 3, dim * dim)])
+        null = bc.null_part(pairs.reshape(-1, dim, dim)).reshape(len(pairs), -1)
+        assert np.abs(null - (pairs - pairs @ span.T @ pinv)).max() < 1e-10
+        assert np.abs(null[:3]).max() < 1e-10 and np.abs(null @ span.T).max() < 1e-10
     out = str(problem_dir / f"{family}{size}_x{amp}.json")
     assert main(["fuzz", path, "--amplify", str(amp), "--out", out]) == EXIT_PASS
 
@@ -82,23 +100,26 @@ def test_a_presentation_shifted_off_the_null_space_fails_510(monkeypatch):
     assert check_action_bound(x)["presentation_independent"] > 1e-3
 
 
-def rebuilt(bc, span):
-    """A new construction with the fields of ``bc`` and the given span pieces."""
+def complex_normal(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def rebuilt(bc, rows=slice(None)):
+    """A new construction with the fields of ``bc`` and the given rows of its span bases."""
     return BasicConstruction(bc.algebra, bc.expectation, bc.range_sub, bc.tol, bc.m, bc.q,
-                             bc.lift, bc.lam, bc.e, span)
+                             bc.lift, bc.lam, bc.e, bc.k_basis[rows], bc.k_dual[rows],
+                             bc.k_pairs[rows])
 
 
 def drop_one_kept_row(bc):
-    """``bc`` with the first kept singular vector of its first piece cut."""
-    first = bc.span[0]
-    s = first.s.copy()
-    s[0, np.argmax(s[0] > 0)] = 0.0
-    return rebuilt(bc, (first._replace(s=s), *bc.span[1:]))
+    """``bc`` with the first row of its span bases cut: one copy of the first
+    kept singular vector of its first piece."""
+    return rebuilt(bc, slice(1, None))
 
 
 def add_one_row_outside(bc):
     """``bc`` with one more orthonormal row of its k-basis, outside its span."""
-    bent = rebuilt(bc, bc.span)
+    bent = rebuilt(bc)
     w = np.random.default_rng(5).standard_normal(bc.m * bc.m) * (1 + 1j)
     w -= (w @ bc.k_basis.conj().T) @ bc.k_basis
     vars(bent)["k_basis"] = np.concatenate([bc.k_basis, w[None] / np.linalg.norm(w)])
@@ -133,7 +154,7 @@ def test_a_k_basis_with_one_row_outside_the_inner_products_fails_515():
 def test_a_k_basis_not_star_closed_moves_k_star_closed():
     bc = basic_for_h(identity_interaction(Algebra((2,))))
     assert bc.invariants["k_star_closed"] <= TOL
-    bent = rebuilt(bc, bc.span)
+    bent = rebuilt(bc)
     # a random subspace of the same dimension is not closed under adjoints
     rows = np.random.default_rng(3).standard_normal((len(bc.k_basis), bc.m * bc.m))
     vars(bent)["k_basis"] = orthonormal_rows(rows * (1 + 1j))

@@ -25,7 +25,8 @@ byte-identical, each check whose status changed or whose witness changed
 where it fails, and the largest |old - new| of each detail key (of each
 top-level key of an emitted artifact) that moved.  It exits 1 if an exit
 code, a status or a witness differs, or if any of those keys moved by more
-than ``BOUND``, else 0.
+than ``BOUND``, else 0.  Last it prints the line count of each module of the
+two ``starint`` packages, as ``wc -l starint/*.py`` counts them.
 """
 
 from __future__ import annotations
@@ -119,6 +120,17 @@ def compare(old: bytes, new: bytes) -> tuple[list[str], dict[str, float]]:
     return changes, {key: gap for key, gap in gaps.items() if gap != 0.0}
 
 
+def source_lines(src: str) -> dict[str, int]:
+    """The newlines of each ``.py`` module of the ``starint`` package under ``src``."""
+    pkg = os.path.join(src, "starint")
+    lines = {}
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                lines[name] = fh.read().count(b"\n")
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: " + __doc__.strip().splitlines()[2].strip(), file=sys.stderr)
@@ -146,6 +158,10 @@ def main(argv: list[str]) -> int:
     print(f"{len(todo)} cases, {differ} with a changed exit code, status or witness or a "
           f"drift above {BOUND:g}; largest drift {largest[0]:.3g}"
           f"{' (' + largest[1] + ')' if largest[1] else ''}")
+    old, new = map(source_lines, srcs)
+    for name in sorted(set(old) | set(new)):
+        print(f"{name}: {old.get(name, 0)} -> {new.get(name, 0)} lines")
+    print(f"total: {sum(old.values())} -> {sum(new.values())} lines")
     return 1 if differ else 0
 
 
