@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -356,6 +356,107 @@ def worst_key(values: dict[str, float]) -> str:
     return max(values, key=lambda k: np.inf if np.isnan(values[k]) else values[k])
 
 
+# -- sparse tables -------------------------------------------------------------
+# The module's tables are exactly zero off a small pattern, so a table is held
+# by its nonzeros and a law is an einsum over them.  Nothing is assumed of the
+# pattern: a table that is dense (from a broken input) is read in full, a
+# chunk at a time.
+
+class Sparse(NamedTuple):
+    """A table by its nonzero entries: ``at`` their ascending positions in the
+    flat (row-major) table, ``values`` the entries there, and the ``shape``."""
+    at: np.ndarray
+    values: np.ndarray
+    shape: tuple[int, ...]
+
+    @classmethod
+    def of(cls, table: np.ndarray) -> "Sparse":
+        """The nonzeros of an array; a NaN is a nonzero."""
+        flat = np.asarray(table).reshape(-1)
+        at = np.flatnonzero(flat)
+        return cls(at, flat[at], np.shape(table))
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(int(np.prod(self.shape)), dtype=self.values.dtype)
+        out[self.at] = self.values
+        return out.reshape(self.shape)
+
+    def reshape(self, *shape: int) -> "Sparse":
+        """The same entries in another shape, one of its lengths -1 at most."""
+        rest = -int(np.prod(shape)) if -1 in shape else 1
+        return self._replace(shape=tuple(int(np.prod(self.shape)) // rest if d == -1 else d
+                                         for d in shape))
+
+    def transpose(self, *axes: int) -> "Sparse":
+        shape, index = tuple(self.shape[a] for a in axes), np.unravel_index(self.at, self.shape)
+        return _added([Sparse(np.ravel_multi_index([index[a] for a in axes], shape),
+                              self.values, shape)])
+
+    def rows(self, rows: slice) -> "Sparse":
+        """``table[rows]`` for a slice of the first axis."""
+        stop, stride = min(rows.stop, self.shape[0]), int(np.prod(self.shape[1:]))
+        lo, hi = np.searchsorted(self.at, [rows.start * stride, stop * stride])
+        return Sparse(self.at[lo:hi] - rows.start * stride, self.values[lo:hi],
+                      (stop - rows.start, *self.shape[1:]))
+
+
+def _added(tables: list[Sparse]) -> Sparse:
+    """The entries of tables of one shape as one table, those at one position
+    added in their order."""
+    at = np.concatenate([t.at for t in tables])
+    values = np.concatenate([t.values for t in tables])
+    order = np.argsort(at, kind="stable")
+    first = np.flatnonzero(np.diff(at[order], prepend=-1))
+    added = np.add.reduceat(values[order], first) if len(first) else values
+    return Sparse(at[order][first], added, tables[0].shape)
+
+
+def contract(spec: str, a: Sparse, b: Sparse) -> Sparse:
+    """``np.einsum(spec, a, b)`` over the nonzeros of two tables, no letter
+    repeated within one.  The letters both carry are the key: b's nonzeros
+    are sorted by it, each of a's finds its run of b's by ``searchsorted``, and
+    the matched pairs are formed a ``row_chunks`` chunk at a time, their
+    products added by output position; the sums are merged whenever the
+    pairs waiting outnumber them, so memory stays near the output's size."""
+    (sa, sb), out = spec.split("->")[0].split(","), spec.split("->")[1]
+    sizes = {**dict(zip(sa, a.shape)), **dict(zip(sb, b.shape))}
+    ia, ib = np.unravel_index(a.at, a.shape), np.unravel_index(b.at, b.shape)
+    shared = [c for c in sa if c in sb]
+    ka, kb = (np.ravel_multi_index([index[s.index(c)] for c in shared],
+                                   [sizes[c] for c in shared])
+              for index, s in ((ia, sa), (ib, sb)))
+    order = np.argsort(kb, kind="stable")
+    lo, hi = np.searchsorted(kb[order], ka), np.searchsorted(kb[order], ka, "right")
+    ends = np.cumsum(hi - lo)
+    total, shape = int(ends[-1]) if len(ends) else 0, tuple(sizes[c] for c in out)
+    done, waiting = [Sparse(np.zeros(0, int), np.zeros(0, complex), shape)], []
+    for pairs in row_chunks(total, 1):
+        pair = np.arange(pairs.start, min(pairs.stop, total))
+        i = np.searchsorted(ends, pair, "right")           # each pair's nonzero of a,
+        j = order[hi[i] - (ends[i] - pair)]                 # and of b
+        at = np.ravel_multi_index([ia[sa.index(c)][i] if c in sa else ib[sb.index(c)][j]
+                                   for c in out], shape)
+        waiting.append(Sparse(at, a.values[i] * b.values[j], shape))
+        if sum(len(t.at) for t in waiting) > len(done[0].at):
+            done, waiting = [_added(done + waiting)], []
+    return _added(done + waiting)
+
+
+def law_defects(sides: Iterable[tuple[Sparse, Sparse]]) -> tuple[float, float]:
+    """The largest 2-norm over the last axis, and the largest entry, of
+    lhs - rhs over the (lhs, rhs) pairs of tables of one shape that a law
+    yields, a chunk at a time, each read over the union of its two sides'
+    nonzeros; 0 for none, and a NaN anywhere comes through."""
+    norms, tops = [], []
+    for lhs, rhs in sides:
+        diff = _added([lhs, rhs._replace(values=-rhs.values)])
+        squares = (diff.values.conj() * diff.values).real
+        first = np.flatnonzero(np.diff(diff.at // diff.shape[-1], prepend=-1))
+        norms.append(np.sqrt(np.add.reduceat(squares, first)) if len(first) else squares)
+        tops.append(abs(diff.values))
+    return worst(*norms), worst(*tops)
+
+
 # -- block forms ---------------------------------------------------------------
 # A matrix that is a direct sum of small pieces, each repeated on copies, as
 # the Gram, spanning and Choi matrices are over the matrix units.
@@ -385,6 +486,34 @@ class BlockForm(tuple):
     copies k (of its columns, where it is not square), for a (G, copies, c)
     index, the pieces covering every coordinate once."""
 
+    @classmethod
+    def components(cls, mat: Sparse) -> "BlockForm":
+        """A (rows, columns) table by the connected components of its pattern,
+        where each nonzero joins its row and its column: one piece a component,
+        its entries on its rows and columns in order, on one copy, its columns;
+        a stack per piece shape.  After a permutation of the rows and one of
+        the columns the table is the direct sum of its pieces, so its singular
+        values are the union of theirs."""
+        rows, cols = np.unravel_index(mat.at, mat.shape)
+        label, col_nodes = np.arange(sum(mat.shape)), cols + mat.shape[0]  # rows, then columns
+        while True:                                 # each node to its component's least node
+            low = label.copy()
+            np.minimum.at(low, rows, label[col_nodes])
+            np.minimum.at(low, col_nodes, label[rows])
+            if np.array_equal(low[low], label):
+                break
+            label = low[low]
+        order = np.argsort(label[rows], kind="stable")
+        parts = []
+        ends = np.flatnonzero(np.diff(label[rows][order])) + 1
+        for part in np.split(order, ends) if len(order) else []:
+            (r, i), (c, j) = (np.unique(z[part], return_inverse=True) for z in (rows, cols))
+            piece = np.zeros((len(r), len(c)), dtype=mat.values.dtype)
+            piece[i, j] = mat.values[part]
+            parts.append((piece, c[None]))
+        return cls(tuple(map(np.stack, zip(*(parts[i] for i in found))))
+                   for found in shape_groups(g for g, _ in parts))
+
     def spectra(self, how: str) -> list:
         """Per stack, ``how`` of its matrices, stacked, by one batched call per
         piece shape: "eigh" (ascending eigenvalues, eigenvectors), "eigvalsh"
@@ -404,8 +533,8 @@ class BlockForm(tuple):
         each counted once per copy, descending; its ``svd_rank`` at the
         TINY-floored reference scale; and per stack, the mask of the values
         it keeps."""
-        union = np.sort(np.concatenate([np.repeat(v.reshape(-1), index.shape[1])
-                                        for v, (_, index) in zip(values, self)]))[::-1]
+        union = np.sort(np.concatenate([np.zeros(0), *(
+            np.repeat(v.reshape(-1), index.shape[1]) for v, (_, index) in zip(values, self))]))[::-1]
         k = svd_rank(union, tol, TINY)
         return union, k, [v >= (union[k - 1] if k else np.inf) for v in values]
 
@@ -423,7 +552,7 @@ class BlockForm(tuple):
             rows[np.arange(len(pieces))[:, None, None], np.arange(copies)[:, None],
                  index[pieces]] = vecs[pieces, :, cols][:, None]
             out.append(rows.reshape(-1, n))
-        return np.concatenate(out)
+        return np.concatenate(out) if out else np.zeros((0, n), complex)
 
 
 def quotient_gap(union: np.ndarray, k: int, tol: float, messages: tuple[str, str, str]) -> None:

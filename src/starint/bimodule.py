@@ -13,21 +13,28 @@ through the presentations of its orthonormal basis (``span_action``).  The
 inner products take values in that span, so their tables over the
 representatives, and everything the laws contract against the actions, are
 in span coordinates; 5.15 reads what an inner product has outside the span.
+Those tables are exactly zero off a small pattern, so the laws 5.11-5.17
+read them by their nonzeros (``algebra.Sparse``): each side of a law is a
+``contract`` over nonzeros, reduced against the other by ``law_defects``,
+and the (r, r, r, r) bracket exists only as its nonzeros.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import product
 
 import numpy as np
 
 from .algebra import (
     BlockForm,
+    Sparse,
     block_adjoint,
     block_product,
+    contract,
     copy_index,
     hermitian_part,
+    law_defects,
     orthonormal_rows,
     psd_defect,
     psd_sqrt,
@@ -35,7 +42,6 @@ from .algebra import (
     row_chunks,
     singular_values,
     worst,
-    worst_norm,
 )
 from .basic_construction import (
     BasicConstruction,
@@ -235,18 +241,6 @@ class BimoduleX:
                                               self.algebra.right_mult_tensor, optimize=True),
                           (xs,), self.dim ** 3)
 
-    def _pair_classes(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-        """(len(lefts), len(rights), r): the class coordinates of the tensors
-        with coefficient matrices L @ R, for L and R in two (n, dim, dim)
-        stacks, without forming those coefficients: the shorter stack is
-        contracted with qx first."""
-        q = self.qx.reshape(self.r, self.dim, self.dim)                # [c, k, q]
-        if len(lefts) <= len(rights):
-            part = np.tensordot(lefts, q, axes=(1, 1))                 # [a, l, c, q]
-            return np.tensordot(part, rights, axes=((1, 3), (1, 2))).swapaxes(1, 2)
-        part = np.tensordot(rights, q, axes=(2, 2))                    # [b, l, c, k]
-        return np.tensordot(lefts, part, axes=((1, 2), (3, 1)))
-
     def right_act(self, ts: np.ndarray, ks: np.ndarray | None,
                   coeff: np.ndarray | None = None) -> np.ndarray:
         """(..., dim²): t·k for a coefficient stack ts and a (..., m_h, m_h)
@@ -279,14 +273,16 @@ class BimoduleX:
         """(n, k, r): [i, j] is the class of t_i·k_j (side "right") or of k_j·t_i
         ("left") for an (n, dim, dim) stack of coefficient matrices t_i and the
         side's orthonormal span basis k_j (``k_basis``), presented by its dual
-        (``k_dual``), as ``right_act`` and ``left_act`` present any operator;
-        a chunk of t at a time, since ``_pair_classes`` forms (dim²·r)-entry
-        temporaries for each t."""
+        (``k_dual``), as ``right_act`` and ``left_act`` present any operator.
+        The class w of a coefficient matrix c is Σ q[w, a, b]·c[a, b]: q meets
+        the presentations first, over the tables' nonzeros."""
         bc = self.bch if side == "right" else self.bcv
-        coeff = bc.k_dual.reshape(-1, self.dim, self.dim)
-        act = ((lambda t: self._pair_classes(self._right_factor(t), coeff)) if side == "right"
-               else lambda t: self._pair_classes(coeff, self._left_factor(t)).swapaxes(0, 1))
-        return _by_chunks(act, (mats,), self.r * self.amb)
+        q, coeff = (Sparse.of(z.reshape(-1, self.dim, self.dim)) for z in (self.qx, bc.k_dual))
+        if side == "right":                     # t·k has the coefficients right_factor(t) @ c
+            moved = contract("wab,jlb->jwal", q, coeff)
+            return contract("ial,jwal->ijw", Sparse.of(self._right_factor(mats)), moved).dense()
+        moved = contract("wab,jal->jwlb", q, coeff)     # k·t has c @ left_factor(t)
+        return contract("ilb,jwlb->ijw", Sparse.of(self._left_factor(mats)), moved).dense()
 
     def act_a(self, a: np.ndarray, ts: np.ndarray, side: str) -> np.ndarray:
         """(..., dim²): a·t (side "left") or t·a (side "right") for a
@@ -306,21 +302,19 @@ class BimoduleX:
         """(..., dim²): x · <y, z>_r over three coefficient stacks."""
         return self.right_act(xs, self.inner_r(ys, zs))
 
-    def _elementary_factors(self, xs: np.ndarray, ys: np.ndarray,
-                            zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The elementary formula over three (..., dim, dim) coefficient
-        matrix stacks as a matrix product: the coefficient matrix for x, y, z
-        is lefts @ rights, lefts from x alone and rights from y and z."""
-        lefts = self._right_factor(xs)[..., self.sigma]
-        rights = ys.conj().swapaxes(-1, -2) @ self._left_factor(zs)[..., self.sigma, :]
-        return lefts, rights
+    def _elementary_factors(self, xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The elementary formula over (..., dim, dim) coefficient matrix
+        stacks as a matrix product: the coefficient matrix for x, y, z is
+        lefts @ y* @ rights, lefts from x alone and rights from z alone."""
+        return self._right_factor(xs)[..., self.sigma], self._left_factor(zs)[..., self.sigma, :]
 
     def ternary_elementary(self, xs: np.ndarray, ys: np.ndarray,
                            zs: np.ndarray) -> np.ndarray:
         """(..., dim²): the trilinear extension of the elementary-tensor
         formula over three coefficient stacks."""
-        lefts, rights = self._elementary_factors(*map(self._coeff_mats, (xs, ys, zs)))
-        return self._coeffs(lefts @ rights)
+        xm, ym, zm = map(self._coeff_mats, (xs, ys, zs))
+        lefts, rights = self._elementary_factors(xm, zm)
+        return self._coeffs(lefts @ ym.conj().swapaxes(-1, -2) @ rights)
 
     # -- quotient tables over the representatives, each built on first use ------
     # Class coordinates come last; the checks and the correspondence read
@@ -335,11 +329,12 @@ class BimoduleX:
         """(r, r, k) and (r, r): ``express_in_k`` of one side's inner products over
         pairs of representatives, coordinates and relative remainders outside the
         span, formed once per side (``span_tables``) a chunk of rows at a time
-        against the second pairing factor, so that no (r, r, m, m) array is held."""
+        against the second pairing factor, itself formed a chunk at a time, so
+        that no (r, r, m, m) array and no temporary of the factor's size is held."""
         if side not in self.span_tables:
             bc = self.bch if side == "right" else self.bcv
             us, vs, factors = self._pair_args(self.liftx.T, self.liftx.T, side)
-            moved = self._pair_right(vs, factors)
+            moved = _by_chunks(lambda v: self._pair_right(v, factors), (vs,), self.dim * bc.m ** 2)
             found = [bc.express_in_k(self._pair_left(us[rows], factors)[:, None] @ moved)
                      for rows in row_chunks(self.r, self.r * bc.m ** 2)]
             self.span_tables[side] = tuple(map(np.concatenate, zip(*found)))
@@ -366,10 +361,11 @@ class BimoduleX:
         return self.span_action(self.rep_mats, "left")
 
     @cached_property
-    def bracket_t(self) -> np.ndarray:
+    def bracket_t(self) -> Sparse:
         """(r, r, r, r): [i, j, k] is the class of rep_i · inner_r(rep_j, rep_k),
-        the right action table against the span coordinates inner_r_t."""
-        return np.einsum("iwc,jkw->ijkc", self.right_act_t, self.inner_r_t, optimize=True)
+        the right action table against the span coordinates inner_r_t, formed
+        over their nonzeros only."""
+        return contract("iwc,jkw->ijkc", Sparse.of(self.right_act_t), Sparse.of(self.inner_r_t))
 
     def _unit_moves(self, side: str) -> np.ndarray:
         """(dim, r, r): [i] is the matrix of t -> a_i·t (side "left") or t -> t·a_i
@@ -554,25 +550,27 @@ def check_action_bound(x: BimoduleX, samples: int = 50,
     return {"action_bound": worst(excess), "presentation_independent": worst(moves)}
 
 
-def slot_adjoint_slices(tt: np.ndarray, lam_t: np.ndarray, rho_t: np.ndarray,
-                        star: np.ndarray, rows: slice) -> tuple[np.ndarray, ...]:
-    """Both slot-adjoint defects of a bracket tensor tt[i, j, k, c], for the
-    basis elements a in ``rows`` of the coefficient algebra (``star[a]``
-    indexes a*): [x, a·y, z] - [x, y, a*·z] and [x, y·a, z] - [x·a*, y, z],
-    indexed [a, i, j, k, c].  The middle slot is conjugate-linear, hence the conj."""
-    return tuple(np.einsum("atj,itkc->aijkc", acts[rows].conj(), tt, optimize=True)
-                 - np.einsum(spec, acts[star[rows]], tt, optimize=True)
+def slot_adjoint_slices(tt: Sparse, lam_t: np.ndarray, rho_t: np.ndarray,
+                        star: np.ndarray, rows: slice) -> tuple[tuple[Sparse, Sparse], ...]:
+    """Both slot-adjoint laws of a bracket table tt[i, j, k, c], for the basis
+    elements a in ``rows`` of the coefficient algebra (``star[a]`` indexes
+    a*), as their two sides: [x, a·y, z] and [x, y, a*·z], and [x, y·a, z]
+    and [x·a*, y, z], indexed [a, i, j, k, c].  The middle slot is
+    conjugate-linear, hence the conj."""
+    return tuple((contract("atj,itkc->aijkc", Sparse.of(acts[rows].conj()), tt),
+                  contract(spec, Sparse.of(acts[star[rows]]), tt))
                  for acts, spec in ((lam_t, "atk,ijtc->aijkc"), (rho_t, "ati,tjkc->aijkc")))
 
 
-def slot_adjoint_defects(tt: np.ndarray, lam_t: np.ndarray, rho_t: np.ndarray,
+def slot_adjoint_defects(tt: Sparse, lam_t: np.ndarray, rho_t: np.ndarray,
                          star: np.ndarray) -> dict[str, float]:
     """``slot_adjoint_slices`` over every basis element, a chunk of elements
-    at a time, each reduced two ways: the largest 2-norm over c ("middle_norm",
-    "outer_norm") and the largest entry ("middle_abs", "outer_abs")."""
-    found = [[f(d) for d in slot_adjoint_slices(tt, lam_t, rho_t, star, rows)
-              for f in (worst_norm, lambda d: worst(abs(d)))]
-             for rows in row_chunks(len(lam_t), tt.size)]
+    at a time, each law reduced two ways (``law_defects``): the largest
+    2-norm over c ("middle_norm", "outer_norm") and the largest entry
+    ("middle_abs", "outer_abs")."""
+    found = [[d for law in slot_adjoint_slices(tt, lam_t, rho_t, star, rows)
+              for d in law_defects([law])]
+             for rows in row_chunks(len(lam_t), len(tt.at))]
     return dict(zip(("middle_norm", "middle_abs", "outer_norm", "outer_abs"),
                     map(float, np.max(found, axis=0, initial=0.0))))
 
@@ -589,24 +587,25 @@ def _span_products(bc: BasicConstruction, side: str) -> np.ndarray:
 def check_associativity(x: BimoduleX) -> dict[str, float]:
     """Right-span action is associative and inner_r is right-linear over it;
     mirrored for the left span.  Swept over the representatives and the
-    orthonormal span bases, a chunk of representatives t at a time, all in
+    orthonormal span bases, a chunk of representatives at a time, all in
     span coordinates: the products of two basis elements (k_w·k_j for the
     right span) carry both the action laws and <s, t·k_j> = Σ_w <s, t>_w·k_w·k_j."""
-    ein = partial(np.einsum, optimize=True)
-    by_r, by_l = x.right_act_t, x.left_act_t                   # t·j and j·t
-    jk, kj = _span_products(x.bch, "right"), _span_products(x.bcv, "left")
+    by_r, by_l, ir, il, jk, kj = map(Sparse.of, (
+        x.right_act_t, x.left_act_t, x.inner_r_t, x.inner_l_t,          # t·j, j·t, <s, t>
+        _span_products(x.bch, "right"), _span_products(x.bcv, "left")))
 
-    def laws(t: slice) -> list[float]:
-        return [worst_norm(ein("tjc,ckd->tjkd", by_r[t], by_r)
-                           - ein("twd,jkw->tjkd", by_r[t], jk)),
-                worst_norm(ein("tkc,scw->stkw", by_r[t], x.inner_r_t)
-                           - ein("stw,wkv->stkv", x.inner_r_t[:, t], jk)),
-                worst_norm(ein("tjc,ckd->tjkd", by_l[t], by_l)
-                           - ein("twd,jkw->tjkd", by_l[t], kj)),
-                worst_norm(ein("skc,ctw->stkw", by_l, x.inner_l_t[:, t])
-                           - ein("stw,wkv->stkv", x.inner_l_t[:, t], kj))]
+    def laws(t: slice) -> list[tuple[Sparse, Sparse]]:     # t: the first output index
+        return [(contract("tjc,ckd->tjkd", by_r.rows(t), by_r),
+                 contract("twd,jkw->tjkd", by_r.rows(t), jk)),
+                (contract("tkc,scw->stkw", by_r, ir.rows(t)),
+                 contract("stw,wkv->stkv", ir.rows(t), jk)),
+                (contract("tjc,ckd->tjkd", by_l.rows(t), by_l),
+                 contract("twd,jkw->tjkd", by_l.rows(t), kj)),
+                (contract("skc,ctw->stkw", by_l.rows(t), il),
+                 contract("stw,wkv->stkv", il.rows(t), kj))]
 
-    found = [laws(t) for t in row_chunks(x.r, x.r * max(len(jk), len(kj)) ** 2)]
+    largest = max(len(table.at) for table in (by_r, by_l, ir, il, jk, kj))
+    found = [[law_defects([law])[0] for law in laws(t)] for t in row_chunks(x.r, largest)]
     return dict(zip(("right_action_associative", "inner_r_right_linear",
                      "left_action_associative", "inner_l_left_linear"),
                     map(float, np.max(found, axis=0))))
@@ -615,17 +614,22 @@ def check_associativity(x: BimoduleX) -> dict[str, float]:
 def check_compatibility(x: BimoduleX) -> dict[str, float]:
     """left_act(inner_l(s,t), u) = right_act(s, inner_r(t,u)) on a quotient
     basis sweep — the two module structures interlock, in span coordinates."""
-    lhs = np.einsum("stw,uwd->stud", x.inner_l_t, x.left_act_t, optimize=True)
-    return {"bimodule_compatibility": worst_norm(lhs - x.bracket_t)}
+    il, acts, tt = Sparse.of(x.inner_l_t), Sparse.of(x.left_act_t), x.bracket_t
+    return {"bimodule_compatibility": law_defects(
+        (contract("stw,uwd->stud", il.rows(s), acts), tt.rows(s))
+        for s in row_chunks(x.r, len(tt.at)))[0]}
 
 
 def check_ternary_consistency(x: BimoduleX) -> dict[str, float]:
     """The elementary ternary formula agrees with evaluation through the
-    right inner product, on a quotient basis sweep."""
-    reps = x.rep_mats
-    lefts, rights = x._elementary_factors(reps, reps[:, None], reps)
-    elementary = x._pair_classes(lefts, rights.reshape(-1, x.dim, x.dim))
-    return {"ternary_two_routes": worst_norm(elementary.reshape(x.bracket_t.shape) - x.bracket_t)}
+    right inner product, on a quotient basis sweep: the class w of
+    x_i·x_j*·x_k is Σ q[w, a, c]·(lefts_i @ x_j* @ rights_k)[a, c]."""
+    lefts, rights = map(Sparse.of, x._elementary_factors(x.rep_mats, x.rep_mats))
+    ys, tt = Sparse.of(x.rep_mats.conj()), x.bracket_t             # [j, b, l] = conj(y_j[b, l])
+    moved = contract("wac,kbc->kwab", Sparse.of(x.qx.reshape(x.r, x.dim, x.dim)), rights)
+    return {"ternary_two_routes": law_defects(
+        (contract("ijab,kwab->ijkw", contract("ial,jbl->ijab", lefts.rows(i), ys), moved),
+         tt.rows(i)) for i in row_chunks(x.r, len(tt.at)))[0]}
 
 
 def check_fullness(x: BimoduleX) -> dict[str, float]:

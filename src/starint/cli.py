@@ -30,6 +30,11 @@ TOL_ENV = "STARINT_TOL"
 #: the module ``build`` loads for each ``--emit``: the report needs the whole
 #: build stage, an artifact only the construction it writes
 EMIT_STAGES = {"bimodule": "bimodule", "covrep": "covariant", "report": "checklist"}
+#: Bytes that the stacks of samples may take: a larger sample count is refused
+#: before the first draw.  Each sampled entry is 32 bytes (a complex number and
+#: its two normal draws), on the 2·dim² coefficients of 5.3's two module
+#: tensors, or for ``verify`` the 4·dim coordinates of 3.3's 2-fold amplified element.
+SAMPLE_BYTES = 1 << 30
 
 
 def _tolerance(spec: ProblemSpec, flag: float | None) -> float:
@@ -141,7 +146,7 @@ def cmd_report(spec: ProblemSpec, args: argparse.Namespace, tol: float, write: W
     """The report of ``verify`` (the map-level checks) or of ``build`` and
     ``fuzz`` (the whole checklist, on the ``--amplify``-fold pair).  The seed
     and the sample count are each ``fuzz``'s flag, else the file's key, else
-    0 and 25."""
+    0 and 25; a sample count over ``SAMPLE_BYTES`` is refused."""
     from .interactions import InteractionError
     from .records import report_for_failed_candidate, run_checklist
 
@@ -149,6 +154,11 @@ def cmd_report(spec: ProblemSpec, args: argparse.Namespace, tol: float, write: W
     seed, samples = (next(v for v in (getattr(args, flag, None), key, default) if v is not None)
                      for flag, key, default in (("seed", spec.seed, 0),
                                                 ("samples", spec.samples, 25)))
+    dim = sum((amplification * d) ** 2 for d in spec.blocks)
+    need = 32 * samples * (4 * dim if command == "verify" else 2 * dim * dim)
+    if need > SAMPLE_BYTES:
+        raise SpecError(f"sample count {samples} needs {need / 2**30:.1f} GiB of sample "
+                        f"stacks, over the {SAMPLE_BYTES >> 30} GiB budget")
     try:
         v, h, alpha, transfer, info = _resolve(spec, tol, amplification)
     except InteractionError as err:

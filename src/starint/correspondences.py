@@ -4,7 +4,11 @@ A ternary space comes in two flavours sharing one checking interface: a
 concrete subspace of a matrix algebra closed under x·y*·z, and the abstract
 quotient module of a verified pair with its bracket.  Everything downstream
 (rank-one operator spans, commutation, redundancy extraction) only consumes
-the structure tensor of the bracket plus the two coefficient actions.
+the structure tensor of the bracket, held in both modes as a table of its
+nonzeros (``algebra.Sparse``), plus the two coefficient actions.  The laws
+are contractions over nonzeros (``contract``, ``law_defects``), and each
+rank-one span is ranked by the connected components of its grid's pattern
+(``BlockForm.components``), with no SVD of a whole grid.
 """
 
 from __future__ import annotations
@@ -14,9 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, Algebra, block_adjoint, block_norms, block_product,
-                      orthonormal_rows, pair_products, representation_defects, row_chunks,
-                      svd_rank, worst, worst_key, worst_norm)
+from .algebra import (DEFAULT_TOL, Algebra, BlockForm, Sparse, block_adjoint, block_norms,
+                      block_product, contract, law_defects, orthonormal_rows, pair_products,
+                      representation_defects, row_chunks, svd_rank, worst, worst_key,
+                      worst_norm)
 from .bimodule import BimoduleX, slot_adjoint_defects
 from .interactions import Interaction, _unit_defects
 from .linmaps import LinMap, map_residual
@@ -46,12 +51,13 @@ class ConcreteTRO:
         return c, np.linalg.norm(vs - c @ self.basis, axis=-1)
 
     @cached_property
-    def triples(self) -> tuple[np.ndarray, np.ndarray]:
+    def triples(self) -> tuple[Sparse, np.ndarray]:
         """(n, n, n, n): [i, j, k] holds the coordinates of x_i·x_j*·x_k for
-        the basis elements x, with the (n, n, n) leaks."""
+        the basis elements x, as a table of its nonzeros, with the (n, n, n) leaks."""
         amb, b = self.ambient, self.basis
         xy = pair_products(amb, b, block_adjoint(amb, b))
-        return self.coords_of(block_product(amb, xy[:, :, None], b))
+        coords, leaks = self.coords_of(block_product(amb, xy[:, :, None], b))
+        return Sparse.of(coords), leaks
 
 
 def concrete_tro(ambient: Algebra, rows: np.ndarray,
@@ -70,11 +76,12 @@ def concrete_tro(ambient: Algebra, rows: np.ndarray,
 class GenCorrespondence:
     """Ternary space with left/right actions of a coefficient algebra.
 
-    tt[i,j,k] holds the coordinates of the bracket of basis triples; the
-    bracket is conjugate-linear in the middle slot, handled at evaluation.
+    tt[i,j,k] holds the coordinates of the bracket of basis triples, as a
+    table of its nonzeros in both modes; the bracket is conjugate-linear in
+    the middle slot, handled at evaluation.
     """
 
-    def __init__(self, coeff: Algebra, tt: np.ndarray, lam_t: np.ndarray, rho_t: np.ndarray,
+    def __init__(self, coeff: Algebra, tt: Sparse, lam_t: np.ndarray, rho_t: np.ndarray,
                  mode: str, tol: float, tro: ConcreteTRO | None = None,
                  x: BimoduleX | None = None, slot_defects: dict[str, float] | None = None):
         self.coeff, self.tt = coeff, tt              # tt: (n, n, n, n)
@@ -169,7 +176,7 @@ def _lawful(corr: GenCorrespondence) -> GenCorrespondence:
 # -- operator spans and their laws -------------------------------------------------
 
 
-def _theta_grids(corr: GenCorrespondence) -> tuple[np.ndarray, np.ndarray]:
+def _theta_grids(corr: GenCorrespondence) -> tuple[Sparse, Sparse]:
     """All rank-one operators over basis pairs: left ones indexed [i,j] and
     right ones indexed [j,l], each as an (n, n) matrix."""
     left = corr.tt.transpose(0, 1, 3, 2)     # [i,j][c,k] = tt[i,j,k,c]
@@ -179,16 +186,25 @@ def _theta_grids(corr: GenCorrespondence) -> tuple[np.ndarray, np.ndarray]:
 
 def compact_spans(corr: GenCorrespondence) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases (as vectorized rows) of the spans of the rank-one
-    operators on each side, left then right."""
-    return tuple(orthonormal_rows(grid.reshape(corr.n ** 2, corr.n ** 2), corr.tol)
-                 for grid in _theta_grids(corr))
+    operators on each side, left then right: each (n², n²) grid split by the
+    connected components of its pattern (``BlockForm.components``), one SVD
+    per piece shape and one ``svd_rank`` cut over the union of their values."""
+    out = []
+    for grid in _theta_grids(corr):
+        form = BlockForm.components(grid.reshape(corr.n ** 2, corr.n ** 2))
+        svds = form.spectra("svd")
+        keep = form.cut([s for _, s, _ in svds], corr.tol)[2]
+        vecs = BlockForm((vh.swapaxes(1, 2), index) for (_, _, vh), (_, index) in zip(svds, form))
+        out.append(vecs.place(keep, corr.n ** 2))
+    return tuple(out)
 
 
-def _worst_commutator(xs: np.ndarray, ys: np.ndarray) -> float:
+def _worst_commutator(xs: Sparse, ys: Sparse) -> float:
     """Largest entry of |x·y - y·x| over x in xs and y in ys, two (k, n, n)
-    stacks; xs is taken a chunk at a time."""
-    return worst([np.abs(xs[rows, None] @ ys - ys @ xs[rows, None]).max(initial=0.0)
-                  for rows in row_chunks(len(xs), ys.size)])
+    tables; xs is taken a chunk at a time."""
+    return law_defects((contract("xab,ybc->xyac", xs.rows(rows), ys),
+                        contract("yab,xbc->xyac", ys, xs.rows(rows)))
+                       for rows in row_chunks(xs.shape[0], len(ys.at)))[1]
 
 
 def check_commutation(corr: GenCorrespondence) -> dict[str, float]:
@@ -197,9 +213,9 @@ def check_commutation(corr: GenCorrespondence) -> dict[str, float]:
     bilinear, so the rank-one operators are swept through the orthonormal
     bases of their spans."""
     n = corr.n
-    left, right = (span.reshape(len(span), n, n) for span in corr.spans)
+    left, right = (Sparse.of(span.reshape(len(span), n, n)) for span in corr.spans)
     return {"rank_one_sides_commute": _worst_commutator(right, left),
-            "actions_commute": _worst_commutator(corr.lam_t, corr.rho_t)}
+            "actions_commute": _worst_commutator(Sparse.of(corr.lam_t), Sparse.of(corr.rho_t))}
 
 
 def check_cube_identity(corr: GenCorrespondence) -> dict[str, float]:
@@ -207,17 +223,20 @@ def check_cube_identity(corr: GenCorrespondence) -> dict[str, float]:
     bracket(e_i, e_i, e_i) is tt[i, i, i]."""
     n = corr.n
     cubes = corr.norm_of(np.eye(n)) ** 3
-    got = corr.norm_of(corr.tt[np.arange(n), np.arange(n), np.arange(n)])
+    diagonal = corr.tt.reshape(n ** 3, n)
+    got = corr.norm_of(np.reshape([diagonal.rows(slice(i, i + 1)).dense()
+                                   for i in (n * n + n + 1) * np.arange(n)], (n, n)))
     return {"cube_identity": worst(abs(got - cubes) / np.maximum(1.0, cubes))}
 
 
 def check_theta_adjoints(corr: GenCorrespondence) -> dict[str, float]:
     """Swapping the two defining vectors adjoints the rank-one operators."""
-    left, right = _theta_grids(corr)
-    return {name: worst_norm(grid.conj().swapaxes(-1, -2) - grid.swapaxes(0, 1),
-                             axis=(-2, -1))
-            for name, grid in (("theta_left_adjoint", left),
-                               ("theta_right_adjoint", right))}
+    n = corr.n
+    return {name: law_defects([(grid._replace(values=grid.values.conj())
+                                .transpose(0, 1, 3, 2).reshape(n, n, n * n),
+                                grid.transpose(1, 0, 2, 3).reshape(n, n, n * n))])[0]
+            for name, grid in zip(("theta_left_adjoint", "theta_right_adjoint"),
+                                  _theta_grids(corr))}
 
 
 def classical_gate(corr: GenCorrespondence) -> float:
@@ -237,13 +256,15 @@ def check_78(corr: GenCorrespondence) -> dict[str, float]:
     if not np.isfinite(gate) or gate > corr.tol:
         return out
     # e = 1 in classical form, so λ(A) lies in the span K, read in its coordinates
-    x = corr.x
+    x, n = corr.x, corr.n
     lam_k = x.bch.express_in_k(x.bch.lam)[0]
     a_coords = x.inner_r_t @ np.linalg.pinv(lam_k)               # [j, l, a]
-    rho_a = np.einsum("jla,ack->jlck", a_coords, corr.rho_t)
     out["inner_product_recovered"] = worst_norm(a_coords @ lam_k - x.inner_r_t)
-    out["theta_r_is_inner_action"] = worst_norm(_theta_grids(corr)[1] - rho_a,
-                                            axis=(-2, -1))
+    grids, coords, acts = _theta_grids(corr)[1], Sparse.of(a_coords), Sparse.of(corr.rho_t)
+    out["theta_r_is_inner_action"] = law_defects(      # the 2-norm over [c, k] of each [j, l]
+        (grids.rows(j).reshape(-1, n, n * n),
+         contract("jla,ack->jlck", coords.rows(j), acts).reshape(-1, n, n * n))
+        for j in row_chunks(n, len(grids.at)))[0]
     return out
 
 
@@ -279,7 +300,8 @@ def find_redundancies(corr: GenCorrespondence, side: str = "right",
     n = corr.n
     vecs = tensor.reshape(alg.dim, n * n)
     defect = (vecs - vecs @ span.conj().T @ span).T     # (n², dimA)
-    _, s, vh = np.linalg.svd(defect, full_matrices=True)
+    # all of vh, which the thin SVD gives unless n² < dimA, without an (n², n²) u
+    _, s, vh = np.linalg.svd(defect, full_matrices=len(defect) < alg.dim)
     kernel = vh[svd_rank(s, tol, 1.0):]          # rows: redundancy directions
 
     # directions inside the kernel span that vanish on the dead blocks

@@ -104,7 +104,8 @@ def build_covrep(inter: Interaction, x: BimoduleX | None = None,
     pi[:, :r, :r] = x.lam_t
     # [i, b, c] = <k_c, lam(a_i)·k_b>: the span summand acts by left multiplication
     ks = x.bch.k_basis.reshape(s, m, m)
-    pi[:, r:, r:] = x.bch.express_in_k(x.bch.lam[:, None] @ ks)[0].swapaxes(1, 2)
+    for rows in row_chunks(dim, s * m * m):        # (rows, s, m, m) products at a time
+        pi[rows, r:, r:] = x.bch.express_in_k(x.bch.lam[rows, None] @ ks)[0].swapaxes(1, 2)
 
     # S sends the span basis k_b to the class of (1⊗1)·k_b, scaled by sqrt(m)
     smat = np.zeros_like(pi[0])

@@ -101,3 +101,54 @@ def form_rows(form, n):
                 rows[:, copy] = g
                 out.append(rows)
     return np.concatenate(out)
+
+
+# -- the laws of the module's tables, by dense einsums over whole tables ------------
+
+
+def worst_norm(diff, axis=-1):
+    return float(np.linalg.norm(diff, axis=axis).max(initial=0.0))
+
+
+def slot_adjoint_defects(tt, lam_t, rho_t, star):
+    """5.17's two slot laws over a dense bracket tt[i, j, k, c]: the largest
+    2-norm over c and the largest entry of each side's difference."""
+    mid = (np.einsum("atj,itkc->aijkc", lam_t.conj(), tt)
+           - np.einsum("atk,ijtc->aijkc", lam_t[star], tt))
+    outer = (np.einsum("atj,itkc->aijkc", rho_t.conj(), tt)
+             - np.einsum("ati,tjkc->aijkc", rho_t[star], tt))
+    return {"middle_norm": worst_norm(mid), "middle_abs": np.abs(mid).max(initial=0.0),
+            "outer_norm": worst_norm(outer), "outer_abs": np.abs(outer).max(initial=0.0)}
+
+
+def compatibility(inner_l_t, left_act_t, tt):
+    """5.13: the left action of the left inner products against the bracket."""
+    return worst_norm(np.einsum("stw,uwd->stud", inner_l_t, left_act_t) - tt)
+
+
+def theta_grids(tt):
+    """The left [i, j][c, k] = tt[i, j, k, c] and right [j, l][c, k] = tt[k, j, l, c]
+    rank-one operators of a dense bracket."""
+    return tt.transpose(0, 1, 3, 2), tt.transpose(1, 2, 3, 0)
+
+
+def span_projectors(tt, tol):
+    """The orthogonal projector onto the span of each side's rank-one
+    operators, by one SVD of the whole (n², n²) grid cut at ``tol``."""
+    n, out = len(tt), []
+    for grid in theta_grids(tt):
+        _, s, vh = np.linalg.svd(grid.reshape(n * n, n * n))
+        kept = vh[:int(np.sum(s > tol * max(s[0], 1e-300)))]
+        out.append(kept.conj().T @ kept)
+    return out
+
+
+def commutator(xs, ys):
+    """Largest entry of |x·y - y·x| over the matrices of two stacks."""
+    return float(np.abs(xs[:, None] @ ys - ys @ xs[:, None]).max(initial=0.0))
+
+
+def theta_adjoints(tt):
+    """7.3: each rank-one grid's adjoint against the grid with its vectors swapped."""
+    return [worst_norm(g.conj().swapaxes(-1, -2) - g.swapaxes(0, 1), axis=(-2, -1))
+            for g in theta_grids(tt)]

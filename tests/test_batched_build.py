@@ -38,7 +38,7 @@ from starint import (
     swap_transfer_interaction,
     with_zero_s,
 )
-from starint.algebra import orthonormal_rows, rel
+from starint.algebra import Sparse, orthonormal_rows, rel
 from starint.correspondences import GenCorrespondence, _lawful
 
 TOL = 1e-9
@@ -210,9 +210,9 @@ def old_tro_actions(tro, embed):
 
 
 def old_check_commutation(corr):
-    n = corr.n
-    left = corr.tt.transpose(0, 1, 3, 2).reshape(n * n, n, n)
-    right = corr.tt.transpose(1, 2, 3, 0).reshape(n * n, n, n)
+    n, tt = corr.n, corr.tt.dense()
+    left = tt.transpose(0, 1, 3, 2).reshape(n * n, n, n)
+    right = tt.transpose(1, 2, 3, 0).reshape(n * n, n, n)
     worst = lam_rho = 0.0
     for rmat in right:
         worst = max(worst, float(np.abs(rmat @ left - left @ rmat).max(initial=0.0)))
@@ -232,7 +232,7 @@ def old_cube(corr):
     worst = 0.0
     for e in np.eye(corr.n, dtype=complex):
         nx = old_norm(corr, e)
-        cubed = old_norm(corr, np.einsum("i,j,k,ijkc->c", e, e, e, corr.tt))
+        cubed = old_norm(corr, np.einsum("i,j,k,ijkc->c", e, e, e, corr.tt.dense()))
         worst = max(worst, rel(abs(cubed - nx ** 3), nx ** 3))
     return {"cube_identity": worst}
 
@@ -441,7 +441,7 @@ def test_concrete_correspondence_matches_the_loops(case):
     ambient, spanning, coeff, embed = concrete_cases()[case]
     tro = concrete_tro(ambient, spanning, TOL)
     tt, leaks = old_triples(tro)
-    close_arrays(tro.triples[0], tt)
+    close_arrays(tro.triples[0].dense(), tt)
     close_arrays(tro.triples[1], leaks)
     corr = correspondence_from_tro(tro, coeff, embed)
     lam_t, rho_t = old_tro_actions(tro, embed)
@@ -468,9 +468,9 @@ def test_a_nan_in_s_refuses_the_representation():
 @pytest.mark.parametrize("where", ["tt", "rho_t"])
 def test_a_nan_fails_the_correspondence_laws(where):
     x = build_bimodule(identity_interaction(Algebra((2,))), TOL)
-    tables = {"tt": x.bracket_t.copy(), "rho_t": x.rho_t.copy()}
+    tables = {"tt": x.bracket_t.dense(), "rho_t": x.rho_t.copy()}
     tables[where][(0,) * tables[where].ndim] = np.nan
-    corr = GenCorrespondence(coeff=x.algebra, tt=tables["tt"], lam_t=x.lam_t,
+    corr = GenCorrespondence(coeff=x.algebra, tt=Sparse.of(tables["tt"]), lam_t=x.lam_t,
                              rho_t=tables["rho_t"], mode="abstract", tol=TOL, x=x)
     with pytest.raises(CorrespondenceError) as err:
         _lawful(corr)

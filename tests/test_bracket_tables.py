@@ -20,8 +20,8 @@ from starint import (
     identity_interaction,
     run_checklist,
 )
-from starint.algebra import block_adjoint
-from starint.checklist import _record
+from starint.algebra import Sparse, block_adjoint
+from starint.checklist import _bimodule_records, _correspondence_records, _record
 
 TOL = 1e-9
 
@@ -99,8 +99,9 @@ def test_bracket_matches_both_ternary_routes(module):
     for i, j, k in [(0, 0, 0), (last, 0, last), (0, last, 1 % x.r)]:
         via_inner = x.qx @ x.ternary(reps[i], reps[j], reps[k])
         elementary = x.qx @ x.ternary_elementary(reps[i], reps[j], reps[k])
-        assert np.abs(x.bracket_t[i, j, k] - via_inner).max() < 1e-12
-        assert np.abs(x.bracket_t[i, j, k] - elementary).max() < 1e-12
+        bracket = x.bracket_t.dense()[i, j, k]
+        assert np.abs(bracket - via_inner).max() < 1e-12
+        assert np.abs(bracket - elementary).max() < 1e-12
 
 
 def test_stacked_methods_reproduce_the_whole_tables(module):
@@ -112,7 +113,7 @@ def test_stacked_methods_reproduce_the_whole_tables(module):
         assert np.abs((table @ bc.k_basis).reshape(want.shape) - want).max() < 1e-12
     for route in (x.ternary, x.ternary_elementary):
         classes = route(reps[:, None, None], reps[:, None], reps) @ x.qx.T
-        assert np.abs(classes - x.bracket_t).max() < 1e-12, route.__name__
+        assert np.abs(classes - x.bracket_t.dense()).max() < 1e-12, route.__name__
     eye = np.eye(x.dim)
     for side, table in (("left", x.lam_t), ("right", x.rho_t)):
         moved = x.act_a(eye[:, None], reps, side) @ x.qx.T      # [a, t, c]
@@ -127,8 +128,8 @@ def test_slot_adjoint_defects_match_ternary_differences(module):
     s, t, u = reps[0], reps[-1], reps[min(1, x.r - 1)]
     ijk = (0, x.r - 1, min(1, x.r - 1))
     for ai in (0, x.algebra.dim - 1):
-        mid, outer = slot_adjoint_slices(x.bracket_t, x.lam_t, x.rho_t, x.sigma,
-                                         slice(ai, ai + 1))
+        mid, outer = (lhs.dense() - rhs.dense() for lhs, rhs in slot_adjoint_slices(
+            x.bracket_t, x.lam_t, x.rho_t, x.sigma, slice(ai, ai + 1)))
         a = np.eye(x.algebra.dim)[ai]
         a_star = block_adjoint(x.algebra, a)
         lhs = x.ternary(s, x.act_a(a, t, "left"), u)
@@ -153,6 +154,20 @@ def test_broken_action_table_fails_the_batched_checks():
                check_ternary_consistency, check_ternary_module_laws):
         out = fn(x)
         assert max(out.values()) > 100 * TOL, (fn.__name__, out)
+
+
+def test_a_bracket_filled_by_noise_fails_the_ids_that_read_it():
+    # every entry of the noisy bracket is a nonzero of the one sparse route;
+    # the dense route failed the same ids, and 5.11 does not read the bracket
+    x = build_bimodule(identity_interaction(Algebra((2,))))
+    rng = np.random.default_rng(7)
+    tt = x.bracket_t.dense()
+    x.bracket_t = Sparse.of(tt + 0.1 * (rng.standard_normal(tt.shape)
+                                        + 1j * rng.standard_normal(tt.shape)))
+    assert len(x.bracket_t.at) == x.r ** 4
+    records = {**_bimodule_records(x, TOL, 4, 0), **_correspondence_records(x, TOL)}
+    assert {cid for cid, rec in records.items() if rec.status == "fail"} == {
+        "5.13", "5.14", "5.17", "7.1"}
 
 
 def test_complex_unitary_pair_passes_norm_agreement():

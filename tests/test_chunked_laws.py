@@ -26,15 +26,20 @@ from starint import (
     check_inverse_pair,
     check_ternary_consistency,
     check_ternary_module_laws,
+    check_theta_adjoints,
+    compact_spans,
+    correspondence_from_bimodule,
+    derive_from_partial_isometry,
     flip_interaction,
     identity_interaction,
     swap_transfer_interaction,
 )
 from starint import algebra, bimodule, correspondences, interactions
-from starint.algebra import representation_defects, worst_norm
+from starint.algebra import Sparse, representation_defects, worst_norm
 from starint.bimodule import BimoduleX, slot_adjoint_defects
-from starint.checklist import build_stage_records
+from starint.checklist import _bimodule_records, _correspondence_records, build_stage_records
 from starint.correspondences import GenCorrespondence
+from starint.specio import read_spec, spec_arrays
 
 TOL = 1e-9
 
@@ -61,7 +66,11 @@ def noisy(x: BimoduleX) -> BimoduleX:
     x.vl, x.hl = noise(x.vl), noise(x.hl)
     for table in ("inner_r_t", "inner_l_t", "right_act_t", "left_act_t",
                   "bracket_t", "lam_t", "rho_t"):
-        setattr(x, table, noise(getattr(x, table)))
+        value = getattr(x, table)
+        # the bracket filled by noise: every entry a nonzero of the sparse table
+        setattr(x, table,
+                Sparse.of(noise(value.dense())) if table == "bracket_t" else noise(value))
+    assert len(x.bracket_t.at) == x.r ** 4
     return x
 
 
@@ -82,16 +91,17 @@ def module(request):
     return noisy(x) if with_noise else x
 
 
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_noise_in_every_table_fails_the_ids_the_dense_route_failed(name):
+    # the noisy tables, the bracket dense, go through the one sparse route
+    x = noisy(build_bimodule(PAIRS[name](), TOL))
+    records = {**_bimodule_records(x, TOL, 4, 0), **_correspondence_records(x, TOL)}
+    failed = {cid for cid, rec in records.items() if rec.status == "fail"}
+    sampled = {"5.9"} if name in ("flip_x2", "swap_endo") else set()
+    assert failed == {"5.10", "5.11", "5.13", "5.14", "5.17", "7.1"} | sampled
+
+
 # -- the unchunked formulas ----------------------------------------------------------
-
-
-def old_slot_adjoint_defects(tt, lam_t, rho_t, star):
-    mid = (np.einsum("atj,itkc->aijkc", lam_t.conj(), tt)
-           - np.einsum("atk,ijtc->aijkc", lam_t[star], tt))
-    outer = (np.einsum("atj,itkc->aijkc", rho_t.conj(), tt)
-             - np.einsum("ati,tjkc->aijkc", rho_t[star], tt))
-    return {"middle_norm": worst_norm(mid), "middle_abs": np.abs(mid).max(initial=0.0),
-            "outer_norm": worst_norm(outer), "outer_abs": np.abs(outer).max(initial=0.0)}
 
 
 def span_products(bc):
@@ -155,7 +165,7 @@ def old_ternary_consistency(x):
     u2 = np.einsum("nzw,xzws->nxs", reps, p2, optimize=True)
     out = np.einsum("jxy,iyr,kxs->ijkrs", reps.conj(), u1, u2, optimize=True)
     elementary = out.reshape(x.r, x.r, x.r, x.amb) @ x.qx.T
-    return {"ternary_two_routes": worst_norm(elementary - x.bracket_t)}
+    return {"ternary_two_routes": worst_norm(elementary - x.bracket_t.dense())}
 
 
 def pulled_back_tables(x):
@@ -190,7 +200,7 @@ def old_tables(x):
 def test_slot_adjoint_pass_matches_the_full_tensors(module):
     x = module
     close(slot_adjoint_defects(x.bracket_t, x.lam_t, x.rho_t, x.sigma),
-          old_slot_adjoint_defects(x.bracket_t, x.lam_t, x.rho_t, x.sigma))
+          dense.slot_adjoint_defects(x.bracket_t.dense(), x.lam_t, x.rho_t, x.sigma))
 
 
 def test_associativity_matches_the_full_tensors(module):
@@ -241,7 +251,7 @@ def test_the_part_of_a_matrix_outside_the_span_reads_as_zero(name):
     assert full["right"].shape == (x.r, x.r, x.bch.m ** 2)
     dense_r, dense_l = pulled_back_tables(x)
     bracket = np.einsum("iwc,jkw->ijkc", dense_r, full["right"])
-    close(x.bracket_t, bracket)
+    close(x.bracket_t.dense(), bracket)
     lhs = np.einsum("stw,uwd->stud", full["left"], dense_l)
     close(check_compatibility(x), {"bimodule_compatibility": worst_norm(lhs - bracket)})
     nh, nv = len(x.bch.k_basis), len(x.bcv.k_basis)
@@ -252,6 +262,39 @@ def test_the_part_of_a_matrix_outside_the_span_reads_as_zero(name):
     close(check_associativity(x), old_associativity(x, (dense_r, dense_l, jk, kj), inner))
     fullness = check_fullness(x)
     assert min(fullness["right_span_inside"], fullness["left_span_inside"]) > 1e-3, fullness
+
+
+def mixed_pair(name):
+    """The pair read off a partial isometry between blocks of unequal sizes,
+    from its problem file: M_2 ⊕ M_2 ⊕ C in M_5 with S = E_20 + E_31 + E_42,
+    or M_3 ⊕ M_2 in M_5 with S = E_30 + E_41."""
+    spec = spec_arrays(read_spec(f"tests/data/{name}.json"))
+    return derive_from_partial_isometry(spec.algebra, spec.ambient, spec.a_embed, spec.s,
+                                        TOL).interaction
+
+
+@pytest.mark.parametrize("name", ["mixed_221", "mixed_32"])
+def test_sparse_laws_match_the_dense_oracle_on_mixed_blocks(name):
+    # the tables of M_2 ⊕ M_2 ⊕ C take two magnitudes each (the bracket 3 and
+    # 6, the actions 1/√2 and 1), not one scaled 0/1 pattern
+    x = build_bimodule(mixed_pair(name), TOL)
+    tt = x.bracket_t.dense()
+    if name == "mixed_221":
+        assert len(np.unique(np.round(abs(x.bracket_t.values), 12))) == 2
+    close(slot_adjoint_defects(x.bracket_t, x.lam_t, x.rho_t, x.sigma),
+          dense.slot_adjoint_defects(tt, x.lam_t, x.rho_t, x.sigma))
+    close(check_associativity(x), old_associativity(x))
+    close(check_compatibility(x),
+          {"bimodule_compatibility": dense.compatibility(x.inner_l_t, x.left_act_t, tt)})
+    close(check_ternary_consistency(x), old_ternary_consistency(x))
+    corr = correspondence_from_bimodule(x, TOL)
+    for got, want in zip(compact_spans(corr), dense.span_projectors(tt, TOL)):
+        close(got.conj().T @ got, want)
+    left, right = (span.reshape(len(span), x.r, x.r) for span in compact_spans(corr))
+    close(check_commutation(corr), {"rank_one_sides_commute": dense.commutator(right, left),
+                                    "actions_commute": dense.commutator(x.lam_t, x.rho_t)})
+    close(check_theta_adjoints(corr), dict(zip(("theta_left_adjoint", "theta_right_adjoint"),
+                                               dense.theta_adjoints(tt))))
 
 
 # -- every chunked site, at chunk boundaries -------------------------------------------
@@ -368,19 +411,37 @@ def test_law_checks_and_action_tables_stay_small_on_identity_m2_x2():
     # the (r², m²) table at 3.0 MiB; span coordinates take 1.9 and 0.1 MiB
     assert peaks["5.11"] < 2.5 * 2**20 and peaks["5.15"] < 0.5 * 2**20, mib
 
-    # after 5.11, 5.13 and 5.15 no attribute holds r²·m² entries, but for the
-    # r⁴ bracket (here r = m)
-    def arrays(value):
-        if isinstance(value, np.ndarray):
-            return [value]
-        if isinstance(value, dict):
-            value = tuple(value.values())
-        return [a for v in value for a in arrays(v)] if isinstance(value, tuple) else []
-
+    # after 5.11, 5.13 and 5.15 no attribute holds r²·m² entries, the sparse
+    # bracket's nonzeros included (here r = m)
     m = max(x.bch.m, x.bcv.m)
     held = {name: max(a.size for a in arrays(value)) for name, value in vars(x).items()
-            if arrays(value) and name != "bracket_t"}
+            if arrays(value)}
     assert max(held.values()) < x.r ** 2 * m ** 2, held
+
+
+def arrays(value):
+    """The arrays an attribute holds, in tuples (a sparse table too) and dicts."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = tuple(value.values())
+    return [a for v in value for a in arrays(v)] if isinstance(value, tuple) else []
+
+
+def test_slot_pass_and_spans_stay_below_one_dense_bracket_on_identity_m2_x2():
+    x = build_bimodule(amplified_interaction(identity_interaction(Algebra((2,))), 2))
+    assert x.r == 16
+    x.bracket_t, x.lam_t, x.rho_t
+    bracket = 16 * x.r ** 4               # bytes of one dense (r, r, r, r) complex array
+    _, slot = traced_peak(lambda: x.slot_defects)
+    corr = correspondence_from_bimodule(x, TOL)
+    spans, peak = traced_peak(lambda: compact_spans(corr))
+    assert [len(s) for s in spans] == [x.r, x.r]
+    assert max(slot, peak) < bracket, (slot / bracket, peak / bracket)
+    for obj in (x, corr):
+        held = {name: max(a.size for a in arrays(value)) for name, value in vars(obj).items()
+                if arrays(value)}
+        assert max(held.values()) < x.r ** 4, held
 
 
 def test_corner_isomorphisms_take_the_range_rows_a_chunk_at_a_time(monkeypatch):

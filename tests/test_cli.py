@@ -169,6 +169,27 @@ def test_out_of_memory_is_one_usage_error_line(tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_oversized_sample_count_is_refused_before_the_first_draw(tmp_path, where):
+    # 10⁸ samples of flip need gigabytes of normal draws, which a 1 GB
+    # address-space limit refuses at the draw (an allocation error, or the
+    # kernel's kill without the limit); the count is refused first, by name
+    spec = tmp_path / "many.json"
+    spec.write_text(json.dumps({**json.load(open(FLIP)), "samples": 100000000}))
+    argv = ["fuzz", FLIP, "--samples", "100000000"] if where == "flag" else ["fuzz", str(spec)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [os.path.abspath("src"),
+                                                  os.environ.get("PYTHONPATH")])))
+    env.pop("STARINT_TOL", None)
+    limit = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "starint.cli", *argv], env=env, capture_output=True, text=True,
+        timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == EXIT_USAGE, proc.stderr[-2000:]
+    assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: sample count 100000000 "), proc.stderr
+
+
 ID = [[1, 0], [0, 1]]
 SWAP = [[0, 1], [1, 0]]
 DIAG_M2 = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]

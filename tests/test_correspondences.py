@@ -27,6 +27,8 @@ from starint import (
     identity_interaction,
 )
 
+from starint.algebra import Sparse
+
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
@@ -42,7 +44,7 @@ def test_matrix_unit_span_oracle():
     a = np.array([3.0, 7.0])
     assert np.allclose(np.tensordot(a, corr.lam_t, axes=1), [[3.0]])
     assert np.allclose(np.tensordot(a, corr.rho_t, axes=1), [[7.0]])
-    assert np.allclose(corr.tt, [[[[1.0]]]])     # the bracket of e12 with itself, twice
+    assert np.allclose(corr.tt.dense(), [[[[1.0]]]])     # the bracket of e12 with itself, twice
     assert corr.norm_of(np.array([2.0])) == pytest.approx(2.0)
 
 
@@ -81,7 +83,7 @@ def test_zero_span_is_legal_and_silent():
     tro = concrete_tro(alg2, np.zeros((0, 4)))
     coeff = Algebra((1, 1))
     corr = correspondence_from_tro(tro, coeff, [[1, 0, 0, 0], [0, 0, 0, 1]])
-    assert corr.tt.size == 0
+    assert corr.tt.shape == (0, 0, 0, 0) and len(corr.tt.at) == 0
     assert max(check_71(corr).values()) == 0.0
     assert check_cube_identity(corr)["cube_identity"] == 0.0
 
@@ -101,7 +103,7 @@ def test_abstract_matches_concrete_on_flip():
     abstract = correspondence_from_bimodule(build_bimodule(flip_interaction()))
     concrete = matrix_unit_tro()
     assert abstract.mode == "abstract" and concrete.mode == "concrete"
-    assert np.allclose(abstract.tt, concrete.tt)
+    assert np.allclose(abstract.tt.dense(), concrete.tt.dense())
     assert np.allclose(abstract.lam_t, concrete.lam_t)
     assert np.allclose(abstract.rho_t, concrete.rho_t)
     assert abstract.norm_of(np.array([2.0])) == pytest.approx(
@@ -166,7 +168,8 @@ def test_commutation_on_the_span_bases_sees_a_broken_bracket():
     corr = correspondence_from_bimodule(build_bimodule(identity_interaction(Algebra((2,)))))
     assert check_commutation(corr)["rank_one_sides_commute"] <= 1e-12
     rng = np.random.default_rng(2)
-    broken = GenCorrespondence(corr.coeff, corr.tt + 0.1 * rng.standard_normal(corr.tt.shape),
+    noisy = Sparse.of(corr.tt.dense() + 0.1 * rng.standard_normal(corr.tt.shape))
+    broken = GenCorrespondence(corr.coeff, noisy,
                                corr.lam_t, corr.rho_t, corr.mode, corr.tol, corr.tro, corr.x,
                                corr.slot_defects)
     assert check_commutation(broken)["rank_one_sides_commute"] > 1e-3

@@ -31,7 +31,7 @@ from starint.bimodule import (
     check_norm_agreement,
     check_positivity,
 )
-from starint.checklist import _record
+from starint.checklist import _bimodule_records, _correspondence_records, _record
 from starint.linmaps import _cell_indices
 
 TOL = 1e-9
@@ -476,6 +476,23 @@ def test_noise_in_the_right_middle_factor_fails_5_4():
     record = _record("5.4", check_norm_agreement(x, 10), TOL)
     assert record.status == "fail"
     assert record.details["5.4-norm_forms_agree"] > 1e-3
+
+
+@pytest.mark.parametrize("tables, seed, fails", [
+    (("lam_t", "rho_t"), 3, {"5.17", "7.1"}),
+    (("inner_r_t", "inner_l_t"), 4, {"5.11", "5.13", "5.14", "5.17", "7.1"})])
+def test_tables_filled_by_noise_fail_the_ids_the_dense_route_failed(tables, seed, fails):
+    # noise fills the tables (and, from the inner tables, the bracket), so
+    # every law reads them through the one sparse route at their dense size
+    x = build_bimodule(amplified_interaction(flip_interaction(), 2))
+    rng = np.random.default_rng(seed)
+    for name in tables:
+        value = getattr(x, name)
+        setattr(x, name, value + 0.1 * (rng.standard_normal(value.shape)
+                                        + 1j * rng.standard_normal(value.shape)))
+        assert np.all(getattr(x, name) != 0)
+    records = {**_bimodule_records(x, TOL, 4, 0), **_correspondence_records(x, TOL)}
+    assert {cid for cid, rec in records.items() if rec.status == "fail"} == fails
 
 
 # -- 7.9: redundancy counts are decided at unit scale, not by rounding noise -----

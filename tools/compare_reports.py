@@ -10,6 +10,9 @@ checkout this script is in, on the same input files:
 * ``build``, ``build --emit bimodule`` and ``build --emit covrep`` on the
   eight committed fixtures of ``tests/data``;
 * ``fuzz --amplify 2`` and ``--amplify 3`` on flip, identity_m2 and swap_endo;
+* ``build`` and ``fuzz --amplify 2`` on the two partial isometries between
+  blocks of unequal sizes, ``tests/data/mixed_221.json`` (M_2 ⊕ M_2 ⊕ C, whose
+  tables take two magnitudes each) and ``mixed_32.json`` (M_3 ⊕ M_2);
 * the pairs of ``perfbench/workloads.py``'s ``MODULE_BUILDS`` (classical 4,
   Ad u 2 and diag 2 of ``perfbench/problems.py``), written at seed 7, index 0:
   ``build`` (x1) and ``fuzz --amplify 2`` (x2);
@@ -44,6 +47,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "MKL_NUM_THREADS")}
 FUZZED = ("flip", "identity_m2", "swap_endo")
+MIXED = ("mixed_221", "mixed_32")
 SEED = 7
 #: The largest |old - new| of a detail or artifact key that a behaviour-keeping change may show.
 BOUND = 1e-12
@@ -58,6 +62,10 @@ def cases(work: str) -> list[tuple[str, list[str]]]:
            for name in FIXTURE_CODES for emit in ("", " --emit bimodule", " --emit covrep")]
     out += [(f"fuzz {name} x{n}", ["fuzz", _fixture(name), "--amplify", str(n)])
             for name in FUZZED for n in (2, 3)]
+    for name in MIXED:
+        path = os.path.join("tests", "data", f"{name}.json")
+        out += [(f"build {name}", ["build", path]),
+                (f"fuzz {name} x2", ["fuzz", path, "--amplify", "2"])]
     for family, size in MODULE_BUILDS:
         path = generate(family, size, SEED, 0, work)
         out += [(f"build {family}{size}", ["build", path]),
