@@ -151,18 +151,6 @@ class Algebra:
         return np.where(cols[:, None] == rows,
                         (np.arange(self.dim) - cols)[:, None] + cols, -1)
 
-    @cached_property
-    def left_mult_tensor(self) -> np.ndarray:
-        """``L[i]`` is the coordinate matrix of x -> basis_i * x."""
-        eye = np.eye(self.dim, dtype=complex)
-        return np.ascontiguousarray(pair_products(self, eye, eye).swapaxes(1, 2))
-
-    @cached_property
-    def right_mult_tensor(self) -> np.ndarray:
-        """``R[i]`` is the coordinate matrix of x -> x * basis_i."""
-        eye = np.eye(self.dim, dtype=complex)
-        return np.ascontiguousarray(pair_products(self, eye, eye).transpose(1, 2, 0))
-
     def __repr__(self) -> str:
         return f"Algebra{self.blocks}"
 
@@ -234,6 +222,33 @@ def unit_images(algebra: Algebra, images: np.ndarray, xs: np.ndarray,
             got = got.reshape(len(idx), n, d, d, k).transpose(1, 0, 3, 2, 4)
         out[:, idx.reshape(-1, d, d)] = got
     return out
+
+
+def unit_sums(algebra: Algebra, ws: np.ndarray) -> np.ndarray:
+    """(..., dim): the coordinates of Σ ws[..., i, k]·a_i·a_k for a (..., dim, dim)
+    stack: on a block E_ab·E_bc = E_ac, so (a, c) gathers ws at (e_ab, e_bc), summed over b."""
+    out = np.empty((*ws.shape[:-2], algebra.dim), dtype=complex)
+    for d, idx in algebra.size_groups:
+        units = idx.reshape(len(idx), d, d)
+        out[..., units] = ws[..., units[..., None], units[:, None]].sum(axis=-2)
+    return out
+
+
+def unit_map(units: Iterable[np.ndarray], classes: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """(n, n): the coordinate of the matrix unit that E ⊗ I puts at each entry
+    of an operator on n classes, -1 where there is none, for each block's (d, d)
+    ``units`` and (d, ...) ``classes``: e_pq sends classes[q, v] to classes[p, v]."""
+    out = np.full((n, n), -1)
+    for u, c in zip(units, classes):
+        out[c.reshape(len(c), 1, -1), c.reshape(1, len(c), -1)] = u[..., None]
+    return out
+
+
+def at_units(xs: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """``xs[..., at]``, 0 where ``at`` is -1: for a (..., dim) coordinate stack and
+    an index map of ``unit_map``, the operators that E ⊗ I makes of the elements."""
+    pad = np.zeros((*xs.shape[:-1], 1), dtype=xs.dtype)
+    return np.concatenate([xs, pad], axis=-1)[..., at]
 
 
 def block_adjoint(algebra: Algebra, xs: np.ndarray) -> np.ndarray:

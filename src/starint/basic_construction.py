@@ -31,12 +31,14 @@ from .algebra import (
     BlockForm,
     NumericalDegeneracy,
     Subspace,
+    at_units,
     block_norms,
     copy_index,
     hermitian_part,
     quotient_gap,
     representation_defects,
     shape_groups,
+    unit_map,
     worst,
     worst_norm,
 )
@@ -108,19 +110,20 @@ class BasicConstruction:
     """The reduced representation of an expectation onto ``range_sub``, on
     m classes: q (m, dim) takes representative coordinates to class
     coordinates and lift (dim, m) a class to its canonical representative;
-    lam (dim, m, m) is left multiplication by each basis element and e (m, m)
-    the projection implementing the expectation.  The span K of
-    lam(a) e lam(b) is held as ``span_bases`` places it: its orthonormal
-    basis k_basis (k, m*m), the pair presentations k_dual (k, dim*dim) of
-    those basis elements, and the orthonormal pair vectors k_pairs
-    (k, dim*dim) that span the presentations."""
+    λ(a) is at_units(a, lam_at) for the ``unit_map`` lam_at (m, m), lam
+    (dim, m, m) is λ of each basis element, and e (m, m) the projection
+    implementing the expectation.  The span K of lam(a) e lam(b) is held as
+    ``span_bases`` places it: its orthonormal basis k_basis (k, m*m), the pair
+    presentations k_dual (k, dim*dim) of those basis elements, and the
+    orthonormal pair vectors k_pairs (k, dim*dim) that span the presentations."""
 
     def __init__(self, algebra: Algebra, expectation: LinMap, range_sub: Subspace, tol: float,
-                 m: int, q: np.ndarray, lift: np.ndarray, lam: np.ndarray, e: np.ndarray,
+                 m: int, q: np.ndarray, lift: np.ndarray, lam_at: np.ndarray, e: np.ndarray,
                  k_basis: np.ndarray, k_dual: np.ndarray, k_pairs: np.ndarray):
         self.algebra, self.expectation, self.range_sub = algebra, expectation, range_sub
         self.tol, self.m, self.q, self.lift = tol, m, q, lift
-        self.lam, self.e = lam, e
+        self.lam_at, self.e = lam_at, e
+        self.lam = at_units(np.eye(algebra.dim, dtype=complex), lam_at)
         self.k_basis, self.k_dual, self.k_pairs = k_basis, k_dual, k_pairs
 
     def express_in_k(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,8 +159,8 @@ class BasicConstruction:
         alg, lam, e = self.algebra, self.lam, self.e
         mult, star = representation_defects(alg, lam)
         # lam of each E(a_i) and of each range row
-        lam_ea = np.tensordot(self.expectation.matrix.T, lam, axes=1)
-        lam_b = np.tensordot(self.range_sub.basis, lam, axes=1)
+        lam_ea = at_units(self.expectation.matrix.T, self.lam_at)
+        lam_b = at_units(self.range_sub.basis, self.lam_at)
         kb = self.k_basis.reshape(-1, self.m, self.m)
         got = np.linalg.norm(lam_b @ e, 2, axis=(-2, -1))
         want = block_norms(alg, self.range_sub.basis)
@@ -199,10 +202,8 @@ def build_basic(expectation: LinMap, range_sub: Subspace,
         "quotient ill-conditioned: no spectral gap between kept and "
         "discarded directions"))
     m, e = quot.kept.size, quot.q @ expectation.matrix @ quot.lift
-    lam = np.zeros((alg.dim, m, m), dtype=complex)    # lam(e_pq) = E_pq ⊗ I
-    for u, c in zip(alg.units, quot.classes):
-        lam[u[:, :, None], c[:, None, :], c[None, :, :]] = 1.0
-    return BasicConstruction(alg, expectation, range_sub, tol, m, quot.q, quot.lift, lam, e,
+    return BasicConstruction(alg, expectation, range_sub, tol, m, quot.q, quot.lift,
+                             unit_map(alg.units, quot.classes, m), e,
                              *span_bases(alg.units, quot.classes, e, tol))
 
 

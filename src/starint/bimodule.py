@@ -5,18 +5,15 @@ one landing in the span built from the second map's expectation, a left one
 landing in the span built from the first map's — plus left/right algebra
 actions and a ternary product.  Both inner products induce the same
 seminorm; the quotient by its kernel is finite-dimensional and everything
-is realized as explicit tensors over the quotient coordinates.  Over the
-matrix units each Gram matrix of the basis tensors is a block form
-(``algebra.BlockForm``) of one piece per block pair, and the right one is
-cut by ``eigen_quotient`` as a basic construction's Gram is.  A span acts
-through the presentations of its orthonormal basis (``span_action``).  The
-inner products take values in that span, so their tables over the
-representatives, and everything the laws contract against the actions, are
-in span coordinates; 5.15 reads what an inner product has outside the span.
-Those tables are exactly zero off a small pattern, so the laws 5.11-5.17
-read them by their nonzeros (``algebra.Sparse``): each side of a law is a
-``contract`` over nonzeros, reduced against the other by ``law_defects``,
-and the (r, r, r, r) bracket exists only as its nonzeros.
+is realized as explicit tensors over the quotient coordinates.  Products of
+matrix units are taken by index (``algebra.unit_map``, ``at_units`` and
+``unit_sums``); each Gram matrix of the basis tensors is a block form of one
+piece per block pair in closed form, and the right one is cut by
+``eigen_quotient``.  A span acts through the presentations of its
+orthonormal basis (``span_action``), so the tables over the representatives
+are in span coordinates.  They are exactly zero off a small pattern, so the
+laws 5.11-5.17 read them by their nonzeros (``algebra.Sparse``, ``contract``,
+``law_defects``), and the (r, r, r, r) bracket exists only as its nonzeros.
 """
 
 from __future__ import annotations
@@ -29,6 +26,7 @@ import numpy as np
 from .algebra import (
     BlockForm,
     Sparse,
+    at_units,
     block_adjoint,
     block_product,
     contract,
@@ -41,6 +39,8 @@ from .algebra import (
     psd_top,
     row_chunks,
     singular_values,
+    unit_map,
+    unit_sums,
     worst,
 )
 from .basic_construction import (
@@ -76,29 +76,23 @@ class BimoduleX:
         alg = inter.algebra
         self.inter, self.algebra, self.bch, self.bcv, self.tol = inter, alg, bch, bcv, tol
         self.dim, self.amb, self.sigma = alg.dim, alg.dim ** 2, alg.star_perm
-        vm, hm = inter.v.matrix, inter.h.matrix
 
-        # The actions contract in two steps through the dim³ tables
-        # vl[j, s, p] = coords_s(V(a_j a_p)) and hl[q, s, i] = coords_s(H(a_q a_i)).
-        self.vl = np.einsum("ab,jbp->jap", vm, alg.left_mult_tensor)
-        self.hl = np.einsum("ab,qbi->qai", hm, alg.left_mult_tensor)
+        # The actions contract in two steps through the dim³ tables vl[j, s, p] =
+        # coords_s(V(a_j a_p)) and hl[q, s, i] = coords_s(H(a_q a_i)), gathered by index.
+        self.vl, self.hl = (np.ascontiguousarray(at_units(t.matrix, alg.unit_products)
+                                                 .swapaxes(0, 1)) for t in (inter.v, inter.h))
 
-        # Both inner products of elementary tensors are products of three
-        # small operators, and only these factors are stored:
-        #   <a⊗b, c⊗d>_r = λ_h(b)* · λ_h(H(a* c)) · e_h λ_h(d)
+        # Both inner products of elementary tensors are products of three small operators,
+        #   <a⊗b, c⊗d>_r = λ_h(b)* · λ_h(H(a* c)) e_h · λ_h(d)
         #   <a⊗b, c⊗d>_l = λ_v(a) · λ_v(V(b d*)) e_v · λ_v(c)*
-        # Each side keeps (P, M, Q, grids).  grids[b][p, q] indexes e_pq (right)
-        # or e_qp (left) in block b, and M pairs only indices of one copy p of
-        # one block, through the piece M[b][q, ·, q', ·]: (e_pq)*·e_p'q' and
-        # e_qp·(e_q'p')* are δ_pp'·e_qq' in one block and 0 across blocks.
-        self.units = alg.units
-        lam_h, lam_v = bch.lam, bcv.lam
-        self.factors_r = (lam_h.conj().transpose(0, 2, 1),
-                          tuple(np.einsum("sqr,sbc->qbrc", hm[:, u], lam_h) for u in self.units),
-                          np.einsum("ab,lbc->lac", bch.e, lam_h), self.units)
-        self.factors_l = (lam_v, tuple(np.einsum("sqr,sab,bc->qarc", vm[:, u], lam_v, bcv.e,
-                                                 optimize=True) for u in self.units),
-                          lam_v.conj().transpose(0, 2, 1), tuple(u.T for u in self.units))
+        # where λ(a) is a gathered at lam_at and λ(a)* at lam_at.T.  Each side keeps
+        # (first, M, last, grids), the outer index maps and, per block b, the middle piece
+        # M[b][q, ·, q', ·] = λ(X(e_qq'))·e, which pairs e_pq with e_pq' only: grids[b][p, q]
+        # indexes e_pq (right) or e_qp (left), and (e_pq)*·e_p'q' = e_qp·(e_q'p')* = δ_pp'·e_qq'.
+        mids = [tuple(np.einsum("qryw,wc->qyrc", at_units(t.matrix.T[u], bc.lam_at), bc.e)
+                      for u in alg.units) for t, bc in ((inter.h, bch), (inter.v, bcv))]
+        self.factors_r = (bch.lam_at.T, mids[0], bch.lam_at, alg.units)
+        self.factors_l = (bcv.lam_at, mids[1], bcv.lam_at.T, tuple(u.T for u in alg.units))
 
         quot = eigen_quotient(self._gram_pieces("right"), tol, (
             "module collapses: both inner products vanish",
@@ -111,58 +105,45 @@ class BimoduleX:
 
     # -- inner products and norms ----------------------------------------------
 
-    @staticmethod
-    def _pairing(us: np.ndarray, vs: np.ndarray, factors: tuple) -> np.ndarray:
-        """Sum over i, j, k, l of us[..., i, j] · P[j] · M[i, k] · vs[..., k, l] · Q[l]
-        for one side's factors, one (m, m) operator for each index of the
-        broadcast leading axes of the (..., dim, dim) stacks us and vs.  Each
-        pair forms (dim·m²)-entry temporaries, so the pairs are formed a chunk
-        at a time."""
-        dim, m = factors[0].shape[:2]
-        return _by_chunks(lambda u, v: (BimoduleX._pair_left(u, factors)
-                                        @ BimoduleX._pair_right(v, factors)),
-                          np.broadcast_arrays(us, vs), dim * m * m)
+    def _pairing(self, ss: np.ndarray, ts: np.ndarray, side: str) -> np.ndarray:
+        """(..., m, m): Σ_ijkl us[..., i, j] · P[j] · M[i, k] · vs[..., k, l] · Q[l] for one
+        side's ``_pair_args`` of two coefficient stacks that broadcast together.  Each
+        pair forms (dim·m²)-entry temporaries, so the pairs are formed a chunk at a time."""
+        us, vs, factors = self._pair_args(ss, ts, side)
+        return _by_chunks(lambda u, v: self._pair_left(u, factors) @ self._pair_right(v, factors),
+                          np.broadcast_arrays(us, vs), self.dim * len(factors[0]) ** 2)
 
-    @staticmethod
-    def _pair_left(us: np.ndarray, factors: tuple) -> np.ndarray:
-        """(..., m, dim·m): [..., x, (i, y)] = Σ_j us[..., i, j]·P[j][x, y]."""
-        dim, m = factors[0].shape[:2]
-        left = (us @ factors[0].reshape(dim, m * m)).reshape(*us.shape[:-2], dim, m, m)
-        return left.swapaxes(-3, -2).reshape(*us.shape[:-2], m, dim * m)
+    def _pair_left(self, us: np.ndarray, factors: tuple) -> np.ndarray:
+        """(..., m, dim·m): [..., x, (i, y)] = Σ_j us[..., i, j]·P[j][x, y], a gather."""
+        m = len(factors[0])
+        return at_units(us, factors[0]).swapaxes(-3, -2).reshape(*us.shape[:-2], m, self.dim * m)
 
-    @staticmethod
-    def _pair_right(vs: np.ndarray, factors: tuple) -> np.ndarray:
+    def _pair_right(self, vs: np.ndarray, factors: tuple) -> np.ndarray:
         """(..., dim·m, m): [..., (i, y), z] = Σ_kl M[i, k][y, ·]·vs[..., k, l]·Q[l][·, z]."""
         _, mids, last, grids = factors
-        dim, m = last.shape[:2]
-        right = (vs @ last.reshape(dim, m * m)).reshape(*vs.shape[:-2], dim, m, m)
+        right = at_units(vs, last)                      # [..., k, ·, z]
         moved = np.zeros(right.shape, dtype=complex)    # [..., i, y, z]: M @ right, by block
         for mid, grid in zip(mids, grids):
             moved[..., grid, :, :] = np.einsum("qyrc,...prcz->...pqyz", mid,
                                                right[..., grid, :, :], optimize=True)
-        return moved.reshape(*vs.shape[:-2], dim * m, m)
+        return moved.reshape(*vs.shape[:-2], self.dim * len(last), len(last))
 
     def _gram_pieces(self, side: str) -> BlockForm:
-        """The Gram matrix of the basis tensors under one inner product
-        (side "right" or "left") and the trace state, as one piece g_bc per
-        block pair, each its own stack, in the order of the right quotient's
-        ``null``.  For e_pq, e_p'q' in block b and e_rs, e_r's' in block c,
-            <e_pq⊗e_rs, e_p'q'⊗e_r's'> = δ_pp'·δ_ss'·g_bc[(q, r), (q', r')],
-        since a_i*·a_k = δ_pp'·e_qq' in the middle factor and the trace of
-        the outer factors sees d·b* = δ_ss'·e_r'r.  So g_bc is formed on the
-        tensors e_0q⊗e_r0 alone and repeated on the copies (p, s)."""
-        first, mids, last, _ = self.factors_r if side == "right" else self.factors_l
-        m = first.shape[1]
+        """The Gram matrix of the basis tensors under one inner product (side "right" or
+        "left") and the trace state, as one piece g_bc per block pair, each its own stack, in
+        the order of the right quotient's ``null``.  λ is a *-homomorphism, so for the state
+        τ(x) = tr(λ(x)·e)/m the trace state is τ_h(d·b*·H(a*·c)) on the right and
+        τ_v(c*·a·V(b·d*)) on the left; for e_pq, e_p'q' in block b and e_rs, e_r's' in block c
+            g_bc[(q, r), (q', r')] = τ_h(e_r'r·H(e_qq')) or τ_v(e_q'q·V(e_rr'))
+        on every copy (p, s), with τ(e_r'r·x) = Σ_β τ(e_r'β)·x[r, β] on block c."""
+        t, bc = (self.inter.h, self.bch) if side == "right" else (self.inter.v, self.bcv)
+        tau = np.zeros(self.dim + 1, dtype=complex)      # [-1] takes the entries of no unit
+        np.add.at(tau, bc.lam_at, bc.e.T / bc.m)
         pieces = []
-        for (b, ub), (c, uc) in product(enumerate(self.units), repeat=2):
-            # tr(P[j] · M[i, k] · Q[l]) / m: M pairs the first tensor leg (i, k)
-            # on the right and the second on the left, P and Q the other leg
-            mid, outer, out = ((mids[b], uc[:, 0], "ijkl") if side == "right"
-                               else (mids[c], ub[0], "jilk"))
-            wrap = last[outer, None] @ first[None, outer]      # [l, j] = Q[l] · P[j]
-            g = np.einsum(f"ibkc,ljcb->{out}", mid, wrap, optimize=True) / m
-            k = len(ub) * len(uc)
-            pieces.append((hermitian_part(g.reshape(1, k, k)),
+        for ub, uc in product(self.algebra.units, repeat=2):
+            g = (np.einsum("xb,rbqk->qrkx", tau[uc], t.matrix[uc][..., ub]) if side == "right"
+                 else np.einsum("kb,qbrx->qrkx", tau[ub], t.matrix[ub][..., uc]))
+            pieces.append((hermitian_part(g.reshape(1, len(ub) * len(uc), -1)),
                            copy_index(ub, uc.T, self.dim)[None]))
         return BlockForm(pieces)
 
@@ -173,8 +154,8 @@ class BimoduleX:
         return mats.reshape(*mats.shape[:-2], self.amb)
 
     def _pair_args(self, ss: np.ndarray, ts: np.ndarray, side: str) -> tuple:
-        """``_pairing``'s stacks and factors for one side's inner products; the
-        left factors pair the first tensor leg where the right ones pair the second."""
+        """The coefficient matrices us, vs and the factors of one side's pairing;
+        the left factors pair the first tensor leg where the right ones pair the second."""
         if side == "right":
             return self._coeff_mats(ss.conj()), self._coeff_mats(ts), self.factors_r
         return (self._coeff_mats(ss).swapaxes(-1, -2),
@@ -183,11 +164,11 @@ class BimoduleX:
     def inner_r(self, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """(..., m_h, m_h): the right inner products of two coefficient
         stacks (..., dim²) that broadcast together."""
-        return self._pairing(*self._pair_args(ss, ts, "right"))
+        return self._pairing(ss, ts, "right")
 
     def inner_l(self, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """(..., m_v, m_v): the left inner products, as ``inner_r``."""
-        return self._pairing(*self._pair_args(ss, ts, "left"))
+        return self._pairing(ss, ts, "left")
 
     def module_norm(self, ts: np.ndarray) -> np.ndarray:
         """(...): the norm ∥<t, t>_r∥^½ of each tensor of a coefficient stack."""
@@ -228,17 +209,15 @@ class BimoduleX:
     # c @ left_factor(t).
 
     def _right_factor(self, xs: np.ndarray) -> np.ndarray:
-        # [..., a, p] = coords_a(Σ_ij x[i, j]·a_i·V(a_j a_p)): x @ (V∘L), then Σ_i L_i·(…),
-        # a few matrices at a time, since each forms a dim³ temporary
-        return _by_chunks(lambda x: np.einsum("ias,nisp->nap", self.algebra.left_mult_tensor,
-                                              np.tensordot(x, self.vl, axes=1), optimize=True),
-                          (xs,), self.dim ** 3)
+        # [..., a, p] = coords_a(Σ_ij x[i, j]·a_i·V(a_j a_p)): x @ vl, then ``unit_sums``
+        # over (i, s), a few matrices at a time, since each forms a dim³ temporary
+        return _by_chunks(lambda x: unit_sums(self.algebra, np.moveaxis(
+            np.tensordot(x, self.vl, axes=1), -1, -3)).swapaxes(-1, -2), (xs,), self.dim ** 3)
 
     def _left_factor(self, xs: np.ndarray) -> np.ndarray:
-        # [..., q, a] = coords_a(Σ_ij x[i, j]·H(a_q a_i)·a_j): (H∘L) @ x, then Σ_j R_j·(…),
-        # a few matrices at a time, as _right_factor
-        return _by_chunks(lambda x: np.einsum("nqsj,jas->nqa", self.hl @ x[:, None],
-                                              self.algebra.right_mult_tensor, optimize=True),
+        # [..., q, a] = coords_a(Σ_ij x[i, j]·H(a_q a_i)·a_j): hl @ x, then ``unit_sums``
+        # over (s, j), a few matrices at a time, as _right_factor
+        return _by_chunks(lambda x: unit_sums(self.algebra, self.hl @ x[:, None]),
                           (xs,), self.dim ** 3)
 
     def right_act(self, ts: np.ndarray, ks: np.ndarray | None,
@@ -287,11 +266,11 @@ class BimoduleX:
     def act_a(self, a: np.ndarray, ts: np.ndarray, side: str) -> np.ndarray:
         """(..., dim²): a·t (side "left") or t·a (side "right") for a
         (..., dim) coordinate stack a and a coefficient stack ts."""
-        xm = self._coeff_mats(ts)
-        if side == "left":
-            out = np.tensordot(a, self.algebra.left_mult_tensor, axes=1) @ xm
-        elif side == "right":
-            out = xm @ np.tensordot(a, self.algebra.right_mult_tensor, axes=1).swapaxes(-1, -2)
+        xm, a = self._coeff_mats(ts), a[..., None, :]
+        if side == "left":      # a·(a_i⊗a_j) = (a·a_i)⊗a_j: a times each column's first leg
+            out = block_product(self.algebra, a, xm.swapaxes(-1, -2)).swapaxes(-1, -2)
+        elif side == "right":   # (a_i⊗a_j)·a = a_i⊗(a_j·a): each row's second leg times a
+            out = block_product(self.algebra, xm, a)
         else:
             raise ValueError("side must be 'left' or 'right'")
         return self._coeffs(out)
@@ -374,14 +353,13 @@ class BimoduleX:
         tensors e_pq⊗e_rs.  So the build forces both to be E ⊗ I on the classes:
         e_xp of block b moves copy (p, s) to (x, s), and the right action of e_sy
         of block c moves it to (p, y), the left action of its transpose on the
-        copies (s, p).  They are set by index, as ``build_basic`` sets λ; the
-        dense oracle of the tests keeps pinning the pattern."""
-        out = np.zeros((self.dim, self.r, self.r), dtype=complex)
-        for (ub, uc), cls in zip(product(self.units, repeat=2), self.classes):
-            cls = cls.reshape(len(ub), len(uc), -1)                 # [p, s, v]
-            units, cls = (ub, cls) if side == "left" else (uc.T, cls.swapaxes(0, 1))
-            out[units[:, :, None, None], cls[:, None], cls[None, :]] = 1.0
-        return out
+        copies (s, p).  They are set by ``unit_map``, as ``build_basic`` sets λ."""
+        units, classes = [], []
+        for (ub, uc), c in zip(product(self.algebra.units, repeat=2), self.classes):
+            c = c.reshape(len(ub), len(uc), -1)                     # [p, s, v]
+            units.append(ub if side == "left" else uc.T)
+            classes.append(c if side == "left" else c.swapaxes(0, 1))
+        return at_units(np.eye(self.dim, dtype=complex), unit_map(units, classes, self.r))
 
     @cached_property
     def lam_t(self) -> np.ndarray:
@@ -510,7 +488,7 @@ def check_bound_59(x: BimoduleX, samples: int = 50, terms: int = 3,
         xis[s], etas[s] = _random_stack(x, rng, 2)
         terms_ab[s] = alg.random_coords(rng, 2 * terms).reshape(terms, 2, alg.dim)
     a_star, b = block_adjoint(alg, terms_ab[:, :, 0]), terms_ab[:, :, 1]
-    lam_a, lam_b = (np.tensordot(c, bch.lam, axes=1) for c in (a_star, b))
+    lam_a, lam_b = (at_units(c, bch.lam_at) for c in (a_star, b))
     phis = (lam_a @ bch.e @ lam_b).sum(axis=1)
     pairs = a_star[..., :, None] * b[..., None, :]
     moved = x.right_act(etas[:, None], None, pairs).sum(axis=1)

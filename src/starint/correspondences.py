@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import (DEFAULT_TOL, Algebra, BlockForm, Sparse, block_adjoint, block_norms,
                       block_product, contract, law_defects, orthonormal_rows, pair_products,
-                      representation_defects, row_chunks, svd_rank, worst, worst_key,
+                      psd_top, representation_defects, row_chunks, svd_rank, worst, worst_key,
                       worst_norm)
 from .bimodule import BimoduleX, slot_adjoint_defects
 from .interactions import Interaction, _unit_defects
@@ -95,11 +95,14 @@ class GenCorrespondence:
         return self.tt.shape[0]
 
     def norm_of(self, coords: np.ndarray) -> np.ndarray:
-        """Norm of each element of a (..., n) coordinate stack."""
+        """Norm of each element of a (..., n) coordinate stack: ∥Σ c̄_i·c_j·<e_i, e_j>_r∥^½ in
+        abstract mode, the inner products read from the table ``inner_r_t``."""
         coords = np.asarray(coords, dtype=complex)
         if self.mode == "concrete":
             return block_norms(self.tro.ambient, coords @ self.tro.basis)
-        return self.x.module_norm(coords @ self.x.liftx.T)
+        pairs = coords.conj()[..., :, None] * coords[..., None, :]
+        inner = np.tensordot(pairs, self.x.inner_r_t, axes=2) @ self.x.bch.k_basis
+        return np.sqrt(psd_top(inner.reshape(*coords.shape[:-1], self.x.bch.m, self.x.bch.m)))
 
     @cached_property
     def laws(self) -> dict[str, float]:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .algebra import (
     Algebra,
+    at_units,
     block_norms,
     generated_subalgebra,
     pair_products,
@@ -206,7 +207,7 @@ def faithful_extension(rep: CovariantRep) -> FaithfulRep:
     big = n + dim
     pi = np.zeros((dim, big, big), dtype=complex)
     pi[:, :n, :n] = rep.pi
-    pi[:, n:, n:] = rep.interaction.algebra.left_mult_tensor
+    pi[:, n:, n:] = at_units(np.eye(dim), rep.interaction.algebra.unit_products).swapaxes(0, 1)
     smat = np.zeros((big, big), dtype=complex)
     smat[:n, :n] = rep.smat
     sv = np.linalg.svd(pi.reshape(dim, big * big).T, compute_uv=False)

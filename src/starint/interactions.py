@@ -18,6 +18,7 @@ from .algebra import (
     DEFAULT_TOL,
     Algebra,
     Subspace,
+    at_units,
     block_adjoint,
     block_norms,
     block_product,
@@ -340,11 +341,11 @@ def derive_from_partial_isometry(a_algebra: Algebra,
     if residuals["partial_isometry"] > tol:
         raise InteractionError(f"not a partial isometry (residual {pi_gap:.3e})")
 
-    # embed(a_j a_k) = embed(a_j) embed(a_k), with coords(a_j a_k) = L[j, :, k];
+    # embed(a_j a_k) = embed(a_j) embed(a_k), with a_j a_k a unit or 0 (``unit_products``);
     # embed(a_j*) = embed(a_j)*, with coords(a_j*) one-hot at star_perm[j]
-    products = pair_products(ambient, rows, rows)
+    products = pair_products(ambient, rows, rows).T              # [s, k, j]
     residuals["embedding"] = worst(
-        np.linalg.norm(products - a_algebra.left_mult_tensor.swapaxes(1, 2) @ rows, axis=-1),
+        np.linalg.norm(products - at_units(rows.T, a_algebra.unit_products.T), axis=0),
         np.linalg.norm(block_adjoint(ambient, rows) - rows[a_algebra.star_perm], axis=-1))
     if not residuals["embedding"] <= tol:
         raise InteractionError("embedded basis is not a *-homomorphic image")

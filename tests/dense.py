@@ -26,6 +26,20 @@ def mul(alg, x, y):
     return from_dense(alg, to_dense(alg, x) @ to_dense(alg, y))
 
 
+def left_mult(alg):
+    """(dim, dim, dim): [i] is the coordinate matrix of x -> a_i·x, its column k
+    the product a_i·a_k."""
+    eye = np.eye(alg.dim, dtype=complex)
+    return mul(alg, eye[:, None], eye[None]).swapaxes(1, 2)
+
+
+def right_mult(alg):
+    """(dim, dim, dim): [i] is the coordinate matrix of x -> x·a_i, its column k
+    the product a_k·a_i."""
+    eye = np.eye(alg.dim, dtype=complex)
+    return mul(alg, eye[None], eye[:, None]).swapaxes(1, 2)
+
+
 def star(alg, x):
     return from_dense(alg, to_dense(alg, x).conj().T)
 

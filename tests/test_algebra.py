@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from dense import to_dense
+from dense import left_mult, to_dense
 
 from starint import (
     Algebra,
@@ -166,7 +166,7 @@ def _dense_representation_defects(alg, reps):
     """representation_defects by the dense formula: rep(a_i a_k) contracted
     from the dim³ left-multiplication tensor."""
     dim, n = reps.shape[:2]
-    pairs = alg.left_mult_tensor.swapaxes(1, 2)   # [i, k] = coords(a_i a_k)
+    pairs = left_mult(alg).swapaxes(1, 2)         # [i, k] = coords(a_i a_k)
     mult = [worst_norm(np.tensordot(pairs[rows], reps, axes=1) - reps[rows, None] @ reps,
                        axis=(-2, -1))
             for rows in row_chunks(dim, dim * n * n)]
@@ -178,7 +178,7 @@ def _dense_representation_defects(alg, reps):
 def test_representation_defects_match_the_dense_formula(blocks):
     alg = Algebra(blocks)
     rng = np.random.default_rng(len(blocks))
-    regular = alg.left_mult_tensor                       # a *-representation
+    regular = left_mult(alg)                             # a *-representation
     noisy = rng.standard_normal((alg.dim, 3, 3)) + 1j * rng.standard_normal((alg.dim, 3, 3))
     for reps in (regular, noisy, regular.real.copy()):
         assert representation_defects(alg, reps) == _dense_representation_defects(alg, reps)

@@ -7,6 +7,7 @@ representation and the correspondence laws."""
 import dense
 import numpy as np
 import pytest
+from conftest import mixed_pair
 
 from starint import (
     Algebra,
@@ -82,7 +83,7 @@ def old_covrep(inter, x):
     s = kb.shape[0]
     pi = np.zeros((dim, r + s, r + s), dtype=complex)
     for i in range(dim):
-        left = np.kron(alg.left_mult_tensor[i], np.eye(dim))
+        left = np.kron(dense.left_mult(alg)[i], np.eye(dim))
         pi[i, :r, :r] = x.qx @ left @ x.liftx
         pi[i, r:, r:] = kb.conj() @ np.kron(x.bch.lam[i], np.eye(m)) @ kb.T
     smat = np.zeros((r + s, r + s), dtype=complex)
@@ -363,13 +364,12 @@ def built(request):
     return request.param, inter, x, build_covrep(inter, x, TOL)
 
 
-def test_basic_construction_matches_the_loops(built):
-    _, inter, _, _ = built
+def basic_construction_matches_the_loops(inter):
     for bc in (basic_for_h(inter), basic_for_v(inter)):
         alg = bc.algebra
         # q*q is the Gram matrix with its null directions (eigenvalues ~1e-16) cut
         close_arrays(bc.q.conj().T @ bc.q, old_gram(bc.expectation))
-        close_arrays(bc.lam, np.array([bc.q @ alg.left_mult_tensor[i] @ bc.lift
+        close_arrays(bc.lam, np.array([bc.q @ dense.left_mult(alg)[i] @ bc.lift
                                        for i in range(alg.dim)]))
         products = np.array([(bc.lam[i] @ bc.e @ bc.lam[j]).reshape(-1)
                              for i in range(alg.dim) for j in range(alg.dim)])
@@ -377,6 +377,16 @@ def test_basic_construction_matches_the_loops(built):
         kb = orthonormal_rows(products, TOL)
         close_arrays(bc.k_basis.T @ bc.k_basis.conj(), kb.T @ kb.conj())
         close(bc.invariants, old_invariants(bc))
+
+
+def test_basic_construction_matches_the_loops(built):
+    basic_construction_matches_the_loops(built[1])
+
+
+@pytest.mark.parametrize("name", ["mixed_221", "mixed_32"])
+def test_basic_construction_matches_the_loops_on_mixed_blocks(name):
+    # λ, set by its index map, is q·L_i·lift on blocks of unequal sizes too
+    basic_construction_matches_the_loops(mixed_pair(name, TOL))
 
 
 def test_covariant_representation_matches_the_loops(built):

@@ -8,7 +8,7 @@ from collections import Counter
 import dense
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import mixed_pair, traced_peak
 
 from starint import (
     Algebra,
@@ -29,7 +29,6 @@ from starint import (
     check_theta_adjoints,
     compact_spans,
     correspondence_from_bimodule,
-    derive_from_partial_isometry,
     flip_interaction,
     identity_interaction,
     swap_transfer_interaction,
@@ -39,7 +38,6 @@ from starint.algebra import Sparse, representation_defects, worst_norm
 from starint.bimodule import BimoduleX, slot_adjoint_defects
 from starint.checklist import _bimodule_records, _correspondence_records, build_stage_records
 from starint.correspondences import GenCorrespondence
-from starint.specio import read_spec, spec_arrays
 
 TOL = 1e-9
 
@@ -185,8 +183,8 @@ def pulled_back_tables(x):
 
 def old_tables(x):
     # [n, a]: the coefficients of a_a·rep_n and of rep_n·a_a
-    lefts = x.algebra.left_mult_tensor[None] @ x.rep_mats[:, None]
-    rights = x.rep_mats[:, None] @ x.algebra.right_mult_tensor[None].swapaxes(-1, -2)
+    lefts = dense.left_mult(x.algebra)[None] @ x.rep_mats[:, None]
+    rights = x.rep_mats[:, None] @ dense.right_mult(x.algebra)[None].swapaxes(-1, -2)
     dense_r, dense_l = pulled_back_tables(x)
     return {
         # the matrix-unit tables times the span basis: the action on each basis element
@@ -262,15 +260,6 @@ def test_the_part_of_a_matrix_outside_the_span_reads_as_zero(name):
     close(check_associativity(x), old_associativity(x, (dense_r, dense_l, jk, kj), inner))
     fullness = check_fullness(x)
     assert min(fullness["right_span_inside"], fullness["left_span_inside"]) > 1e-3, fullness
-
-
-def mixed_pair(name):
-    """The pair read off a partial isometry between blocks of unequal sizes,
-    from its problem file: M_2 ⊕ M_2 ⊕ C in M_5 with S = E_20 + E_31 + E_42,
-    or M_3 ⊕ M_2 in M_5 with S = E_30 + E_41."""
-    spec = spec_arrays(read_spec(f"tests/data/{name}.json"))
-    return derive_from_partial_isometry(spec.algebra, spec.ambient, spec.a_embed, spec.s,
-                                        TOL).interaction
 
 
 @pytest.mark.parametrize("name", ["mixed_221", "mixed_32"])

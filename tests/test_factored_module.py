@@ -8,7 +8,7 @@ import tracemalloc
 import dense
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import mixed_pair, traced_peak
 
 from starint import (
     Algebra,
@@ -21,6 +21,7 @@ from starint import (
     find_redundancies,
     flip_interaction,
     identity_interaction,
+    run_checklist,
     swap_transfer_interaction,
 )
 from starint import algebra
@@ -66,7 +67,7 @@ def dense_forms(x):
     """The dense (dim², dim², m, m) forms Rf, Lf, built as the module once
     stored them: [u, v] is the inner product of basis tensors e_u, e_v."""
     alg = x.algebra
-    lt = np.stack([alg.left_mult_tensor[i] for i in range(alg.dim)])
+    lt = dense.left_mult(alg)
     vl = np.einsum("ab,jbp->jap", x.inter.v.matrix, lt)
     hl = np.einsum("ab,qbi->qai", x.inter.h.matrix, lt)
     lam_h, e_h, lam_v, e_v = x.bch.lam, x.bch.e, x.bcv.lam, x.bcv.e
@@ -130,6 +131,8 @@ PATTERN_PAIRS = {
     "identity_122": lambda: identity_interaction(Algebra((1, 2, 2))),
     "diagonal_21": lambda: Interaction.build(diagonal_expectation(Algebra((2, 1))),
                                              diagonal_expectation(Algebra((2, 1))), TOL),
+    "mixed_221": lambda: mixed_pair("mixed_221", TOL),
+    "mixed_32": lambda: mixed_pair("mixed_32", TOL),
 }
 
 
@@ -155,13 +158,19 @@ def test_gram_pieces_are_the_dense_grams_by_matrix_units(name):
 
 def dense_middle_factors(x):
     """The dense (dim·m)-square middle factors, by dense products and the map
-    matrices: mid_h[i, ·, k, ·] = λ_h(H(a_i*·a_k)), mid_v[j, ·, l, ·] = λ_v(V(a_j·a_l*))·e_v."""
+    matrices: mid_h[i, ·, k, ·] = λ_h(H(a_i*·a_k))·e_h and
+    mid_v[j, ·, l, ·] = λ_v(V(a_j·a_l*))·e_v."""
     alg, eye = x.algebra, np.eye(x.dim, dtype=complex)
     stars = np.stack([dense.star(alg, a) for a in eye])
     h_of = dense.mul(alg, stars[:, None], eye[None]) @ x.inter.h.matrix.T
     v_of = dense.mul(alg, eye[:, None], stars[None]) @ x.inter.v.matrix.T
-    return (np.einsum("iks,sbc->ibkc", h_of, x.bch.lam),
+    return (np.einsum("iks,sab,bc->iakc", h_of, x.bch.lam, x.bch.e),
             np.einsum("jls,sab,bc->jalc", v_of, x.bcv.lam, x.bcv.e))
+
+
+def dense_lam(bc):
+    """(dim, m, m): λ of each basis element, q·L_i·lift by the dense left multiplications."""
+    return bc.q @ dense.left_mult(bc.algebra) @ bc.lift
 
 
 def dense_action_tables(x):
@@ -192,10 +201,16 @@ def test_middle_pieces_and_actions_match_the_dense_oracle(name):
                 assert np.abs(want[copy][:, :, copy] - piece).max() < 1e-12, side
                 placed[np.ix_(copy, copy)] = True
         assert not want.transpose(0, 2, 1, 3)[~placed].any(), side
+    # the outer factors λ* and λ of each side are gathered at its index maps
+    lam_h, lam_v = dense_lam(x.bch), dense_lam(x.bcv)
+    p_r, q_r, p_l, q_l = lam_h.conj().swapaxes(1, 2), lam_h, lam_v, lam_v.conj().swapaxes(1, 2)
+    (first_r, _, last_r, _), (first_l, _, last_l, _) = x.factors_r, x.factors_l
+    eye = np.eye(x.dim)
+    for at, want in ((first_r, p_r), (last_r, q_r), (first_l, p_l), (last_l, q_l)):
+        assert np.abs(algebra.at_units(eye, at) - want).max() < 1e-12
     rng = np.random.default_rng(9)
     ss, ts = rng.standard_normal((2, 3, x.amb, 2)) @ [1, 1j]
     s_m, t_m = ss.reshape(3, x.dim, x.dim), ts.reshape(3, x.dim, x.dim)
-    (p_r, _, q_r, _), (p_l, _, q_l, _) = x.factors_r, x.factors_l
     want_r = np.einsum("nij,nkl,jab,ibkc,lcd->nad", s_m.conj(), t_m, p_r, mids["right"], q_r,
                        optimize=True)
     want_l = np.einsum("nji,nlk,jab,ibkc,lcd->nad", s_m, t_m.conj(), p_l, mids["left"], q_l,
@@ -223,6 +238,26 @@ def test_module_build_holds_no_amb_square_array(n):
     assert not big, big
 
 
+@pytest.mark.parametrize("name", ["swap_endo", "mixed_221"])
+def test_a_full_build_leaves_no_dim_cubed_table_on_the_algebra(name):
+    # every record of the build stage, 7.13 included on the endomorphism/transfer
+    # pair, reads the products of matrix units by index: no (dim, dim, dim)
+    # multiplication table is cached on the algebra
+    if name == "swap_endo":
+        inter, alpha, transfer = swap_transfer_interaction()
+        mode = "endo_transfer"
+    else:
+        inter, alpha, transfer, mode = mixed_pair(name, TOL), None, None, None
+    report = run_checklist(inter.v, inter.h, tol=TOL, samples=4, mode=mode, alpha=alpha,
+                           transfer=transfer)
+    assert report.passed
+    assert report.records["7.13"].status == ("pass" if mode else "skipped")
+    dim = inter.algebra.dim
+    cubes = [k for k, v in vars(inter.algebra).items()
+             if isinstance(v, np.ndarray) and v.shape == (dim, dim, dim)]
+    assert not cubes, cubes
+
+
 def test_module_keeps_no_dense_form():
     inter = amplified_interaction(flip_interaction(), 3)     # dim 18, m = 9
     x, peak = traced_peak(lambda: build_bimodule(inter))
@@ -244,7 +279,8 @@ def test_chunked_factors_and_pairings_match_one_chunk(monkeypatch):
     def evaluate():
         return (x.inner_r(ss, ts), x.inner_l(ss, ts), x._right_factor(mats),
                 x._left_factor(mats), x.inner_r(ss[:0, 0], ts[:0, 0]),
-                x._right_factor(mats[:0, 0]))
+                x._right_factor(mats[:0, 0]), x.inner_l(ss[:, :0], ts[:, :0]),
+                x._left_factor(mats[:, :0]), x.act_a(np.zeros((0, x.dim)), ss[0, :0], "right"))
 
     whole = evaluate()
     monkeypatch.setattr(algebra, "CHUNK_ENTRIES", 1)
@@ -253,6 +289,10 @@ def test_chunked_factors_and_pairings_match_one_chunk(monkeypatch):
         assert np.abs(got - want).max(initial=0.0) < 1e-12
     assert whole[4].shape == (0, x.bch.m, x.bch.m)
     assert whole[5].shape == (0, x.dim, x.dim)
+    # the gathers keep the shape of a stack with an empty axis
+    assert whole[6].shape == (2, 0, x.bcv.m, x.bcv.m)
+    assert whole[7].shape == (2, 0, x.dim, x.dim)
+    assert whole[8].shape == (0, x.amb)
 
 
 def test_sampled_action_checks_stay_near_the_build_peak():
@@ -509,7 +549,8 @@ def test_redundancy_counts_equal_the_algebra_dimension(inter):
 
 def test_a_nan_in_the_module_fails_5_2_and_5_3():
     # a NaN in the right middle factor fails 5.2 and 5.3; one in the left
-    # middle factor, with the left Gram pieces rebuilt from it, fails 5.4
+    # middle factor fails 5.4 through the left norms (the Gram pieces are
+    # read off the maps and the state τ, not off the factors)
     for side, checks in (("factors_r", (("5.2", check_positivity),
                                         ("5.3", check_cauchy_schwarz))),
                          ("factors_l", (("5.4", check_norm_agreement),))):
@@ -518,7 +559,6 @@ def test_a_nan_in_the_module_fails_5_2_and_5_3():
         piece = piece.copy()
         piece[0, 0, 0, 0] = np.nan
         setattr(x, side, (first, (piece, *rest), last, grids))
-        x.pieces_l = x._gram_pieces("left")
         for cid, check in checks:
             record = _record(cid, check(x, 4, np.random.default_rng(0)), TOL)
             assert record.status == "fail" and np.isnan(record.residual), cid

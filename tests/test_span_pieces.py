@@ -107,7 +107,7 @@ def complex_normal(rng, *shape):
 def rebuilt(bc, rows=slice(None)):
     """A new construction with the fields of ``bc`` and the given rows of its span bases."""
     return BasicConstruction(bc.algebra, bc.expectation, bc.range_sub, bc.tol, bc.m, bc.q,
-                             bc.lift, bc.lam, bc.e, bc.k_basis[rows], bc.k_dual[rows],
+                             bc.lift, bc.lam_at, bc.e, bc.k_basis[rows], bc.k_dual[rows],
                              bc.k_pairs[rows])
 
 
@@ -176,7 +176,6 @@ def test_basic_constructions_hold_no_spanning_square_array():
 
     (bch, bcv), peak = traced_peak(build)
     x = BimoduleX(inter, bch, bcv, TOL)
-    inter.algebra.right_mult_tensor     # the algebra's own dim³ table, cached once for all uses
     _, peak_tables = traced_peak(lambda: (x.right_act_t, x.left_act_t))
     square = 16 ** 2 * dim ** 2          # entries of one dense (m², dim²) spanning matrix
     assert bch.m == bcv.m == 16
