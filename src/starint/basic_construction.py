@@ -80,14 +80,15 @@ def eigen_quotient(form: BlockForm, tol: float, messages: tuple[str, str, str]) 
 
 
 def span_bases(units: tuple[np.ndarray, ...], classes: tuple[np.ndarray, ...],
-               e: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               e: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     """The spanning matrix as a form of one piece per block pair, cut as one
     (``BlockForm.cut`` of the singular values of one SVD per piece shape),
     and each kept singular triple placed on its copies: the orthonormal span
     (k, m*m) on the entries (α, β) as α·m + β; its dual (k, dim*dim) on the
     pairs (a_i, a_j) as i·dim + j, the presentation of each basis element,
     which is its left singular vector, conjugated, over its singular value;
-    and those left singular vectors (k, dim*dim), orthonormal on the pairs."""
+    those left singular vectors (k, dim*dim), orthonormal on the pairs; and
+    the singular values (k,)."""
     dim, m = sum(u.size for u in units), len(e)
     pairs, entries = zip(*[(copy_index(ub, uc.T, dim), copy_index(cb, cc, m))
                            for ub, cb in zip(units, classes) for uc, cc in zip(units, classes)
@@ -103,7 +104,7 @@ def span_bases(units: tuple[np.ndarray, ...], classes: tuple[np.ndarray, ...],
     left = BlockForm((u, at) for (u, _, _), (at, _) in zip(svds, stacks)).place(keep, dim * dim)
     values = np.concatenate([np.repeat(s[kept], to.shape[1])
                              for (_, s, _), kept, (_, to) in zip(svds, keep, stacks)])
-    return basis.place(keep), left.conj() / values[:, None], left
+    return basis.place(keep), left.conj() / values[:, None], left, values
 
 
 class BasicConstruction:
@@ -114,17 +115,19 @@ class BasicConstruction:
     (dim, m, m) is λ of each basis element, and e (m, m) the projection
     implementing the expectation.  The span K of lam(a) e lam(b) is held as
     ``span_bases`` places it: its orthonormal basis k_basis (k, m*m), the pair
-    presentations k_dual (k, dim*dim) of those basis elements, and the
-    orthonormal pair vectors k_pairs (k, dim*dim) that span the presentations."""
+    presentations k_dual (k, dim*dim) of those basis elements, the
+    orthonormal pair vectors k_pairs (k, dim*dim) that span the presentations,
+    and the singular values k_values (k,) that take k_pairs to k_basis."""
 
     def __init__(self, algebra: Algebra, expectation: LinMap, range_sub: Subspace, tol: float,
                  m: int, q: np.ndarray, lift: np.ndarray, lam_at: np.ndarray, e: np.ndarray,
-                 k_basis: np.ndarray, k_dual: np.ndarray, k_pairs: np.ndarray):
+                 k_basis: np.ndarray, k_dual: np.ndarray, k_pairs: np.ndarray,
+                 k_values: np.ndarray):
         self.algebra, self.expectation, self.range_sub = algebra, expectation, range_sub
         self.tol, self.m, self.q, self.lift = tol, m, q, lift
         self.lam_at, self.e = lam_at, e
         self.lam = at_units(np.eye(algebra.dim, dtype=complex), lam_at)
-        self.k_basis, self.k_dual, self.k_pairs = k_basis, k_dual, k_pairs
+        self.k_basis, self.k_dual, self.k_pairs, self.k_values = k_basis, k_dual, k_pairs, k_values
 
     def express_in_k(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients in the orthonormal span of each matrix of a (..., m, m)
@@ -146,6 +149,20 @@ class BasicConstruction:
         coeffs, resid = self.express_in_k(mats)
         dim = self.algebra.dim
         return (coeffs @ self.k_dual).reshape(*coeffs.shape[:-1], dim, dim), resid
+
+    def pairs_in_k(self, coeffs: np.ndarray) -> np.ndarray:
+        """(..., k): the span coordinates of Σ c[i, j]·lam(a_i)·e·lam(a_j) for each
+        pair coefficient matrix c of a (..., dim, dim) stack.  The spanning matrix
+        is k_pairsᵀ·diag(k_values)·k_basis on its kept part, so they are
+        vec(c)·k_pairsᵀ·diag(k_values), read at the pairs that k_pairs meets."""
+        at = np.flatnonzero(self.k_pairs.any(axis=0))
+        vecs = coeffs.reshape(*coeffs.shape[:-2], coeffs.shape[-2] * coeffs.shape[-1])[..., at]
+        return vecs @ (self.k_pairs[:, at].T * self.k_values)
+
+    def generator_remainders(self) -> np.ndarray:
+        """(dim, dim): the relative remainder outside the span (``express_in_k``) of
+        each generator lam(a_i)·e·lam(a_j), formed from lam and e one i at a time."""
+        return np.stack([self.express_in_k(lam_e @ self.lam)[1] for lam_e in self.lam @ self.e])
 
     def null_part(self, coeffs: np.ndarray) -> np.ndarray:
         """(..., dim, dim): each pair coefficient matrix of a stack less its

@@ -9,11 +9,15 @@ is realized as explicit tensors over the quotient coordinates.  Products of
 matrix units are taken by index (``algebra.unit_map``, ``at_units`` and
 ``unit_sums``); each Gram matrix of the basis tensors is a block form of one
 piece per block pair in closed form, and the right one is cut by
-``eigen_quotient``.  A span acts through the presentations of its
-orthonormal basis (``span_action``), so the tables over the representatives
-are in span coordinates.  They are exactly zero off a small pattern, so the
-laws 5.11-5.17 read them by their nonzeros (``algebra.Sparse``, ``contract``,
-``law_defects``), and the (r, r, r, r) bracket exists only as its nonzeros.
+``eigen_quotient``.  Operators of a span are handled by their pair
+presentations: a span acts through the presentations of its orthonormal
+basis (``span_action``), and both inner products are presentations read off
+the same action factors (``_inner_factors``), taken to span coordinates by
+the span's pair vectors (``pairs_in_k``), so the tables over the
+representatives are in span coordinates.  They are exactly zero off a small
+pattern, so the laws 5.11-5.17 read them by their nonzeros (``algebra.Sparse``,
+``contract``, ``law_defects``), and the (r, r, r, r) bracket exists only as
+its nonzeros.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ def _by_chunks(part, stacks: tuple[np.ndarray, ...], row_entries: int) -> np.nda
 
 
 class BimoduleX:
-    """Quotient module with both inner products realized by their factors.
+    """Quotient module with both inner products presented in their spans.
 
     Tensors are (..., dim²) coefficient stacks: the coefficients of a⊗b are
     kron(coords(a), coords(b)).  Algebra elements are (..., dim) coordinate
@@ -82,18 +86,6 @@ class BimoduleX:
         self.vl, self.hl = (np.ascontiguousarray(at_units(t.matrix, alg.unit_products)
                                                  .swapaxes(0, 1)) for t in (inter.v, inter.h))
 
-        # Both inner products of elementary tensors are products of three small operators,
-        #   <a⊗b, c⊗d>_r = λ_h(b)* · λ_h(H(a* c)) e_h · λ_h(d)
-        #   <a⊗b, c⊗d>_l = λ_v(a) · λ_v(V(b d*)) e_v · λ_v(c)*
-        # where λ(a) is a gathered at lam_at and λ(a)* at lam_at.T.  Each side keeps
-        # (first, M, last, grids), the outer index maps and, per block b, the middle piece
-        # M[b][q, ·, q', ·] = λ(X(e_qq'))·e, which pairs e_pq with e_pq' only: grids[b][p, q]
-        # indexes e_pq (right) or e_qp (left), and (e_pq)*·e_p'q' = e_qp·(e_q'p')* = δ_pp'·e_qq'.
-        mids = [tuple(np.einsum("qryw,wc->qyrc", at_units(t.matrix.T[u], bc.lam_at), bc.e)
-                      for u in alg.units) for t, bc in ((inter.h, bch), (inter.v, bcv))]
-        self.factors_r = (bch.lam_at.T, mids[0], bch.lam_at, alg.units)
-        self.factors_l = (bcv.lam_at, mids[1], bcv.lam_at.T, tuple(u.T for u in alg.units))
-
         quot = eigen_quotient(self._gram_pieces("right"), tol, (
             "module collapses: both inner products vanish",
             "right inner product form is not positive (broken input pair)",
@@ -101,32 +93,8 @@ class BimoduleX:
         self.r, self.gram_spectrum, self.null_r = quot.kept.size, quot.kept, quot.null
         self.qx, self.liftx, self.classes = quot.q, quot.lift, quot.classes
         self.pieces_l = self._gram_pieces("left")     # for 5.4, on the same coordinates
-        self.span_tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}   # by side, see span_table
 
     # -- inner products and norms ----------------------------------------------
-
-    def _pairing(self, ss: np.ndarray, ts: np.ndarray, side: str) -> np.ndarray:
-        """(..., m, m): Σ_ijkl us[..., i, j] · P[j] · M[i, k] · vs[..., k, l] · Q[l] for one
-        side's ``_pair_args`` of two coefficient stacks that broadcast together.  Each
-        pair forms (dim·m²)-entry temporaries, so the pairs are formed a chunk at a time."""
-        us, vs, factors = self._pair_args(ss, ts, side)
-        return _by_chunks(lambda u, v: self._pair_left(u, factors) @ self._pair_right(v, factors),
-                          np.broadcast_arrays(us, vs), self.dim * len(factors[0]) ** 2)
-
-    def _pair_left(self, us: np.ndarray, factors: tuple) -> np.ndarray:
-        """(..., m, dim·m): [..., x, (i, y)] = Σ_j us[..., i, j]·P[j][x, y], a gather."""
-        m = len(factors[0])
-        return at_units(us, factors[0]).swapaxes(-3, -2).reshape(*us.shape[:-2], m, self.dim * m)
-
-    def _pair_right(self, vs: np.ndarray, factors: tuple) -> np.ndarray:
-        """(..., dim·m, m): [..., (i, y), z] = Σ_kl M[i, k][y, ·]·vs[..., k, l]·Q[l][·, z]."""
-        _, mids, last, grids = factors
-        right = at_units(vs, last)                      # [..., k, ·, z]
-        moved = np.zeros(right.shape, dtype=complex)    # [..., i, y, z]: M @ right, by block
-        for mid, grid in zip(mids, grids):
-            moved[..., grid, :, :] = np.einsum("qyrc,...prcz->...pqyz", mid,
-                                               right[..., grid, :, :], optimize=True)
-        return moved.reshape(*vs.shape[:-2], self.dim * len(last), len(last))
 
     def _gram_pieces(self, side: str) -> BlockForm:
         """The Gram matrix of the basis tensors under one inner product (side "right" or
@@ -153,22 +121,39 @@ class BimoduleX:
     def _coeffs(self, mats: np.ndarray) -> np.ndarray:
         return mats.reshape(*mats.shape[:-2], self.amb)
 
-    def _pair_args(self, ss: np.ndarray, ts: np.ndarray, side: str) -> tuple:
-        """The coefficient matrices us, vs and the factors of one side's pairing;
-        the left factors pair the first tensor leg where the right ones pair the second."""
+    def _inner_factors(self, ss: np.ndarray, ts: np.ndarray, side: str) -> tuple:
+        """Two (..., dim, dim) stacks xs, ys whose products xs @ ys are the pair
+        presentations (``right_act``) of one side's inner products of two coefficient
+        stacks.  λ is a *-homomorphism, so
+            <a⊗b, c⊗d>_r = λ_h(b*·H(a*·c))·e_h·λ_h(d)
+            <a⊗b, c⊗d>_l = λ_v(a·V(b·d*))·e_v·λ_v(c*)
+        whence, for coefficient matrices s, t, the presentations L(s)[σ, σ]^H @ t on
+        the right and R(s)[:, σ] @ t^H[:, σ] on the left, where L and R are the
+        action factors and a_σ(i) = a_i*."""
+        sigma, s_m, t_m = self.sigma, self._coeff_mats(ss), self._coeff_mats(ts)
         if side == "right":
-            return self._coeff_mats(ss.conj()), self._coeff_mats(ts), self.factors_r
-        return (self._coeff_mats(ss).swapaxes(-1, -2),
-                self._coeff_mats(ts.conj()).swapaxes(-1, -2), self.factors_l)
+            return self._left_factor(s_m)[..., sigma[:, None], sigma].conj().swapaxes(-1, -2), t_m
+        return self._right_factor(s_m)[..., sigma], t_m.conj().swapaxes(-1, -2)[..., sigma]
+
+    def _inner_presentation(self, ss: np.ndarray, ts: np.ndarray, side: str) -> np.ndarray:
+        """(..., dim, dim): the products of ``_inner_factors``, by plain einsum."""
+        return np.einsum("...ik,...kj->...ij", *self._inner_factors(ss, ts, side))
+
+    def _inner(self, ss: np.ndarray, ts: np.ndarray, side: str) -> np.ndarray:
+        bc = self.bch if side == "right" else self.bcv
+        coords = bc.pairs_in_k(self._inner_presentation(ss, ts, side))
+        ks = np.einsum("...w,wx->...x", coords, bc.k_basis)
+        return ks.reshape(*ks.shape[:-1], bc.m, bc.m)
 
     def inner_r(self, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """(..., m_h, m_h): the right inner products of two coefficient
-        stacks (..., dim²) that broadcast together."""
-        return self._pairing(ss, ts, "right")
+        stacks (..., dim²) that broadcast together, read off their
+        presentations (``_inner_factors``) on the span basis."""
+        return self._inner(ss, ts, "right")
 
     def inner_l(self, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """(..., m_v, m_v): the left inner products, as ``inner_r``."""
-        return self._pairing(ss, ts, "left")
+        return self._inner(ss, ts, "left")
 
     def module_norm(self, ts: np.ndarray) -> np.ndarray:
         """(...): the norm ∥<t, t>_r∥^½ of each tensor of a coefficient stack."""
@@ -278,8 +263,9 @@ class BimoduleX:
     # -- ternary product -----------------------------------------------------------
 
     def ternary(self, xs: np.ndarray, ys: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        """(..., dim²): x · <y, z>_r over three coefficient stacks."""
-        return self.right_act(xs, self.inner_r(ys, zs))
+        """(..., dim²): x · <y, z>_r over three coefficient stacks, acting
+        through the presentation of <y, z>_r."""
+        return self.right_act(xs, None, self._inner_presentation(ys, zs, "right"))
 
     def _elementary_factors(self, xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The elementary formula over (..., dim, dim) coefficient matrix
@@ -304,30 +290,24 @@ class BimoduleX:
         """(r, dim, dim): the representatives as coefficient matrices."""
         return self.liftx.T.reshape(self.r, self.dim, self.dim)
 
-    def span_table(self, side: str) -> tuple[np.ndarray, np.ndarray]:
-        """(r, r, k) and (r, r): ``express_in_k`` of one side's inner products over
-        pairs of representatives, coordinates and relative remainders outside the
-        span, formed once per side (``span_tables``) a chunk of rows at a time
-        against the second pairing factor, itself formed a chunk at a time, so
-        that no (r, r, m, m) array and no temporary of the factor's size is held."""
-        if side not in self.span_tables:
-            bc = self.bch if side == "right" else self.bcv
-            us, vs, factors = self._pair_args(self.liftx.T, self.liftx.T, side)
-            moved = _by_chunks(lambda v: self._pair_right(v, factors), (vs,), self.dim * bc.m ** 2)
-            found = [bc.express_in_k(self._pair_left(us[rows], factors)[:, None] @ moved)
-                     for rows in row_chunks(self.r, self.r * bc.m ** 2)]
-            self.span_tables[side] = tuple(map(np.concatenate, zip(*found)))
-        return self.span_tables[side]
+    def _inner_table(self, side: str) -> np.ndarray:
+        """(r, r, k): one side's inner products over pairs of representatives in
+        span coordinates, read off their presentations a chunk of rows at a time,
+        so that no (r, r, m, m) array is formed."""
+        bc = self.bch if side == "right" else self.bcv
+        xs, ys = self._inner_factors(self.liftx.T, self.liftx.T, side)
+        return np.concatenate([bc.pairs_in_k(xs[rows, None] @ ys)
+                               for rows in row_chunks(self.r, self.r * self.amb)])
 
     @cached_property
     def inner_r_t(self) -> np.ndarray:
         """(r, r, k_h): inner_r over pairs of representatives, in span coordinates."""
-        return self.span_table("right")[0]
+        return self._inner_table("right")
 
     @cached_property
     def inner_l_t(self) -> np.ndarray:
         """(r, r, k_v): inner_l over pairs of representatives, in span coordinates."""
-        return self.span_table("left")[0]
+        return self._inner_table("left")
 
     @cached_property
     def right_act_t(self) -> np.ndarray:
@@ -613,13 +593,15 @@ def check_ternary_consistency(x: BimoduleX) -> dict[str, float]:
 def check_fullness(x: BimoduleX) -> dict[str, float]:
     """Inner products of basis tensors span the full operator spans K, as do
     the quotient tables, since both vanish on the kernel.  K ⊆ span: k less the
-    rank of the (r², k) table is "*_span_dim_gap"; span ⊆ K: the largest relative
-    remainder of an inner product outside K is "*_span_inside"."""
+    rank of the (r², k) table is "*_span_dim_gap".  Span ⊆ K: every inner product
+    is a combination of the generators λ(a_i)·e·λ(a_j) through its presentation,
+    so "*_span_inside" is the largest relative remainder outside K of those
+    (``generator_remainders``)."""
     out = {}
     for side, table, bc in (("right", x.inner_r_t, x.bch), ("left", x.inner_l_t, x.bcv)):
         rank = len(orthonormal_rows(table.reshape(x.r * x.r, -1), x.tol))
         out[f"{side}_span_dim_gap"] = float(len(bc.k_basis) - rank)
-        out[f"{side}_span_inside"] = worst(x.span_table(side)[1])
+        out[f"{side}_span_inside"] = worst(bc.generator_remainders())
     return out
 
 

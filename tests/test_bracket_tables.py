@@ -58,17 +58,19 @@ def sides(x):
 
 def test_inner_tables_match_inner_products(module):
     # on the orthonormal span basis the coordinates give back each inner
-    # product, and the remainder is its relative part outside the span
+    # product; 5.15's remainders are those of the generators λ(a_i)·e·λ(a_j)
+    # outside the span
     x = module
     reps = x.liftx.T
-    for side, inner, table, bc in sides(x):
+    for _, inner, table, bc in sides(x):
         assert table.shape == (x.r, x.r, len(bc.k_basis))
         for j, k in [(0, 0), (0, x.r - 1), (x.r - 1, 1 % x.r)]:
             want = inner(reps[j], reps[k]).reshape(-1)
             assert np.abs(table[j, k] @ bc.k_basis - want).max() < 1e-12
-            outside = want - (want @ bc.k_basis.conj().T) @ bc.k_basis
-            rest = np.linalg.norm(outside) / max(1.0, np.linalg.norm(want))
-            assert abs(x.span_table(side)[1][j, k] - rest) < 1e-12
+        gens = (bc.lam[:, None] @ bc.e @ bc.lam).reshape(x.dim, x.dim, -1)
+        outside = gens - (gens @ bc.k_basis.conj().T) @ bc.k_basis
+        rest = np.linalg.norm(outside, axis=-1) / np.maximum(1.0, np.linalg.norm(gens, axis=-1))
+        assert np.abs(bc.generator_remainders() - rest).max() < 1e-12
 
 
 def test_action_tables_match_actions(module):

@@ -1,7 +1,8 @@
-"""The factored inner products against the dense dim⁴·m² forms they replace,
-the memory they and the chunked sampled checks save, the batched sampled
-checks 5.2-5.10 against their per-element loops, the stacked grid norms of
-5.4 against amplified maps, and the noise-free redundancy counts of 7.9."""
+"""The inner products' pair presentations against the dense dim⁴·m² forms
+they replace, the memory they and the chunked sampled checks save, the
+batched sampled checks 5.2-5.10 against their per-element loops, the stacked
+grid norms of 5.4 against amplified maps, and the noise-free redundancy
+counts of 7.9."""
 
 import tracemalloc
 
@@ -103,18 +104,15 @@ def test_factored_forms_match_the_dense_oracle(module):
         want_l = np.einsum("u,v,uvab->ab", s, t.conj(), lf)
         assert np.abs(x.inner_r(s, t) - want_r).max() < 1e-12
         assert np.abs(x.inner_l(s, t) - want_l).max() < 1e-12
-    # the tables hold span coordinates and each inner product's relative
-    # remainder outside the span
+    # the tables hold span coordinates, and the dense inner products have no
+    # part outside the span
     lift = x.liftx
     want_r = np.einsum("uj,vk,uvab->jkab", lift.conj(), lift, rf)
     want_l = np.einsum("uj,vk,uvab->jkab", lift, lift.conj(), lf)
-    for side, table, want, bc in (("right", x.inner_r_t, want_r, x.bch),
-                                  ("left", x.inner_l_t, want_l, x.bcv)):
+    for table, want, bc in ((x.inner_r_t, want_r, x.bch), (x.inner_l_t, want_l, x.bcv)):
         want = want.reshape(x.r, x.r, -1)
         assert np.abs(table @ bc.k_basis - want).max() < 1e-12
-        outside = np.linalg.norm(want - (want @ bc.k_basis.conj().T) @ bc.k_basis, axis=-1)
-        rest = outside / np.maximum(1.0, np.linalg.norm(want, axis=-1))
-        assert np.abs(x.span_table(side)[1] - rest).max() < 1e-12
+        assert np.abs(want - (want @ bc.k_basis.conj().T) @ bc.k_basis).max() < 1e-12
 
 
 def diagonal_expectation(alg: Algebra) -> LinMap:
@@ -156,18 +154,6 @@ def test_gram_pieces_are_the_dense_grams_by_matrix_units(name):
         assert np.abs(np.sort(spectrum) - np.linalg.eigvalsh(want)).max() < 1e-12, side
 
 
-def dense_middle_factors(x):
-    """The dense (dim·m)-square middle factors, by dense products and the map
-    matrices: mid_h[i, ·, k, ·] = λ_h(H(a_i*·a_k))·e_h and
-    mid_v[j, ·, l, ·] = λ_v(V(a_j·a_l*))·e_v."""
-    alg, eye = x.algebra, np.eye(x.dim, dtype=complex)
-    stars = np.stack([dense.star(alg, a) for a in eye])
-    h_of = dense.mul(alg, stars[:, None], eye[None]) @ x.inter.h.matrix.T
-    v_of = dense.mul(alg, eye[:, None], stars[None]) @ x.inter.v.matrix.T
-    return (np.einsum("iks,sab,bc->iakc", h_of, x.bch.lam, x.bch.e),
-            np.einsum("jls,sab,bc->jalc", v_of, x.bcv.lam, x.bcv.e))
-
-
 def dense_lam(bc):
     """(dim, m, m): λ of each basis element, q·L_i·lift by the dense left multiplications."""
     return bc.q @ dense.left_mult(bc.algebra) @ bc.lift
@@ -189,37 +175,58 @@ MIDDLE_PAIRS = {name: PATTERN_PAIRS[name]
 
 @pytest.mark.parametrize("name", sorted(MIDDLE_PAIRS))
 def test_middle_pieces_and_actions_match_the_dense_oracle(name):
-    # the dense middle factors are the pieces at their copies and exactly 0.0
-    # elsewhere; the pairing and both action factors agree with the dense route
+    # both action factors, which also carry the middles H(a*·c) and V(b·d*) of
+    # the inner products' presentations, agree with the dense route
     x = build_bimodule(MIDDLE_PAIRS[name]())
-    mids = dict(zip(("right", "left"), dense_middle_factors(x)))
-    for side, want in mids.items():
-        _, pieces, _, grids = x.factors_r if side == "right" else x.factors_l
-        placed = np.zeros((x.dim, x.dim), dtype=bool)
-        for piece, grid in zip(pieces, grids):
-            for copy in grid:
-                assert np.abs(want[copy][:, :, copy] - piece).max() < 1e-12, side
-                placed[np.ix_(copy, copy)] = True
-        assert not want.transpose(0, 2, 1, 3)[~placed].any(), side
-    # the outer factors λ* and λ of each side are gathered at its index maps
-    lam_h, lam_v = dense_lam(x.bch), dense_lam(x.bcv)
-    p_r, q_r, p_l, q_l = lam_h.conj().swapaxes(1, 2), lam_h, lam_v, lam_v.conj().swapaxes(1, 2)
-    (first_r, _, last_r, _), (first_l, _, last_l, _) = x.factors_r, x.factors_l
-    eye = np.eye(x.dim)
-    for at, want in ((first_r, p_r), (last_r, q_r), (first_l, p_l), (last_l, q_l)):
-        assert np.abs(algebra.at_units(eye, at) - want).max() < 1e-12
     rng = np.random.default_rng(9)
-    ss, ts = rng.standard_normal((2, 3, x.amb, 2)) @ [1, 1j]
-    s_m, t_m = ss.reshape(3, x.dim, x.dim), ts.reshape(3, x.dim, x.dim)
-    want_r = np.einsum("nij,nkl,jab,ibkc,lcd->nad", s_m.conj(), t_m, p_r, mids["right"], q_r,
-                       optimize=True)
-    want_l = np.einsum("nji,nlk,jab,ibkc,lcd->nad", s_m, t_m.conj(), p_l, mids["left"], q_l,
-                       optimize=True)
-    assert np.abs(x.inner_r(ss, ts) - want_r).max() < 1e-12
-    assert np.abs(x.inner_l(ss, ts) - want_l).max() < 1e-12
+    s_m = (rng.standard_normal((3, x.amb, 2)) @ [1, 1j]).reshape(3, x.dim, x.dim)
     f1, g1 = dense_action_tables(x)
     assert np.abs(x._right_factor(s_m) - np.einsum("nij,ijpa->nap", s_m, f1)).max() < 1e-12
     assert np.abs(x._left_factor(s_m) - np.einsum("nij,qija->nqa", s_m, g1)).max() < 1e-12
+
+
+def dense_presentations(x, s_m, t_m):
+    """Both inner products' pair presentations by dense products and the map
+    matrices: right [p, l] = Σ conj(s[i, j])·t[k, l]·coords_p(a_j*·H(a_i*·a_k)) and
+    left [p, σ(k)] = Σ s[i, j]·conj(t[k, l])·coords_p(a_i·V(a_j·a_l*))."""
+    alg, eye = x.algebra, np.eye(x.dim, dtype=complex)
+    stars = np.stack([dense.star(alg, a) for a in eye])
+    h_of = dense.mul(alg, stars[:, None], eye[None]) @ x.inter.h.matrix.T    # [i, k]
+    v_of = dense.mul(alg, eye[:, None], stars[None]) @ x.inter.v.matrix.T    # [j, l]
+    right = dense.mul(alg, stars[None, :, None], h_of[:, None])              # [i, j, k]
+    left = dense.mul(alg, eye[:, None, None], v_of[None])                    # [i, j, l]
+    return (np.einsum("nij,nkl,ijkp->npl", s_m.conj(), t_m, right),
+            np.einsum("nij,nkl,ijlp->npk", s_m, t_m.conj(), left)[..., x.sigma])
+
+
+PRESENTED_PAIRS = {name: PATTERN_PAIRS[name] for name in (
+    "identity_21", "identity_122", "diagonal_21", "adu_m2", "mixed_221", "mixed_32")}
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTED_PAIRS))
+def test_presentations_match_the_dense_oracle(name):
+    # each side's presentations are the dense ones; presented by the dense λ
+    # and e they are the dense inner products, which inner_r and inner_l read
+    # on the span basis; the tables are express_in_k of the dense inner
+    # products over pairs of representatives
+    x = build_bimodule(PRESENTED_PAIRS[name]())
+    rng = np.random.default_rng(9)
+    ss, ts = rng.standard_normal((2, 3, x.amb, 2)) @ [1, 1j]
+    lift, mats = x.liftx, (z.reshape(3, x.dim, x.dim) for z in (ss, ts))
+    for side, want, form, inner, table, bc in zip(
+            ("right", "left"), dense_presentations(x, *mats), dense_forms(x),
+            (x.inner_r, x.inner_l), (x.inner_r_t, x.inner_l_t), (x.bch, x.bcv)):
+        xs, ys = x._inner_factors(ss, ts, side)
+        assert np.abs(xs @ ys - want).max() < 1e-12, side
+        lam = dense_lam(bc)
+        operators = np.einsum("npq,pab,bc,qcd->nad", want, lam, bc.e, lam)
+        slots = (ss.conj(), ts) if side == "right" else (ss, ts.conj())
+        assert np.abs(operators - np.einsum("nu,nv,uvab->nab", *slots, form)).max() < 1e-12, side
+        assert np.abs(inner(ss, ts) - operators).max() < 1e-12, side
+        slots = (lift.conj(), lift) if side == "right" else (lift, lift.conj())
+        coords, rest = bc.express_in_k(np.einsum("uj,vk,uvab->jkab", *slots, form))
+        assert np.abs(table - coords).max() < 1e-12, side
+        assert rest.max() < 1e-12, side
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -265,6 +272,16 @@ def test_module_keeps_no_dense_form():
     assert peak < 32 * 2**20, peak / 2**20
     largest = max(v.nbytes for v in vars(x).values() if hasattr(v, "nbytes"))
     assert largest < 4 * 2**20, largest / 2**20
+
+
+def test_inner_tables_stay_below_a_quarter_of_one_dense_table():
+    # the tables are read off the presentations a chunk of representatives at
+    # a time: no (r, r, m, m) inner product array (25.6 MiB here) is formed
+    x = build_bimodule(amplified_interaction(identity_interaction(Algebra((2,))), 3))
+    assert x.r == x.bch.m == x.bcv.m == 36
+    _, peak = traced_peak(lambda: (x.inner_r_t, x.inner_l_t))
+    dense_table = 16 * x.r ** 2 * x.bch.m ** 2
+    assert peak < dense_table / 4, peak / dense_table
 
 
 def test_chunked_factors_and_pairings_match_one_chunk(monkeypatch):
@@ -461,20 +478,13 @@ def test_batched_sampled_checks_match_the_loops(module, seed):
         _agree(batched, loop, module, seed)
 
 
-def with_pieces(factors, change):
-    """One side's stored factors with ``change`` applied to every middle piece."""
-    first, mids, last, grids = factors
-    return first, tuple(map(change, mids)), last, grids
-
-
 def test_batched_sampled_checks_match_the_loops_on_a_broken_module():
-    # noise in the stored factors makes every sampled residual of order 1,
-    # so agreement shows the same samples reached the same verdicts
+    # noise in the map tables that the presentations and the actions read
+    # makes every sampled residual of order 1, so agreement shows the same
+    # samples reached the same verdicts
     x = build_bimodule(amplified_interaction(flip_interaction(), 2))
     rng = np.random.default_rng(1)
-    x.factors_r = with_pieces(x.factors_r, lambda g: g + 0.3 * (
-        rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)))
-    x.factors_l = with_pieces(x.factors_l, lambda g: g + 0.3 * rng.standard_normal(g.shape))
+    x.hl = x.hl + 0.3 * (rng.standard_normal(x.hl.shape) + 1j * rng.standard_normal(x.hl.shape))
     x.vl = x.vl + 0.3 * rng.standard_normal(x.vl.shape)
     for batched, loop in SAMPLED:
         got = batched(x, 6, rng=np.random.default_rng(5))
@@ -511,8 +521,9 @@ def test_grid_norms_match_the_amplified_maps(name):
 def test_noise_in_the_right_middle_factor_fails_5_4():
     x = build_bimodule(amplified_interaction(flip_interaction(), 2))
     assert check_norm_agreement(x, 10)["norm_forms_agree"] <= TOL
+    # hl holds the middles H(a_q·a_i) that the right presentations read
     rng = np.random.default_rng(3)
-    x.factors_r = with_pieces(x.factors_r, lambda g: g + 0.1 * rng.standard_normal(g.shape))
+    x.hl = x.hl + 0.1 * rng.standard_normal(x.hl.shape)
     record = _record("5.4", check_norm_agreement(x, 10), TOL)
     assert record.status == "fail"
     assert record.details["5.4-norm_forms_agree"] > 1e-3
@@ -548,17 +559,17 @@ def test_redundancy_counts_equal_the_algebra_dimension(inter):
 
 
 def test_a_nan_in_the_module_fails_5_2_and_5_3():
-    # a NaN in the right middle factor fails 5.2 and 5.3; one in the left
-    # middle factor fails 5.4 through the left norms (the Gram pieces are
-    # read off the maps and the state τ, not off the factors)
-    for side, checks in (("factors_r", (("5.2", check_positivity),
-                                        ("5.3", check_cauchy_schwarz))),
-                         ("factors_l", (("5.4", check_norm_agreement),))):
+    # a NaN in H's table hl, which the right presentations read, fails 5.2 and
+    # 5.3; one in V's table vl, which the left ones read, fails 5.4 through the
+    # left norms (the Gram pieces are read off the maps and the state τ, not
+    # off the tables)
+    for table, checks in (("hl", (("5.2", check_positivity),
+                                  ("5.3", check_cauchy_schwarz))),
+                          ("vl", (("5.4", check_norm_agreement),))):
         x = build_bimodule(identity_interaction(Algebra((2,))))
-        first, (piece, *rest), last, grids = getattr(x, side)
-        piece = piece.copy()
-        piece[0, 0, 0, 0] = np.nan
-        setattr(x, side, (first, (piece, *rest), last, grids))
+        value = getattr(x, table).copy()
+        value[0, 0, 0] = np.nan
+        setattr(x, table, value)
         for cid, check in checks:
             record = _record(cid, check(x, 4, np.random.default_rng(0)), TOL)
             assert record.status == "fail" and np.isnan(record.residual), cid

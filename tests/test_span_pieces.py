@@ -108,7 +108,7 @@ def rebuilt(bc, rows=slice(None)):
     """A new construction with the fields of ``bc`` and the given rows of its span bases."""
     return BasicConstruction(bc.algebra, bc.expectation, bc.range_sub, bc.tol, bc.m, bc.q,
                              bc.lift, bc.lam_at, bc.e, bc.k_basis[rows], bc.k_dual[rows],
-                             bc.k_pairs[rows])
+                             bc.k_pairs[rows], bc.k_values[rows])
 
 
 def drop_one_kept_row(bc):
