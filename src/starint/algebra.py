@@ -266,22 +266,6 @@ def block_norms(algebra: Algebra, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def representation_defects(algebra: Algebra, reps: np.ndarray) -> tuple[float, float]:
-    """How far a (dim, n, n) stack, one matrix per basis element, is from a
-    *-homomorphism: the largest ||rep(a_i a_k) - rep(a_i)·rep(a_k)|| and the
-    largest ||rep(a_i*) - rep(a_i)*||, in Frobenius norm; NaN comes through.
-    Each a_i a_k is a matrix unit or 0, so rep(a_i a_k) is gathered from
-    ``reps``; the products are formed a few rows i at a time."""
-    dim, n = reps.shape[:2]
-    padded = np.concatenate([reps, np.zeros((1, n, n), reps.dtype)])  # [-1] = rep(0)
-    mult = [worst_norm(padded[algebra.unit_products[rows]] - reps[rows, None] @ reps,
-                       axis=(-2, -1))
-            for rows in row_chunks(dim, dim * n * n)]
-    star = worst_norm(reps[algebra.star_perm] - reps.conj().swapaxes(-1, -2),
-                      axis=(-2, -1))
-    return worst(mult), star
-
-
 def positivity_defects(algebra: Algebra, xs: np.ndarray) -> np.ndarray:
     """Distance from positivity of each element of a (..., dim) stack: the
     largest Hermitian gap or negative eigenvalue over the blocks, relative
@@ -397,8 +381,9 @@ class Sparse(NamedTuple):
         return out.reshape(self.shape)
 
     def reshape(self, *shape: int) -> "Sparse":
-        """The same entries in another shape, one of its lengths -1 at most."""
-        rest = -int(np.prod(shape)) if -1 in shape else 1
+        """The same entries in another shape, one of its lengths -1 at most (0
+        where the other lengths hold no entry)."""
+        rest = max(-int(np.prod(shape)), 1)
         return self._replace(shape=tuple(int(np.prod(self.shape)) // rest if d == -1 else d
                                          for d in shape))
 
@@ -470,6 +455,29 @@ def law_defects(sides: Iterable[tuple[Sparse, Sparse]]) -> tuple[float, float]:
         norms.append(np.sqrt(np.add.reduceat(squares, first)) if len(first) else squares)
         tops.append(abs(diff.values))
     return worst(*norms), worst(*tops)
+
+
+def representation_defects(algebra: Algebra, reps: np.ndarray) -> tuple[float, float]:
+    """How far a (dim, n, n) stack, one matrix per basis element, is from a
+    *-homomorphism: the largest ||rep(a_i a_k) - rep(a_i)·rep(a_k)|| and the
+    largest ||rep(a_i*) - rep(a_i)*||, in Frobenius norm; NaN comes through.
+    Each a_i a_k is a matrix unit or 0, so rep(a_i a_k) is the unit-product
+    table [i, k, j] (a_i·a_k = a_j) contracted with ``reps``, and rep(a_i*) the
+    star table [i, j] (a_i* = a_j) contracted with it; every side is read over
+    the nonzeros (``contract``, ``law_defects``), a chunk of rows i at a time."""
+    dim, n = reps.shape[:2]
+    i, k = np.nonzero(algebra.unit_products >= 0)
+    units = Sparse(np.ravel_multi_index((i, k, algebra.unit_products[i, k]), (dim,) * 3),
+                   np.ones(len(i), complex), (dim,) * 3)
+    stars = Sparse(np.arange(dim) * dim + algebra.star_perm, np.ones(dim, complex), (dim, dim))
+    rep = Sparse.of(reps)
+    adjoint = rep.transpose(0, 2, 1)
+    mult = law_defects((contract("ikj,jab->ikab", units.rows(rows), rep).reshape(-1, n * n),
+                        contract("iab,kbc->ikac", rep.rows(rows), rep).reshape(-1, n * n))
+                       for rows in row_chunks(dim, len(rep.at)))[0]
+    star = law_defects([(contract("ij,jab->iab", stars, rep).reshape(dim, n * n),
+                         adjoint._replace(values=adjoint.values.conj()).reshape(dim, n * n))])[0]
+    return mult, star
 
 
 # -- block forms ---------------------------------------------------------------

@@ -1,21 +1,28 @@
 """Two-block Hilbert-space realization of a verified pair as (pi, S).
 
-The space is the module quotient plus the right-hand operator span with its
-trace-state inner product; pi acts diagonally and S maps the second summand
-into the first through the action on 1⊗1.  All defining relations of the
-representation are matrix identities here and are verified at build time.
+The space is the module quotient (r) plus the right-hand operator span K (s)
+with its trace-state inner product.  pi acts diagonally: on the module by the
+module's coefficient action, on K by left multiplication read in K's
+orthonormal basis, over the nonzeros of λ and of that basis.  S has one
+block T: it maps K into the module through the action on 1⊗1.  So every
+defining relation is an identity on one block, r×r or s×s, and is verified
+at build time there; the faithful extension adds the trace summand to pi and
+reads only pi's own relations again.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import (
     Algebra,
+    Sparse,
     at_units,
     block_norms,
+    contract,
     generated_subalgebra,
     pair_products,
     representation_defects,
@@ -34,64 +41,47 @@ class CovariantError(ValueError):
         self.residuals = residuals or {}
 
 
-class _Relations:
-    """The stacks a representation (pi, S) of a pair is checked on, each
-    computed once, and the residuals of its defining relations."""
-
-    interaction: Interaction
-    pi: np.ndarray            # (dim, n, n): representation of each basis element
-    smat: np.ndarray          # (n, n): the partial isometry
-
-    @cached_property
-    def ss(self) -> np.ndarray:
-        """SS*, the support projection of S."""
-        return self.smat @ self.smat.conj().T
-
-    @cached_property
-    def s_s(self) -> np.ndarray:
-        """S*S, the initial projection of S."""
-        return self.smat.conj().T @ self.smat
-
-    @cached_property
-    def pi_v(self) -> np.ndarray:
-        """(dim, n, n): pi(V(a_i)) for each basis element."""
-        return np.tensordot(self.interaction.v.matrix.T, self.pi, axes=1)
-
-    @cached_property
-    def pi_h(self) -> np.ndarray:
-        """(dim, n, n): pi(H(a_i)) for each basis element."""
-        return np.tensordot(self.interaction.h.matrix.T, self.pi, axes=1)
-
-    @cached_property
-    def residuals(self) -> dict[str, float]:
-        """Defining relations: pi is a *-homomorphism, S a partial isometry,
-        and S is covariant for both maps."""
-        pi, smat = self.pi, self.smat
-        mult, star = representation_defects(self.interaction.algebra, pi)
-        s_adj = smat.conj().T
-        return {
-            "pi_multiplicative": mult,
-            "pi_star": star,
-            "partial_isometry": float(np.linalg.norm(smat @ s_adj @ smat - smat)),
-            "covariance_v": worst_norm(smat @ pi @ s_adj - self.pi_v @ self.ss,
-                                       axis=(-2, -1)),
-            "covariance_h": worst_norm(s_adj @ pi @ smat - self.pi_h @ self.s_s,
-                                       axis=(-2, -1)),
-        }
-
-
-class CovariantRep(_Relations):
+class CovariantRep:
     """The covariant representation (pi, S) of a pair on n = r + s
-    dimensions: the module summand (r) and the operator-span summand (s)."""
+    dimensions: the module summand (r) and the operator-span summand (s).
+    The build makes pi exactly 0 off its two diagonal blocks, pi_m on the
+    module and pi_k on the span, and S exactly 0 outside its one block
+    T = smat[:r, r:], from the span into the module.  So each relation is read
+    on the block where it lives, over stacks formed once: SS* = TT* (r, r) and
+    pi_v = pi∘V (dim, r, r) on the module, S*S = T*T (s, s) and pi_h = pi∘H
+    (dim, s, s) on the span."""
 
     def __init__(self, interaction: Interaction, x: BimoduleX, r: int, s: int,
                  pi: np.ndarray, smat: np.ndarray, tol: float):
         self.interaction, self.x, self.r, self.s = interaction, x, r, s
         self.pi, self.smat, self.tol = pi, smat, tol
+        self.pi_m, self.pi_k, self.t = pi[:, :r, :r], pi[:, r:, r:], smat[:r, r:]
+        self.ss, self.s_s = self.t @ self.t.conj().T, self.t.conj().T @ self.t
+        self.pi_v = np.tensordot(interaction.v.matrix.T, self.pi_m, axes=1)
+        self.pi_h = np.tensordot(interaction.h.matrix.T, self.pi_k, axes=1)
 
     @property
     def n(self) -> int:
         return self.r + self.s
+
+    @cached_property
+    def residuals(self) -> dict[str, float]:
+        """Defining relations: pi is a *-homomorphism, S a partial isometry
+        (TT*T = T), and S is covariant for both maps: T·pi_k(a)·T* = pi_m(V(a))·TT*
+        and T*·pi_m(a)·T = pi_k(H(a))·T*T; the largest entry of pi off its blocks
+        counts in pi_multiplicative, and of S outside T in partial_isometry."""
+        r, pi, smat, t, t_adj = self.r, self.pi, self.smat, self.t, self.t.conj().T
+        mult, star = representation_defects(self.interaction.algebra, pi)
+        return {
+            "pi_multiplicative": worst(mult, abs(pi[:, :r, r:]), abs(pi[:, r:, :r])),
+            "pi_star": star,
+            "partial_isometry": worst(np.linalg.norm(self.ss @ t - t), abs(smat[:, :r]),
+                                      abs(smat[r:])),
+            "covariance_v": worst_norm(t @ self.pi_k @ t_adj - self.pi_v @ self.ss,
+                                       axis=(-2, -1)),
+            "covariance_h": worst_norm(t_adj @ self.pi_m @ t - self.pi_h @ self.s_s,
+                                       axis=(-2, -1)),
+        }
 
 
 def build_covrep(inter: Interaction, x: BimoduleX | None = None,
@@ -103,10 +93,12 @@ def build_covrep(inter: Interaction, x: BimoduleX | None = None,
 
     pi = np.zeros((dim, r + s, r + s), dtype=complex)
     pi[:, :r, :r] = x.lam_t
-    # [i, b, c] = <k_c, lam(a_i)·k_b>: the span summand acts by left multiplication
-    ks = x.bch.k_basis.reshape(s, m, m)
-    for rows in row_chunks(dim, s * m * m):        # (rows, s, m, m) products at a time
-        pi[rows, r:, r:] = x.bch.express_in_k(x.bch.lam[rows, None] @ ks)[0].swapaxes(1, 2)
+    # [i, c, b] = <k_c, lam(a_i)·k_b>, over the nonzeros of lam and of the span basis
+    ks = Sparse.of(x.bch.k_basis.reshape(s, m, m))
+    lam, ks_bar = Sparse.of(x.bch.lam), ks._replace(values=ks.values.conj())
+    for rows in row_chunks(dim, s * m * m):                 # (rows, s, m, m) at most
+        moved = contract("iag,bgz->ibaz", lam.rows(rows), ks)
+        pi[rows, r:, r:] = contract("ibaz,caz->icb", moved, ks_bar).dense()
 
     # S sends the span basis k_b to the class of (1⊗1)·k_b, scaled by sqrt(m)
     smat = np.zeros_like(pi[0])
@@ -162,27 +154,27 @@ def check_corner_norms(rep: CovariantRep) -> dict[str, float]:
 
 def check_unit_relations(rep: CovariantRep) -> dict[str, float]:
     """Images of the units of the two ranges fix the support projections."""
-    inter = rep.interaction
-    one = inter.algebra.unit()
+    one = rep.interaction.algebra.unit()
     return {
         "v_unit_fixes_support": float(np.linalg.norm(
-            np.tensordot(inter.v.matrix @ one, rep.pi, axes=(0, 0)) @ rep.ss - rep.ss)),
+            np.tensordot(one, rep.pi_v, axes=1) @ rep.ss - rep.ss)),
         "h_unit_fixes_support": float(np.linalg.norm(
-            np.tensordot(inter.h.matrix @ one, rep.pi, axes=(0, 0)) @ rep.s_s - rep.s_s)),
+            np.tensordot(one, rep.pi_h, axes=1) @ rep.s_s - rep.s_s)),
     }
 
 
 def check_nondegeneracy(rep: CovariantRep) -> dict[str, float]:
     """Injectivity gates of x -> pi(x)S on the first range (and its generated
-    algebra), mirrored as S·pi(x) on the second."""
+    algebra), mirrored as S·pi(x) on the second: on the block of T, these are
+    pi_m(x)·T and T·pi_k(x)."""
     inter, tol = rep.interaction, rep.tol
-    ambient, embedded, s_coords = rep_ambient_data(rep)
     gates = {}
-    for name, space, side in (("v", inter.range_v, "right"), ("h", inter.range_h, "left")):
+    for name, space in (("v", inter.range_v), ("h", inter.range_h)):
         generated = generated_subalgebra(space.algebra, space.basis, tol)
         for kind, sub in (("range", space), ("generated", generated)):
-            gates[f"gate_{kind}_{name}"] = _injectivity_gate(
-                ambient, sub.basis @ embedded, s_coords, side, space.algebra.matrix_size)
+            moved = (np.tensordot(sub.basis, rep.pi_m, axes=1) @ rep.t if name == "v"
+                     else rep.t @ np.tensordot(sub.basis, rep.pi_k, axes=1))
+            gates[f"gate_{kind}_{name}"] = _injectivity_gate(moved, space.algebra.matrix_size)
     gates["nondegenerate"] = float(min(gates.values()) > tol)
     # passing the plain-range gate must imply passing the generated one
     implication_ok = ((gates["gate_range_v"] <= tol or gates["gate_generated_v"] > tol)
@@ -191,18 +183,19 @@ def check_nondegeneracy(rep: CovariantRep) -> dict[str, float]:
     return gates
 
 
-class FaithfulRep(_Relations):
+class FaithfulRep(NamedTuple):
     """A representation with the trace summand appended to its pi, so that
     pi is injective; ``injectivity`` is its smallest singular value."""
-
-    def __init__(self, interaction: Interaction, pi: np.ndarray, smat: np.ndarray,
-                 injectivity: float):
-        self.interaction, self.pi, self.smat, self.injectivity = interaction, pi, smat, injectivity
+    pi: np.ndarray
+    smat: np.ndarray
+    injectivity: float
+    residuals: dict[str, float]
 
 
 def faithful_extension(rep: CovariantRep) -> FaithfulRep:
-    """Append the trace representation so the algebra embeds injectively;
-    S extends by zero, so every relation survives unchanged."""
+    """Append the trace representation so the algebra embeds injectively.
+    S extends by zero, so its relations are the representation's own; only
+    the *-homomorphism defects are read again, on pi ⊕ trace."""
     dim, n = rep.pi.shape[:2]
     big = n + dim
     pi = np.zeros((dim, big, big), dtype=complex)
@@ -211,8 +204,9 @@ def faithful_extension(rep: CovariantRep) -> FaithfulRep:
     smat = np.zeros((big, big), dtype=complex)
     smat[:n, :n] = rep.smat
     sv = np.linalg.svd(pi.reshape(dim, big * big).T, compute_uv=False)
-    return FaithfulRep(interaction=rep.interaction, pi=pi, smat=smat,
-                       injectivity=float(sv.min()))
+    mult, star = representation_defects(rep.interaction.algebra, pi)
+    return FaithfulRep(pi, smat, float(sv.min()),
+                       {**rep.residuals, "pi_multiplicative": mult, "pi_star": star})
 
 
 def rep_ambient_data(rep: CovariantRep) -> tuple[Algebra, np.ndarray, np.ndarray]:

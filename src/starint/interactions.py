@@ -291,20 +291,17 @@ class DeriveResult(NamedTuple):
     gates: dict[str, float]
 
 
-def _injectivity_gate(ambient: Algebra, rows_in_ambient: np.ndarray,
-                      s: np.ndarray, side: str, scale: int) -> float:
-    """Smallest singular value of x -> x·S (side "right") or S·x (side
-    "left") over a subspace of the ambient.
+def _injectivity_gate(moved: np.ndarray, scale: int) -> float:
+    """Smallest singular value of a linear map over a subspace, given the
+    (d, ...) images of the subspace's d orthonormal rows.
 
-    Rows are standard-orthonormal coordinates; the input is rescaled to
-    the normalized-trace inner product of matrix size ``scale``, so that a
-    unit element of the algebra the rows come from has norm one.
+    The images are rescaled to the normalized-trace inner product of matrix
+    size ``scale``, so that a unit element of the algebra the rows come from
+    has norm one.
     """
-    if rows_in_ambient.shape[0] == 0:
+    if moved.shape[0] == 0:
         return float("inf")
-    moved = (block_product(ambient, rows_in_ambient, s) if side == "right"
-             else block_product(ambient, s, rows_in_ambient))
-    sv = np.linalg.svd(np.sqrt(scale) * moved.T, compute_uv=False)
+    sv = np.linalg.svd(np.sqrt(scale) * moved.reshape(len(moved), -1).T, compute_uv=False)
     return float(sv.min())
 
 
@@ -387,9 +384,10 @@ def derive_from_partial_isometry(a_algebra: Algebra,
             continue
         gates = {}
         for name, mat, side in (("v", vm, "right"), ("h", hm, "left")):
-            span = generated_subalgebra(a_algebra, mat.T, tol)
-            gates[f"{name}_generated"] = _injectivity_gate(ambient, span.basis @ rows,
-                                                           sc, side, ambient.matrix_size)
+            xs = generated_subalgebra(a_algebra, mat.T, tol).basis @ rows
+            pair = (xs, sc) if side == "right" else (sc, xs)             # x·S or S·x
+            gates[f"{name}_generated"] = _injectivity_gate(block_product(ambient, *pair),
+                                                           ambient.matrix_size)
         if min(gates.values()) <= tol:
             continue
         return DeriveResult(interaction=Interaction.from_report(v, h, report), gauge=gauge,

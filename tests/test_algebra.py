@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import mixed_pair
 from dense import left_mult, to_dense
 
 from starint import (
@@ -9,6 +10,7 @@ from starint import (
     DescriptorMismatch,
     LinMap,
     Subspace,
+    build_covrep,
     generated_subalgebra,
 )
 from starint.algebra import (
@@ -180,11 +182,29 @@ def test_representation_defects_match_the_dense_formula(blocks):
     rng = np.random.default_rng(len(blocks))
     regular = left_mult(alg)                             # a *-representation
     noisy = rng.standard_normal((alg.dim, 3, 3)) + 1j * rng.standard_normal((alg.dim, 3, 3))
-    for reps in (regular, noisy, regular.real.copy()):
+    for reps in (regular, regular.real.copy()):          # exact: sums of products of 0 and 1
         assert representation_defects(alg, reps) == _dense_representation_defects(alg, reps)
     assert representation_defects(alg, regular) == (0.0, 0.0)
+    # the sums over the nonzeros add in another order than the dense products
+    close_pair(representation_defects(alg, noisy), _dense_representation_defects(alg, noisy))
     broken = noisy.copy()
     broken[-1, 0, 0] = np.nan
     mult, star = representation_defects(alg, broken)
     assert np.isnan(mult) and np.isnan(star)
     assert all(np.isnan(_dense_representation_defects(alg, broken)))
+
+
+def close_pair(got, want):
+    assert np.abs(np.subtract(got, want)).max() <= 1e-12, (got, want)
+
+
+def test_representation_defects_of_pi_on_mixed_blocks_match_the_dense_formula():
+    # π on M_2 ⊕ M_2 ⊕ C, whose span summand holds more than one magnitude,
+    # and the same with noise on every entry, so that the defects are of order 1
+    inter = mixed_pair("mixed_221")
+    pi = build_covrep(inter).pi
+    noisy = pi + 0.1 * np.random.default_rng(6).standard_normal(pi.shape)
+    for reps in (pi, noisy):
+        close_pair(representation_defects(inter.algebra, reps),
+                   _dense_representation_defects(inter.algebra, reps))
+    assert min(representation_defects(inter.algebra, noisy)) > 0.1

@@ -389,9 +389,17 @@ def test_basic_construction_matches_the_loops_on_mixed_blocks(name):
     basic_construction_matches_the_loops(mixed_pair(name, TOL))
 
 
-def test_covariant_representation_matches_the_loops(built):
-    _, inter, x, rep = built
+def assert_zero_off_the_blocks(rep):
+    """pi is exactly 0 off its (r, s) diagonal blocks and S exactly 0 outside
+    [:r, r:], as the build forces: the relations are read on those blocks."""
+    r, pi, smat = rep.r, rep.pi.copy(), rep.smat.copy()
+    pi[:, :r, :r] = pi[:, r:, r:] = smat[:r, r:] = 0
+    assert not pi.any() and not smat.any()
+
+
+def covariant_representation_matches_the_loops(inter, x, rep):
     pi, smat = old_covrep(inter, x)
+    assert_zero_off_the_blocks(rep)
     close_arrays(rep.pi, pi)
     close_arrays(rep.smat, smat)
     close(rep.residuals, old_rep_residuals(inter, rep.pi, rep.smat))
@@ -402,6 +410,20 @@ def test_covariant_representation_matches_the_loops(built):
     got = {**check_commutation_22(rep), **check_corner_norms(rep),
            **check_corner_isomorphisms(rep), **check_unit_relations(rep)}
     close(got, old_checks(rep))
+
+
+def test_covariant_representation_matches_the_loops(built):
+    covariant_representation_matches_the_loops(*built[1:])
+
+
+@pytest.mark.parametrize("name", ["mixed_221", "mixed_32"])
+def test_covariant_representation_matches_the_loops_on_mixed_blocks(name):
+    # π and S on blocks of unequal sizes, r ≠ s
+    inter = mixed_pair(name, TOL)
+    x = build_bimodule(inter, TOL)
+    rep = build_covrep(inter, x, TOL)
+    assert 0 < rep.r != rep.s > 0
+    covariant_representation_matches_the_loops(inter, x, rep)
 
 
 def test_reconstruction_residuals_match_the_loops(built):

@@ -113,3 +113,45 @@ def test_failed_candidate_report():
     assert not bare.passed
     assert bare.records["3.1.i"].status == "fail"
     assert bare.records["3.1.i"].reason == "spec unusable"
+
+
+def failing(error):
+    def build(*args, **kwargs):
+        raise error
+    return build
+
+
+def test_a_refused_representation_fails_62_and_skips_the_other_representation_ids(monkeypatch):
+    from starint import CovariantError, checklist
+
+    monkeypatch.setattr(checklist, "build_covrep", failing(CovariantError("refused here")))
+    inter = flip_interaction()
+    records = run_checklist(inter.v, inter.h).records
+    assert (records["6.2"].status, records["6.2"].reason) == ("fail", "refused here")
+    for cid in ("2.2", "2.8", "2.9", "3.6", "6.1", "6.3"):
+        assert records[cid].status == "skipped", cid
+        assert records[cid].reason == "representation construction failed"
+    assert records["5.11"].status == records["7.1"].status == "pass"
+
+
+def test_a_refused_module_fails_52_and_skips_the_other_build_ids(monkeypatch):
+    from starint import NumericalDegeneracy, checklist
+    from starint.records import VERIFY_STAGE_IDS
+
+    monkeypatch.setattr(checklist, "build_bimodule", failing(NumericalDegeneracy("no module")))
+    inter = flip_interaction()
+    records = run_checklist(inter.v, inter.h).records
+    assert (records["5.2"].status, records["5.2"].reason) == ("fail", "no module")
+    for cid in set(CANONICAL_IDS) - set(VERIFY_STAGE_IDS) - {"5.2"}:
+        assert records[cid].status == "skipped", cid
+        assert records[cid].reason == "module construction failed"
+
+
+def test_a_refused_expectation_fails_26(monkeypatch):
+    from starint import InteractionError, interactions
+
+    monkeypatch.setattr(interactions, "expectation", failing(InteractionError("no expectation")))
+    inter = flip_interaction()
+    records = run_checklist(inter.v, inter.h, stage="verify").records
+    assert (records["2.6"].status, records["2.6"].reason) == ("fail", "no expectation")
+    assert records["2.7"].status == "pass"

@@ -29,6 +29,7 @@ from starint import (
     check_theta_adjoints,
     compact_spans,
     correspondence_from_bimodule,
+    faithful_extension,
     flip_interaction,
     identity_interaction,
     swap_transfer_interaction,
@@ -461,3 +462,15 @@ def test_corner_isomorphisms_take_the_range_rows_a_chunk_at_a_time(monkeypatch):
     assert min(got.values()) > 0.1, got
     monkeypatch.setattr(algebra, "CHUNK_ENTRIES", stack)
     close(check_corner_isomorphisms(rep), got)
+
+
+def test_covariant_build_and_extension_stay_near_their_pi_on_identity_m2_x3():
+    # the relations are read on the blocks and over the nonzeros; the dense
+    # n×n relations and all-pairs products took more than 5 times pi's bytes
+    inter = amplified_interaction(identity_interaction(Algebra((2,))), 3)
+    x = build_bimodule(inter, TOL)
+    rep, peak = traced_peak(lambda: build_covrep(inter, x, TOL))
+    assert (rep.r, rep.s) == (36, 36)
+    assert peak < 4 * rep.pi.nbytes, peak / rep.pi.nbytes
+    ext, peak = traced_peak(lambda: faithful_extension(rep))       # its residuals included
+    assert peak < 4 * ext.pi.nbytes, peak / ext.pi.nbytes

@@ -6,6 +6,7 @@ import pytest
 from starint import (
     Algebra,
     CovariantError,
+    CovariantRep,
     amplified_interaction,
     build_covrep,
     check_commutation_22,
@@ -19,6 +20,7 @@ from starint import (
     identity_interaction,
     with_zero_s,
 )
+from starint.algebra import representation_defects
 
 
 def test_flip_rep_oracle():
@@ -95,6 +97,23 @@ def test_build_rejects_tampered_pair():
         build_covrep(doubled)
     assert err.value.residuals["partial_isometry"] == pytest.approx(np.sqrt(2))
     assert err.value.residuals["covariance_v"] == pytest.approx(2.0)
+
+
+def test_entries_off_the_blocks_are_residuals():
+    # the relations are read on the blocks, so an entry of pi off its diagonal
+    # blocks or of S outside T must show, even where pi stays a *-homomorphism
+    rep = build_covrep(identity_interaction(Algebra((2,))))
+    u = np.eye(rep.n, dtype=complex)
+    u[[0, 0, rep.r, rep.r], [0, rep.r, 0, rep.r]] = np.array([1, 1, 1, -1]) / np.sqrt(2)
+    mixed = CovariantRep(rep.interaction, rep.x, rep.r, rep.s, u @ rep.pi @ u, rep.smat,
+                         rep.tol)
+    smat = rep.smat.copy()
+    smat[rep.r, 0] = 0.5
+    shifted = CovariantRep(rep.interaction, rep.x, rep.r, rep.s, rep.pi, smat, rep.tol)
+    assert representation_defects(rep.interaction.algebra, mixed.pi)[0] <= 1e-12
+    assert mixed.residuals["pi_multiplicative"] >= 0.1
+    assert shifted.residuals["partial_isometry"] == 0.5
+    assert max(rep.residuals.values()) <= 1e-12
 
 
 def test_covariant_error_carries_residuals():

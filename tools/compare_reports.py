@@ -10,9 +10,11 @@ checkout this script is in, on the same input files:
 * ``build``, ``build --emit bimodule`` and ``build --emit covrep`` on the
   eight committed fixtures of ``tests/data``;
 * ``fuzz --amplify 2`` and ``--amplify 3`` on flip, identity_m2 and swap_endo;
-* ``build`` and ``fuzz --amplify 2`` on the two partial isometries between
-  blocks of unequal sizes, ``tests/data/mixed_221.json`` (M_2 ⊕ M_2 ⊕ C, whose
-  tables take two magnitudes each) and ``mixed_32.json`` (M_3 ⊕ M_2);
+* ``build``, ``build --emit bimodule``, ``build --emit covrep`` and ``fuzz
+  --amplify 2`` on the two partial isometries between blocks of unequal
+  sizes, ``tests/data/mixed_221.json`` (M_2 ⊕ M_2 ⊕ C, whose tables take two
+  magnitudes each) and ``mixed_32.json`` (M_3 ⊕ M_2), where π and S have
+  blocks of unequal sizes;
 * the pairs of ``perfbench/workloads.py``'s ``MODULE_BUILDS`` (classical 4,
   Ad u 2 and diag 2 of ``perfbench/problems.py``), written at seed 7, index 0:
   ``build`` (x1) and ``fuzz --amplify 2`` (x2);
@@ -64,8 +66,9 @@ def cases(work: str) -> list[tuple[str, list[str]]]:
             for name in FUZZED for n in (2, 3)]
     for name in MIXED:
         path = os.path.join("tests", "data", f"{name}.json")
-        out += [(f"build {name}", ["build", path]),
-                (f"fuzz {name} x2", ["fuzz", path, "--amplify", "2"])]
+        out += [(f"build {name}{emit}", ["build", path, *emit.split()])
+                for emit in ("", " --emit bimodule", " --emit covrep")]
+        out.append((f"fuzz {name} x2", ["fuzz", path, "--amplify", "2"]))
     for family, size in MODULE_BUILDS:
         path = generate(family, size, SEED, 0, work)
         out += [(f"build {family}{size}", ["build", path]),
