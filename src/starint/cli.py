@@ -1,16 +1,26 @@
 """Batch front end: verify problem files, build artifacts, fuzz with
 amplification.  Exit status: 0 all good, 1 a check failed, 2 bad input,
-including input too large for memory.
+including input too large for memory, or output that cannot be written.
 
 The file, the options and the output path are checked before numpy loads,
 so unusable input exits 2 at the cost of an interpreter start.  Then
 ``verify`` loads the map-level layers, ``fuzz`` and the ``build`` report the
 build stage as well, and ``build --emit`` the construction it writes, each
-once, before any array is made."""
+once, before any array is made.
+
+The process entry is ``run`` (``python -m starint.cli`` and the ``starint``
+script): it calls ``main`` and then ``gc.freeze()``, which moves every live
+object into the permanent generation, so the collections the interpreter
+makes at exit no longer walk the tens of thousands of objects that numpy
+and the layers made at import.  The exit still flushes the streams and runs
+the ``atexit`` handlers.  ``main`` itself does not freeze: tests, demos and
+the benchmark's traced pass call it many times in one process, and a freeze
+there would keep their garbage cycles for good."""
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -104,11 +114,24 @@ Writer = Callable[[str], object]
 @contextmanager
 def _output(path: str | None) -> Iterator[Writer]:
     """The writer of the command's output: stdout, or ``path``, opened before
-    any work so that a path that cannot be written fails at once.  The file
-    is opened without truncating it and replaced by the one write; a file
-    that this opening created and that was never written is removed."""
+    any work so that a closed stdout or a path that cannot be written fails
+    at once, and a write that fails (a full disk, a closed pipe) is a
+    ``SpecError`` too.  The file is opened without truncating it and replaced
+    by the one write; a file that this opening created and that was never
+    written is removed."""
     if not path:
-        yield sys.stdout.write
+        out = sys.stdout
+        if out is None:
+            raise SpecError("cannot write stdout: it is closed")
+
+        def write_stdout(text: str) -> None:
+            try:
+                out.write(text)
+                out.flush()
+            except OSError as err:
+                raise SpecError(f"cannot write stdout: {err.strerror or err}") from err
+
+        yield write_stdout
         return
     existed = os.path.exists(path)
     try:
@@ -274,5 +297,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
+def run() -> int:
+    """The process entry: ``main`` on the command line, then ``gc.freeze()``
+    (why, in the module docstring)."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -218,10 +218,12 @@ def read_spec(path: str) -> ProblemSpec:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise SpecError(f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise SpecError(f"invalid JSON in {path}: {err}") from err
+    except RecursionError as err:
+        raise SpecError(f"invalid JSON in {path}: nested too deeply") from err
     if not isinstance(raw, dict):
         raise SpecError("top level must be an object")
     known = {"blocks", "mode", "V", "H", "alpha", "transfer",

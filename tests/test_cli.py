@@ -1,10 +1,12 @@
 """Command-line entry point: exit codes, report payloads, determinism."""
 
+import gc
 import json
 import os
 import resource
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
@@ -21,6 +23,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def child(*args, limit=None, stdout=subprocess.PIPE, preexec_fn=None):
+    """``python *args`` in a fresh interpreter on this tree's source, with one
+    BLAS thread and, if ``limit`` is given, that many bytes of address space."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [os.path.abspath("src"),
+                                                  os.environ.get("PYTHONPATH")])))
+    env.pop("STARINT_TOL", None)
+    if limit is not None:
+        preexec_fn = partial(resource.setrlimit, resource.RLIMIT_AS, (limit, limit))
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120,
+                          preexec_fn=preexec_fn)
 
 
 def test_verify_pass(capsys):
@@ -154,15 +170,8 @@ def test_out_of_memory_is_one_usage_error_line(tmp_path):
     # flip x1000 has dim 2·10⁶: its first (dim, dim) complex map needs 58 TiB,
     # which a 1 GB address-space limit refuses whatever the host's overcommit
     target = tmp_path / "x.json"
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [os.path.abspath("src"),
-                                                  os.environ.get("PYTHONPATH")])))
-    env.pop("STARINT_TOL", None)
-    limit = 1 << 30
-    proc = subprocess.run(
-        [sys.executable, "-m", "starint.cli", "fuzz", FLIP, "--amplify", "1000",
-         "--out", str(target)], env=env, capture_output=True, text=True, timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    proc = child("-m", "starint.cli", "fuzz", FLIP, "--amplify", "1000", "--out", str(target),
+                 limit=1 << 30)
     assert proc.returncode == EXIT_USAGE, proc.stderr[-2000:]
     assert proc.stdout == "" and proc.stderr.startswith("error: ")
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
@@ -177,17 +186,60 @@ def test_oversized_sample_count_is_refused_before_the_first_draw(tmp_path, where
     spec = tmp_path / "many.json"
     spec.write_text(json.dumps({**json.load(open(FLIP)), "samples": 100000000}))
     argv = ["fuzz", FLIP, "--samples", "100000000"] if where == "flag" else ["fuzz", str(spec)]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [os.path.abspath("src"),
-                                                  os.environ.get("PYTHONPATH")])))
-    env.pop("STARINT_TOL", None)
-    limit = 1 << 30
-    proc = subprocess.run(
-        [sys.executable, "-m", "starint.cli", *argv], env=env, capture_output=True, text=True,
-        timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    proc = child("-m", "starint.cli", *argv, limit=1 << 30)
     assert proc.returncode == EXIT_USAGE, proc.stderr[-2000:]
     assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: sample count 100000000 "), proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["verify", FLIP], ["build", FLIP, "--emit", "covrep"]])
+def test_full_stdout_is_one_usage_error_line(argv):
+    with open("/dev/full", "w") as full:
+        proc = child("-m", "starint.cli", *argv, stdout=full)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr == "error: cannot write stdout: No space left on device\n"
+
+
+def test_closed_stdout_is_one_usage_error_line():
+    proc = child("-m", "starint.cli", "verify", FLIP, stdout=None,
+                 preexec_fn=lambda: os.close(1))
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr == "error: cannot write stdout: it is closed\n"
+
+
+# runs starint.cli as ``python -m`` does and, at exit, after ``run`` has
+# returned, writes the freeze count to the file named first
+FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+path = sys.argv.pop(1)
+atexit.register(lambda: open(path, "w").write(str(gc.get_freeze_count())))
+runpy.run_module("starint.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv, code", [(["verify", FLIP], EXIT_PASS),
+                                        (["verify", TRANSPOSE], EXIT_FAIL),
+                                        (["build", FLIP, "--emit", "bimodule"], EXIT_PASS),
+                                        (["verify", f"{DATA}/malformed.json"], EXIT_USAGE)])
+def test_process_entry_freezes_the_heap_at_exit(capsys, tmp_path, argv, code):
+    probe = tmp_path / "freeze_count"
+    proc = child("-c", FREEZE_PROBE, str(probe), *argv)
+    assert (proc.returncode, proc.stdout) == (code, run(capsys, *argv)[1]), proc.stderr[-2000:]
+    assert int(probe.read_text()) > 0
+
+
+def test_main_does_not_freeze(capsys):
+    before = gc.get_freeze_count()
+    assert run(capsys, "build", FLIP)[0] == EXIT_PASS
+    assert run(capsys, "verify", f"{DATA}/malformed.json")[0] == EXIT_USAGE
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open("pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["scripts"] == {"starint": "starint.cli:run"}
 
 
 ID = [[1, 0], [0, 1]]
@@ -391,13 +443,16 @@ ISOMETRY_BASIS = [[[[1, 0], [0, 0]]], [[[0, 0], [0, 1]]]]
      "'tolerance' must be a positive finite number"),
     (json.dumps({"blocks": [1, 1], "V": I2, "H": I2, "seed": "x"}),
      "'seed' must be a nonnegative integer"),
+    (b'{"blocks": [1], \xff}', "cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+                               "in position 16: invalid start byte"),
+    ("[" * 100000, "invalid JSON in {path}: nested too deeply"),
 ], ids=["invalid-json", "not-an-object", "unknown-key", "missing-blocks", "bad-blocks",
         "bad-mode", "nan-before-missing-h", "true-before-missing-h", "wrong-shape",
         "unequal-rows", "three-element-pair", "isometry-without-s", "short-a-basis",
-        "negative-tolerance", "string-seed"])
+        "negative-tolerance", "string-seed", "not-utf-8", "nested-too-deeply"])
 def test_usage_error_message_table(capsys, tmp_path, text, message):
     path = tmp_path / "spec.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     for command in ("verify", "build"):
         code, out, err = run(capsys, command, str(path))
         assert (code, out, err) == (EXIT_USAGE, "", f"error: {message.format(path=path)}\n")

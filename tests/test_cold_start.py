@@ -53,6 +53,10 @@ with open(sys.argv[1], "w") as fh:
     json.dump({"code": code, "modules": sorted(sys.modules)}, fh)
 """
 
+#: unusable problem files made by the test: bytes that are not UTF-8, and
+#: arrays nested deeper than the JSON parser's recursion limit
+MADE = {"not_utf8": b'{"blocks": [1], \xff}', "too_deep": b"[" * 100000}
+
 
 def fresh(*argv, code=PROBE, cwd=ROOT):
     env = dict(os.environ)
@@ -113,12 +117,17 @@ def test_emit_imports_only_the_construction_it_writes(tmp_path, emit, constructi
     ["verify", "bad_schema"], ["build", "bad_schema"], ["verify", "bad_shape"],
     ["build", "bad_shape"], ["verify", "malformed"], ["build", "malformed"],
     ["fuzz", "flip", "--seed", "-1"], ["verify", "flip", "--tol", "nan"],
-    ["build", "flip", "--out", "{missing}/x.json"],
+    ["build", "flip", "--out", "{missing}/x.json"], ["verify", "not_utf8"],
+    ["build", "too_deep"],
 ], ids=lambda argv: "-".join(argv[:2] + [a.strip("-") for a in argv[2:3]]))
 def test_unusable_input_exits_before_numpy(tmp_path, argv):
     command, name, *rest = argv
     rest = [a.format(missing=tmp_path / "missing") for a in rest]
-    code, modules = loaded(tmp_path, command, str(DATA / f"{name}.json"), *rest)
+    spec = DATA / f"{name}.json"
+    if name in MADE:
+        spec = tmp_path / f"{name}.json"
+        spec.write_bytes(MADE[name])
+    code, modules = loaded(tmp_path, command, str(spec), *rest)
     assert code == 2
     # nor dataclasses, which would load inspect
     assert not {"numpy", "dataclasses", "inspect"} & modules, modules
