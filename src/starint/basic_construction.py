@@ -15,7 +15,8 @@ form of one piece of rows vec e_bc[q, r] per block pair, repeated on the
 copies (p, s).  Both are cut as forms; the kept right singular vectors of
 the pieces are the orthonormal span, and the matching left singular
 vectors over their singular values its dual basis on the pairs, which
-presents an operator's part in the span as pairs of least norm.
+presents an operator of the span, held by its coordinates, as pairs of least
+norm.  Products into the span are read on those coordinates (``in_k``).
 """
 
 from __future__ import annotations
@@ -30,13 +31,16 @@ from .algebra import (
     Algebra,
     BlockForm,
     NumericalDegeneracy,
+    Sparse,
     Subspace,
     at_units,
     block_norms,
+    contract,
     copy_index,
     hermitian_part,
     quotient_gap,
     representation_defects,
+    row_chunks,
     shape_groups,
     unit_map,
     worst,
@@ -84,11 +88,9 @@ def span_bases(units: tuple[np.ndarray, ...], classes: tuple[np.ndarray, ...],
     """The spanning matrix as a form of one piece per block pair, cut as one
     (``BlockForm.cut`` of the singular values of one SVD per piece shape),
     and each kept singular triple placed on its copies: the orthonormal span
-    (k, m*m) on the entries (α, β) as α·m + β; its dual (k, dim*dim) on the
-    pairs (a_i, a_j) as i·dim + j, the presentation of each basis element,
-    which is its left singular vector, conjugated, over its singular value;
-    those left singular vectors (k, dim*dim), orthonormal on the pairs; and
-    the singular values (k,)."""
+    (k, m*m) on the entries (α, β) as α·m + β; the left singular vectors
+    (k, dim*dim) on the pairs (a_i, a_j) as i·dim + j, orthonormal on the
+    pairs; and the singular values (k,)."""
     dim, m = sum(u.size for u in units), len(e)
     pairs, entries = zip(*[(copy_index(ub, uc.T, dim), copy_index(cb, cc, m))
                            for ub, cb in zip(units, classes) for uc, cc in zip(units, classes)
@@ -104,7 +106,7 @@ def span_bases(units: tuple[np.ndarray, ...], classes: tuple[np.ndarray, ...],
     left = BlockForm((u, at) for (u, _, _), (at, _) in zip(svds, stacks)).place(keep, dim * dim)
     values = np.concatenate([np.repeat(s[kept], to.shape[1])
                              for (_, s, _), kept, (_, to) in zip(svds, keep, stacks)])
-    return basis.place(keep), left.conj() / values[:, None], left, values
+    return basis.place(keep), left, values
 
 
 class BasicConstruction:
@@ -114,20 +116,27 @@ class BasicConstruction:
     λ(a) is at_units(a, lam_at) for the ``unit_map`` lam_at (m, m), lam
     (dim, m, m) is λ of each basis element, and e (m, m) the projection
     implementing the expectation.  The span K of lam(a) e lam(b) is held as
-    ``span_bases`` places it: its orthonormal basis k_basis (k, m*m), the pair
-    presentations k_dual (k, dim*dim) of those basis elements, the
+    ``span_bases`` places it: its orthonormal basis k_basis (k, m*m), the
     orthonormal pair vectors k_pairs (k, dim*dim) that span the presentations,
-    and the singular values k_values (k,) that take k_pairs to k_basis."""
+    and the singular values k_values (k,) that take k_pairs to k_basis.  An
+    operator of K is held by its coordinates w on k_basis, its least-norm
+    pair presentation being w @ k_dual, k_dual = conj(k_pairs) / k_values
+    (k, dim*dim) the presentations of the basis elements; ``in_k`` multiplies
+    operators into K on those coordinates."""
 
     def __init__(self, algebra: Algebra, expectation: LinMap, range_sub: Subspace, tol: float,
                  m: int, q: np.ndarray, lift: np.ndarray, lam_at: np.ndarray, e: np.ndarray,
-                 k_basis: np.ndarray, k_dual: np.ndarray, k_pairs: np.ndarray,
-                 k_values: np.ndarray):
+                 k_basis: np.ndarray, k_pairs: np.ndarray, k_values: np.ndarray):
         self.algebra, self.expectation, self.range_sub = algebra, expectation, range_sub
         self.tol, self.m, self.q, self.lift = tol, m, q, lift
         self.lam_at, self.e = lam_at, e
         self.lam = at_units(np.eye(algebra.dim, dtype=complex), lam_at)
-        self.k_basis, self.k_dual, self.k_pairs, self.k_values = k_basis, k_dual, k_pairs, k_values
+        self.k_basis, self.k_pairs, self.k_values = k_basis, k_pairs, k_values
+
+    @cached_property
+    def k_dual(self) -> np.ndarray:
+        """(k, dim*dim): the least-norm pair presentation of each basis element."""
+        return self.k_pairs.conj() / self.k_values[:, None]
 
     def express_in_k(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients in the orthonormal span of each matrix of a (..., m, m)
@@ -137,18 +146,20 @@ class BasicConstruction:
         resid = np.linalg.norm(vecs - coeffs @ self.k_basis, axis=-1)
         return coeffs, resid / np.maximum(1.0, np.linalg.norm(vecs, axis=-1))
 
-    def express_in_spanning(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Pair coefficients c with mat = sum c[i,j] lam(a_i) e lam(a_j) for
-        each matrix of a (..., m, m) stack, plus each one's relative residual.
-
-        The least-norm (Moore–Penrose) presentation of the matrix's part in
-        the span, through the dual basis; the residual is that of
-        ``express_in_k``.  Any exact presentation is acceptable since the
-        module actions built on it are presentation-independent.
-        """
-        coeffs, resid = self.express_in_k(mats)
-        dim = self.algebra.dim
-        return (coeffs @ self.k_dual).reshape(*coeffs.shape[:-1], dim, dim), resid
+    def in_k(self, ops: Sparse) -> np.ndarray:
+        """(n, k, k): [i, c, b] = <k_c, ops_i·k_b> for an (n, m, m) table of
+        operators and the orthonormal basis k_b, the matrix of k -> ops_i·k on
+        K's coordinates when ops_i keeps K.  Two ``contract``s over the
+        nonzeros of ops and of the basis, a ``row_chunks`` chunk of ops at a
+        time.  The build forces the basis's pattern: each k_b is one piece's
+        singular vector placed on the entries of one copy (``span_bases``), so
+        most products of λ or of two basis elements are exactly zero."""
+        k = len(self.k_basis)
+        ks = Sparse.of(self.k_basis.reshape(k, self.m, self.m))
+        ks_bar = ks._replace(values=ks.values.conj())
+        return np.concatenate([
+            contract("ibaz,caz->icb", contract("iag,bgz->ibaz", ops.rows(rows), ks), ks_bar).dense()
+            for rows in row_chunks(max(ops.shape[0], 1), k * self.m * self.m)])
 
     def pairs_in_k(self, coeffs: np.ndarray) -> np.ndarray:
         """(..., k): the span coordinates of Σ c[i, j]·lam(a_i)·e·lam(a_j) for each

@@ -9,15 +9,16 @@ is realized as explicit tensors over the quotient coordinates.  Products of
 matrix units are taken by index (``algebra.unit_map``, ``at_units`` and
 ``unit_sums``); each Gram matrix of the basis tensors is a block form of one
 piece per block pair in closed form, and the right one is cut by
-``eigen_quotient``.  Operators of a span are handled by their pair
-presentations: a span acts through the presentations of its orthonormal
-basis (``span_action``), and both inner products are presentations read off
-the same action factors (``_inner_factors``), taken to span coordinates by
-the span's pair vectors (``pairs_in_k``), so the tables over the
-representatives are in span coordinates.  They are exactly zero off a small
-pattern, so the laws 5.11-5.17 read them by their nonzeros (``algebra.Sparse``,
-``contract``, ``law_defects``), and the (r, r, r, r) bracket exists only as
-its nonzeros.
+``eigen_quotient``.  Operators of a span are held by their coordinates on its
+orthonormal basis and act by their pair presentations only (``right_act``,
+``left_act``): a span acts through the presentations of its basis
+(``span_action``), both inner products are presentations read off the same
+action factors (``_inner_factors``), taken to span coordinates by the span's
+pair vectors (``pairs_in_k``), and products in a span are its ``in_k``, so the
+tables over the representatives are in span coordinates.  They are exactly
+zero off a small pattern, so the laws 5.11-5.17 read them by their nonzeros
+(``algebra.Sparse``, ``contract``, ``law_defects``), and the (r, r, r, r)
+bracket exists only as its nonzeros.
 """
 
 from __future__ import annotations
@@ -189,9 +190,10 @@ class BimoduleX:
 
     # -- module actions ----------------------------------------------------------
     # An operator k of a span acts through a pair presentation c, with
-    # k = sum c[p, q] lam(a_p) e lam(a_q), as a (..., dim, dim) stack.  The
-    # coefficient matrix of t·k is right_factor(t) @ c, that of k·t is
-    # c @ left_factor(t).
+    # k = sum c[p, q] lam(a_p) e lam(a_q), as a (..., dim, dim) stack; an
+    # operator held by its span coordinates w has the least-norm presentation
+    # w @ k_dual.  The coefficient matrix of t·k is right_factor(t) @ c, that
+    # of k·t is c @ left_factor(t).
 
     def _right_factor(self, xs: np.ndarray) -> np.ndarray:
         # [..., a, p] = coords_a(Σ_ij x[i, j]·a_i·V(a_j a_p)): x @ vl, then ``unit_sums``
@@ -205,39 +207,21 @@ class BimoduleX:
         return _by_chunks(lambda x: unit_sums(self.algebra, self.hl @ x[:, None]),
                           (xs,), self.dim ** 3)
 
-    def right_act(self, ts: np.ndarray, ks: np.ndarray | None,
-                  coeff: np.ndarray | None = None) -> np.ndarray:
-        """(..., dim²): t·k for a coefficient stack ts and a (..., m_h, m_h)
-        stack ks in the right span, broadcast together.  The presentations
-        ``coeff`` of ks may be supplied; otherwise they are those of
-        ``_presentation``."""
-        if coeff is None:
-            coeff = self._presentation(ks, "right")
+    def right_act(self, ts: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+        """(..., dim²): t·k for a coefficient stack ts and the (..., dim, dim) pair
+        presentations ``coeff`` of operators k in the right span, broadcast together."""
         return self._coeffs(self._right_factor(self._coeff_mats(ts)) @ coeff)
 
-    def left_act(self, ks: np.ndarray | None, ts: np.ndarray,
-                 coeff: np.ndarray | None = None) -> np.ndarray:
-        """(..., dim²): k·t for ks in the left span, as ``right_act``."""
-        if coeff is None:
-            coeff = self._presentation(ks, "left")
+    def left_act(self, coeff: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """(..., dim²): k·t for the presentations ``coeff`` of operators k in the
+        left span, as ``right_act``."""
         return self._coeffs(coeff @ self._left_factor(self._coeff_mats(ts)))
-
-    def _presentation(self, ks: np.ndarray, side: str) -> np.ndarray:
-        """Least-norm pair presentations (``express_in_spanning``) of a
-        (..., m, m) stack in the right or left span; an operator outside the
-        span is refused."""
-        bc = self.bch if side == "right" else self.bcv
-        coeff, resid = bc.express_in_spanning(ks)
-        top = worst(resid)
-        if top > max(self.tol, 1e-8) * 10:
-            raise ValueError(f"operator outside the {side} span (residual {top:.3e})")
-        return coeff
 
     def span_action(self, mats: np.ndarray, side: str) -> np.ndarray:
         """(n, k, r): [i, j] is the class of t_i·k_j (side "right") or of k_j·t_i
         ("left") for an (n, dim, dim) stack of coefficient matrices t_i and the
-        side's orthonormal span basis k_j (``k_basis``), presented by its dual
-        (``k_dual``), as ``right_act`` and ``left_act`` present any operator.
+        side's orthonormal span basis k_j (``k_basis``), presented by ``k_dual``
+        as ``right_act`` and ``left_act`` take any operator.
         The class w of a coefficient matrix c is Σ q[w, a, b]·c[a, b]: q meets
         the presentations first, over the tables' nonzeros."""
         bc = self.bch if side == "right" else self.bcv
@@ -265,7 +249,7 @@ class BimoduleX:
     def ternary(self, xs: np.ndarray, ys: np.ndarray, zs: np.ndarray) -> np.ndarray:
         """(..., dim²): x · <y, z>_r over three coefficient stacks, acting
         through the presentation of <y, z>_r."""
-        return self.right_act(xs, None, self._inner_presentation(ys, zs, "right"))
+        return self.right_act(xs, self._inner_presentation(ys, zs, "right"))
 
     def _elementary_factors(self, xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The elementary formula over (..., dim, dim) coefficient matrix
@@ -471,7 +455,7 @@ def check_bound_59(x: BimoduleX, samples: int = 50, terms: int = 3,
     lam_a, lam_b = (at_units(c, bch.lam_at) for c in (a_star, b))
     phis = (lam_a @ bch.e @ lam_b).sum(axis=1)
     pairs = a_star[..., :, None] * b[..., None, :]
-    moved = x.right_act(etas[:, None], None, pairs).sum(axis=1)
+    moved = x.right_act(etas[:, None], pairs).sum(axis=1)
     lhs = np.linalg.norm(x.inner_r(xis, moved), 2, axis=(-2, -1))
     rhs = x.module_norm(xis) * x.module_norm(etas) * np.linalg.norm(phis, 2, axis=(-2, -1))
     return {"pairing_bound": worst(np.maximum(0.0, lhs - rhs) / np.maximum(1.0, rhs))}
@@ -481,15 +465,16 @@ def check_action_bound(x: BimoduleX, samples: int = 50,
                        rng: np.random.Generator | None = None) -> dict[str, float]:
     """∥t·k∥ ≤ ∥t∥·∥k∥, and the action is presentation-independent."""
     rng = rng or np.random.default_rng(5100)
-    m, kb = x.bch.m, x.bch.k_basis
+    kb, dual = x.bch.k_basis, x.bch.k_dual
     ts = np.zeros((samples, x.amb), dtype=complex)
-    ks = np.zeros((samples, m, m), dtype=complex)
+    ws = np.zeros((samples, len(kb)), dtype=complex)       # each k by its span coordinates
     for s in range(samples):
         ts[s] = _random_stack(x, rng, 1)
-        w = rng.standard_normal(kb.shape[0]) + 1j * rng.standard_normal(kb.shape[0])
-        ks[s] = (kb.T @ w).reshape(m, m)
+        ws[s] = rng.standard_normal(len(kb)) + 1j * rng.standard_normal(len(kb))
+    ks = (ws @ kb).reshape(samples, x.bch.m, x.bch.m)
     bound = x.module_norm(ts) * np.linalg.norm(ks, 2, axis=(-2, -1))
-    excess = np.maximum(0.0, x.module_norm(x.right_act(ts, ks)) - bound) / np.maximum(1.0, bound)
+    moved = x.right_act(ts, x._coeff_mats(ws @ dual))
+    excess = np.maximum(0.0, x.module_norm(moved) - bound) / np.maximum(1.0, bound)
     # add the null part of an isotropic z to a presentation: the class must not move
     moves = np.zeros(0)
     if len(kb) < x.amb:
@@ -498,11 +483,10 @@ def check_action_bound(x: BimoduleX, samples: int = 50,
         coeffs = np.zeros((2, n, x.dim, x.dim), dtype=complex)   # presented, perturbed
         for s in range(n):
             ts[s] = _random_stack(x, rng, 1)
-            k = (kb.T @ (rng.standard_normal(kb.shape[0]))).reshape(m, m)
-            coeffs[0, s], _ = x.bch.express_in_spanning(k)
+            coeffs[0, s] = x._coeff_mats(rng.standard_normal(len(kb)) @ dual)
             z = rng.standard_normal(x.amb) + 1j * rng.standard_normal(x.amb)
             coeffs[1, s] = coeffs[0, s] + x.bch.null_part(z.reshape(x.dim, x.dim))
-        d = np.subtract(*x.right_act(ts, None, coeffs))
+        d = np.subtract(*x.right_act(ts, coeffs))
         moves = (np.linalg.norm(d @ x.qx.T, axis=-1)
                  / np.maximum(1.0, np.linalg.norm(ts @ x.qx.T, axis=-1)))
     return {"action_bound": worst(excess), "presentation_independent": worst(moves)}
@@ -533,24 +517,17 @@ def slot_adjoint_defects(tt: Sparse, lam_t: np.ndarray, rho_t: np.ndarray,
                     map(float, np.max(found, axis=0, initial=0.0))))
 
 
-def _span_products(bc: BasicConstruction, side: str) -> np.ndarray:
-    """(k, k, k): [j, l] is the span coordinates of k_j·k_l (side "right") or
-    of k_l·k_j ("left") for the orthonormal span basis k of ``bc``, a chunk
-    of j at a time."""
-    kb = bc.k_basis.reshape(-1, bc.m, bc.m)
-    return _by_chunks(lambda ks: bc.express_in_k(ks[:, None] @ kb if side == "right"
-                                                 else kb @ ks[:, None])[0], (kb,), kb.size)
-
-
 def check_associativity(x: BimoduleX) -> dict[str, float]:
     """Right-span action is associative and inner_r is right-linear over it;
     mirrored for the left span.  Swept over the representatives and the
     orthonormal span bases, a chunk of representatives at a time, all in
     span coordinates: the products of two basis elements (k_w·k_j for the
-    right span) carry both the action laws and <s, t·k_j> = Σ_w <s, t>_w·k_w·k_j."""
+    right span, each span's ``in_k`` of its own basis) carry both the action
+    laws and <s, t·k_j> = Σ_w <s, t>_w·k_w·k_j."""
+    kh, kv = (Sparse.of(bc.k_basis.reshape(-1, bc.m, bc.m)) for bc in (x.bch, x.bcv))
     by_r, by_l, ir, il, jk, kj = map(Sparse.of, (
         x.right_act_t, x.left_act_t, x.inner_r_t, x.inner_l_t,          # t·j, j·t, <s, t>
-        _span_products(x.bch, "right"), _span_products(x.bcv, "left")))
+        x.bch.in_k(kh).swapaxes(1, 2), x.bcv.in_k(kv).transpose(2, 0, 1)))  # k_j·k_l, k_l·k_j
 
     def laws(t: slice) -> list[tuple[Sparse, Sparse]]:     # t: the first output index
         return [(contract("tjc,ckd->tjkd", by_r.rows(t), by_r),

@@ -24,7 +24,7 @@ import gc
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from importlib import import_module
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -158,10 +158,18 @@ def _output(path: str | None) -> Iterator[Writer]:
             os.remove(path)
 
 
+def _note(line: str) -> None:
+    """One line to stderr, dropped when stderr is missing or cannot be written
+    (``2>&-``), so that the exit code stays the run's own."""
+    with suppress(OSError):
+        if sys.stderr is not None:
+            print(line, file=sys.stderr)
+
+
 def _emit_report(report: Report, write: Writer) -> int:
     write(canonical_json(report.to_dict()))
     for line in report.summary_lines():
-        print(line, file=sys.stderr)
+        _note(line)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -243,7 +251,7 @@ def cmd_build(spec: ProblemSpec, args: argparse.Namespace, tol: float, write: Wr
         inter = _interaction_for_build(spec, tol)
         payload = (_bimodule_payload if args.emit == "bimodule" else _covrep_payload)(inter, tol)
     except failures as err:
-        print(f"build failed: {err}", file=sys.stderr)
+        _note(f"build failed: {err}")
         return EXIT_FAIL
     write(canonical_json(payload))
     return EXIT_PASS
@@ -293,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
             import_module(f".{stage}", __package__)   # the layers the command runs
             return args.func(spec_arrays(spec), args, tol, write)
     except (SpecError, MemoryError) as err:   # no --out file is left behind (``_output``)
-        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
+        _note(f"error: {str(err) or 'out of memory'}")
         return EXIT_USAGE
 
 

@@ -3,10 +3,10 @@
 The space is the module quotient (r) plus the right-hand operator span K (s)
 with its trace-state inner product.  pi acts diagonally: on the module by the
 module's coefficient action, on K by left multiplication read in K's
-orthonormal basis, over the nonzeros of λ and of that basis.  S has one
-block T: it maps K into the module through the action on 1⊗1.  So every
-defining relation is an identity on one block, r×r or s×s, and is verified
-at build time there; the faithful extension adds the trace summand to pi and
+orthonormal basis (``BasicConstruction.in_k`` of λ).  S has one block T: it
+maps K into the module through the action on 1⊗1.  So every defining
+relation is an identity on one block, r×r or s×s, and is verified at build
+time there; the faithful extension adds the trace summand to pi and
 reads only pi's own relations again.
 """
 
@@ -22,7 +22,6 @@ from .algebra import (
     Sparse,
     at_units,
     block_norms,
-    contract,
     generated_subalgebra,
     pair_products,
     representation_defects,
@@ -93,12 +92,7 @@ def build_covrep(inter: Interaction, x: BimoduleX | None = None,
 
     pi = np.zeros((dim, r + s, r + s), dtype=complex)
     pi[:, :r, :r] = x.lam_t
-    # [i, c, b] = <k_c, lam(a_i)·k_b>, over the nonzeros of lam and of the span basis
-    ks = Sparse.of(x.bch.k_basis.reshape(s, m, m))
-    lam, ks_bar = Sparse.of(x.bch.lam), ks._replace(values=ks.values.conj())
-    for rows in row_chunks(dim, s * m * m):                 # (rows, s, m, m) at most
-        moved = contract("iag,bgz->ibaz", lam.rows(rows), ks)
-        pi[rows, r:, r:] = contract("ibaz,caz->icb", moved, ks_bar).dense()
+    pi[:, r:, r:] = x.bch.in_k(Sparse.of(x.bch.lam))      # [i, c, b] = <k_c, lam(a_i)·k_b>
 
     # S sends the span basis k_b to the class of (1⊗1)·k_b, scaled by sqrt(m)
     smat = np.zeros_like(pi[0])

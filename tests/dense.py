@@ -92,6 +92,21 @@ def spanning_pinv(bc):
     return (u.conj() / s) @ vh.conj()
 
 
+def presentation(bc, ks):
+    """(..., dim, dim): the least-norm pair presentation of each operator of a
+    (..., m, m) stack, composed from its span coordinates and the presentations
+    of the span basis: express_in_k(k)[0] @ k_dual."""
+    dim = bc.algebra.dim
+    return (bc.express_in_k(ks)[0] @ bc.k_dual).reshape(*ks.shape[:-2], dim, dim)
+
+
+def in_k(bc, ops):
+    """(n, k, k): [i, c, b] = <k_c, ops_i·k_b> for an (n, m, m) stack and the
+    orthonormal span basis k of bc, by dense products."""
+    kb = bc.k_basis.reshape(-1, bc.m, bc.m)
+    return np.einsum("cxz,ixy,byz->icb", kb.conj(), ops, kb)
+
+
 def form_matrix(form, n):
     """(n, n): a block form of stacks of square pieces (gs, index) as one
     dense matrix, each gs[g] at the rows and columns index[g, c] of each copy c."""

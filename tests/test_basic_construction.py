@@ -3,6 +3,7 @@
 import dense
 import numpy as np
 import pytest
+from conftest import mixed_pair
 
 from starint import (
     Algebra,
@@ -16,7 +17,7 @@ from starint import (
     flip_interaction,
     identity_interaction,
 )
-from starint.algebra import block_adjoint, block_product
+from starint.algebra import Sparse, block_adjoint, block_product
 
 
 def lam_of(bc, a):
@@ -66,13 +67,16 @@ def test_left_regular_rep_is_a_homomorphism():
                        lam_of(bc, a).conj().swapaxes(-1, -2))
 
 
-def test_express_in_spanning_roundtrip():
+def test_presentation_roundtrip():
     inter = identity_interaction(Algebra((2,)))
     bc = basic_for_h(inter)
     a, b = inter.algebra.random_coords(np.random.default_rng(2), 2)
     mat = lam_of(bc, a) @ bc.e @ lam_of(bc, b)
-    coeffs, resid = bc.express_in_spanning(mat)
+    _, resid = bc.express_in_k(mat)
     assert resid < 1e-9
+    # the presentation by span coordinates composes back to the operator
+    coeffs = dense.presentation(bc, mat)
+    assert np.abs(np.einsum("pq,pab,bc,qcd->ad", coeffs, bc.lam, bc.e, bc.lam) - mat).max() < 1e-9
     ck, rk = bc.express_in_k(lam_of(bc, a))
     assert rk < 1e-9
 
@@ -97,7 +101,7 @@ def piece_pinv(bc):
     """(dim², m²): the presentation map of the span pieces, read off the
     presentations of the m² matrix units."""
     m = bc.m
-    return bc.express_in_spanning(np.eye(m * m).reshape(m * m, m, m))[0].reshape(m * m, -1).T
+    return dense.presentation(bc, np.eye(m * m).reshape(m * m, m, m)).reshape(m * m, -1).T
 
 
 def rotated_diagonal_pair():
@@ -135,3 +139,30 @@ def test_one_svd_gives_the_span_basis_and_the_pseudo_inverse(inter):
         pairs = np.random.default_rng(4).standard_normal((3, dim * dim, 2)) @ [1.0, 1.0j]
         null = bc.null_part(pairs.reshape(3, dim, dim)).reshape(3, -1)
         assert np.abs(null - (pairs - pairs @ (pinv @ span).T)).max() < 1e-12
+
+
+def adu_m2():
+    """(Ad u, Ad u*) on M_2 for a complex unitary u, whose expectation is the
+    identity, so that e = 1 and λ(A) lies in K."""
+    alg = Algebra((2,))
+    u = np.array([[1.0 + 2.0j, 2.0j], [2.0j, 1.0 - 2.0j]]) / 3.0
+    return Interaction.build(LinMap(alg, np.kron(u, u.conj())),
+                             LinMap(alg, np.kron(u.conj().T, u.T)), 1e-9)
+
+
+@pytest.mark.parametrize("inter", [lambda: mixed_pair("mixed_221"), lambda: mixed_pair("mixed_32"),
+                                   adu_m2, rotated_diagonal_pair],
+                         ids=["mixed_221", "mixed_32", "adu_m2", "rotated_diagonal"])
+def test_in_k_matches_the_dense_products(inter):
+    # λ and the span basis itself on both sides, and a noisy stack with every
+    # entry nonzero, so that nothing is assumed of the pattern; the rotated
+    # diagonal pair has a complex span basis, and the basis entries of
+    # mixed_221 (M_2 ⊕ M_2 ⊕ C) take two magnitudes, 1 and 1/√2
+    rng = np.random.default_rng(8)
+    for bc in (basic_for_h(inter()), basic_for_v(inter())):
+        kb = bc.k_basis.reshape(-1, bc.m, bc.m)
+        noise = rng.standard_normal((3, bc.m, bc.m, 2)) @ [1.0, 1.0j]
+        for ops in (bc.lam, kb, noise):
+            got = bc.in_k(Sparse.of(ops))
+            assert got.shape == (len(ops), len(kb), len(kb))
+            assert np.abs(got - dense.in_k(bc, ops)).max() < 1e-12

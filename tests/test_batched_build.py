@@ -89,7 +89,7 @@ def old_covrep(inter, x):
     smat = np.zeros((r + s, r + s), dtype=complex)
     one = alg.unit()
     for b in range(s):
-        image = x.right_act(np.kron(one, one), kb[b].reshape(m, m))
+        image = x.right_act(np.kron(one, one), dense.presentation(x.bch, kb[b].reshape(m, m)))
         smat[:r, r + b] = np.sqrt(m) * (x.qx @ image)
     return pi, smat
 

@@ -1,5 +1,6 @@
 """Quotient bimodule built on A⊗A, its inner products, norms, and actions."""
 
+import dense
 import numpy as np
 import pytest
 
@@ -100,14 +101,14 @@ def test_action_shapes():
     x = build_bimodule(flip_interaction())
     t = np.kron([3.0, 5.0], [2.0, 7.0])
     k = np.tensordot([1.0, 2.0], x.bch.lam, axes=1)
-    moved = x.right_act(t, k)
+    moved = x.right_act(t, dense.presentation(x.bch, k))
     assert moved.shape == (x.amb,)
     # right action rescales the surviving class by the compressed factor
     assert x.module_norm(moved) == pytest.approx(42.0)
     scaled = x.act_a(np.array([2.0, 1.0]), t, side="left")
     assert x.module_norm(scaled) == pytest.approx(42.0)
     # stacks of tensors and operators broadcast together
-    stacked = x.right_act(np.stack([t, 2 * t]), np.stack([k, k]))
+    stacked = x.right_act(np.stack([t, 2 * t]), dense.presentation(x.bch, np.stack([k, k])))
     assert stacked.shape == (2, x.amb)
     assert np.allclose(x.module_norm(stacked), [42.0, 84.0])
 

@@ -3,6 +3,7 @@ stacks, and the batched checks 5.11-5.17 against broken tables."""
 
 import math
 
+import dense
 import numpy as np
 import pytest
 
@@ -83,9 +84,9 @@ def test_action_tables_match_actions(module):
     assert x.right_act_t.shape == (x.r, len(wh), x.r)
     assert x.left_act_t.shape == (x.r, len(wv), x.r)
     for i in (0, x.r - 1):
-        moved = x.right_act(reps[i], kh.reshape(x.bch.m, x.bch.m))
+        moved = x.right_act(reps[i], dense.presentation(x.bch, kh.reshape(x.bch.m, x.bch.m)))
         assert np.abs(x.right_act_t[i].T @ wh - x.qx @ moved).max() < 1e-12
-        moved = x.left_act(kv.reshape(x.bcv.m, x.bcv.m), reps[i])
+        moved = x.left_act(dense.presentation(x.bcv, kv.reshape(x.bcv.m, x.bcv.m)), reps[i])
         assert np.abs(x.left_act_t[i].T @ wv - x.qx @ moved).max() < 1e-12
     alg = x.algebra
     for a in (0, alg.dim - 1):

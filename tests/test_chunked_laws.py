@@ -34,7 +34,7 @@ from starint import (
     identity_interaction,
     swap_transfer_interaction,
 )
-from starint import algebra, bimodule, correspondences, interactions
+from starint import algebra, basic_construction, bimodule, correspondences, interactions
 from starint.algebra import Sparse, representation_defects, worst_norm
 from starint.bimodule import BimoduleX, slot_adjoint_defects
 from starint.checklist import _bimodule_records, _correspondence_records, build_stage_records
@@ -341,7 +341,7 @@ def test_chunked_sites_agree_at_chunk_boundaries(site, noisy_flip_x2, monkeypatc
         calls.append((rows, row_entries, [len(range(rows)[c]) for c in chunks]))
         return chunks
 
-    for mod in (algebra, bimodule, correspondences, interactions):
+    for mod in (algebra, basic_construction, bimodule, correspondences, interactions):
         monkeypatch.setattr(mod, "row_chunks", spy)
     want = run(x)
     rows, row_entries, _ = calls[0]

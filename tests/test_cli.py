@@ -25,7 +25,7 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def child(*args, limit=None, stdout=subprocess.PIPE, preexec_fn=None):
+def child(*args, limit=None, stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=None):
     """``python *args`` in a fresh interpreter on this tree's source, with one
     BLAS thread and, if ``limit`` is given, that many bytes of address space."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
@@ -35,7 +35,7 @@ def child(*args, limit=None, stdout=subprocess.PIPE, preexec_fn=None):
     if limit is not None:
         preexec_fn = partial(resource.setrlimit, resource.RLIMIT_AS, (limit, limit))
     return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, timeout=120,
+                          stderr=stderr, text=True, timeout=120,
                           preexec_fn=preexec_fn)
 
 
@@ -206,6 +206,27 @@ def test_closed_stdout_is_one_usage_error_line():
                  preexec_fn=lambda: os.close(1))
     assert proc.returncode == EXIT_USAGE
     assert proc.stderr == "error: cannot write stdout: it is closed\n"
+
+
+def unwritable_stderr():
+    """fd 2 open for reading only: stderr is there, and every write to it fails."""
+    os.dup2(os.open(os.devnull, os.O_RDONLY), 2)
+
+
+@pytest.mark.parametrize("closing", [lambda: os.close(2), unwritable_stderr],
+                         ids=["missing", "unwritable"])
+@pytest.mark.parametrize("argv, code", [(["verify", FLIP], EXIT_PASS),
+                                        (["verify", TRANSPOSE], EXIT_FAIL),
+                                        (["build", TRANSPOSE, "--emit", "bimodule"], EXIT_FAIL),
+                                        (["verify", f"{DATA}/bad_schema.json"], EXIT_USAGE)])
+def test_closed_stderr_keeps_the_exit_code_and_the_output(argv, code, closing):
+    # the summary lines, "build failed:" and "error:" go to a stderr that is
+    # closed (``2>&-``), so that Python has none, or that fails every write:
+    # they are dropped, and nothing else changes
+    opened = child("-m", "starint.cli", *argv)
+    closed = child("-m", "starint.cli", *argv, stderr=None, preexec_fn=closing)
+    assert opened.returncode == code and opened.stderr
+    assert (closed.returncode, closed.stdout) == (code, opened.stdout)
 
 
 # runs starint.cli as ``python -m`` does and, at exit, after ``run`` has

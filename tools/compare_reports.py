@@ -18,6 +18,9 @@ checkout this script is in, on the same input files:
 * the pairs of ``perfbench/workloads.py``'s ``MODULE_BUILDS`` (classical 4,
   Ad u 2 and diag 2 of ``perfbench/problems.py``), written at seed 7, index 0:
   ``build`` (x1) and ``fuzz --amplify 2`` (x2);
+* ``fuzz --amplify 2`` on diag 3 of ``perfbench/problems.py`` at seed 7, index
+  0 (r = 108), whose span basis is not a 0/1 pattern: π's span summand and
+  5.11's products of span basis elements on a dense K;
 * ``build --emit bimodule`` and ``--emit covrep`` on the ``emit-large``
   inputs of ``perfbench/workloads.py``;
 * the ``verify-wide`` jobs of ``perfbench/workloads.py`` not listed above:
@@ -73,6 +76,7 @@ def cases(work: str) -> list[tuple[str, list[str]]]:
         path = generate(family, size, SEED, 0, work)
         out += [(f"build {family}{size}", ["build", path]),
                 (f"fuzz {family}{size} x2", ["fuzz", path, "--amplify", "2"])]
+    out.append(("fuzz diag3 x2", ["fuzz", generate("diag", 3, SEED, 0, work), "--amplify", "2"]))
     out += [(job.name, job.argv) for job in _emit_large(0, work, None)]
     listed = {name for name, _ in out}
     return out + [(job.name, job.argv) for job in _verify_wide(SEED, work, None)
