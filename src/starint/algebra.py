@@ -11,6 +11,7 @@ elements: the products, adjoints and norms below act on whole stacks.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
@@ -61,6 +62,77 @@ def orthonormal_rows(rows: np.ndarray, tol: float = DEFAULT_TOL,
     return vh[:svd_rank(s, tol, floor)]
 
 
+# -- samples -------------------------------------------------------------------
+# The sampled checks draw from splitmix64 (Steele, Lea and Flood, "Fast
+# splittable pseudorandom number generators", OOPSLA 2014), which numpy alone
+# computes: importing numpy.random would load hashlib and OpenSSL as well.
+
+_MASK, _GAMMA = (1 << 64) - 1, 0x9E3779B97F4A7C15
+
+#: Slots whose normals are made at once, as most draws take a few.
+_BLOCK = 1 << 10
+
+
+def _splitmix(z):
+    """The splitmix64 finaliser, on a Python int or a uint64 array (which wraps)."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+    return z ^ (z >> 31)
+
+
+class Draws:
+    """A seeded stream of samples, in slots: slot j holds the words 2j+1 and
+    2j+2 of splitmix64, word i being the finaliser of state + i·γ.
+
+    ``key`` is a nonnegative int of any size, or a list of them such as
+    ``[seed, lane]``; each int's 64-bit words, then its word count, are
+    folded into the 64-bit state.  Each call takes the next slots, so a key
+    gives the same samples however they are split over calls.  The methods
+    are the two of numpy's ``Generator`` that the checks call.
+    """
+
+    def __init__(self, key: int | list[int]):
+        state = 0
+        for k in key if isinstance(key, (list, tuple)) else [key]:
+            if k < 0:
+                raise ValueError(f"a sample key must be nonnegative, not {k}")
+            words = [k >> s & _MASK for s in range(0, max(k.bit_length(), 1), 64)]
+            for w in (*words, len(words)):
+                state = _splitmix((state ^ w) + _GAMMA & _MASK)
+        self.state, self.slot = state, 0
+        self.base, self.normals = 0, np.zeros(0)     # the normals of slots base, base + 1, ...
+
+    def _block(self, k: int) -> np.ndarray:
+        """The normals of the k-th ``_BLOCK`` slots: Box–Muller, √(−2 log(1−u))·cos 2πv,
+        on the 53-bit uniforms u, v in [0, 1) of each slot's words (1 − u > 0).
+        Every normal is made at the same place of a block, so its bits do not
+        depend on how the draws were split."""
+        steps = np.arange(2 * k * _BLOCK + 1, 2 * (k + 1) * _BLOCK + 1, dtype=np.uint64)
+        u, v = ((_splitmix(self.state + steps * _GAMMA) >> 11) * 2.0 ** -53).reshape(-1, 2).T
+        return np.sqrt(-2.0 * np.log1p(-u)) * np.cos(2 * np.pi * v)
+
+    def standard_normal(self, shape: int | tuple[int, ...]) -> np.ndarray:
+        first, end = self.slot, self.base + len(self.normals)   # end: a block boundary
+        self.slot += math.prod(shape) if isinstance(shape, tuple) else int(shape)
+        if self.slot > end:
+            # the unread normals, then whole blocks up to the last slot, written
+            # in place, so that a large draw takes no more memory than its result
+            start, stop = max(end, first - first % _BLOCK), -(-self.slot // _BLOCK) * _BLOCK
+            kept = self.normals[first - self.base:]
+            self.base = start - len(kept)
+            self.normals = np.empty(stop - self.base)
+            self.normals[:len(kept)] = kept
+            for at in range(start, stop, _BLOCK):
+                self.normals[at - self.base:at - self.base + _BLOCK] = self._block(at // _BLOCK)
+        return self.normals[first - self.base:self.slot - self.base].reshape(shape)
+
+    def integers(self, low: int, high: int) -> int:
+        """One int of [low, high), the next slot's first word scaled to the range."""
+        word = _splitmix(self.state + (2 * self.slot + 1) * _GAMMA & _MASK)
+        self.slot += 1
+        return low + (word * (high - low) >> 64)
+
+
 class Algebra:
     """A multimatrix algebra, the direct sum of full matrix blocks.
 
@@ -105,10 +177,11 @@ class Algebra:
         """Coordinates of the unit: the identity in every block."""
         return np.concatenate([np.eye(d, dtype=complex).reshape(-1) for d in self.blocks])
 
-    def random_coords(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def random_coords(self, rng: Draws, n: int) -> np.ndarray:
         """(n, dim): the coordinates of n random elements, from one draw of
         the normal stream (per element and block, the real parts, then the
-        imaginary parts)."""
+        imaginary parts), each normal made by Box–Muller from two 53-bit
+        uniforms of the stream's splitmix64 words."""
         raw = rng.standard_normal((n, 2 * self.dim))
         m = np.concatenate([raw[:, 2 * off:2 * (off + d * d)].reshape(n, 2, d * d)
                             for off, d in zip(self.offsets, self.blocks)], axis=2)

@@ -30,6 +30,7 @@ import numpy as np
 
 from .algebra import (
     BlockForm,
+    Draws,
     Sparse,
     at_units,
     block_adjoint,
@@ -352,7 +353,7 @@ def build_bimodule(inter: Interaction, tol: float | None = None) -> BimoduleX:
 # evaluate each quantity over the whole stack of samples at once.
 
 
-def _random_stack(x: BimoduleX, rng: np.random.Generator, n: int) -> np.ndarray:
+def _random_stack(x: BimoduleX, rng: Draws, n: int) -> np.ndarray:
     """(n, dim²): n random tensors, each drawn as dim² standard normal real
     parts, then dim² imaginary parts, scaled by 1/√2."""
     raw = rng.standard_normal((n, 2, x.amb))
@@ -360,9 +361,9 @@ def _random_stack(x: BimoduleX, rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def check_positivity(x: BimoduleX, samples: int = 20,
-                     rng: np.random.Generator | None = None) -> dict[str, float]:
+                     rng: Draws | None = None) -> dict[str, float]:
     """Both inner squares are positive operators, sampled plus basis tensors."""
-    rng = rng or np.random.default_rng(520)
+    rng = rng or Draws(520)
     basis = np.kron(np.eye(x.dim), np.eye(x.dim)[0])     # the tensors a_i⊗a_0
     ts = np.concatenate([basis, _random_stack(x, rng, samples)])
     return {"right_square_psd": worst(psd_defect(x.inner_r(ts, ts))),
@@ -370,9 +371,9 @@ def check_positivity(x: BimoduleX, samples: int = 20,
 
 
 def check_cauchy_schwarz(x: BimoduleX, samples: int = 50,
-                         rng: np.random.Generator | None = None) -> dict[str, float]:
+                         rng: Draws | None = None) -> dict[str, float]:
     """Operator-valued Cauchy–Schwarz for both inner products."""
-    rng = rng or np.random.default_rng(530)
+    rng = rng or Draws(530)
     draws = _random_stack(x, rng, 2 * samples)
     ss, ts = draws[0::2], draws[1::2]
     out = {}
@@ -385,10 +386,10 @@ def check_cauchy_schwarz(x: BimoduleX, samples: int = 50,
 
 
 def check_norm_agreement(x: BimoduleX, samples: int = 50,
-                         rng: np.random.Generator | None = None) -> dict[str, float]:
+                         rng: Draws | None = None) -> dict[str, float]:
     """The two grid-calculus norms and the quotient norm coincide; the two
     inner products have the same null space."""
-    rng = rng or np.random.default_rng(540)
+    rng = rng or Draws(540)
     alg = x.algebra
     # the sums a_i*⊗b_i have one to three pairs, padded to three with zero
     # pairs, which add zero grid rows and a zero tensor term
@@ -441,10 +442,10 @@ def check_sliding(x: BimoduleX) -> dict[str, float]:
 
 
 def check_bound_59(x: BimoduleX, samples: int = 50, terms: int = 3,
-                   rng: np.random.Generator | None = None) -> dict[str, float]:
+                   rng: Draws | None = None) -> dict[str, float]:
     """Pairing a vector against a finite right-operator sum is bounded by
     the product of the three norms."""
-    rng = rng or np.random.default_rng(590)
+    rng = rng or Draws(590)
     alg, bch = x.algebra, x.bch
     xis, etas = (np.zeros((samples, x.amb), dtype=complex) for _ in range(2))
     terms_ab = np.zeros((samples, terms, 2, alg.dim), dtype=complex)
@@ -462,9 +463,9 @@ def check_bound_59(x: BimoduleX, samples: int = 50, terms: int = 3,
 
 
 def check_action_bound(x: BimoduleX, samples: int = 50,
-                       rng: np.random.Generator | None = None) -> dict[str, float]:
+                       rng: Draws | None = None) -> dict[str, float]:
     """∥t·k∥ ≤ ∥t∥·∥k∥, and the action is presentation-independent."""
-    rng = rng or np.random.default_rng(5100)
+    rng = rng or Draws(5100)
     kb, dual = x.bch.k_basis, x.bch.k_dual
     ts = np.zeros((samples, x.amb), dtype=complex)
     ws = np.zeros((samples, len(kb)), dtype=complex)       # each k by its span coordinates

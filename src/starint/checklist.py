@@ -130,7 +130,8 @@ def build_stage_records(inter: Interaction, tol: float, samples: int, seed: int,
     records.update(_correspondence_records(x, tol))
     if mode == "endo_transfer" and alpha is not None and transfer is not None:
         try:
-            records["7.13"] = _record("7.13", check_713(alpha, transfer, inter, x, tol), tol)
+            records["7.13"] = _record("7.13", check_713(alpha, transfer, inter, x, tol, samples,
+                                                        _rng(seed, 713)), tol)
         except ValueError as err:
             records["7.13"] = _fail("7.13", str(err))
     else:

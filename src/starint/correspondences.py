@@ -18,10 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, Algebra, BlockForm, Sparse, block_adjoint, block_norms,
-                      block_product, contract, law_defects, orthonormal_rows, pair_products,
-                      psd_top, representation_defects, row_chunks, svd_rank, worst, worst_key,
-                      worst_norm)
+from .algebra import (DEFAULT_TOL, Algebra, BlockForm, Draws, Sparse, block_adjoint,
+                      block_norms, block_product, contract, law_defects, orthonormal_rows,
+                      pair_products, psd_top, representation_defects, row_chunks, svd_rank,
+                      worst, worst_key, worst_norm)
 from .bimodule import BimoduleX, slot_adjoint_defects
 from .interactions import Interaction, _unit_defects
 from .linmaps import LinMap, map_residual
@@ -330,11 +330,14 @@ def find_redundancies(corr: GenCorrespondence, side: str = "right",
 
 
 def check_713(alpha: LinMap, transfer: LinMap, inter: Interaction,
-              x: BimoduleX, tol: float | None = None) -> dict[str, float]:
+              x: BimoduleX, tol: float | None = None, samples: int = 8,
+              rng: Draws | None = None) -> dict[str, float]:
     """The quotient module of a pair coming from an endomorphism and a
     transfer map is the classical module of that pair: spanned by first-leg
-    tensors, with the expected norm, coefficient maps, and bracket."""
+    tensors, with the expected norm, coefficient maps, and bracket (on
+    ``samples`` random triples)."""
     tol = inter.tol if tol is None else tol
+    rng = rng or Draws(713)
     alg = inter.algebra
     gap = worst([np.linalg.norm(alpha.matrix - inter.v.matrix),
                  np.linalg.norm(transfer.matrix - inter.h.matrix)])
@@ -364,7 +367,7 @@ def check_713(alpha: LinMap, transfer: LinMap, inter: Interaction,
     isometry = abs(x.module_norm(phis) - np.sqrt(block_norms(alg, squares)))
 
     # u·alpha(transfer(v*·w))⊗1 against the bracket of u⊗1, v⊗1, w⊗1
-    draws = alg.random_coords(np.random.default_rng(713), 24).reshape(8, 3, alg.dim)
+    draws = alg.random_coords(rng, 3 * samples).reshape(samples, 3, alg.dim)
     u, v, w = draws.swapaxes(0, 1)                # triple t is draws 3t, 3t+1, 3t+2
     lhs = block_product(alg, u, block_product(alg, block_adjoint(alg, v), w)
                         @ transfer.matrix.T @ alpha.matrix.T) @ one_class

@@ -17,6 +17,7 @@ import numpy as np
 from .algebra import (
     DEFAULT_TOL,
     Algebra,
+    Draws,
     Subspace,
     at_units,
     block_adjoint,
@@ -110,11 +111,11 @@ def _multiplicativity_scan(t: LinMap, domain: Subspace,
 
 def verify_interaction(v: LinMap, h: LinMap, tol: float = DEFAULT_TOL,
                        samples: int = 25,
-                       rng: np.random.Generator | None = None) -> InteractionReport:
+                       rng: Draws | None = None) -> InteractionReport:
     """Check the defining identities of a candidate pair and report residuals."""
     if v.algebra != h.algebra:
         raise ValueError("maps must live over the same algebra")
-    rng = rng or np.random.default_rng(20240)
+    rng = rng or Draws(20240)
     residuals: dict[str, float] = {}
     witnesses: dict[str, dict] = {}
 
@@ -164,7 +165,7 @@ class Interaction:
     @classmethod
     def build(cls, v: LinMap, h: LinMap, tol: float = DEFAULT_TOL,
               samples: int = 25,
-              rng: np.random.Generator | None = None) -> "Interaction":
+              rng: Draws | None = None) -> "Interaction":
         return cls.from_report(v, h, verify_interaction(v, h, tol, samples, rng))
 
     @cached_property
@@ -241,7 +242,7 @@ def check_inverse_pair(inter: Interaction) -> dict[str, float]:
 
 def amplified_interaction(inter: Interaction, n: int,
                           samples: int = 10,
-                          rng: np.random.Generator | None = None) -> Interaction:
+                          rng: Draws | None = None) -> Interaction:
     """Entrywise extension to n-by-n grids, re-verified from scratch."""
     return Interaction.build(amplify(inter.v, n), amplify(inter.h, n),
                              inter.tol, samples, rng)
@@ -253,7 +254,7 @@ def amplified_interaction(inter: Interaction, n: int,
 def from_endomorphism_transfer(alpha: LinMap, transfer: LinMap,
                                tol: float = DEFAULT_TOL,
                                samples: int = 25,
-                               rng: np.random.Generator | None = None
+                               rng: Draws | None = None
                                ) -> tuple[Interaction, dict[str, float]]:
     """Interaction built from a unital *-endomorphism and a transfer map.
 
@@ -311,7 +312,7 @@ def derive_from_partial_isometry(a_algebra: Algebra,
                                  s: np.ndarray,
                                  tol: float = DEFAULT_TOL,
                                  samples: int = 25,
-                                 rng: np.random.Generator | None = None
+                                 rng: Draws | None = None
                                  ) -> DeriveResult:
     """Reconstruct the pair compressed by a partial isometry.
 
@@ -373,7 +374,7 @@ def derive_from_partial_isometry(a_algebra: Algebra,
 
     candidates = [("unital", unital_completion(v0), unital_completion(h0)),
                   ("minimal", v0, h0)]
-    rng = rng or np.random.default_rng(20241)
+    rng = rng or Draws(20241)
     last_report = None
     for gauge, vm, hm in candidates:
         v = LinMap(a_algebra, vm)

@@ -16,6 +16,7 @@ from .algebra import (
     Algebra,
     BlockForm,
     DescriptorMismatch,
+    Draws,
     Subspace,
     block_adjoint,
     block_norms,
@@ -153,14 +154,14 @@ def _rank_one_positives(algebra: Algebra) -> np.ndarray:
 
 
 def positivity_certificate(t: LinMap, trials: int, tol: float = DEFAULT_TOL,
-                           rng: np.random.Generator | None = None) -> tuple[bool, float]:
+                           rng: Draws | None = None) -> tuple[bool, float]:
     """Randomized falsifier for positivity of t.
 
     Applies t to a spanning family of rank-one positives and to random
     y*y elements.  A pass is evidence, not proof; the Choi certificate
     is the sound gate for complete positivity.
     """
-    rng = rng or np.random.default_rng(0)
+    rng = rng or Draws(0)
     alg = t.algebra
     ys = alg.random_coords(rng, trials)
     xs = np.concatenate([_rank_one_positives(alg),
@@ -175,7 +176,7 @@ def range_subspace(t: LinMap, tol: float = DEFAULT_TOL) -> Subspace:
     return Subspace(t.algebra, u[:, :svd_rank(s, tol, TINY)].T)
 
 
-def complete_contractivity_residual(t: LinMap, samples: int, rng: np.random.Generator,
+def complete_contractivity_residual(t: LinMap, samples: int, rng: Draws,
                                     amplification: int = 2) -> float:
     """Worst relative excess of ||t(x)|| over ||x|| at the base and amplified level."""
     excess = []

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL
+from .algebra import DEFAULT_TOL, Draws
 from .interactions import (Interaction, InteractionError, InteractionReport,
                            check_inverse_pair, verify_interaction)
 from .linmaps import LinMap, complete_contractivity_residual, is_completely_positive
@@ -107,8 +107,8 @@ def _fail(check_id: str, reason: str) -> CheckRecord:
     return CheckRecord(check_id=check_id, status="fail", reason=reason)
 
 
-def _rng(seed: int, lane: int) -> np.random.Generator:
-    return np.random.default_rng([seed, lane])
+def _rng(seed: int, lane: int) -> Draws:
+    return Draws([seed, lane])
 
 
 def _axiom_records(report: InteractionReport, tol: float) -> dict[str, CheckRecord]:

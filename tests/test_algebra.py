@@ -14,6 +14,9 @@ from starint import (
     generated_subalgebra,
 )
 from starint.algebra import (
+    _GAMMA,
+    Draws,
+    _splitmix,
     block_adjoint,
     block_norms,
     block_product,
@@ -208,3 +211,52 @@ def test_representation_defects_of_pi_on_mixed_blocks_match_the_dense_formula():
         close_pair(representation_defects(inter.algebra, reps),
                    _dense_representation_defects(inter.algebra, reps))
     assert min(representation_defects(inter.algebra, noisy)) > 0.1
+
+
+# -- the sample stream -----------------------------------------------------------
+
+
+def test_splitmix_words_are_the_published_sequence():
+    # splitmix64 seeded with 0 starts 0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4,
+    # 0x06c45d188009454f; the uint64 arrays wrap to the Python ints' values
+    want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert [_splitmix(i * _GAMMA % 2 ** 64) for i in (1, 2, 3)] == want
+    with np.errstate(all="raise"):
+        assert _splitmix(np.arange(1, 4, dtype=np.uint64) * _GAMMA).tolist() == want
+
+
+@pytest.mark.parametrize("sizes", [[1, (2, 5), 1030, 0, 2959], [4000], [(1023, 1), 1, 2976],
+                                   [2047, (3, 0), 1953]])
+def test_draws_continue_one_stream_over_calls_of_any_size(sizes):
+    whole = Draws([3, 52]).standard_normal(4000)
+    draws = Draws([3, 52])
+    parts = [draws.standard_normal(n) for n in sizes]
+    assert [part.shape for part in parts] == [n if isinstance(n, tuple) else (n,)
+                                              for n in sizes]
+    assert np.array_equal(np.concatenate([part.ravel() for part in parts]), whole)
+    # an int takes one slot of the same stream
+    draws = Draws([3, 52])
+    draws.standard_normal(10)
+    draws.integers(1, 4)
+    assert np.array_equal(draws.standard_normal((2, 1500)).ravel(), whole[11:3011])
+
+
+def test_draws_of_other_keys_differ():
+    first = Draws([3, 52]).standard_normal(50)
+    for key in ([3, 53], [4, 52], [52, 3], 3, [3, 52, 0], [3 + 2 ** 64, 52]):
+        assert not np.allclose(Draws(key).standard_normal(50), first), key
+    with pytest.raises(ValueError, match="nonnegative"):
+        Draws([0, -1])
+
+
+def test_normals_have_unit_moments():
+    xs = Draws(20240).standard_normal(10 ** 5)
+    assert abs(xs.mean()) < 0.02 and abs(xs.var() - 1) < 0.02
+    assert np.isfinite(xs).all()
+
+
+def test_integers_cover_the_half_open_range():
+    draws = Draws([0, 54])
+    got = [draws.integers(1, 4) for _ in range(200)]
+    assert set(got) == {1, 2, 3}
+    assert all(type(k) is int for k in got)

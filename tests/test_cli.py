@@ -8,10 +8,11 @@ import subprocess
 import sys
 from functools import partial
 
+import numpy as np
 import pytest
 
-from starint import interactions, linmaps, records
-from starint.checklist import CANONICAL_IDS, VERIFY_STAGE_IDS
+from starint import checklist, interactions, linmaps, records
+from starint.checklist import CANONICAL_IDS, VERIFY_STAGE_IDS, check_713
 from starint.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 
 DATA = "tests/data"
@@ -341,6 +342,39 @@ def test_fuzz_trivial_amplification_matches_build(capsys, tmp_path):
                    "fuzz --seed 3": (3, 7), "verify": (454637359, 7),
                    "fuzz --samples 2": (454637359, 2)}
     assert reports["fuzz --amplify 1"]["checks"] == reports["build"]["checks"]
+
+
+def test_seeds_of_any_size(capsys, tmp_path):
+    big = 2 ** 100
+    spec = tmp_path / "big_seed.json"
+    spec.write_text(json.dumps({**json.load(open(FLIP)), "seed": big}))
+    for argv in (["fuzz", FLIP, "--seed", str(big)], ["build", str(spec)]):
+        outs = [run(capsys, *argv) for _ in range(2)]
+        assert [code for code, _, _ in outs] == [EXIT_PASS] * 2, outs[0][2]
+        assert outs[0][1] == outs[1][1]
+        assert json.loads(outs[0][1])["environment"]["seed"] == big
+    # the key holds every bit of the seed
+    for seed in (0, big):
+        assert not np.array_equal(records._rng(seed, 31).standard_normal(8),
+                                  records._rng(seed + 2 ** 64, 31).standard_normal(8))
+
+
+def test_713_draws_follow_the_seed_and_the_sample_count(capsys, tmp_path, monkeypatch):
+    seen = []
+
+    def spy(alpha, transfer, inter, x, tol, samples, rng):
+        seen.append((samples, rng.state))
+        return check_713(alpha, transfer, inter, x, tol, samples, rng)
+
+    monkeypatch.setattr(checklist, "check_713", spy)
+    spec = tmp_path / "swap.json"
+    spec.write_text(json.dumps({**json.load(open(f"{DATA}/swap_endo.json")),
+                                "seed": 9, "samples": 4}))
+    for argv in (["build", str(spec)], ["fuzz", str(spec), "--seed", "5", "--samples", "3"]):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_PASS, err
+        assert json.loads(out)["checks"]["7.13"]["status"] == "pass"
+    assert seen == [(4, records._rng(9, 713).state), (3, records._rng(5, 713).state)]
 
 
 def test_golden_flip_report(capsys):
