@@ -297,16 +297,6 @@ def unit_images(algebra: Algebra, images: np.ndarray, xs: np.ndarray,
     return out
 
 
-def unit_sums(algebra: Algebra, ws: np.ndarray) -> np.ndarray:
-    """(..., dim): the coordinates of Σ ws[..., i, k]·a_i·a_k for a (..., dim, dim)
-    stack: on a block E_ab·E_bc = E_ac, so (a, c) gathers ws at (e_ab, e_bc), summed over b."""
-    out = np.empty((*ws.shape[:-2], algebra.dim), dtype=complex)
-    for d, idx in algebra.size_groups:
-        units = idx.reshape(len(idx), d, d)
-        out[..., units] = ws[..., units[..., None], units[:, None]].sum(axis=-2)
-    return out
-
-
 def unit_map(units: Iterable[np.ndarray], classes: Iterable[np.ndarray], n: int) -> np.ndarray:
     """(n, n): the coordinate of the matrix unit that E ⊗ I puts at each entry
     of an operator on n classes, -1 where there is none, for each block's (d, d)
@@ -465,6 +455,10 @@ class Sparse(NamedTuple):
         return _added([Sparse(np.ravel_multi_index([index[a] for a in axes], shape),
                               self.values, shape)])
 
+    def __sub__(self, other: "Sparse") -> "Sparse":
+        """The difference of two tables of one shape, over the union of their nonzeros."""
+        return _added([self, other._replace(values=-other.values)])
+
     def rows(self, rows: slice) -> "Sparse":
         """``table[rows]`` for a slice of the first axis."""
         stop, stride = min(rows.stop, self.shape[0]), int(np.prod(self.shape[1:]))
@@ -476,12 +470,13 @@ class Sparse(NamedTuple):
 def _added(tables: list[Sparse]) -> Sparse:
     """The entries of tables of one shape as one table, those at one position
     added in their order."""
-    at = np.concatenate([t.at for t in tables])
-    values = np.concatenate([t.values for t in tables])
-    order = np.argsort(at, kind="stable")
-    first = np.flatnonzero(np.diff(at[order], prepend=-1))
-    added = np.add.reduceat(values[order], first) if len(first) else values
-    return Sparse(at[order][first], added, tables[0].shape)
+    order = np.argsort(np.concatenate([t.at for t in tables]), kind="stable")
+    at = np.concatenate([t.at for t in tables])[order]
+    values = np.concatenate([t.values for t in tables])[order]
+    first = np.flatnonzero(np.diff(at, prepend=-1))
+    added = np.add.reduceat(values, first) if len(first) else values
+    return Sparse(at[first], added, tables[0].shape)
+
 
 
 def contract(spec: str, a: Sparse, b: Sparse) -> Sparse:
@@ -503,7 +498,7 @@ def contract(spec: str, a: Sparse, b: Sparse) -> Sparse:
     ends = np.cumsum(hi - lo)
     total, shape = int(ends[-1]) if len(ends) else 0, tuple(sizes[c] for c in out)
     done, waiting = [Sparse(np.zeros(0, int), np.zeros(0, complex), shape)], []
-    for pairs in row_chunks(total, 1):
+    for pairs in row_chunks(total, 8):     # formed and merged, a pair takes about 8 entries
         pair = np.arange(pairs.start, min(pairs.stop, total))
         i = np.searchsorted(ends, pair, "right")           # each pair's nonzero of a,
         j = order[hi[i] - (ends[i] - pair)]                 # and of b
@@ -515,6 +510,16 @@ def contract(spec: str, a: Sparse, b: Sparse) -> Sparse:
     return _added(done + waiting)
 
 
+def row_norms(table: Sparse) -> tuple[np.ndarray, np.ndarray]:
+    """The flat index of each row of a table (its position over all axes but the
+    last) that holds an entry, ascending, and the 2-norm of that row; a NaN
+    comes through."""
+    squares = (table.values.conj() * table.values).real
+    rows = table.at // table.shape[-1]
+    first = np.flatnonzero(np.diff(rows, prepend=-1))
+    return rows[first], np.sqrt(np.add.reduceat(squares, first)) if len(first) else squares
+
+
 def law_defects(sides: Iterable[tuple[Sparse, Sparse]]) -> tuple[float, float]:
     """The largest 2-norm over the last axis, and the largest entry, of
     lhs - rhs over the (lhs, rhs) pairs of tables of one shape that a law
@@ -522,12 +527,18 @@ def law_defects(sides: Iterable[tuple[Sparse, Sparse]]) -> tuple[float, float]:
     nonzeros; 0 for none, and a NaN anywhere comes through."""
     norms, tops = [], []
     for lhs, rhs in sides:
-        diff = _added([lhs, rhs._replace(values=-rhs.values)])
-        squares = (diff.values.conj() * diff.values).real
-        first = np.flatnonzero(np.diff(diff.at // diff.shape[-1], prepend=-1))
-        norms.append(np.sqrt(np.add.reduceat(squares, first)) if len(first) else squares)
+        diff = lhs - rhs
+        norms.append(row_norms(diff)[1])
         tops.append(abs(diff.values))
     return worst(*norms), worst(*tops)
+
+
+def unit_table(algebra: Algebra) -> Sparse:
+    """(dim, dim, dim): [i, k, j] is 1 where a_i·a_k = a_j, the products of matrix
+    units (``unit_products``) as a table over its nonzeros."""
+    i, k = np.nonzero(algebra.unit_products >= 0)
+    return Sparse(np.ravel_multi_index((i, k, algebra.unit_products[i, k]), (algebra.dim,) * 3),
+                  np.ones(len(i), complex), (algebra.dim,) * 3)
 
 
 def representation_defects(algebra: Algebra, reps: np.ndarray) -> tuple[float, float]:
@@ -539,9 +550,7 @@ def representation_defects(algebra: Algebra, reps: np.ndarray) -> tuple[float, f
     star table [i, j] (a_i* = a_j) contracted with it; every side is read over
     the nonzeros (``contract``, ``law_defects``), a chunk of rows i at a time."""
     dim, n = reps.shape[:2]
-    i, k = np.nonzero(algebra.unit_products >= 0)
-    units = Sparse(np.ravel_multi_index((i, k, algebra.unit_products[i, k]), (dim,) * 3),
-                   np.ones(len(i), complex), (dim,) * 3)
+    units = unit_table(algebra)
     stars = Sparse(np.arange(dim) * dim + algebra.star_perm, np.ones(dim, complex), (dim, dim))
     rep = Sparse.of(reps)
     adjoint = rep.transpose(0, 2, 1)

@@ -41,6 +41,7 @@ from .algebra import (
     quotient_gap,
     representation_defects,
     row_chunks,
+    row_norms,
     shape_groups,
     unit_map,
     worst,
@@ -171,9 +172,20 @@ class BasicConstruction:
         return vecs @ (self.k_pairs[:, at].T * self.k_values)
 
     def generator_remainders(self) -> np.ndarray:
-        """(dim, dim): the relative remainder outside the span (``express_in_k``) of
-        each generator lam(a_i)·e·lam(a_j), formed from lam and e one i at a time."""
-        return np.stack([self.express_in_k(lam_e @ self.lam)[1] for lam_e in self.lam @ self.e])
+        """(dim, dim): the relative remainder outside the span of each generator
+        lam(a_i)·e·lam(a_j), formed over the nonzeros of lam and e, so on its own
+        entries (E_ps ⊗ e_bc[q, r] for a_i = e_pq and a_j = e_rs lives on copy (p, s)),
+        and projected on the span basis there, a chunk of generators a_i at a time."""
+        dim, mm = self.algebra.dim, self.m * self.m
+        lam, e, ks = map(Sparse.of, (self.lam, self.e, self.k_basis.reshape(-1, self.m, self.m)))
+        norms = np.zeros((2, dim * dim))                 # of the remainders, of the generators
+        for rows in row_chunks(dim, len(e.at)):
+            gens = contract("iac,jcd->ijad", contract("iab,bc->iac", lam.rows(rows), e), lam)
+            coords = contract("ijad,wad->ijw", gens, ks._replace(values=ks.values.conj()))
+            for norm, table in zip(norms, (gens - contract("ijw,wad->ijad", coords, ks), gens)):
+                at, values = row_norms(table.reshape(-1, mm))
+                norm[rows.start * dim + at] = values
+        return (norms[0] / np.maximum(1.0, norms[1])).reshape(dim, dim)
 
     def null_part(self, coeffs: np.ndarray) -> np.ndarray:
         """(..., dim, dim): each pair coefficient matrix of a stack less its

@@ -6,19 +6,20 @@ landing in the span built from the first map's — plus left/right algebra
 actions and a ternary product.  Both inner products induce the same
 seminorm; the quotient by its kernel is finite-dimensional and everything
 is realized as explicit tensors over the quotient coordinates.  Products of
-matrix units are taken by index (``algebra.unit_map``, ``at_units`` and
-``unit_sums``); each Gram matrix of the basis tensors is a block form of one
-piece per block pair in closed form, and the right one is cut by
-``eigen_quotient``.  Operators of a span are held by their coordinates on its
-orthonormal basis and act by their pair presentations only (``right_act``,
-``left_act``): a span acts through the presentations of its basis
-(``span_action``), both inner products are presentations read off the same
-action factors (``_inner_factors``), taken to span coordinates by the span's
-pair vectors (``pairs_in_k``), and products in a span are its ``in_k``, so the
-tables over the representatives are in span coordinates.  They are exactly
-zero off a small pattern, so the laws 5.11-5.17 read them by their nonzeros
-(``algebra.Sparse``, ``contract``, ``law_defects``), and the (r, r, r, r)
-bracket exists only as its nonzeros.
+matrix units are taken by index (``algebra.unit_map`` and ``at_units``), and
+a coefficient matrix meets V and H one pair of blocks at a time (``_factor``),
+so no array of the module has dim³ entries; each Gram matrix of the basis
+tensors is a block form of one piece per block pair in closed form, and the
+right one is cut by ``eigen_quotient``.  Operators of a span are held by their
+coordinates on its orthonormal basis and act by their pair presentations only
+(``right_act``, ``left_act``): a span acts through the presentations of its
+basis (``span_action``), both inner products are presentations read off the
+same action factors (``_inner_factors``), taken to span coordinates by the
+span's pair vectors (``pairs_in_k``), and products in a span are its ``in_k``,
+so the tables over the representatives are in span coordinates.  They and the
+quotient map (``q_t``) are exactly zero off a small pattern, so the laws
+5.6-5.17 read them by their nonzeros (``algebra.Sparse``, ``contract``,
+``law_defects``), and the (r, r, r, r) bracket exists only as its nonzeros.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .algebra import (
     row_chunks,
     singular_values,
     unit_map,
-    unit_sums,
     worst,
 )
 from .basic_construction import (
@@ -58,13 +58,11 @@ from .basic_construction import (
 from .interactions import Interaction
 
 
-def _by_chunks(part, stacks: tuple[np.ndarray, ...], row_entries: int) -> np.ndarray:
-    """``part`` over (..., a, b) stacks of one leading shape, ``row_chunks`` of their
-    matrices at a time (one at least, so that an empty stack keeps its shape)."""
-    flats = [z.reshape(-1, *z.shape[-2:]) for z in stacks]
-    out = np.concatenate([part(*(z[rows] for z in flats))
-                          for rows in row_chunks(max(len(flats[0]), 1), row_entries)])
-    return out.reshape(*stacks[0].shape[:-2], *out.shape[1:])
+def _grid(up: np.ndarray, uq: np.ndarray) -> np.ndarray:
+    """(P, Q, a·c, b·d): up[P, i, k] + uq[Q, j, l] at [(i, j), (k, l)], for every block
+    of two stacks of (a, b) and (c, d) index arrays."""
+    out = up[:, None, :, None, :, None] + uq[None, :, None, :, None, :]
+    return out.reshape(len(up), len(uq), up.shape[1] * uq.shape[1], -1)
 
 
 class BimoduleX:
@@ -83,10 +81,15 @@ class BimoduleX:
         self.inter, self.algebra, self.bch, self.bcv, self.tol = inter, alg, bch, bcv, tol
         self.dim, self.amb, self.sigma = alg.dim, alg.dim ** 2, alg.star_perm
 
-        # The actions contract in two steps through the dim³ tables vl[j, s, p] =
-        # coords_s(V(a_j a_p)) and hl[q, s, i] = coords_s(H(a_q a_i)), gathered by index.
-        self.vl, self.hl = (np.ascontiguousarray(at_units(t.matrix, alg.unit_products)
-                                                 .swapaxes(0, 1)) for t in (inter.v, inter.h))
+        # the positions (take, at, put) of ``_factor`` on each pair of block sizes
+        n, units = self.dim, [idx.reshape(len(idx), d, d) for d, idx in alg.size_groups]
+        pairs = list(product([(u, u.swapaxes(1, 2)) for u in units], repeat=2))
+        self.pair_index = {
+            "right": tuple((_grid(n * up, uq_t), _grid(n * up, uq), _grid(n * up, uq))
+                           for (up, _), (uq, uq_t) in pairs),
+            "left": tuple((_grid(n * up, uq_t), _grid(up_t, n * uq_t), _grid(n * up_t, uq_t))
+                          for (up, up_t), (_, uq_t) in pairs)}
+        self.v_mat, self.h_mat = inter.v.matrix, inter.h.matrix     # the matrices it reads
 
         quot = eigen_quotient(self._gram_pieces("right"), tol, (
             "module collapses: both inner products vanish",
@@ -134,8 +137,9 @@ class BimoduleX:
         action factors and a_σ(i) = a_i*."""
         sigma, s_m, t_m = self.sigma, self._coeff_mats(ss), self._coeff_mats(ts)
         if side == "right":
-            return self._left_factor(s_m)[..., sigma[:, None], sigma].conj().swapaxes(-1, -2), t_m
-        return self._right_factor(s_m)[..., sigma], t_m.conj().swapaxes(-1, -2)[..., sigma]
+            return (self._factor(s_m, "left")[..., sigma[:, None], sigma].conj().swapaxes(-1, -2),
+                    t_m)
+        return self._factor(s_m, "right")[..., sigma], t_m.conj().swapaxes(-1, -2)[..., sigma]
 
     def _inner_presentation(self, ss: np.ndarray, ts: np.ndarray, side: str) -> np.ndarray:
         """(..., dim, dim): the products of ``_inner_factors``, by plain einsum."""
@@ -193,30 +197,35 @@ class BimoduleX:
     # An operator k of a span acts through a pair presentation c, with
     # k = sum c[p, q] lam(a_p) e lam(a_q), as a (..., dim, dim) stack; an
     # operator held by its span coordinates w has the least-norm presentation
-    # w @ k_dual.  The coefficient matrix of t·k is right_factor(t) @ c, that
-    # of k·t is c @ left_factor(t).
+    # w @ k_dual.  The coefficient matrix of t·k is _factor(t, "right") @ c,
+    # that of k·t is c @ _factor(t, "left").
 
-    def _right_factor(self, xs: np.ndarray) -> np.ndarray:
-        # [..., a, p] = coords_a(Σ_ij x[i, j]·a_i·V(a_j a_p)): x @ vl, then ``unit_sums``
-        # over (i, s), a few matrices at a time, since each forms a dim³ temporary
-        return _by_chunks(lambda x: unit_sums(self.algebra, np.moveaxis(
-            np.tensordot(x, self.vl, axes=1), -1, -3)).swapaxes(-1, -2), (xs,), self.dim ** 3)
-
-    def _left_factor(self, xs: np.ndarray) -> np.ndarray:
-        # [..., q, a] = coords_a(Σ_ij x[i, j]·H(a_q a_i)·a_j): hl @ x, then ``unit_sums``
-        # over (s, j), a few matrices at a time, as _right_factor
-        return _by_chunks(lambda x: unit_sums(self.algebra, self.hl @ x[:, None]),
-                          (xs,), self.dim ** 3)
+    def _factor(self, xs: np.ndarray, side: str) -> np.ndarray:
+        """(..., dim, dim): the action factor of each coefficient matrix x of a stack,
+        [a, p] = coords_a(Σ_ij x[i, j]·a_i·V(a_j a_p)) on the right and [q, a] =
+        coords_a(Σ_ij x[i, j]·H(a_q a_i)·a_j) on the left.  For a = e_xz of block P
+        and p = e_bc of block Q the first is Σ_{y,a'} x[e_xy, e_a'b]·V[e_yz, e_a'c],
+        for q = e_bc of P and a = e_xz of Q the second Σ_{d,y} H[e_xy, e_bd]·x[e_cd, e_yz]:
+        per pair of block sizes, x at [(r, c'), (r', c)] = x[e_rr', e_cc'] (``take``)
+        times V at [(y, a'), (z, c)] or H at [(d, y), (b, x)] (``at``), one batched
+        product read at (e_xz, e_bc) from [(x, b), (z, c)] or at (e_bc, e_xz) from
+        [(c, z), (b, x)] (``put``)."""
+        flat = xs.reshape(*xs.shape[:-2], self.amb)
+        mat = (self.v_mat if side == "right" else self.h_mat).reshape(-1)
+        out = np.empty(flat.shape, dtype=complex)
+        for take, at, put in self.pair_index[side]:
+            out[..., put] = flat[..., take] @ mat[at]
+        return out.reshape(xs.shape)
 
     def right_act(self, ts: np.ndarray, coeff: np.ndarray) -> np.ndarray:
         """(..., dim²): t·k for a coefficient stack ts and the (..., dim, dim) pair
         presentations ``coeff`` of operators k in the right span, broadcast together."""
-        return self._coeffs(self._right_factor(self._coeff_mats(ts)) @ coeff)
+        return self._coeffs(self._factor(self._coeff_mats(ts), "right") @ coeff)
 
     def left_act(self, coeff: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """(..., dim²): k·t for the presentations ``coeff`` of operators k in the
         left span, as ``right_act``."""
-        return self._coeffs(coeff @ self._left_factor(self._coeff_mats(ts)))
+        return self._coeffs(coeff @ self._factor(self._coeff_mats(ts), "left"))
 
     def span_action(self, mats: np.ndarray, side: str) -> np.ndarray:
         """(n, k, r): [i, j] is the class of t_i·k_j (side "right") or of k_j·t_i
@@ -226,12 +235,12 @@ class BimoduleX:
         The class w of a coefficient matrix c is Σ q[w, a, b]·c[a, b]: q meets
         the presentations first, over the tables' nonzeros."""
         bc = self.bch if side == "right" else self.bcv
-        q, coeff = (Sparse.of(z.reshape(-1, self.dim, self.dim)) for z in (self.qx, bc.k_dual))
-        if side == "right":                     # t·k has the coefficients right_factor(t) @ c
+        q, coeff = self.q_t, Sparse.of(bc.k_dual.reshape(-1, self.dim, self.dim))
+        if side == "right":                     # t·k has the coefficients factor(t) @ c
             moved = contract("wab,jlb->jwal", q, coeff)
-            return contract("ial,jwal->ijw", Sparse.of(self._right_factor(mats)), moved).dense()
-        moved = contract("wab,jal->jwlb", q, coeff)     # k·t has c @ left_factor(t)
-        return contract("ilb,jwlb->ijw", Sparse.of(self._left_factor(mats)), moved).dense()
+            return contract("ial,jwal->ijw", Sparse.of(self._factor(mats, side)), moved).dense()
+        moved = contract("wab,jal->jwlb", q, coeff)     # k·t has c @ factor(t)
+        return contract("ilb,jwlb->ijw", Sparse.of(self._factor(mats, side)), moved).dense()
 
     def act_a(self, a: np.ndarray, ts: np.ndarray, side: str) -> np.ndarray:
         """(..., dim²): a·t (side "left") or t·a (side "right") for a
@@ -256,7 +265,8 @@ class BimoduleX:
         """The elementary formula over (..., dim, dim) coefficient matrix
         stacks as a matrix product: the coefficient matrix for x, y, z is
         lefts @ y* @ rights, lefts from x alone and rights from z alone."""
-        return self._right_factor(xs)[..., self.sigma], self._left_factor(zs)[..., self.sigma, :]
+        sigma = self.sigma
+        return self._factor(xs, "right")[..., sigma], self._factor(zs, "left")[..., sigma, :]
 
     def ternary_elementary(self, xs: np.ndarray, ys: np.ndarray,
                            zs: np.ndarray) -> np.ndarray:
@@ -269,6 +279,12 @@ class BimoduleX:
     # -- quotient tables over the representatives, each built on first use ------
     # Class coordinates come last; the checks and the correspondence read
     # these instead of sweeping the methods above over the representatives.
+
+    @cached_property
+    def q_t(self) -> Sparse:
+        """(r, dim, dim): the quotient map qx over its nonzeros, [w, a, b] the weight
+        of the tensor a_a⊗a_b in class w."""
+        return Sparse.of(self.qx.reshape(self.r, self.dim, self.dim))
 
     @cached_property
     def rep_mats(self) -> np.ndarray:
@@ -423,22 +439,24 @@ def check_norm_agreement(x: BimoduleX, samples: int = 50,
 def check_sliding(x: BimoduleX) -> dict[str, float]:
     """The two relations moving range elements across the tensor sign,
     ac⊗b = a⊗H(c)b for c in the range of V and a⊗cb = aV(c)⊗b for c in the
-    range of H, for all canonical a, b at once: in class coordinates, qx
-    contracted against (R_c ⊗ I) minus qx against (I ⊗ L_{H(c)}), and the
-    mirror for the range of H."""
-    alg, q = x.algebra, x.qx.reshape(x.r, x.dim, x.dim)
-    eye = np.eye(x.dim, dtype=complex)
+    range of H, for all canonical a, b at once: in class coordinates, q
+    contracted against (R_c ⊗ I) minus q against (I ⊗ L_{H(c)}), and the
+    mirror for the range of H, over the nonzeros of q and of the
+    multiplication matrices, a chunk of range rows at a time."""
+    alg, q, eye = x.algebra, x.q_t, np.eye(x.dim, dtype=complex)
 
-    def defects(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-        # [a, b]: the class of first[a]⊗e_b minus that of e_a⊗second[b]
-        return np.linalg.norm(first @ q - q @ second.T, axis=0)
+    def defects(firsts: np.ndarray, seconds: np.ndarray) -> float:
+        # [c, a, b, w]: the class of (a_a·first_c)⊗a_b minus that of a_a⊗(second_c·a_b),
+        # the largest 2-norm over w
+        def sides(c: slice) -> tuple[Sparse, Sparse]:
+            right, left = (Sparse.of(m) for m in (block_product(alg, eye, firsts[c, None]),
+                                                  block_product(alg, seconds[c, None], eye)))
+            return contract("cam,wmb->cabw", right, q), contract("cbm,wam->cabw", left, q)
+        return law_defects(map(sides, row_chunks(len(firsts), max(x.amb, len(q.at)))))[0]
 
     rows_v, rows_h = x.inter.range_v.basis, x.inter.range_h.basis
-    slide_v = [defects(block_product(alg, eye, c), block_product(alg, hc, eye))
-               for c, hc in zip(rows_v, rows_v @ x.inter.h.matrix.T)]
-    slide_h = [defects(block_product(alg, eye, vc), block_product(alg, c, eye))
-               for c, vc in zip(rows_h, rows_h @ x.inter.v.matrix.T)]
-    return {"slide_range_v": worst(*slide_v), "slide_range_h": worst(*slide_h)}
+    return {"slide_range_v": defects(rows_v, rows_v @ x.inter.h.matrix.T),
+            "slide_range_h": defects(rows_h @ x.inter.v.matrix.T, rows_h)}
 
 
 def check_bound_59(x: BimoduleX, samples: int = 50, terms: int = 3,
@@ -455,8 +473,10 @@ def check_bound_59(x: BimoduleX, samples: int = 50, terms: int = 3,
     a_star, b = block_adjoint(alg, terms_ab[:, :, 0]), terms_ab[:, :, 1]
     lam_a, lam_b = (at_units(c, bch.lam_at) for c in (a_star, b))
     phis = (lam_a @ bch.e @ lam_b).sum(axis=1)
-    pairs = a_star[..., :, None] * b[..., None, :]
-    moved = x.right_act(etas[:, None], pairs).sum(axis=1)
+    # each sample's terms act on it, a chunk of samples at a time
+    moved = np.concatenate([
+        x.right_act(etas[s, None], a_star[s, :, :, None] * b[s, :, None, :]).sum(axis=1)
+        for s in row_chunks(max(samples, 1), terms * x.amb)])
     lhs = np.linalg.norm(x.inner_r(xis, moved), 2, axis=(-2, -1))
     rhs = x.module_norm(xis) * x.module_norm(etas) * np.linalg.norm(phis, 2, axis=(-2, -1))
     return {"pairing_bound": worst(np.maximum(0.0, lhs - rhs) / np.maximum(1.0, rhs))}
@@ -562,7 +582,7 @@ def check_ternary_consistency(x: BimoduleX) -> dict[str, float]:
     x_i·x_j*·x_k is Σ q[w, a, c]·(lefts_i @ x_j* @ rights_k)[a, c]."""
     lefts, rights = map(Sparse.of, x._elementary_factors(x.rep_mats, x.rep_mats))
     ys, tt = Sparse.of(x.rep_mats.conj()), x.bracket_t             # [j, b, l] = conj(y_j[b, l])
-    moved = contract("wac,kbc->kwab", Sparse.of(x.qx.reshape(x.r, x.dim, x.dim)), rights)
+    moved = contract("wac,kbc->kwab", x.q_t, rights)
     return {"ternary_two_routes": law_defects(
         (contract("ijab,kwab->ijkw", contract("ial,jbl->ijab", lefts.rows(i), ys), moved),
          tt.rows(i)) for i in row_chunks(x.r, len(tt.at)))[0]}

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 from .specio import ProblemSpec, SpecError, canonical_json, matrix_out, read_spec, spec_arrays
 
 if TYPE_CHECKING:
-    from .interactions import Interaction
+    from .interactions import DeriveResult, Interaction
     from .linmaps import LinMap
     from .records import Report
 
@@ -45,6 +45,8 @@ EMIT_STAGES = {"bimodule": "bimodule", "covrep": "covariant", "report": "checkli
 #: its two normal draws), on the 2·dim² coefficients of 5.3's two module
 #: tensors, or for ``verify`` the 4·dim coordinates of 3.3's 2-fold amplified element.
 SAMPLE_BYTES = 1 << 30
+#: The lane of the seed (``Draws([seed, lane])``) that derives a partial-isometry pair.
+DERIVE_LANE = 2
 
 
 def _tolerance(spec: ProblemSpec, flag: float | None) -> float:
@@ -65,16 +67,25 @@ def _tolerance(spec: ProblemSpec, flag: float | None) -> float:
     return val
 
 
-def _resolve(spec: ProblemSpec, tol: float, amplification: int
+def _derive(spec: ProblemSpec, tol: float, seed: int, samples: int) -> DeriveResult:
+    """The pair of a partial-isometry file, verified while it is derived on the
+    run's sample count, drawn on a lane of its seed that no check draws on."""
+    from .algebra import Draws
+    from .interactions import derive_from_partial_isometry
+
+    return derive_from_partial_isometry(spec.algebra, spec.ambient, spec.a_embed, spec.s, tol,
+                                        samples, Draws([seed, DERIVE_LANE]))
+
+
+def _resolve(spec: ProblemSpec, tol: float, amplification: int, seed: int = 0, samples: int = 25
              ) -> tuple[LinMap, LinMap, LinMap | None, LinMap | None, dict]:
     """Maps for the checklist, amplified if requested, plus mode metadata."""
-    from .interactions import derive_from_partial_isometry
     from .linmaps import LinMap, amplify
 
     info: dict = {}
     alg = spec.algebra
     if spec.mode == "partial_isometry":
-        result = derive_from_partial_isometry(alg, spec.ambient, spec.a_embed, spec.s, tol)
+        result = _derive(spec, tol, seed, samples)
         info["derive"] = {"gauge": result.gauge,
                           "gates": dict(result.gates),
                           "residuals": dict(result.residuals)}
@@ -175,23 +186,20 @@ def _emit_report(report: Report, write: Writer) -> int:
 
 def cmd_report(spec: ProblemSpec, args: argparse.Namespace, tol: float, write: Writer) -> int:
     """The report of ``verify`` (the map-level checks) or of ``build`` and
-    ``fuzz`` (the whole checklist, on the ``--amplify``-fold pair).  The seed
-    and the sample count are each ``fuzz``'s flag, else the file's key, else
-    0 and 25; a sample count over ``SAMPLE_BYTES`` is refused."""
+    ``fuzz`` (the whole checklist, on the ``--amplify``-fold pair), on the seed
+    and sample count of ``main``; a sample count over ``SAMPLE_BYTES`` is refused."""
     from .interactions import InteractionError
     from .records import report_for_failed_candidate, run_checklist
 
     command, amplification = args.command, getattr(args, "amplify", 1)
-    seed, samples = (next(v for v in (getattr(args, flag, None), key, default) if v is not None)
-                     for flag, key, default in (("seed", spec.seed, 0),
-                                                ("samples", spec.samples, 25)))
+    seed, samples = args.seed, args.samples
     dim = sum((amplification * d) ** 2 for d in spec.blocks)
     need = 32 * samples * (4 * dim if command == "verify" else 2 * dim * dim)
     if need > SAMPLE_BYTES:
         raise SpecError(f"sample count {samples} needs {need / 2**30:.1f} GiB of sample "
                         f"stacks, over the {SAMPLE_BYTES >> 30} GiB budget")
     try:
-        v, h, alpha, transfer, info = _resolve(spec, tol, amplification)
+        v, h, alpha, transfer, info = _resolve(spec, tol, amplification, seed, samples)
     except InteractionError as err:
         env = _environment(spec, command, tol, seed, samples, amplification, {})
         report = report_for_failed_candidate(err.report, tol, str(err), env)
@@ -203,13 +211,13 @@ def cmd_report(spec: ProblemSpec, args: argparse.Namespace, tol: float, write: W
     return _emit_report(report, write)
 
 
-def _interaction_for_build(spec: ProblemSpec, tol: float) -> Interaction:
-    from .interactions import Interaction, derive_from_partial_isometry
+def _interaction_for_build(spec: ProblemSpec, tol: float, seed: int, samples: int
+                           ) -> Interaction:
+    from .interactions import Interaction
 
     if spec.mode == "partial_isometry":          # verified once, while derived
-        return derive_from_partial_isometry(spec.algebra, spec.ambient, spec.a_embed,
-                                            spec.s, tol).interaction
-    v, h, _, _, _ = _resolve(spec, tol, 1)
+        return _derive(spec, tol, seed, samples).interaction
+    v, h, _, _, _ = _resolve(spec, tol, 1, seed, samples)
     return Interaction.build(v, h, tol)
 
 
@@ -248,7 +256,7 @@ def cmd_build(spec: ProblemSpec, args: argparse.Namespace, tol: float, write: Wr
         from .covariant import CovariantError
         failures += (CovariantError,)
     try:
-        inter = _interaction_for_build(spec, tol)
+        inter = _interaction_for_build(spec, tol, args.seed, args.samples)
         payload = (_bimodule_payload if args.emit == "bimodule" else _covrep_payload)(inter, tol)
     except failures as err:
         _note(f"build failed: {err}")
@@ -295,6 +303,10 @@ def main(argv: list[str] | None = None) -> int:
         for flag, least in (("amplify", 1), ("samples", 0), ("seed", 0)):
             if getattr(args, flag, None) is not None and getattr(args, flag) < least:
                 raise SpecError(f"--{flag} must be at least {least}")
+        # the seed and the sample count: each ``fuzz``'s flag, else the file's key, else 0 and 25
+        args.seed, args.samples = (next(v for v in (getattr(args, flag, None), key, default)
+                                        if v is not None) for flag, key, default in (
+            ("seed", spec.seed, 0), ("samples", spec.samples, 25)))
         with _output(args.out) as write:
             tol = _tolerance(spec, args.tol)
             stage = args.stage if "stage" in args else EMIT_STAGES[args.emit]

@@ -22,10 +22,12 @@ from .algebra import (
     Sparse,
     at_units,
     block_norms,
+    contract,
     generated_subalgebra,
-    pair_products,
+    law_defects,
     representation_defects,
     row_chunks,
+    unit_table,
     worst,
     worst_key,
     worst_norm,
@@ -119,19 +121,25 @@ def check_commutation_22(rep: CovariantRep) -> dict[str, float]:
 
 
 def check_corner_isomorphisms(rep: CovariantRep) -> dict[str, float]:
-    """The corner maps are isometric *-homomorphisms on the opposite range."""
+    """The corner maps are isometric *-homomorphisms on the opposite range: the
+    images of the range rows x_i and of their products x_i·x_k (by ``unit_table``),
+    over the nonzeros of the rows, of pi_t·proj and of that table, a chunk of
+    first rows at a time."""
     inter = rep.interaction
-    alg = inter.algebra
-    mult, iso = [], []
+    alg, mult, iso = inter.algebra, [], []
     for rows, pi_t, proj in ((inter.range_h.basis, rep.pi_v, rep.ss),
                              (inter.range_v.basis, rep.pi_h, rep.s_s)):
-        images = np.tensordot(rows, pi_t, axes=1) @ proj
-        iso.append(abs(np.linalg.norm(images, 2, axis=(-2, -1)) - block_norms(alg, rows)))
-        # the products of every pair of range rows, a chunk of first rows at a time
-        for first in row_chunks(len(rows), images.size):
-            products = pair_products(alg, rows[first], rows)
-            mult.append(np.linalg.norm(np.tensordot(products, pi_t, axes=1) @ proj
-                                       - images[first, None] @ images, axis=(-2, -1)))
+        xs, moved = Sparse.of(rows), Sparse.of(pi_t @ proj)
+        images = contract("ia,axy->ixy", xs, moved)
+        iso.append(abs(np.linalg.norm(images.dense(), 2, axis=(-2, -1)) - block_norms(alg, rows)))
+
+        def sides(first: slice) -> tuple[Sparse, Sparse]:    # [i, k, (x, y)]
+            products = contract("ibj,kb->ikj", contract("ia,abj->ibj", xs.rows(first),
+                                                         unit_table(alg)), xs)
+            return (contract("ikj,jxy->ikxy", products, moved).reshape(-1, proj.size),
+                    contract("ixz,kzy->ikxy", images.rows(first), images).reshape(-1, proj.size))
+        # a sparse entry formed and merged takes about 8 dense ones
+        mult.append(law_defects(map(sides, row_chunks(len(rows), 8 * len(rows) * proj.size)))[0])
     return {"corner_multiplicative": worst(*mult), "corner_isometric": worst(*iso)}
 
 

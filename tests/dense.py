@@ -40,6 +40,17 @@ def right_mult(alg):
     return mul(alg, eye[None], eye[:, None]).swapaxes(1, 2)
 
 
+def action_tables(alg, v, h):
+    """The dim⁴ action tables F1[i, j, p] = coords(a_i · V(a_j a_p)) and
+    G1[q, i, j] = coords(H(a_q a_i) · a_j), by dense products with the (dim, dim)
+    matrices v and h of the maps."""
+    eye = np.eye(alg.dim, dtype=complex)
+    prods = mul(alg, eye[:, None], eye[None])                  # [i, k] = a_i·a_k
+    v_of, h_of = prods @ v.T, prods @ h.T
+    return (mul(alg, eye[:, None, None], v_of[None]),
+            mul(alg, h_of[:, :, None], eye[None, None]))
+
+
 def star(alg, x):
     return from_dense(alg, to_dense(alg, x).conj().T)
 

@@ -489,8 +489,8 @@ def test_concrete_correspondence_matches_the_loops(case):
 def test_a_nan_in_s_refuses_the_representation():
     inter = identity_interaction(Algebra((2,)))
     x = build_bimodule(inter, TOL)
-    x.vl = x.vl.copy()
-    x.vl[0, 0] = np.nan                # reaches S only, through the right action
+    x.v_mat = x.v_mat.copy()
+    x.v_mat[0, 0] = np.nan             # reaches S only, through the right action
     with pytest.raises(CovariantError) as err:
         build_covrep(inter, x, TOL)
     assert np.isnan(err.value.residuals["partial_isometry"])

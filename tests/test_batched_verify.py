@@ -28,7 +28,7 @@ from starint import (
     transpose_map,
 )
 from starint.algebra import (at_units, block_adjoint, block_norms, block_product,
-                             positivity_defects, unit_sums)
+                             positivity_defects)
 from starint.bimodule import check_sliding
 from starint.checklist import _record, verify_stage_records
 from starint.interactions import (
@@ -392,15 +392,13 @@ def test_block_stacks_match_element_arithmetic():
 
 @pytest.mark.parametrize("blocks", [(2, 1), (3, 3), (1, 1, 1)])
 def test_multiplication_tensors_equal_element_products(blocks):
-    # the products of matrix units by index: gathered at ``unit_products``, and
-    # summed from a coefficient matrix by ``unit_sums``
+    # the products of matrix units by index, gathered at ``unit_products``
     alg = Algebra(blocks)
     basis = np.eye(alg.dim)
     products = at_units(basis, alg.unit_products)      # [c, i, k] = coords_c(a_i·a_k)
     for i, bi in enumerate(basis):
         for k, bk in enumerate(basis):
             assert np.array_equal(products[:, i, k], dense.mul(alg, bi, bk))
-            assert np.array_equal(unit_sums(alg, np.outer(bk, bi)), dense.mul(alg, bk, bi))
 
 
 # -- complete positivity, piece by piece -----------------------------------------

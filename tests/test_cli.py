@@ -13,7 +13,8 @@ import pytest
 
 from starint import checklist, interactions, linmaps, records
 from starint.checklist import CANONICAL_IDS, VERIFY_STAGE_IDS, check_713
-from starint.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
+from starint.algebra import Draws
+from starint.cli import DERIVE_LANE, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 
 DATA = "tests/data"
 FLIP = f"{DATA}/flip.json"
@@ -461,6 +462,22 @@ def test_each_pair_is_verified_once(capsys, monkeypatch):
     # the ranges of V and H, then the range of each expectation
     assert run(capsys, "verify", FLIP)[0] == EXIT_PASS
     assert len(ranges) == 4
+
+
+def test_the_derive_gate_draws_on_the_runs_seed_and_samples(capsys, monkeypatch):
+    # the pair of a partial-isometry file is verified, while it is derived, on
+    # the run's sample count and on its own lane of the run's seed
+    seen, original = [], interactions.verify_interaction
+
+    def spy(v, h, tol, samples, rng):
+        seen.append((samples, rng.state))
+        return original(v, h, tol, samples, rng)
+
+    monkeypatch.setattr(interactions, "verify_interaction", spy)
+    code, _, _ = run(capsys, "fuzz", f"{DATA}/flip_isometry.json", "--seed", "5", "--samples", "3")
+    assert code == EXIT_PASS
+    assert seen and set(seen) == {(3, Draws([5, DERIVE_LANE]).state)}
+    assert DERIVE_LANE not in (31, 33, 52, 53, 54, 59, 510, 713)    # the checks' lanes
 
 
 I2 = [[1, 0], [0, 1]]

@@ -21,6 +21,7 @@ from starint import (
     correspondence_from_bimodule,
     find_redundancies,
     flip_interaction,
+    from_endomorphism_transfer,
     identity_interaction,
     run_checklist,
     swap_transfer_interaction,
@@ -160,30 +161,33 @@ def dense_lam(bc):
     return bc.q @ dense.left_mult(bc.algebra) @ bc.lift
 
 
-def dense_action_tables(x):
-    """The dim⁴ action tables F1[i, j, p] = coords(a_i · V(a_j a_p)) and
-    G1[q, i, j] = coords(H(a_q a_i) · a_j), by dense products and the map matrices."""
-    alg, eye = x.algebra, np.eye(x.dim, dtype=complex)
-    prods = dense.mul(alg, eye[:, None], eye[None])                  # [i, k] = a_i·a_k
-    v_of, h_of = prods @ x.inter.v.matrix.T, prods @ x.inter.h.matrix.T
-    return (dense.mul(alg, eye[:, None, None], v_of[None]),
-            dense.mul(alg, h_of[:, :, None], eye[None, None]))
+def cycle_pair():
+    """The endomorphism f -> f∘σ of C⁴ for the 4-cycle σ and its transfer
+    f -> f∘σ⁻¹: a commutative pair on four 1×1 blocks."""
+    alg, perm = Algebra((1, 1, 1, 1)), np.eye(4, dtype=complex)[[1, 2, 3, 0]]
+    return from_endomorphism_transfer(LinMap(alg, perm), LinMap(alg, perm.T), TOL)[0]
 
 
-MIDDLE_PAIRS = {name: PATTERN_PAIRS[name]
-                for name in ("identity_21", "identity_122", "diagonal_21", "adu_m2")}
+MIDDLE_PAIRS = {**{name: PATTERN_PAIRS[name] for name in (
+    "identity_21", "identity_122", "diagonal_21", "adu_m2", "flip_x2", "mixed_221", "mixed_32")},
+    "cycle_c4": cycle_pair}
 
 
 @pytest.mark.parametrize("name", sorted(MIDDLE_PAIRS))
 def test_middle_pieces_and_actions_match_the_dense_oracle(name):
     # both action factors, which also carry the middles H(a*·c) and V(b·d*) of
-    # the inner products' presentations, agree with the dense route
+    # the inner products' presentations, agree with the dense route, on the
+    # leading shapes the checks pass: an empty stack, (n,) and (n, terms)
     x = build_bimodule(MIDDLE_PAIRS[name]())
     rng = np.random.default_rng(9)
-    s_m = (rng.standard_normal((3, x.amb, 2)) @ [1, 1j]).reshape(3, x.dim, x.dim)
-    f1, g1 = dense_action_tables(x)
-    assert np.abs(x._right_factor(s_m) - np.einsum("nij,ijpa->nap", s_m, f1)).max() < 1e-12
-    assert np.abs(x._left_factor(s_m) - np.einsum("nij,qija->nqa", s_m, g1)).max() < 1e-12
+    mats = (rng.standard_normal((3, 2, x.amb, 2)) @ [1, 1j]).reshape(3, 2, x.dim, x.dim)
+    f1, g1 = dense.action_tables(x.algebra, x.inter.v.matrix, x.inter.h.matrix)
+    for s_m in (mats[:0, 0], mats[:, 0], mats):
+        for side, want in (("right", np.einsum("...ij,ijpa->...ap", s_m, f1)),
+                           ("left", np.einsum("...ij,qija->...qa", s_m, g1))):
+            got = x._factor(s_m, side)
+            assert got.shape == s_m.shape, side
+            assert np.abs(got - want).max(initial=0.0) < 1e-12, side
 
 
 def dense_presentations(x, s_m, t_m):
@@ -301,10 +305,10 @@ def test_chunked_factors_and_pairings_match_one_chunk(monkeypatch):
     mats = ss.reshape(2, 3, x.dim, x.dim)
 
     def evaluate():
-        return (x.inner_r(ss, ts), x.inner_l(ss, ts), x._right_factor(mats),
-                x._left_factor(mats), x.inner_r(ss[:0, 0], ts[:0, 0]),
-                x._right_factor(mats[:0, 0]), x.inner_l(ss[:, :0], ts[:, :0]),
-                x._left_factor(mats[:, :0]), x.act_a(np.zeros((0, x.dim)), ss[0, :0], "right"))
+        return (x.inner_r(ss, ts), x.inner_l(ss, ts), x._factor(mats, "right"),
+                x._factor(mats, "left"), x.inner_r(ss[:0, 0], ts[:0, 0]),
+                x._factor(mats[:0, 0], "right"), x.inner_l(ss[:, :0], ts[:, :0]),
+                x._factor(mats[:, :0], "left"), x.act_a(np.zeros((0, x.dim)), ss[0, :0], "right"))
 
     whole = evaluate()
     monkeypatch.setattr(algebra, "CHUNK_ENTRIES", 1)
@@ -492,8 +496,9 @@ def test_batched_sampled_checks_match_the_loops_on_a_broken_module():
     # samples reached the same verdicts
     x = build_bimodule(amplified_interaction(flip_interaction(), 2))
     rng = np.random.default_rng(1)
-    x.hl = x.hl + 0.3 * (rng.standard_normal(x.hl.shape) + 1j * rng.standard_normal(x.hl.shape))
-    x.vl = x.vl + 0.3 * rng.standard_normal(x.vl.shape)
+    x.h_mat = x.h_mat + 0.3 * (rng.standard_normal(x.h_mat.shape)
+                               + 1j * rng.standard_normal(x.h_mat.shape))
+    x.v_mat = x.v_mat + 0.3 * rng.standard_normal(x.v_mat.shape)
     for batched, loop in SAMPLED:
         got = batched(x, 6, rng=np.random.default_rng(5))
         assert max(got.values()) > 0.1, (batched.__name__, got)
@@ -529,9 +534,9 @@ def test_grid_norms_match_the_amplified_maps(name):
 def test_noise_in_the_right_middle_factor_fails_5_4():
     x = build_bimodule(amplified_interaction(flip_interaction(), 2))
     assert check_norm_agreement(x, 10)["norm_forms_agree"] <= TOL
-    # hl holds the middles H(a_q·a_i) that the right presentations read
+    # h_mat gives the middles H(a_q·a_i) that the right presentations read
     rng = np.random.default_rng(3)
-    x.hl = x.hl + 0.1 * rng.standard_normal(x.hl.shape)
+    x.h_mat = x.h_mat + 0.1 * rng.standard_normal(x.h_mat.shape)
     record = _record("5.4", check_norm_agreement(x, 10), TOL)
     assert record.status == "fail"
     assert record.details["5.4-norm_forms_agree"] > 1e-3
@@ -567,16 +572,16 @@ def test_redundancy_counts_equal_the_algebra_dimension(inter):
 
 
 def test_a_nan_in_the_module_fails_5_2_and_5_3():
-    # a NaN in H's table hl, which the right presentations read, fails 5.2 and
-    # 5.3; one in V's table vl, which the left ones read, fails 5.4 through the
-    # left norms (the Gram pieces are read off the maps and the state τ, not
-    # off the tables)
-    for table, checks in (("hl", (("5.2", check_positivity),
-                                  ("5.3", check_cauchy_schwarz))),
-                          ("vl", (("5.4", check_norm_agreement),))):
+    # a NaN in the matrix of H that the action factors read (the right
+    # presentations) fails 5.2 and 5.3; one in that of V, which the left ones
+    # read, fails 5.4 through the left norms (the Gram pieces are read off the
+    # maps and the state τ at the build, not off the factors' matrices)
+    for table, checks in (("h_mat", (("5.2", check_positivity),
+                                     ("5.3", check_cauchy_schwarz))),
+                          ("v_mat", (("5.4", check_norm_agreement),))):
         x = build_bimodule(identity_interaction(Algebra((2,))))
         value = getattr(x, table).copy()
-        value[0, 0, 0] = np.nan
+        value[0, 0] = np.nan
         setattr(x, table, value)
         for cid, check in checks:
             record = _record(cid, check(x, 4, np.random.default_rng(0)), TOL)
