@@ -575,10 +575,11 @@ def shape_groups(mats: Iterable[np.ndarray]) -> list[list[int]]:
 
 
 def copy_index(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """(a·c, b·d): the pairs rows[p, q]·n + cols[s, r] of two (a, b) and (c, d)
-    index arrays, one row per copy (p, s), columns (q, r)."""
-    out = rows[:, None, :, None] * n + cols[None, :, None, :]
-    return out.reshape(len(rows) * len(cols), -1)
+    """(..., a·c, b·d): the pairs rows[p, q]·n + cols[s, r] of two (..., a, b) and
+    (..., c, d) stacks of index arrays that broadcast, one row per copy (p, s),
+    columns (q, r)."""
+    out = rows[..., :, None, :, None] * n + cols[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], rows.shape[-2] * cols.shape[-2], -1)
 
 
 _SPECTRA = {"eigh": np.linalg.eigh, "eigvalsh": eigvals_hermitian,

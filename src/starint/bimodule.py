@@ -58,13 +58,6 @@ from .basic_construction import (
 from .interactions import Interaction
 
 
-def _grid(up: np.ndarray, uq: np.ndarray) -> np.ndarray:
-    """(P, Q, a·c, b·d): up[P, i, k] + uq[Q, j, l] at [(i, j), (k, l)], for every block
-    of two stacks of (a, b) and (c, d) index arrays."""
-    out = up[:, None, :, None, :, None] + uq[None, :, None, :, None, :]
-    return out.reshape(len(up), len(uq), up.shape[1] * uq.shape[1], -1)
-
-
 class BimoduleX:
     """Quotient module with both inner products presented in their spans.
 
@@ -83,12 +76,13 @@ class BimoduleX:
 
         # the positions (take, at, put) of ``_factor`` on each pair of block sizes
         n, units = self.dim, [idx.reshape(len(idx), d, d) for d, idx in alg.size_groups]
-        pairs = list(product([(u, u.swapaxes(1, 2)) for u in units], repeat=2))
+        pairs = [(up[:, None], uq[None], up.swapaxes(1, 2)[:, None], uq.swapaxes(1, 2)[None])
+                 for up, uq in product(units, repeat=2)]
         self.pair_index = {
-            "right": tuple((_grid(n * up, uq_t), _grid(n * up, uq), _grid(n * up, uq))
-                           for (up, _), (uq, uq_t) in pairs),
-            "left": tuple((_grid(n * up, uq_t), _grid(up_t, n * uq_t), _grid(n * up_t, uq_t))
-                          for (up, up_t), (_, uq_t) in pairs)}
+            "right": tuple((copy_index(up, uq_t, n), copy_index(up, uq, n), copy_index(up, uq, n))
+                           for up, uq, _, uq_t in pairs),
+            "left": tuple((copy_index(up, uq_t, n), copy_index(up_t, n * uq_t, 1),
+                           copy_index(up_t, uq_t, n)) for up, _, up_t, uq_t in pairs)}
         self.v_mat, self.h_mat = inter.v.matrix, inter.h.matrix     # the matrices it reads
 
         quot = eigen_quotient(self._gram_pieces("right"), tol, (
@@ -203,13 +197,12 @@ class BimoduleX:
     def _factor(self, xs: np.ndarray, side: str) -> np.ndarray:
         """(..., dim, dim): the action factor of each coefficient matrix x of a stack,
         [a, p] = coords_a(Σ_ij x[i, j]·a_i·V(a_j a_p)) on the right and [q, a] =
-        coords_a(Σ_ij x[i, j]·H(a_q a_i)·a_j) on the left.  For a = e_xz of block P
-        and p = e_bc of block Q the first is Σ_{y,a'} x[e_xy, e_a'b]·V[e_yz, e_a'c],
-        for q = e_bc of P and a = e_xz of Q the second Σ_{d,y} H[e_xy, e_bd]·x[e_cd, e_yz]:
-        per pair of block sizes, x at [(r, c'), (r', c)] = x[e_rr', e_cc'] (``take``)
-        times V at [(y, a'), (z, c)] or H at [(d, y), (b, x)] (``at``), one batched
-        product read at (e_xz, e_bc) from [(x, b), (z, c)] or at (e_bc, e_xz) from
-        [(c, z), (b, x)] (``put``)."""
+        coords_a(Σ_ij x[i, j]·H(a_q a_i)·a_j) on the left: for a = e_xz of block P and
+        p = e_bc of block Q, Σ_{y,a'} x[e_xy, e_a'b]·V[e_yz, e_a'c], and for q = e_bc of
+        P and a = e_xz of Q, Σ_{d,y} H[e_xy, e_bd]·x[e_cd, e_yz].  Per pair of block
+        sizes that is x at [(r, c'), (r', c)] = x[e_rr', e_cc'] (``take``) times V at
+        [(y, a'), (z, c)] or H at [(d, y), (b, x)] (``at``), one batched product read
+        back from [(x, b), (z, c)] or [(c, z), (b, x)] (``put``)."""
         flat = xs.reshape(*xs.shape[:-2], self.amb)
         mat = (self.v_mat if side == "right" else self.h_mat).reshape(-1)
         out = np.empty(flat.shape, dtype=complex)
