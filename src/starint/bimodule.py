@@ -47,6 +47,7 @@ from .algebra import (
     row_chunks,
     singular_values,
     unit_map,
+    unit_table,
     worst,
 )
 from .basic_construction import (
@@ -434,18 +435,17 @@ def check_sliding(x: BimoduleX) -> dict[str, float]:
     ac⊗b = a⊗H(c)b for c in the range of V and a⊗cb = aV(c)⊗b for c in the
     range of H, for all canonical a, b at once: in class coordinates, q
     contracted against (R_c ⊗ I) minus q against (I ⊗ L_{H(c)}), and the
-    mirror for the range of H, over the nonzeros of q and of the
-    multiplication matrices, a chunk of range rows at a time."""
-    alg, q, eye = x.algebra, x.q_t, np.eye(x.dim, dtype=complex)
+    mirror for the range of H, over the nonzeros of q, of the rows and of the
+    products of matrix units (``unit_table``), a chunk of range rows at a time."""
+    q, units = x.q_t, unit_table(x.algebra)
 
     def defects(firsts: np.ndarray, seconds: np.ndarray) -> float:
         # [c, a, b, w]: the class of (a_a·first_c)⊗a_b minus that of a_a⊗(second_c·a_b),
         # the largest 2-norm over w
-        def sides(c: slice) -> tuple[Sparse, Sparse]:
-            right, left = (Sparse.of(m) for m in (block_product(alg, eye, firsts[c, None]),
-                                                  block_product(alg, seconds[c, None], eye)))
-            return contract("cam,wmb->cabw", right, q), contract("cbm,wam->cabw", left, q)
-        return law_defects(map(sides, row_chunks(len(firsts), max(x.amb, len(q.at)))))[0]
+        f, s = Sparse.of(firsts), Sparse.of(seconds)
+        return law_defects((contract("cam,wmb->cabw", contract("cj,ajm->cam", f.rows(c), units), q),
+                            contract("cbm,wam->cabw", contract("cj,jbm->cbm", s.rows(c), units), q))
+                           for c in row_chunks(len(firsts), len(q.at)))[0]
 
     rows_v, rows_h = x.inter.range_v.basis, x.inter.range_h.basis
     return {"slide_range_v": defects(rows_v, rows_v @ x.inter.h.matrix.T),

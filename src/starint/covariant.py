@@ -126,7 +126,8 @@ def check_corner_isomorphisms(rep: CovariantRep) -> dict[str, float]:
     over the nonzeros of the rows, of pi_t·proj and of that table, a chunk of
     first rows at a time."""
     inter = rep.interaction
-    alg, mult, iso = inter.algebra, [], []
+    alg, units = inter.algebra, unit_table(inter.algebra)
+    mult, iso = [], []
     for rows, pi_t, proj in ((inter.range_h.basis, rep.pi_v, rep.ss),
                              (inter.range_v.basis, rep.pi_h, rep.s_s)):
         xs, moved = Sparse.of(rows), Sparse.of(pi_t @ proj)
@@ -134,12 +135,12 @@ def check_corner_isomorphisms(rep: CovariantRep) -> dict[str, float]:
         iso.append(abs(np.linalg.norm(images.dense(), 2, axis=(-2, -1)) - block_norms(alg, rows)))
 
         def sides(first: slice) -> tuple[Sparse, Sparse]:    # [i, k, (x, y)]
-            products = contract("ibj,kb->ikj", contract("ia,abj->ibj", xs.rows(first),
-                                                         unit_table(alg)), xs)
+            products = contract("ibj,kb->ikj", contract("ia,abj->ibj", xs.rows(first), units), xs)
             return (contract("ikj,jxy->ikxy", products, moved).reshape(-1, proj.size),
                     contract("ixz,kzy->ikxy", images.rows(first), images).reshape(-1, proj.size))
-        # a sparse entry formed and merged takes about 8 dense ones
-        mult.append(law_defects(map(sides, row_chunks(len(rows), 8 * len(rows) * proj.size)))[0])
+        # a first row meets about as many entries as the images hold, and a
+        # sparse entry, formed and merged, takes about 8 dense ones
+        mult.append(law_defects(map(sides, row_chunks(len(rows), 8 * len(images.at))))[0])
     return {"corner_multiplicative": worst(*mult), "corner_isometric": worst(*iso)}
 
 

@@ -244,10 +244,17 @@ def test_module_build_holds_no_amb_square_array(n):
     def entries(value):
         if isinstance(value, np.ndarray):
             return value.size
+        if isinstance(value, dict):
+            value = tuple(value.values())
         return sum(map(entries, value)) if isinstance(value, tuple) else 0
 
     big = [k for k, v in vars(x).items() if entries(v) >= x.amb ** 2]
     assert not big, big
+    # nor a dim³ table: the action factors read the maps' own (dim, dim) matrices, and
+    # every other array here is at most (r, dim²) with r = dim / 2
+    assert x.r == x.dim // 2
+    cubes = [k for k, v in vars(x).items() if entries(v) >= x.dim ** 3]
+    assert not cubes, cubes
 
 
 @pytest.mark.parametrize("name", ["swap_endo", "mixed_221"])
